@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,11 +16,9 @@ import os
 import sys
 import time
 
+from . import __version__, harness, kernels, oracle
 from . import functions as fn
-from . import harness, oracle
-from .policy import AccuracyPolicy, DomainError
-
-__version__ = "0.1.0"
+from .policy import DEFAULT_POLICY, ORACLE_POLICY, AccuracyPolicy, DomainError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,13 +33,6 @@ REL_TOL_ENV = "KGAMMA_REL_TOL"
 CSV_COLUMNS = (
     "theorem_id", "x", "k", "p_param", "m", "n", "l",
     "holder_p", "holder_q", "lhs", "rhs", "slack", "margin", "verdict",
-)
-
-_EVAL_FUNCTIONS = (
-    "k_gamma", "pk_gamma", "k_polygamma", "k_zeta", "pk_zeta",
-    "k_gamma_deriv", "pk_gamma_deriv",
-    "oracle_k_gamma", "oracle_pk_gamma", "oracle_k_polygamma",
-    "oracle_bose", "oracle_k_gamma_deriv",
 )
 
 
@@ -60,7 +52,7 @@ def _fmt(value) -> str:
 def _default_rel_tol() -> float:
     raw = os.environ.get(REL_TOL_ENV)
     if raw is None:
-        return 1e-12
+        return DEFAULT_POLICY.rel_tol
     try:
         value = float(raw)
     except ValueError as exc:
@@ -68,6 +60,15 @@ def _default_rel_tol() -> float:
     if not value > 0:
         raise UsageError(f"{REL_TOL_ENV} must be positive, got {raw!r}")
     return value
+
+
+def _closed_form_policy(args) -> AccuracyPolicy:
+    """The policy for closed forms: --rel-tol, else the environment default."""
+    if args.rel_tol is None:
+        return AccuracyPolicy(rel_tol=_default_rel_tol())
+    if not 0 < args.rel_tol < math.inf:
+        raise UsageError(f"--rel-tol must be finite and positive, got {args.rel_tol!r}")
+    return AccuracyPolicy(rel_tol=args.rel_tol)
 
 
 def parse_grid_axis(text: str, integer: bool = False) -> tuple:
@@ -120,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("function", choices=_EVAL_FUNCTIONS)
+    p_eval.add_argument("function", choices=tuple(_EVAL))
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--k", type=float)
     p_eval.add_argument("--p", type=float)
@@ -165,71 +166,52 @@ def _build_parser() -> argparse.ArgumentParser:
 # eval
 
 
-def _require_args(args, names: list[str]) -> list[float]:
-    values = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise UsageError(f"function {args.function} requires --{name}")
-        values.append(v)
-    return values
+def _point(args) -> fn.EvalPoint:
+    return fn.EvalPoint(args.x, args.k, args.p)
+
+
+#: eval function -> (required flags, evaluate(args, policy)); the oracle_*
+#: entries return a QuadratureResult and run under the oracle policy
+_EVAL = {
+    "k_gamma": ("x k", lambda a, pol: fn.k_gamma(fn.EvalPoint(a.x, a.k), pol)),
+    "pk_gamma": ("x k p", lambda a, pol: fn.pk_gamma(_point(a), pol)),
+    "k_polygamma": ("m x k", lambda a, pol: fn.k_polygamma(
+        a.m, fn.EvalPoint(a.x, a.k), pol)),
+    "k_zeta": ("x k", lambda a, pol: fn.k_zeta(a.x, a.k, pol)),
+    "pk_zeta": ("x k p", lambda a, pol: fn.pk_zeta(a.x, a.k, a.p, pol)),
+    "k_gamma_deriv": ("n x k", lambda a, pol: fn.k_gamma_deriv(
+        a.n, fn.EvalPoint(a.x, a.k), pol)),
+    "pk_gamma_deriv": ("n x k p", lambda a, pol: fn.pk_gamma_deriv(
+        a.n, _point(a), pol)),
+    "oracle_k_gamma": ("x k", lambda a, pol: oracle.integrate_k_gamma(
+        fn.EvalPoint(a.x, a.k), pol)),
+    "oracle_pk_gamma": ("x k p", lambda a, pol: oracle.integrate_pk_gamma(
+        _point(a), pol)),
+    "oracle_k_polygamma": ("m x k", lambda a, pol: oracle.integrate_k_polygamma(
+        a.m, fn.EvalPoint(a.x, a.k), pol)),
+    "oracle_bose": ("s k c", lambda a, pol: oracle.integrate_bose(a.s, a.k, a.c, pol)),
+    # --p is optional here: given, it selects the p-k family
+    "oracle_k_gamma_deriv": ("n x k", lambda a, pol: oracle.integrate_k_gamma_deriv(
+        a.n, _point(a), a.p is not None, pol)),
+}
 
 
 def cmd_eval(args) -> int:
-    policy = AccuracyPolicy(rel_tol=args.rel_tol or _default_rel_tol())
-    oracle_policy = AccuracyPolicy(
-        rel_tol=args.rel_tol or 1e-10, max_subdivisions=4000
+    policy = _closed_form_policy(args)
+    required, evaluate = _EVAL[args.function]
+    for name in required.split():
+        if getattr(args, name) is None:
+            raise UsageError(f"function {args.function} requires --{name}")
+    if not args.function.startswith("oracle_"):
+        print(_fmt(evaluate(args, policy)))
+        return EXIT_OK
+    oracle_policy = ORACLE_POLICY if args.rel_tol is None else dataclasses.replace(
+        ORACLE_POLICY, rel_tol=args.rel_tol
     )
-    name = args.function
-    if name == "k_gamma":
-        x, k = _require_args(args, ["x", "k"])
-        print(_fmt(fn.k_gamma(fn.EvalPoint(x, k), policy)))
-    elif name == "pk_gamma":
-        x, k, p = _require_args(args, ["x", "k", "p"])
-        print(_fmt(fn.pk_gamma(fn.EvalPoint(x, k, p), policy)))
-    elif name == "k_polygamma":
-        m, x, k = _require_args(args, ["m", "x", "k"])
-        print(_fmt(fn.k_polygamma(int(m), fn.EvalPoint(x, k), policy)))
-    elif name == "k_zeta":
-        x, k = _require_args(args, ["x", "k"])
-        print(_fmt(fn.k_zeta(x, k, policy)))
-    elif name == "pk_zeta":
-        x, k, p = _require_args(args, ["x", "k", "p"])
-        print(_fmt(fn.pk_zeta(x, k, p, policy)))
-    elif name == "k_gamma_deriv":
-        n, x, k = _require_args(args, ["n", "x", "k"])
-        print(_fmt(fn.k_gamma_deriv(int(n), fn.EvalPoint(x, k), policy)))
-    elif name == "pk_gamma_deriv":
-        n, x, k, p = _require_args(args, ["n", "x", "k", "p"])
-        print(_fmt(fn.pk_gamma_deriv(int(n), fn.EvalPoint(x, k, p), policy)))
-    else:
-        result = _eval_oracle(name, args, oracle_policy)
-        print(f"{_fmt(result.value)} error_estimate={_fmt(result.error_estimate)} "
-              f"converged={result.converged}")
-        if not result.converged:
-            return EXIT_FAIL
-    return EXIT_OK
-
-
-def _eval_oracle(name, args, policy) -> oracle.QuadratureResult:
-    if name == "oracle_k_gamma":
-        x, k = _require_args(args, ["x", "k"])
-        return oracle.integrate_k_gamma(fn.EvalPoint(x, k), policy)
-    if name == "oracle_pk_gamma":
-        x, k, p = _require_args(args, ["x", "k", "p"])
-        return oracle.integrate_pk_gamma(fn.EvalPoint(x, k, p), policy)
-    if name == "oracle_k_polygamma":
-        m, x, k = _require_args(args, ["m", "x", "k"])
-        return oracle.integrate_k_polygamma(int(m), fn.EvalPoint(x, k), policy)
-    if name == "oracle_bose":
-        s, k, c = _require_args(args, ["s", "k", "c"])
-        return oracle.integrate_bose(s, k, c, policy)
-    if name == "oracle_k_gamma_deriv":
-        n, x, k = _require_args(args, ["n", "x", "k"])
-        use_p = args.p is not None
-        pt = fn.EvalPoint(x, k, args.p)
-        return oracle.integrate_k_gamma_deriv(int(n), pt, use_p, policy)
-    raise UsageError(f"unknown function {name!r}")
+    result = evaluate(args, oracle_policy)
+    print(f"{_fmt(result.value)} error_estimate={_fmt(result.error_estimate)} "
+          f"converged={result.converged}")
+    return EXIT_OK if result.converged else EXIT_FAIL
 
 
 # --------------------------------------------------------------------------
@@ -256,33 +238,15 @@ def _grid_from_args(args) -> harness.GridSpec:
     if getattr(args, "holder_p", None) is not None:
         kwargs["holder_ps"] = parse_grid_axis(args.holder_p)
     try:
-        return harness.GridSpec(**{
-            k: v for k, v in {**_grid_defaults(base), **kwargs}.items()
-        })
+        return dataclasses.replace(base, **kwargs)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _grid_defaults(base: harness.GridSpec) -> dict:
-    return {
-        "xs": base.xs, "ks": base.ks, "p_params": base.p_params,
-        "ms": base.ms, "ns": base.ns, "ls": base.ls,
-        "holder_ps": base.holder_ps,
-    }
-
-
 def _check_row(check: harness.InequalityCheck) -> dict:
-    inp = check.inputs
     return {
         "theorem_id": check.theorem_id,
-        "x": inp.get("x"),
-        "k": inp.get("k"),
-        "p_param": inp.get("p_param"),
-        "m": inp.get("m"),
-        "n": inp.get("n"),
-        "l": inp.get("l"),
-        "holder_p": inp.get("holder_p"),
-        "holder_q": inp.get("holder_q"),
+        **{col: check.inputs.get(col) for col in CSV_COLUMNS[1:9]},
         "lhs": check.lhs,
         "rhs": check.rhs,
         "slack": check.slack,
@@ -314,9 +278,8 @@ def _render_csv(checks, metadata) -> str:
               f"generated {metadata['timestamp']}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for check in checks:
-        row = _check_row(check)
-        writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
+    # csv writes None as an empty field and a float by its repr, as _fmt does
+    writer.writerows(_check_row(check).values() for check in checks)
     return buf.getvalue()
 
 
@@ -342,11 +305,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown theorem ids: {sorted(unknown)}")
 
     grid = _grid_from_args(args)
-    rel_tol = args.rel_tol or _default_rel_tol()
-    policy = AccuracyPolicy(rel_tol=rel_tol)
+    policy = _closed_form_policy(args)
     checks, summary = harness.scan_grid(grid, theorems, policy, args.slack_tol)
 
-    metadata = _run_metadata(args, grid, rel_tol)
+    metadata = _run_metadata(args, grid, policy.rel_tol)
     text = (_render_csv if args.format == "csv" else _render_json)(checks, metadata)
     if args.output:
         try:
@@ -380,8 +342,13 @@ def cmd_verify(args) -> int:
 # crosscheck
 
 
-def crosscheck_families(grid: harness.GridSpec, oracle_policy, policy) -> dict:
-    """Max relative discrepancy, closed form vs defining integral, per family."""
+def crosscheck_families(
+    grid: harness.GridSpec, oracle_policy, policy, deriv_orders=range(5)
+) -> dict:
+    """Max relative discrepancy, closed form vs defining integral, per family.
+
+    Derivatives of Gamma_k and pGamma_k are compared at `deriv_orders`.
+    """
     worst: dict[str, float] = {}
 
     def note(family: str, closed: float, quad: oracle.QuadratureResult) -> None:
@@ -398,14 +365,14 @@ def crosscheck_families(grid: harness.GridSpec, oracle_policy, policy) -> dict:
                     continue
                 note("k_polygamma", abs(fn.k_polygamma(m, pt, policy)),
                      oracle.integrate_k_polygamma(m, pt, oracle_policy))
-            for n in range(0, 5):
+            for n in deriv_orders:
                 note("k_gamma_deriv", fn.k_gamma_deriv(n, pt, policy),
                      oracle.integrate_k_gamma_deriv(n, pt, False, oracle_policy))
             for p in grid.p_params:
                 ppt = fn.EvalPoint(x, k, p)
                 note("pk_gamma", fn.pk_gamma(ppt, policy),
                      oracle.integrate_pk_gamma(ppt, oracle_policy))
-                for n in range(0, 5):
+                for n in deriv_orders:
                     note("pk_gamma_deriv", fn.pk_gamma_deriv(n, ppt, policy),
                          oracle.integrate_k_gamma_deriv(n, ppt, True, oracle_policy))
 
@@ -426,10 +393,15 @@ def crosscheck_families(grid: harness.GridSpec, oracle_policy, policy) -> dict:
 
 def cmd_crosscheck(args) -> int:
     grid = _grid_from_args(args)
-    rel_tol = args.rel_tol or _default_rel_tol()
-    policy = AccuracyPolicy(rel_tol=rel_tol)
-    oracle_policy = AccuracyPolicy(rel_tol=1e-10, max_subdivisions=4000)
-    worst = crosscheck_families(grid, oracle_policy, policy)
+    policy = _closed_form_policy(args)
+    deriv_orders = range(5)
+    if args.n is not None:
+        deriv_orders = grid.ns
+        if any(n > kernels.GAMMA_DERIV_MAX_ORDER for n in deriv_orders):
+            raise UsageError(
+                f"--n orders must lie in 0..{kernels.GAMMA_DERIV_MAX_ORDER}"
+            )
+    worst = crosscheck_families(grid, ORACLE_POLICY, policy, deriv_orders)
     ok = True
     for family in sorted(worst):
         status = "ok" if worst[family] <= args.threshold else "EXCEEDS"

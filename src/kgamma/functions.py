@@ -10,11 +10,16 @@ kernels (never by direct integration):
 
 The quadrature oracle module evaluates the defining integrals independently
 and is the cross-check for every reduction here.
+
+The zeta and derivative functions take an optional `kernels.KernelCache`;
+a sweep passes one so that kernel values shared between its checks are
+computed once.  Without it every call goes to the kernels directly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import kernels
@@ -61,17 +66,36 @@ class EvalPoint:
         return self.p
 
 
+#: Largest log value whose exp is finite in double precision.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _finite_or_overflow(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise ComputationOverflowError(f"{what} overflows double precision")
     return value
 
 
+def _exp_or_overflow(log_value: float, what: str, *what_args) -> float:
+    # checked before exp, which would raise a bare OverflowError; `what` is
+    # formatted with `what_args` only on failure, off the common path
+    if not log_value <= _LOG_MAX:
+        raise ComputationOverflowError(
+            f"{what.format(*what_args)} overflows double precision"
+        )
+    return math.exp(log_value)
+
+
+def _kernels(cache: kernels.KernelCache | None):
+    """Where zeta values and derivative sequences come from."""
+    return kernels if cache is None else cache
+
+
 def k_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k)."""
     y = pt.x / pt.k
     log_value = (y - 1.0) * math.log(pt.k) + kernels.log_gamma(y, policy)
-    return _finite_or_overflow(math.exp(log_value), f"Gamma_k({pt.x}; k={pt.k})")
+    return _exp_or_overflow(log_value, "Gamma_k({}; k={})", pt.x, pt.k)
 
 
 def pk_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
@@ -79,12 +103,15 @@ def pk_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     p = pt.require_p()
     y = pt.x / pt.k
     log_value = y * math.log(p) - math.log(pt.k) + kernels.log_gamma(y, policy)
-    return _finite_or_overflow(
-        math.exp(log_value), f"pGamma_k({pt.x}; k={pt.k}, p={p})"
-    )
+    return _exp_or_overflow(log_value, "pGamma_k({}; k={}, p={})", pt.x, pt.k, p)
 
 
-def k_polygamma(m: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def k_polygamma(
+    m: int,
+    pt: EvalPoint,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
+) -> float:
     """psi_k^(m)(x) for m >= 1; sign is (-1)^(m+1).
 
     m = 0 is excluded: the defining series diverges there and none of the
@@ -98,11 +125,14 @@ def k_polygamma(m: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) 
         )
     sign = 1.0 if m % 2 == 1 else -1.0
     scale = math.factorial(m) * pt.k ** (-(m + 1.0))
-    return sign * scale * kernels.hurwitz_zeta(m + 1.0, pt.x / pt.k, policy)
+    return sign * scale * _kernels(cache).hurwitz_zeta(m + 1.0, pt.x / pt.k, policy)
 
 
 def k_polygamma_magnitude_fractional(
-    s: float, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
+    s: float,
+    pt: EvalPoint,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
 ) -> float:
     """|psi_k^(s)(x)| for real order s >= 1, via the integral definition.
 
@@ -113,19 +143,31 @@ def k_polygamma_magnitude_fractional(
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
     log_scale = kernels.log_gamma(s + 1.0, policy) - (s + 1.0) * math.log(pt.k)
-    return math.exp(log_scale) * kernels.hurwitz_zeta(s + 1.0, pt.x / pt.k, policy)
+    scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, pt.k)
+    return scale * _kernels(cache).hurwitz_zeta(s + 1.0, pt.x / pt.k, policy)
 
 
-def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def k_zeta(
+    x: float,
+    k: float,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
+) -> float:
     """zeta_k(x) = zeta(x/k), for x/k > 1."""
     if not (math.isfinite(k) and k > 0):
         raise DomainError(f"k must be a finite positive real, got {k!r}")
     if not (math.isfinite(x) and x / k > 1.0):
         raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
-    return kernels.riemann_zeta(x / k, policy)
+    return _kernels(cache).riemann_zeta(x / k, policy)
 
 
-def pk_zeta(x: float, k: float, p: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def pk_zeta(
+    x: float,
+    k: float,
+    p: float,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
+) -> float:
     """pzeta_k(x) for x/k > 1 and p > 0.
 
     Substituting u = t^k / p in the defining integral shows the p-dependence
@@ -134,22 +176,27 @@ def pk_zeta(x: float, k: float, p: float, policy: AccuracyPolicy = DEFAULT_POLIC
     """
     if not (math.isfinite(p) and p > 0):
         raise DomainError(f"p must be a finite positive real, got {p!r}")
-    return k_zeta(x, k, policy)
+    return k_zeta(x, k, policy, cache)
 
 
 def _deriv_sum(n: int, y: float, c: float, log_prefactor: float, k: float,
-               policy: AccuracyPolicy) -> float:
+               policy: AccuracyPolicy, cache: kernels.KernelCache | None) -> float:
     # Leibniz expansion of d^n/dx^n [e^(c x) Gamma(x/k)] times the prefactor:
     # sum_j C(n, j) c^(n-j) k^(-j) prefactor Gamma^(j)(x/k).
-    gd = kernels.gamma_deriv_sequence(n, y, policy)
-    prefactor = _finite_or_overflow(math.exp(log_prefactor), "derivative prefactor")
+    gd = _kernels(cache).gamma_deriv_sequence(n, y, policy)
+    prefactor = _exp_or_overflow(log_prefactor, "derivative prefactor")
     total = 0.0
     for j in range(n + 1):
         total += math.comb(n, j) * c ** (n - j) * k ** (-float(j)) * gd[j]
     return _finite_or_overflow(prefactor * total, f"derivative of order {n}")
 
 
-def k_gamma_deriv(n: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def k_gamma_deriv(
+    n: int,
+    pt: EvalPoint,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
+) -> float:
     """Gamma_k^(n)(x): the n-th derivative of Gamma_k at x, n <= 8."""
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
@@ -159,10 +206,15 @@ def k_gamma_deriv(n: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
         )
     y = pt.x / pt.k
     log_k = math.log(pt.k)
-    return _deriv_sum(n, y, log_k / pt.k, (y - 1.0) * log_k, pt.k, policy)
+    return _deriv_sum(n, y, log_k / pt.k, (y - 1.0) * log_k, pt.k, policy, cache)
 
 
-def pk_gamma_deriv(n: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def pk_gamma_deriv(
+    n: int,
+    pt: EvalPoint,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
+) -> float:
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
@@ -173,5 +225,5 @@ def pk_gamma_deriv(n: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLIC
     p = pt.require_p()
     y = pt.x / pt.k
     return _deriv_sum(
-        n, y, math.log(p) / pt.k, y * math.log(p) - math.log(pt.k), pt.k, policy
+        n, y, math.log(p) / pt.k, y * math.log(p) - math.log(pt.k), pt.k, policy, cache
     )

@@ -13,6 +13,10 @@ Theorem ids:
   T5   midpoint (log-convexity style) inequality for k-gamma derivatives,
        additive form (T6: p-k variant)
   T7   midpoint inequality for k-polygamma, direction depending on parity
+
+`THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
+points and the check that evaluates one.  Each check takes an optional
+`kernels.KernelCache`; `scan_grid` gives one to every check of a sweep.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import functions as fn
+from .kernels import KernelCache
 from .policy import DEFAULT_POLICY, AccuracyPolicy, DomainError
 
 __all__ = [
+    "THEOREMS",
     "THEOREM_IDS",
     "HolderPair",
     "InequalityCheck",
@@ -38,8 +44,6 @@ __all__ = [
     "check_midpoint_polygamma",
     "scan_grid",
 ]
-
-THEOREM_IDS = ("T1", "T2", "T3", "T4K", "T4PK", "T5", "T6", "T7")
 
 #: Uniform relative-accuracy contract assumed for closed-form function
 #: values when propagating margins (10x the 1e-12 kernel contract).
@@ -100,6 +104,7 @@ def check_holder_polygamma(
     pt: fn.EvalPoint,
     policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
+    cache: KernelCache | None = None,
 ) -> InequalityCheck:
     """|psi_k^(m)|^(1/p) |psi_k^(n)|^(1/q) >= |psi_k^(m/p + n/q)|.
 
@@ -110,10 +115,10 @@ def check_holder_polygamma(
     if m < 1 or n < 1:
         raise DomainError("orders m, n must be >= 1")
     s = m / hp.p + n / hp.q
-    a = abs(fn.k_polygamma(m, pt, policy))
-    b = abs(fn.k_polygamma(n, pt, policy))
+    a = abs(fn.k_polygamma(m, pt, policy, cache))
+    b = abs(fn.k_polygamma(n, pt, policy, cache))
     lhs = a ** (1.0 / hp.p) * b ** (1.0 / hp.q)
-    rhs = fn.k_polygamma_magnitude_fractional(s, pt, policy)
+    rhs = fn.k_polygamma_magnitude_fractional(s, pt, policy, cache)
     slack = lhs - rhs
     # d(a^(1/p))/a = (1/p) a^(1/p - 1): relative errors divide by p, q
     margin = abs(lhs) * (_FUNC_REL / hp.p + _FUNC_REL / hp.q) + abs(rhs) * _FUNC_REL
@@ -136,6 +141,7 @@ def check_holder_zeta(
     p_param: float | None = None,
     policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
+    cache: KernelCache | None = None,
 ) -> InequalityCheck:
     """Hölder inequality for the (p-)k-zeta / (p-)k-gamma pair.
 
@@ -152,11 +158,11 @@ def check_holder_zeta(
             raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
     if p_param is None:
         theorem_id = "T2"
-        zeta = lambda x: fn.k_zeta(x, k, policy)
+        zeta = lambda x: fn.k_zeta(x, k, policy, cache)
         gamma = lambda x: fn.k_gamma(fn.EvalPoint(x, k), policy)
     else:
         theorem_id = "T3"
-        zeta = lambda x: fn.pk_zeta(x, k, p_param, policy)
+        zeta = lambda x: fn.pk_zeta(x, k, p_param, policy, cache)
         gamma = lambda x: fn.pk_gamma(fn.EvalPoint(x, k, p_param), policy)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     gamma_ratio = gamma(s + 1.0) / (
@@ -184,6 +190,7 @@ def check_turan_gamma_deriv(
     use_p: bool = False,
     policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
+    cache: KernelCache | None = None,
 ) -> InequalityCheck:
     """Turán inequality Gamma_k^(n-1) Gamma_k^(n+1) - (Gamma_k^(n))^2 >= 0.
 
@@ -195,9 +202,9 @@ def check_turan_gamma_deriv(
     if not 1 <= n <= 7:
         raise DomainError("Turán check requires 1 <= n <= 7")
     deriv = fn.pk_gamma_deriv if use_p else fn.k_gamma_deriv
-    g_lo = deriv(n - 1, pt, policy)
-    g_mid = deriv(n, pt, policy)
-    g_hi = deriv(n + 1, pt, policy)
+    g_lo = deriv(n - 1, pt, policy, cache)
+    g_mid = deriv(n, pt, policy, cache)
+    g_hi = deriv(n + 1, pt, policy, cache)
     lhs = g_lo * g_hi
     rhs = g_mid * g_mid
     slack = lhs - rhs
@@ -223,6 +230,7 @@ def check_midpoint_gamma_deriv(
     use_p: bool = False,
     policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
+    cache: KernelCache | None = None,
 ) -> InequalityCheck:
     """[Gamma_k^(n-l) + Gamma_k^(n+l)] / 2 - Gamma_k^(n) >= 0, n, l even.
 
@@ -233,9 +241,9 @@ def check_midpoint_gamma_deriv(
     if n % 2 or l % 2 or not (n >= l >= 0) or n + l > 8:
         raise DomainError("midpoint check requires even n >= l >= 0 with n + l <= 8")
     deriv = fn.pk_gamma_deriv if use_p else fn.k_gamma_deriv
-    g_lo = deriv(n - l, pt, policy)
-    g_hi = deriv(n + l, pt, policy)
-    g_mid = deriv(n, pt, policy)
+    g_lo = deriv(n - l, pt, policy, cache)
+    g_hi = deriv(n + l, pt, policy, cache)
+    g_mid = deriv(n, pt, policy, cache)
     lhs = 0.5 * (g_lo + g_hi)
     rhs = g_mid
     slack = lhs - rhs
@@ -259,6 +267,7 @@ def check_midpoint_polygamma(
     pt: fn.EvalPoint,
     policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
+    cache: KernelCache | None = None,
 ) -> InequalityCheck:
     """Midpoint inequality for k-polygamma, parity-oriented.
 
@@ -269,8 +278,9 @@ def check_midpoint_polygamma(
     """
     if not 2 <= n <= 11:
         raise DomainError("polygamma midpoint check requires 2 <= n <= 11")
-    lhs = fn.k_polygamma(n, pt, policy)
-    rhs = 0.5 * (fn.k_polygamma(n + 1, pt, policy) + fn.k_polygamma(n - 1, pt, policy))
+    lhs = fn.k_polygamma(n, pt, policy, cache)
+    rhs = 0.5 * (fn.k_polygamma(n + 1, pt, policy, cache)
+                 + fn.k_polygamma(n - 1, pt, policy, cache))
     d = lhs - rhs
     slack = d if n % 2 == 1 else -d
     margin = (abs(lhs) + abs(rhs)) * _FUNC_REL
@@ -348,80 +358,79 @@ class ScanSummary:
             entry["min_slack_at"] = dict(check.inputs)
 
 
-def _iter_theorem_points(
-    spec: GridSpec, theorem_id: str, policy: AccuracyPolicy, slack_tol: float
-) -> Iterator[Callable[[], InequalityCheck]]:
-    if theorem_id == "T1":
-        for x in spec.xs:
-            for k in spec.ks:
-                pt = fn.EvalPoint(x, k)
-                for hp in spec.holder_pairs():
-                    for m in spec.ms:
-                        for n in spec.ns:
-                            s = m / hp.p + n / hp.q
-                            if s < 1.0:
-                                continue
-                            if spec.integer_orders_only and not _is_near_integer(s):
-                                continue
-                            yield partial(
-                                check_holder_polygamma,
-                                m, n, hp, pt, policy, slack_tol,
-                            )
-    elif theorem_id in ("T2", "T3"):
-        p_values: Sequence[float | None]
-        p_values = spec.p_params if theorem_id == "T3" else (None,)
+# Admissible points per theorem, in lexicographic grid order: each yields
+# the positional arguments of its check, up to the policy.
+
+
+def _eval_points(spec: GridSpec, use_p: bool = False) -> Iterator[fn.EvalPoint]:
+    for x in spec.xs:
         for k in spec.ks:
-            for p_param in p_values:
-                for hp in spec.holder_pairs():
-                    for m in spec.ms:
-                        for n in spec.ns:
-                            s = m / hp.p + n / hp.q
-                            if spec.integer_orders_only and not _is_near_integer(s):
-                                continue
-                            if min(m + 1.0, n + 1.0, s + 1.0) / k <= 1.0:
-                                continue
-                            yield partial(
-                                check_holder_zeta,
-                                m, n, hp, k, p_param, policy, slack_tol,
-                            )
-    elif theorem_id in ("T4K", "T4PK"):
-        use_p = theorem_id == "T4PK"
-        for x in spec.xs:
-            for k in spec.ks:
-                for p_param in (spec.p_params if use_p else (None,)):
-                    pt = fn.EvalPoint(x, k, p_param)
-                    for n in spec.ns:
-                        if not 1 <= n <= 7:
-                            continue
-                        yield partial(
-                            check_turan_gamma_deriv, n, pt, use_p, policy, slack_tol
-                        )
-    elif theorem_id in ("T5", "T6"):
-        use_p = theorem_id == "T6"
-        for x in spec.xs:
-            for k in spec.ks:
-                for p_param in (spec.p_params if use_p else (None,)):
-                    pt = fn.EvalPoint(x, k, p_param)
-                    for n in spec.ns:
-                        if n % 2:
-                            continue
-                        for l in spec.ls:
-                            if l % 2 or l > n or n + l > 8:
-                                continue
-                            yield partial(
-                                check_midpoint_gamma_deriv,
-                                n, l, pt, use_p, policy, slack_tol,
-                            )
-    elif theorem_id == "T7":
-        for x in spec.xs:
-            for k in spec.ks:
-                pt = fn.EvalPoint(x, k)
-                for n in spec.ns:
-                    if not 2 <= n <= 11:
-                        continue
-                    yield partial(check_midpoint_polygamma, n, pt, policy, slack_tol)
-    else:
-        raise DomainError(f"unknown theorem id {theorem_id!r}")
+            for p_param in (spec.p_params if use_p else (None,)):
+                yield fn.EvalPoint(x, k, p_param)
+
+
+def _holder_orders(spec: GridSpec, hp: HolderPair) -> Iterator[tuple[int, int, float]]:
+    """(m, n, s = m/p + n/q), with s integral unless the spec waives it."""
+    for m in spec.ms:
+        for n in spec.ns:
+            s = m / hp.p + n / hp.q
+            if not spec.integer_orders_only or _is_near_integer(s):
+                yield m, n, s
+
+
+def _holder_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
+    for pt in _eval_points(spec):
+        for hp in spec.holder_pairs():
+            for m, n, s in _holder_orders(spec, hp):
+                if s >= 1.0:
+                    yield m, n, hp, pt
+
+
+def _holder_zeta_points(spec: GridSpec, use_p: bool) -> Iterator[tuple]:
+    for k in spec.ks:
+        for p_param in (spec.p_params if use_p else (None,)):
+            for hp in spec.holder_pairs():
+                for m, n, s in _holder_orders(spec, hp):
+                    if min(m + 1.0, n + 1.0, s + 1.0) / k > 1.0:
+                        yield m, n, hp, k, p_param
+
+
+def _turan_points(spec: GridSpec, use_p: bool) -> Iterator[tuple]:
+    return ((n, pt, use_p) for pt in _eval_points(spec, use_p)
+            for n in spec.ns if 1 <= n <= 7)
+
+
+def _midpoint_gamma_points(spec: GridSpec, use_p: bool) -> Iterator[tuple]:
+    return ((n, l, pt, use_p) for pt in _eval_points(spec, use_p)
+            for n in spec.ns if n % 2 == 0
+            for l in spec.ls if l % 2 == 0 and l <= n and n + l <= 8)
+
+
+def _midpoint_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
+    return ((n, pt) for pt in _eval_points(spec) for n in spec.ns if 2 <= n <= 11)
+
+
+#: The theorem table: (theorem_id, points, evaluate) per theorem, in report
+#: order.  points(spec) yields the admissible argument tuples of evaluate,
+#: which is called as evaluate(*point, policy, slack_tol, cache).  The checks
+#: are looked up when called, not when the table is built, so a profiler
+#: that wraps the module's check functions sees every call.
+THEOREMS = (
+    ("T1", _holder_polygamma_points, lambda *a: check_holder_polygamma(*a)),
+    ("T2", partial(_holder_zeta_points, use_p=False), lambda *a: check_holder_zeta(*a)),
+    ("T3", partial(_holder_zeta_points, use_p=True), lambda *a: check_holder_zeta(*a)),
+    ("T4K", partial(_turan_points, use_p=False),
+     lambda *a: check_turan_gamma_deriv(*a)),
+    ("T4PK", partial(_turan_points, use_p=True),
+     lambda *a: check_turan_gamma_deriv(*a)),
+    ("T5", partial(_midpoint_gamma_points, use_p=False),
+     lambda *a: check_midpoint_gamma_deriv(*a)),
+    ("T6", partial(_midpoint_gamma_points, use_p=True),
+     lambda *a: check_midpoint_gamma_deriv(*a)),
+    ("T7", _midpoint_polygamma_points, lambda *a: check_midpoint_polygamma(*a)),
+)
+
+THEOREM_IDS = tuple(theorem_id for theorem_id, _, _ in THEOREMS)
 
 
 def scan_grid(
@@ -434,19 +443,21 @@ def scan_grid(
 
     Output ordering is deterministic: theorems in canonical order, grid
     points in lexicographic order.  Per-point evaluation errors are
-    aggregated into the summary instead of aborting the sweep.
+    aggregated into the summary instead of aborting the sweep.  One kernel
+    cache serves every check of the sweep and is dropped with it.
     """
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise DomainError(f"unknown theorem ids: {sorted(unknown)}")
     checks: list[InequalityCheck] = []
     summary = ScanSummary()
-    for theorem_id in THEOREM_IDS:
+    cache = KernelCache()
+    for theorem_id, points, evaluate in THEOREMS:
         if theorem_id not in theorems:
             continue
-        for thunk in _iter_theorem_points(spec, theorem_id, policy, slack_tol):
+        for point in points(spec):
             try:
-                check = thunk()
+                check = evaluate(*point, policy, slack_tol, cache)
             except (ArithmeticError, ValueError) as exc:
                 summary.errors.append(f"{theorem_id}: {exc}")
                 continue

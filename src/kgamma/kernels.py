@@ -23,6 +23,7 @@ __all__ = [
     "riemann_zeta",
     "hurwitz_zeta",
     "gamma_deriv_sequence",
+    "KernelCache",
     "POLYGAMMA_MAX_ORDER",
     "GAMMA_DERIV_MAX_ORDER",
 ]
@@ -181,3 +182,57 @@ def gamma_deriv_sequence(
             )
         derivs.append(nxt)
     return derivs
+
+
+class KernelCache:
+    """Memoised Hurwitz/Riemann zeta values and gamma-derivative sequences.
+
+    Stands in for this module wherever the functions layer takes a `cache`:
+    the methods share the kernels' signatures and return their values bit
+    for bit, since every kernel is a pure function of its arguments.  Misses
+    call the module-level kernels, so profilers that wrap those see them.
+
+    A derivative sequence is computed once per (y, policy) at
+    GAMMA_DERIV_MAX_ORDER and sliced: entry j depends only on
+    psi^(0..j-1)(y), so a prefix equals the lower-order sequence exactly.
+    Where the full-order sequence fails, the requested order is computed
+    (or fails) as if uncached.  Meant to live for one sweep.
+    """
+
+    def __init__(self) -> None:
+        self._zeta: dict = {}
+        self._derivs: dict = {}
+
+    def hurwitz_zeta(
+        self, s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY
+    ) -> float:
+        key = (s, a, policy)
+        value = self._zeta.get(key)
+        if value is None:
+            value = self._zeta[key] = hurwitz_zeta(s, a, policy)
+        return value
+
+    def riemann_zeta(self, s: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+        # riemann_zeta(s) is hurwitz_zeta(s, 1.0): both share one table
+        key = (s, 1.0, policy)
+        value = self._zeta.get(key)
+        if value is None:
+            value = self._zeta[key] = riemann_zeta(s, policy)
+        return value
+
+    def gamma_deriv_sequence(
+        self, n_max: int, y: float, policy: AccuracyPolicy = DEFAULT_POLICY
+    ) -> list[float]:
+        key = (y, policy)
+        if key not in self._derivs:
+            try:
+                full = gamma_deriv_sequence(GAMMA_DERIV_MAX_ORDER, y, policy)
+            except (ArithmeticError, ValueError):
+                full = None
+            self._derivs[key] = full
+        full = self._derivs[key]
+        if full is None or not (
+            isinstance(n_max, int) and 0 <= n_max <= GAMMA_DERIV_MAX_ORDER
+        ):
+            return gamma_deriv_sequence(n_max, y, policy)
+        return full[: n_max + 1]

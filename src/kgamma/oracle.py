@@ -213,6 +213,8 @@ def integrate_bose(
         u = t**k / c
         if u > 700.0:  # e^u - 1 == e^u to machine precision
             return _exp_or_zero(s * math.log(t) - u)
+        if u == 0.0:  # t^k / c underflowed: the leading-order behavior
+            return c * t ** (s - k)
         return t**s / math.expm1(u)
 
     return _integrate_zero_to_inf(f, s - k + 1.0, policy)

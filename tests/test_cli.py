@@ -137,6 +137,28 @@ class TestVerify:
         assert code == 0
 
 
+class TestRelTol:
+    POINT = {
+        "eval": ["eval", "k_gamma", "--x", "1", "--k", "1"],
+        "eval_oracle": ["eval", "oracle_k_gamma", "--x", "1", "--k", "1"],
+        "verify": ["verify", "--theorems", "T1", "--x", "1", "--k", "1"],
+        "crosscheck": ["crosscheck", "--x", "1", "--k", "1", "--p-param", "1",
+                       "--m", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(POINT))
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_non_positive_is_usage_error(self, capsys, command, value):
+        code, _, err = run(self.POINT[command] + ["--rel-tol", value], capsys)
+        assert code == 2
+        assert "usage error" in err and "--rel-tol" in err
+
+    @pytest.mark.parametrize("command", sorted(POINT))
+    def test_positive_is_accepted(self, capsys, command):
+        code, _, _ = run(self.POINT[command] + ["--rel-tol", "1e-9"], capsys)
+        assert code == 0
+
+
 class TestCrosscheck:
     def test_single_point(self, capsys):
         code, out, _ = run(
@@ -153,6 +175,40 @@ class TestCrosscheck:
     def test_invalid_grid(self, capsys):
         code, _, err = run(["crosscheck", "--k", "0,1"], capsys)
         assert code == 2
+
+    @staticmethod
+    def _families(out):
+        return dict(line.split()[:2] for line in out.strip().splitlines())
+
+    def test_derivative_orders_follow_n(self, capsys):
+        point = ["crosscheck", "--x", "1", "--k", "1", "--p-param", "1", "--m", "1"]
+        _, default, _ = run(point, capsys)
+        _, all_orders, _ = run(point + ["--n", "0,1,2,3,4"], capsys)
+        code, first, _ = run(point + ["--n", "1"], capsys)
+        assert code == 0
+        default, all_orders, first = map(self._families, (default, all_orders, first))
+        # without --n the orders are 0..4
+        assert default == all_orders
+        assert first["k_gamma_deriv"] != all_orders["k_gamma_deriv"]
+        others = set(first) - {"k_gamma_deriv", "pk_gamma_deriv"}
+        assert all(first[f] == all_orders[f] for f in others)
+
+    @pytest.mark.parametrize("orders", ["9", "0,9", "-1"])
+    def test_orders_outside_cap_are_usage_errors(self, capsys, orders):
+        code, _, err = run(["crosscheck", "--x", "1", "--k", "1", "--n", orders],
+                           capsys)
+        assert code == 2
+        assert "usage error" in err
+
+    def test_bose_underflow_near_zero(self, capsys):
+        # t^k / c underflows to 0 near t = 0 for k close to 2
+        code, out, _ = run(
+            ["crosscheck", "--x", "1", "--k", "1.95", "--p-param", "1", "--m", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 7
+        assert all(line.endswith(" ok") for line in out.strip().splitlines())
 
 
 class TestGridParsing:

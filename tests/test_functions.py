@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kgamma import functions as fn
 from kgamma import kernels
 from kgamma.functions import EvalPoint
-from kgamma.policy import DomainError, UnsupportedOrderError
+from kgamma.policy import ComputationOverflowError, DomainError, UnsupportedOrderError
 
 EULER_GAMMA = 0.5772156649015329
 mp.mp.dps = 40
@@ -57,6 +57,18 @@ class TestKGamma:
     def test_overflow_fails_loudly(self):
         with pytest.raises(OverflowError):
             fn.k_gamma(EvalPoint(500.0, 1.0))
+
+    def test_overflow_is_typed(self):
+        # the log value is finite; only its exp exceeds double precision
+        for call in (
+            lambda: fn.k_gamma(EvalPoint(7.5, 0.01)),
+            lambda: fn.pk_gamma(EvalPoint(2.0, 0.01, 0.5)),
+            # Gamma(100) is finite, the prefactor k^(y - 1) = 1e5^99 is not
+            lambda: fn.k_gamma_deriv(1, EvalPoint(1e7, 1e5)),
+            lambda: fn.pk_gamma_deriv(1, EvalPoint(50.0, 1.0, 1e10)),
+        ):
+            with pytest.raises(ComputationOverflowError, match="overflows"):
+                call()
 
 
 class TestPkGamma:

@@ -230,3 +230,66 @@ class TestGammaDerivSequence:
     def test_overflow_fails_loudly(self):
         with pytest.raises(OverflowError):
             kernels.gamma_deriv_sequence(1, 200.0)
+
+    @pytest.mark.parametrize("y", [0.05, 0.7, 1.0, 3.2, 17.5, 150.0])
+    def test_prefix_stable(self, y):
+        # the scan cache serves every order from one full-order sequence
+        full = kernels.gamma_deriv_sequence(kernels.GAMMA_DERIV_MAX_ORDER, y)
+        for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
+            assert full[: n + 1] == kernels.gamma_deriv_sequence(n, y)
+
+
+class TestKernelCache:
+    def test_values_identical_to_kernels(self):
+        cache = kernels.KernelCache()
+        for _ in range(2):  # the second pass is served from the cache
+            for s, a in ((2.0, 0.5), (3.5, 1.0), (13.0, 7.25)):
+                assert cache.hurwitz_zeta(s, a) == kernels.hurwitz_zeta(s, a)
+            assert cache.riemann_zeta(3.0) == kernels.riemann_zeta(3.0)
+            for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
+                assert cache.gamma_deriv_sequence(n, 2.5) == (
+                    kernels.gamma_deriv_sequence(n, 2.5)
+                )
+
+    def test_full_order_failure_falls_back(self):
+        # Gamma^(6)(170) overflows, so orders up to 5 must still be served
+        with pytest.raises(OverflowError):
+            kernels.gamma_deriv_sequence(kernels.GAMMA_DERIV_MAX_ORDER, 170.0)
+        cache = kernels.KernelCache()
+        for n in range(6):
+            assert cache.gamma_deriv_sequence(n, 170.0) == (
+                kernels.gamma_deriv_sequence(n, 170.0)
+            )
+        with pytest.raises(OverflowError, match=r"Gamma\^\(6\)"):
+            cache.gamma_deriv_sequence(6, 170.0)
+
+    def test_errors_match_kernels(self):
+        cache = kernels.KernelCache()
+        for bad_call in (
+            lambda src: src.gamma_deriv_sequence(9, 1.0),
+            lambda src: src.gamma_deriv_sequence(-1, 1.0),
+            lambda src: src.gamma_deriv_sequence(2, -1.0),
+            lambda src: src.gamma_deriv_sequence(1, 200.0),
+            lambda src: src.hurwitz_zeta(1.0, 1.0),
+            lambda src: src.riemann_zeta(math.inf),
+        ):
+            with pytest.raises(Exception) as direct:
+                bad_call(kernels)
+            with pytest.raises(type(direct.value)) as cached:
+                bad_call(cache)
+            assert str(cached.value) == str(direct.value)
+
+    def test_policy_is_part_of_the_key(self, monkeypatch):
+        calls = []
+        original = kernels.hurwitz_zeta
+
+        def counting(s, a, policy):
+            calls.append(policy)
+            return original(s, a, policy)
+
+        monkeypatch.setattr(kernels, "hurwitz_zeta", counting)
+        tight, loose = kernels.AccuracyPolicy(), kernels.AccuracyPolicy(rel_tol=1e-6)
+        cache = kernels.KernelCache()
+        for policy in (tight, loose, tight, loose):
+            cache.hurwitz_zeta(2.0, 0.5, policy)
+        assert calls == [tight, loose]

@@ -89,6 +89,15 @@ class TestBoseIntegral:
         with pytest.raises(DomainError):
             oracle.integrate_bose(1.0, 2.5, 1.0)  # s - k <= -1
 
+    def test_underflowed_kernel_near_zero(self):
+        # t^k / c underflows to 0 in the graded panels toward t = 0, where
+        # the integrand is c t^(s - k) to leading order
+        k = 1.95
+        res = oracle.integrate_bose(1.0, k, 1.0)
+        closed = fn.pk_zeta(2.0, k, 1.0) * fn.pk_gamma(EvalPoint(2.0, k, 1.0))
+        assert res.converged
+        assert res.value == pytest.approx(closed, rel=1e-8)
+
 
 class TestDerivIntegral:
     def test_zeroth(self):
