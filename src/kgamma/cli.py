@@ -347,13 +347,31 @@ def crosscheck_families(
 ) -> dict:
     """Max relative discrepancy, closed form vs defining integral, per family.
 
-    Derivatives of Gamma_k and pGamma_k are compared at `deriv_orders`.
+    Derivatives of Gamma_k and pGamma_k are compared at `deriv_orders`.  An
+    even order D^(n) is positive and is the scale of its own discrepancy;
+    an odd order crosses zero, so its scale is the Cauchy-Schwarz bound
+    sqrt(D^(n-1) D^(n+1)) on |D^(n)|.  The closed-form orders 0 up to the
+    even order at or above the largest requested one are computed once
+    per point.
     """
     worst: dict[str, float] = {}
+    top = max(n + n % 2 for n in deriv_orders)
 
-    def note(family: str, closed: float, quad: oracle.QuadratureResult) -> None:
-        rel = abs(quad.value - closed) / max(abs(closed), 1e-300)
+    def note(family: str, closed: float, quad: oracle.QuadratureResult,
+             scale: float | None = None) -> None:
+        scale = abs(closed) if scale is None else scale
+        rel = abs(quad.value - closed) / max(scale, 1e-300)
         worst[family] = max(worst.get(family, 0.0), rel)
+
+    def note_derivs(family: str, pt: fn.EvalPoint, use_p: bool) -> None:
+        deriv = fn.pk_gamma_deriv if use_p else fn.k_gamma_deriv
+        closed = [deriv(j, pt, policy) for j in range(top + 1)]
+        for n in deriv_orders:
+            scale = None
+            if n % 2:
+                scale = math.sqrt(abs(closed[n - 1])) * math.sqrt(abs(closed[n + 1]))
+            note(family, closed[n],
+                 oracle.integrate_k_gamma_deriv(n, pt, use_p, oracle_policy), scale)
 
     for x in grid.xs:
         for k in grid.ks:
@@ -361,24 +379,18 @@ def crosscheck_families(
             note("k_gamma", fn.k_gamma(pt, policy),
                  oracle.integrate_k_gamma(pt, oracle_policy))
             for m in grid.ms:
-                if m > 4:
-                    continue
                 note("k_polygamma", abs(fn.k_polygamma(m, pt, policy)),
                      oracle.integrate_k_polygamma(m, pt, oracle_policy))
-            for n in deriv_orders:
-                note("k_gamma_deriv", fn.k_gamma_deriv(n, pt, policy),
-                     oracle.integrate_k_gamma_deriv(n, pt, False, oracle_policy))
+            note_derivs("k_gamma_deriv", pt, False)
             for p in grid.p_params:
                 ppt = fn.EvalPoint(x, k, p)
                 note("pk_gamma", fn.pk_gamma(ppt, policy),
                      oracle.integrate_pk_gamma(ppt, oracle_policy))
-                for n in deriv_orders:
-                    note("pk_gamma_deriv", fn.pk_gamma_deriv(n, ppt, policy),
-                         oracle.integrate_k_gamma_deriv(n, ppt, True, oracle_policy))
+                note_derivs("pk_gamma_deriv", ppt, True)
 
     for k in grid.ks:
         for m in grid.ms:
-            if m > 4 or m + 1.0 <= k or m - k <= -1.0:
+            if m - k <= -1.0:
                 continue
             closed = (fn.k_zeta(m + 1.0, k, policy)
                       * fn.k_gamma(fn.EvalPoint(m + 1.0, k), policy))
@@ -401,6 +413,8 @@ def cmd_crosscheck(args) -> int:
             raise UsageError(
                 f"--n orders must lie in 0..{kernels.GAMMA_DERIV_MAX_ORDER}"
             )
+    if any(m > kernels.POLYGAMMA_MAX_ORDER for m in grid.ms):
+        raise UsageError(f"--m orders must not exceed {kernels.POLYGAMMA_MAX_ORDER}")
     worst = crosscheck_families(grid, ORACLE_POLICY, policy, deriv_orders)
     ok = True
     for family in sorted(worst):

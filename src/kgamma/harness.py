@@ -28,7 +28,12 @@ from typing import Iterator, Sequence
 
 from . import functions as fn
 from .kernels import KernelCache
-from .policy import DEFAULT_POLICY, AccuracyPolicy, DomainError
+from .policy import (
+    DEFAULT_POLICY,
+    AccuracyPolicy,
+    ComputationOverflowError,
+    DomainError,
+)
 
 __all__ = [
     "THEOREMS",
@@ -207,6 +212,11 @@ def check_turan_gamma_deriv(
     g_hi = deriv(n + 1, pt, policy, cache)
     lhs = g_lo * g_hi
     rhs = g_mid * g_mid
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        # inf - inf would be a NaN slack, reported as a mathematical FAIL
+        raise ComputationOverflowError(
+            f"Turán products of order {n} at {pt} overflow double precision"
+        )
     slack = lhs - rhs
     margin = abs(lhs) * (_deriv_rel(n - 1) + _deriv_rel(n + 1)) + abs(rhs) * (
         2.0 * _deriv_rel(n)

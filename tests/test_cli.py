@@ -200,6 +200,37 @@ class TestCrosscheck:
         assert code == 2
         assert "usage error" in err
 
+    def test_odd_order_zero_crossing_is_ok(self, capsys):
+        # the third derivative of pGamma_k is -2.4e-4 here, against a scale
+        # sqrt(D2 D4) = 10.8; relative to |D3| the agreement would read 1e-8
+        code, out, _ = run(
+            ["crosscheck", "--x", "1.0597702202694022", "--k", "1.0978725227110262",
+             "--p-param", "3.0727313410050314", "--m", "1,2"],
+            capsys,
+        )
+        assert code == 0
+        families = self._families(out)
+        assert len(families) == 7
+        assert float(families["pk_gamma_deriv"].split("=")[1]) <= 1e-11
+        assert all(line.endswith(" ok") for line in out.strip().splitlines())
+
+    def test_polygamma_orders_above_four(self, capsys):
+        point = ["crosscheck", "--x", "1", "--k", "1", "--p-param", "1"]
+        _, low, _ = run(point + ["--m", "1"], capsys)
+        code, high, _ = run(point + ["--m", "5,12"], capsys)
+        assert code == 0
+        assert all(line.endswith(" ok") for line in high.strip().splitlines())
+        low, high = self._families(low), self._families(high)
+        for family in ("k_polygamma", "bose_k_zeta", "bose_pk_zeta"):
+            assert family in high and high[family] != low[family]
+
+    @pytest.mark.parametrize("orders", ["13", "1,13"])
+    def test_polygamma_orders_above_cap_are_usage_errors(self, capsys, orders):
+        code, out, err = run(["crosscheck", "--x", "1", "--k", "1", "--m", orders],
+                             capsys)
+        assert code == 2
+        assert out == "" and "usage error" in err and "--m" in err
+
     def test_bose_underflow_near_zero(self, capsys):
         # t^k / c underflows to 0 near t = 0 for k close to 2
         code, out, _ = run(
@@ -209,6 +240,19 @@ class TestCrosscheck:
         assert code == 0
         assert len(out.strip().splitlines()) == 7
         assert all(line.endswith(" ok") for line in out.strip().splitlines())
+
+
+class TestVerifyOverflow:
+    def test_overflowed_turan_products_are_not_a_fail(self, capsys):
+        code, out, err = run(
+            ["verify", "--theorems", "T4PK", "--x", "5", "--k", "0.05",
+             "--p-param", "1", "--n", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[2:] == []
+        assert "evaluation error: T4PK: Turán products of order 1" in err
+        assert "FAIL" not in out and "nan" not in out
 
 
 class TestGridParsing:

@@ -7,7 +7,7 @@ import pytest
 from kgamma import harness, oracle
 from kgamma.functions import EvalPoint
 from kgamma.harness import GridSpec, HolderPair
-from kgamma.policy import DomainError
+from kgamma.policy import ComputationOverflowError, DomainError
 
 EULER_GAMMA = 0.5772156649015329
 ZETA3 = 1.2020569031595943
@@ -133,6 +133,21 @@ class TestTuranGammaDeriv:
             harness.check_turan_gamma_deriv(0, EvalPoint(1.0, 1.0))
         with pytest.raises(DomainError):
             harness.check_turan_gamma_deriv(8, EvalPoint(1.0, 1.0))
+
+    def test_overflowed_products_are_evaluation_errors(self):
+        # each derivative is finite, but their products overflow: inf - inf
+        # would be a NaN slack and a FAIL verdict
+        pt = EvalPoint(5.0, 0.05, 1.0)
+        with pytest.raises(ComputationOverflowError):
+            harness.check_turan_gamma_deriv(1, pt, use_p=True)
+        checks, summary = harness.scan_grid(
+            GridSpec(xs=(5.0,), ks=(0.05,), p_params=(1.0,), ns=(1,)), ("T4PK",)
+        )
+        assert checks == []
+        assert summary.errors == [
+            "T4PK: Turán products of order 1 at EvalPoint(x=5.0, k=0.05, p=1.0) "
+            "overflow double precision"
+        ]
 
 
 class TestMidpointGammaDeriv:
@@ -295,12 +310,15 @@ class TestScanCache:
         policy = harness.DEFAULT_POLICY
         checks, summary = harness.scan_grid(spec, harness.THEOREM_IDS, policy)
         direct_checks, direct_errors = _uncached_scan(spec, policy)
-        # repr: exact float round trip, and overflowed products give NaN slacks
+        # repr: exact float round trip
         assert [repr(c) for c in checks] == [repr(c) for c in direct_checks]
         assert summary.errors == direct_errors
         assert any("overflows" in e for e in summary.errors)
-        assert any(c.theorem_id == "T4K" and c.inputs["x"] == 170.0
-                   and c.inputs["k"] == 1.0 and c.inputs["n"] == 4 for c in checks)
+        # the fallback gives finite orders 3..5 at y = 170; only their Turán
+        # products overflow, which is an evaluation error, not a NaN slack
+        assert ("T4K: Turán products of order 4 at EvalPoint(x=170.0, k=1.0, "
+                "p=None) overflow double precision") in summary.errors
+        assert all(c.slack == c.slack for c in checks)
 
     def test_scans_with_different_rel_tol_are_independent(self):
         spec = GridSpec(xs=(0.5, 2.0), ks=(0.5, 1.0))

@@ -3,12 +3,21 @@ closed-form module (which carries its own independent accuracy contract)."""
 
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgamma import cli
 from kgamma import functions as fn
 from kgamma import oracle
 from kgamma.functions import EvalPoint
-from kgamma.policy import ORACLE_POLICY, AccuracyPolicy, DomainError
+from kgamma.policy import (
+    ORACLE_POLICY,
+    AccuracyPolicy,
+    ComputationOverflowError,
+    DomainError,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -28,7 +37,7 @@ class TestKGammaIntegral:
         assert res.value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-8)
 
     def test_singular_endpoint(self):
-        # t^-0.5 endpoint behavior, resolved by the graded panels
+        # t^-0.5 endpoint behavior: the smooth tail e^(v/2) in v = log t
         res = oracle.integrate_k_gamma(EvalPoint(0.5, 1.0))
         assert res.converged
         assert res.value == pytest.approx(
@@ -90,8 +99,8 @@ class TestBoseIntegral:
             oracle.integrate_bose(1.0, 2.5, 1.0)  # s - k <= -1
 
     def test_underflowed_kernel_near_zero(self):
-        # t^k / c underflows to 0 in the graded panels toward t = 0, where
-        # the integrand is c t^(s - k) to leading order
+        # t^k / c underflows to 0 in the panels far below v = 0, where the
+        # integrand is c t^(s - k + 1) in v = log t to leading order
         k = 1.95
         res = oracle.integrate_bose(1.0, k, 1.0)
         closed = fn.pk_zeta(2.0, k, 1.0) * fn.pk_gamma(EvalPoint(2.0, k, 1.0))
@@ -164,3 +173,172 @@ class TestOracleContracts:
                 ORACLE_POLICY.abs_tol, ORACLE_POLICY.rel_tol * abs(res.value)
             )
         assert res.subdivisions_used >= 1
+
+
+# --------------------------------------------------------------------------
+# the log-variable scheme against 40-digit references
+
+
+def mp_deriv(n, x, k, c):
+    """d^n/dx^n of c^(x/k) Gamma(x/k) / k, which is the n-th derivative
+    integral, at 40 digits."""
+    with mp.workdps(40):
+        return mp.diff(
+            lambda t: mp.mpf(c) ** (t / k) * mp.gamma(t / k) / k, mp.mpf(x), n
+        )
+
+
+def mp_bose(s, k, c):
+    """zeta((s+1)/k) pGamma_k(s+1) at p = c, the Bose integral, at 40 digits."""
+    with mp.workdps(40):
+        y = mp.mpf(s + 1) / k
+        return mp.zeta(y) * mp.mpf(c) ** y * mp.gamma(y) / k
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+def integrate(n, pt, use_p):
+    """Order 0 through the gamma integrals, higher orders through the
+    derivative integral."""
+    if n > 0:
+        return oracle.integrate_k_gamma_deriv(n, pt, use_p)
+    if use_p:
+        return oracle.integrate_pk_gamma(pt)
+    return oracle.integrate_k_gamma(pt)
+
+
+def assert_honest(res, want):
+    """A converged result lies within 10 error estimates of the reference."""
+    if res.converged:
+        assert abs(mp.mpf(res.value) - want) <= 10 * res.error_estimate, res
+
+
+class TestLogVariable:
+    @given(
+        x=log_uniform(1e-3, 50.0),
+        k=log_uniform(0.05, 20.0),
+        p=log_uniform(0.05, 20.0),
+        n=st.integers(min_value=0, max_value=4),
+        use_p=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_converged_within_ten_error_estimates(self, x, k, p, n, use_p):
+        pt = EvalPoint(x, k, p)
+        want = mp_deriv(n, x, k, p if use_p else k)
+        try:
+            res = integrate(n, pt, use_p)
+        except ComputationOverflowError:
+            # the integrand peaks beyond double range
+            assert abs(want) > 1e300
+            return
+        assert res.subdivisions_used < 100
+        assert_honest(res, want)
+
+    def test_error_estimate_covers_the_truncated_tail(self):
+        # the downward walk stops at v = -16, leaving 3e-15 below it: three
+        # times what the panels' own estimates add up to
+        x, k = 1.9245838423527828, 0.05381096545266038
+        res = oracle.integrate_k_gamma_deriv(2, EvalPoint(x, k))
+        assert res.converged
+        assert abs(mp.mpf(res.value) - mp_deriv(2, x, k, k)) <= res.error_estimate
+
+    @pytest.mark.parametrize("n, x, k, c", [
+        # v^4 still grows below v = -1 at sigma = 0.21: a tail bound with
+        # rate sigma stopped the walk there, 5.5e4 short of the integral
+        (4, 0.21150529005037613, 0.05571485210417031, 9.693086910553),
+        # a steep flank on [0, 1] where K15 - G7 vanishes by accident: the
+        # panel is 1% off with an estimate of 1e-6 of that
+        (2, 0.09025101462634201, 19.206661829530514, 4.800936532017206),
+        (2, 45.99953413178958, 9.445995048285564, 0.04113775254487631),
+    ])
+    def test_error_estimate_covers_tails_and_flanks(self, n, x, k, c):
+        res = oracle.integrate_k_gamma_deriv(n, EvalPoint(x, k, c), use_p=True)
+        assert res.converged
+        assert_honest(res, mp_deriv(n, x, k, c))
+
+    def test_error_estimate_covers_summation_roundoff(self):
+        # next to the minimum of Gamma the first derivative is -3.9e-8,
+        # while the integral of |g| is about 1: the panel sum loses about
+        # 1e-14 of that, more than rel_tol of the value
+        res = oracle.integrate_k_gamma_deriv(1, EvalPoint(1.4616321, 1.0))
+        assert_honest(res, mp_deriv(1, 1.4616321, 1.0, 1.0))
+
+    def test_panel_error_estimate_is_scale_invariant(self):
+        # powers of two scale every node value exactly
+        def g(v):
+            return math.exp(-v * v) * v**2
+
+        value, err = oracle._gk15(g, 0.0, 1.0)
+        for scale in (2.0**-100, 2.0**100):
+            assert oracle._gk15(lambda v: scale * g(v), 0.0, 1.0) == (
+                scale * value, scale * err
+            )
+
+    @pytest.mark.parametrize("x", [0.001, 0.01])
+    @pytest.mark.parametrize("use_p", [False, True])
+    def test_small_x(self, x, use_p):
+        # sigma = x: the tail e^(x v) reaches 1e-12 only near v = -3e4
+        res = integrate(0, EvalPoint(x, 1.0, 1.0), use_p)
+        want = mp_deriv(0, x, 1.0, 1.0)
+        assert res.converged
+        assert res.value == pytest.approx(float(want), rel=1e-10)
+        assert_honest(res, want)
+
+    @pytest.mark.parametrize("k", [1.97, 1.99])
+    def test_bose_near_the_integrability_edge(self, k):
+        # sigma = s - k + 1 = 0.03 and 0.01: a slow tail e^(sigma v)
+        res = oracle.integrate_bose(1.0, k, 1.0)
+        want = mp_bose(1.0, k, 1.0)
+        assert res.converged
+        assert res.value == pytest.approx(float(want), rel=1e-10)
+        assert_honest(res, want)
+
+    def test_tail_unmet_at_the_floor_is_not_converged(self):
+        # sigma = 1e-6: the tail bound needs v near -4e7, past the walk's end
+        res = oracle.integrate_bose(1.0, 1.999999, 1.0)
+        assert not res.converged
+        # sigma = 2.5e-5: the bound at v = -2^20 is 3e-11 of the value, not
+        # negligible, though within the tolerance the estimate states
+        res = oracle.integrate_k_gamma(EvalPoint(2.5e-5, 1.0))
+        assert not res.converged
+
+    def test_mass_below_underflowed_panels(self):
+        # at p = 1e-6 every panel from v = -1 up underflows to 0, while the
+        # mass sits near v = log(p) = -14
+        res = oracle.integrate_pk_gamma(EvalPoint(1.0, 1.0, 1e-6))
+        assert res.converged
+        assert res.value == pytest.approx(1e-6, rel=1e-10)
+
+    def test_panel_count_at_small_x(self):
+        # the power-law endpoint t^(x-1) costs no panels beyond the walk
+        res = oracle.integrate_k_gamma(EvalPoint(0.05, 1.0))
+        assert res.converged and res.subdivisions_used <= 30
+
+
+class TestOverflow:
+    def test_integral_beyond_double_range_is_typed(self):
+        with pytest.raises(ComputationOverflowError):
+            oracle.integrate_k_gamma_deriv(4, EvalPoint(10.0, 0.05, 2.0), use_p=True)
+
+    def test_panel_sums_at_the_edge_of_range_are_typed(self):
+        # the integral is about 1e308: node values are finite but the sum of
+        # their deviations overflows, which would be a NaN error estimate
+        with pytest.raises(ComputationOverflowError):
+            oracle.integrate_bose(9.0, 0.06265002945275601, 1.4497853820016129)
+
+    def test_cli_reports_typed_overflow(self, capsys):
+        code = cli.main(["eval", "oracle_k_gamma_deriv", "--n", "4", "--x", "10",
+                         "--k", "0.05", "--p", "2"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DOMAIN
+        assert "overflows double precision" in err
+
+    def test_large_finite_integral(self):
+        # Gamma_k(20) at k = 0.07 is 9e247: panel errors far above 1e205,
+        # where (200 delta)^1.5 would overflow, are still estimates
+        pt = EvalPoint(20.0, 0.07)
+        res = oracle.integrate_k_gamma(pt)
+        assert res.converged
+        assert res.value == pytest.approx(fn.k_gamma(pt), rel=1e-9)
