@@ -8,12 +8,27 @@ kernels (never by direct integration):
     psi_k^(m)(x)  = (-1)^(m+1) m! k^-(m+1) zeta_H(m+1, x/k)
     zeta_k(x)     = zeta(x/k)
 
+The derivatives of G = Gamma_k and G = pGamma_k share one form.  With
+y = x/k and c = k for Gamma_k, c = p for pGamma_k, the x-derivatives of
+ln G are k^-j kappa_j, where kappa_1 = ln c + psi(y) and
+kappa_j = psi^(j-1)(y) for j >= 2.  Hence
+
+    G^(n)(x) = G(x) k^-n B_n(kappa_1, ..., kappa_n)
+
+with B_n the complete Bell polynomials (Comtet, Advanced Combinatorics,
+1974), built by `kernels.bell_sequence`.  This replaces a Leibniz
+expansion of e^(x ln c / k) Gamma(x/k), whose alternating terms grow like
+|ln k / k|^n and cancelled to 3e-3 relative error at n = 8, k = 0.01.
+
 The quadrature oracle module evaluates the defining integrals independently
 and is the cross-check for every reduction here.
 
 The zeta and derivative functions take an optional `kernels.KernelCache`;
 a sweep passes one so that kernel values shared between its checks are
-computed once.  Without it every call goes to the kernels directly.
+computed once: psi^(0..7) per y, B_0..8 per (y, c), and the derivative
+vector D_0..8 per point, which every order then reads.  Without it every
+call goes to the kernels directly, and a derivative builds B only up to
+its own order.
 """
 
 from __future__ import annotations
@@ -69,11 +84,11 @@ class EvalPoint:
 #: Largest log value whose exp is finite in double precision.
 _LOG_MAX = math.log(sys.float_info.max)
 
-
-def _finite_or_overflow(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise ComputationOverflowError(f"{what} overflows double precision")
-    return value
+#: From this y = x/k on, ln Gamma_k and ln pGamma_k are summed from
+#: Stirling's series.  At small k (or p), (y - 1) ln k and ln Gamma(y) are
+#: far larger than their sum, and lgamma's rounding alone cost 1e-12
+#: relative at k = 0.01, x = 6.8.
+_STIRLING_Y = 100.0
 
 
 def _exp_or_overflow(log_value: float, what: str, *what_args) -> float:
@@ -87,22 +102,39 @@ def _exp_or_overflow(log_value: float, what: str, *what_args) -> float:
 
 
 def _kernels(cache: kernels.KernelCache | None):
-    """Where zeta values and derivative sequences come from."""
+    """Where zeta values and Bell sequences come from."""
     return kernels if cache is None else cache
+
+
+def _log_k_gamma(pt: EvalPoint, policy: AccuracyPolicy) -> float:
+    y = pt.x / pt.k
+    if y < _STIRLING_Y:
+        return (y - 1.0) * math.log(pt.k) + kernels.log_gamma(y, policy)
+    # (y - 1) ln k + (y - 1/2) ln y = (y - 1) ln(k y) + (ln y)/2 with k y ~ x:
+    # the two O(y ln y) terms cancel before they are rounded
+    return ((y - 1.0) * math.log(pt.k * y) + 0.5 * math.log(y) - y
+            + kernels.stirling_series(y))
+
+
+def _log_pk_gamma(pt: EvalPoint, p: float, policy: AccuracyPolicy) -> float:
+    y = pt.x / pt.k
+    if y < _STIRLING_Y:
+        return y * math.log(p) - math.log(pt.k) + kernels.log_gamma(y, policy)
+    # y ln p + (y - 1/2) ln y = y ln(p y) - (ln y)/2
+    return (y * math.log(p * y) - 0.5 * math.log(y) - math.log(pt.k) - y
+            + kernels.stirling_series(y))
 
 
 def k_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k)."""
-    y = pt.x / pt.k
-    log_value = (y - 1.0) * math.log(pt.k) + kernels.log_gamma(y, policy)
+    log_value = _log_k_gamma(pt, policy)
     return _exp_or_overflow(log_value, "Gamma_k({}; k={})", pt.x, pt.k)
 
 
 def pk_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """pGamma_k(x) = p^(x/k) / k * Gamma(x/k)."""
     p = pt.require_p()
-    y = pt.x / pt.k
-    log_value = y * math.log(p) - math.log(pt.k) + kernels.log_gamma(y, policy)
+    log_value = _log_pk_gamma(pt, p, policy)
     return _exp_or_overflow(log_value, "pGamma_k({}; k={}, p={})", pt.x, pt.k, p)
 
 
@@ -179,16 +211,48 @@ def pk_zeta(
     return k_zeta(x, k, policy, cache)
 
 
-def _deriv_sum(n: int, y: float, c: float, log_prefactor: float, k: float,
-               policy: AccuracyPolicy, cache: kernels.KernelCache | None) -> float:
-    # Leibniz expansion of d^n/dx^n [e^(c x) Gamma(x/k)] times the prefactor:
-    # sum_j C(n, j) c^(n-j) k^(-j) prefactor Gamma^(j)(x/k).
-    gd = _kernels(cache).gamma_deriv_sequence(n, y, policy)
-    prefactor = _exp_or_overflow(log_prefactor, "derivative prefactor")
-    total = 0.0
-    for j in range(n + 1):
-        total += math.comb(n, j) * c ** (n - j) * k ** (-float(j)) * gd[j]
-    return _finite_or_overflow(prefactor * total, f"derivative of order {n}")
+def _derivatives(
+    n_max: int, pt: EvalPoint, p: float | None, policy: AccuracyPolicy, source
+) -> list[float | None]:
+    # [D_0, ..., D_n_max] of G = Gamma_k (p None) or pGamma_k, None where
+    # D_j overflows: D_j = G k^-j B_j, with B_j the Bell polynomials of
+    # `source` at c = k or c = p
+    if p is None:
+        c, log_value = pt.k, _log_k_gamma(pt, policy)
+    else:
+        c, log_value = p, _log_pk_gamma(pt, p, policy)
+    value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
+    derivs = []
+    for j, b in enumerate(source.bell_sequence(n_max, pt.x / pt.k, c, policy)):
+        d = value * (b * pt.k ** -float(j))
+        derivs.append(d if math.isfinite(d) else None)
+    return derivs
+
+
+def _derivative(
+    n: int,
+    pt: EvalPoint,
+    p: float | None,
+    policy: AccuracyPolicy,
+    cache: kernels.KernelCache | None,
+) -> float:
+    kernels.check_deriv_order(n)
+    if cache is None:
+        d = _derivatives(n, pt, p, policy, kernels)[n]
+    else:
+        key = (pt.x, pt.k, p, policy)
+        derivs = cache.derivatives.get(key)
+        if derivs is None:
+            derivs = cache.derivatives[key] = _derivatives(
+                kernels.GAMMA_DERIV_MAX_ORDER, pt, p, policy, cache
+            )
+        d = derivs[n]
+    if d is None:
+        family = "Gamma_k" if p is None else "pGamma_k"
+        raise ComputationOverflowError(
+            f"{family}^({n}) at {pt} overflows double precision"
+        )
+    return d
 
 
 def k_gamma_deriv(
@@ -198,15 +262,7 @@ def k_gamma_deriv(
     cache: kernels.KernelCache | None = None,
 ) -> float:
     """Gamma_k^(n)(x): the n-th derivative of Gamma_k at x, n <= 8."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
-    if n > kernels.GAMMA_DERIV_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"order {n} exceeds supported cap {kernels.GAMMA_DERIV_MAX_ORDER}"
-        )
-    y = pt.x / pt.k
-    log_k = math.log(pt.k)
-    return _deriv_sum(n, y, log_k / pt.k, (y - 1.0) * log_k, pt.k, policy, cache)
+    return _derivative(n, pt, None, policy, cache)
 
 
 def pk_gamma_deriv(
@@ -216,14 +272,4 @@ def pk_gamma_deriv(
     cache: kernels.KernelCache | None = None,
 ) -> float:
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
-    if n > kernels.GAMMA_DERIV_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"order {n} exceeds supported cap {kernels.GAMMA_DERIV_MAX_ORDER}"
-        )
-    p = pt.require_p()
-    y = pt.x / pt.k
-    return _deriv_sum(
-        n, y, math.log(p) / pt.k, y * math.log(p) - math.log(pt.k), pt.k, policy, cache
-    )
+    return _derivative(n, pt, pt.require_p(), policy, cache)

@@ -3,6 +3,18 @@
 Everything in the generalized-function layer reduces to these.  All kernels
 are deterministic pure functions: same input and policy give bit-identical
 output.
+
+Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
+(its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
+Bell polynomials B_n follow from
+
+    B_0 = 1,   B_(j+1) = sum_(i=0..j) C(j, i) B_(j-i) kappa_(i+1)
+
+(Comtet, Advanced Combinatorics, 1974).  `bell_sequence` runs this
+recurrence on kappa_1 = ln c + psi(y), kappa_(i+1) = psi^(i)(y); with c = 1
+these are the cumulants of Gamma itself, and `gamma_deriv_sequence` is
+Gamma(y) B_j.  The functions layer uses c = k or c = p for the k- and
+p-k-gamma families.
 """
 
 from __future__ import annotations
@@ -19,10 +31,13 @@ from .policy import (
 
 __all__ = [
     "log_gamma",
+    "stirling_series",
     "polygamma",
     "riemann_zeta",
     "hurwitz_zeta",
+    "bell_sequence",
     "gamma_deriv_sequence",
+    "check_deriv_order",
     "KernelCache",
     "POLYGAMMA_MAX_ORDER",
     "GAMMA_DERIV_MAX_ORDER",
@@ -42,6 +57,14 @@ _BERNOULLI = (
     7.0 / 6.0,
 )
 
+# C(j, i) for j < GAMMA_DERIV_MAX_ORDER, as floats for the Bell recurrence
+_BINOMIAL = tuple(
+    tuple(float(math.comb(j, i)) for i in range(j + 1))
+    for j in range(GAMMA_DERIV_MAX_ORDER)
+)
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
 # Largest y with Gamma(y) finite in double precision.
 _LGAMMA_OVERFLOW = 709.78
 
@@ -59,6 +82,20 @@ def log_gamma(y: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """
     _require_positive("y", y)
     return math.lgamma(y)
+
+
+def stirling_series(y: float) -> float:
+    """ln Gamma(y) - (y - 1/2) ln y + y, for y >= 10: ln(2 pi)/2 plus the
+    Bernoulli terms through B_14; the first omitted one is below 3e-17.
+    """
+    _require_positive("y", y)
+    inv2 = 1.0 / (y * y)
+    series = 0.0
+    power = 1.0 / y
+    for j, b2j in enumerate(_BERNOULLI, start=1):
+        series += b2j / (2 * j * (2 * j - 1)) * power
+        power *= inv2
+    return _HALF_LOG_2PI + series
 
 
 def _digamma(y: float) -> float:
@@ -89,10 +126,14 @@ def polygamma(m: int, y: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> floa
             f"polygamma order {m} exceeds supported cap {POLYGAMMA_MAX_ORDER}"
         )
     _require_positive("y", y)
+    return _polygamma(m, y, policy, hurwitz_zeta)
+
+
+def _polygamma(m: int, y: float, policy: AccuracyPolicy, zeta) -> float:
     if m == 0:
         return _digamma(y)
     sign = 1.0 if m % 2 == 1 else -1.0
-    return sign * math.factorial(m) * hurwitz_zeta(m + 1, y, policy)
+    return sign * math.factorial(m) * zeta(m + 1, y, policy)
 
 
 def riemann_zeta(s: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
@@ -150,58 +191,104 @@ def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
         n_terms *= 2
 
 
+def check_deriv_order(n: int) -> None:
+    """Refuse a derivative order outside 0..GAMMA_DERIV_MAX_ORDER."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
+    if n > GAMMA_DERIV_MAX_ORDER:
+        raise UnsupportedOrderError(
+            f"derivative order {n} exceeds supported cap {GAMMA_DERIV_MAX_ORDER}"
+        )
+
+
+def _polygamma_table(n: int, y: float, policy: AccuracyPolicy, zeta) -> list[float]:
+    # psi^(0..n-1)(y) with Hurwitz zeta values from `zeta`; an order that
+    # overflows is NaN, and so is every Bell polynomial that uses it
+    if n:
+        _require_positive("y", y)
+    table = []
+    for m in range(n):
+        try:
+            table.append(_polygamma(m, y, policy, zeta))
+        except OverflowError:
+            table.append(math.nan)
+    return table
+
+
+def _bell(psis: list[float], log_c: float) -> list[float]:
+    # B_0..B_len(psis) of kappa_1 = log c + psi(y), kappa_(i+1) = psi^(i)(y)
+    kappas = [log_c + psis[0], *psis[1:]] if psis else []
+    bell = [1.0]
+    for j in range(len(kappas)):
+        binomial = _BINOMIAL[j]
+        total = 0.0
+        for i in range(j + 1):
+            total += binomial[i] * bell[j - i] * kappas[i]
+        bell.append(total)
+    return bell
+
+
+def bell_sequence(
+    n_max: int, y: float, c: float, policy: AccuracyPolicy = DEFAULT_POLICY
+) -> list[float]:
+    """[B_0, ..., B_n_max]: complete Bell polynomials of the cumulants
+    kappa_1 = log c + psi(y) and kappa_(i+1) = psi^(i)(y), for c > 0.
+
+    B_(j+1) = sum_i C(j, i) B_(j-i) kappa_(i+1), summed in order of i.
+    B_j depends on kappa_1..kappa_j alone, so a prefix equals the
+    lower-order sequence exactly.  If psi^(i)(y) overflows, B_(i+1) and
+    every later entry are NaN.
+    """
+    check_deriv_order(n_max)
+    return _bell(_polygamma_table(n_max, y, policy, hurwitz_zeta), math.log(c))
+
+
 def gamma_deriv_sequence(
     n_max: int, y: float, policy: AccuracyPolicy = DEFAULT_POLICY
 ) -> list[float]:
-    """[Gamma(y), Gamma'(y), ..., Gamma^(n_max)(y)] by the exact recurrence.
+    """[Gamma(y), Gamma'(y), ..., Gamma^(n_max)(y)] as Gamma(y) B_j.
 
-    Gamma' = Gamma psi, so by Leibniz
-    Gamma^(j+1)(y) = sum_{i<=j} C(j, i) Gamma^(i)(y) psi^(j-i)(y).
+    B_j are the Bell polynomials of `bell_sequence` with c = 1, that is
+    kappa_1 = psi(y): the cumulants of Gamma are the derivatives of ln Gamma.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"n_max must be a non-negative integer, got {n_max!r}")
-    if n_max > GAMMA_DERIV_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"derivative order {n_max} exceeds supported cap {GAMMA_DERIV_MAX_ORDER}"
-        )
-    _require_positive("y", y)
+    check_deriv_order(n_max)
     lg = log_gamma(y, policy)
     if lg > _LGAMMA_OVERFLOW:
         raise ComputationOverflowError(f"Gamma({y}) overflows double precision")
-    derivs = [math.exp(lg)]
-    if n_max == 0:
-        return derivs
-    psis = [polygamma(i, y, policy) for i in range(n_max)]
-    for j in range(n_max):
-        nxt = 0.0
-        for i in range(j + 1):
-            nxt += math.comb(j, i) * derivs[i] * psis[j - i]
-        if not math.isfinite(nxt):
-            raise ComputationOverflowError(
-                f"Gamma^({j + 1})({y}) overflows double precision"
-            )
-        derivs.append(nxt)
+    gamma = math.exp(lg)
+    derivs = []
+    psis = _polygamma_table(n_max, y, policy, hurwitz_zeta)
+    for j, b in enumerate(_bell(psis, 0.0)):
+        d = gamma * b
+        if not math.isfinite(d):
+            raise ComputationOverflowError(f"Gamma^({j})({y}) overflows double precision")
+        derivs.append(d)
     return derivs
 
 
 class KernelCache:
-    """Memoised Hurwitz/Riemann zeta values and gamma-derivative sequences.
+    """Memoised zeta values, polygammas and Bell sequences for one sweep.
 
     Stands in for this module wherever the functions layer takes a `cache`:
-    the methods share the kernels' signatures and return their values bit
-    for bit, since every kernel is a pure function of its arguments.  Misses
-    call the module-level kernels, so profilers that wrap those see them.
+    `hurwitz_zeta`, `riemann_zeta` and `bell_sequence` share the kernels'
+    signatures and return their values bit for bit, since every kernel is a
+    pure function of its arguments.  Misses call the module-level kernels,
+    so profilers that wrap those see them.  Every table is keyed with the
+    policy:
 
-    A derivative sequence is computed once per (y, policy) at
-    GAMMA_DERIV_MAX_ORDER and sliced: entry j depends only on
-    psi^(0..j-1)(y), so a prefix equals the lower-order sequence exactly.
-    Where the full-order sequence fails, the requested order is computed
-    (or fails) as if uncached.  Meant to live for one sweep.
+    - zeta values per (s, a);
+    - psi^(0..GAMMA_DERIV_MAX_ORDER-1) once per y, from the zeta table:
+      psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
+    - B_0..B_GAMMA_DERIV_MAX_ORDER once per (y, c), served as prefixes;
+    - `derivatives`: the functions layer's derivative vectors, once per
+      sweep point.
     """
 
     def __init__(self) -> None:
         self._zeta: dict = {}
-        self._derivs: dict = {}
+        self._polygammas: dict = {}
+        self._bell: dict = {}
+        self.derivatives: dict = {}
 
     def hurwitz_zeta(
         self, s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY
@@ -220,19 +307,17 @@ class KernelCache:
             value = self._zeta[key] = riemann_zeta(s, policy)
         return value
 
-    def gamma_deriv_sequence(
-        self, n_max: int, y: float, policy: AccuracyPolicy = DEFAULT_POLICY
+    def bell_sequence(
+        self, n_max: int, y: float, c: float, policy: AccuracyPolicy = DEFAULT_POLICY
     ) -> list[float]:
-        key = (y, policy)
-        if key not in self._derivs:
-            try:
-                full = gamma_deriv_sequence(GAMMA_DERIV_MAX_ORDER, y, policy)
-            except (ArithmeticError, ValueError):
-                full = None
-            self._derivs[key] = full
-        full = self._derivs[key]
-        if full is None or not (
-            isinstance(n_max, int) and 0 <= n_max <= GAMMA_DERIV_MAX_ORDER
-        ):
-            return gamma_deriv_sequence(n_max, y, policy)
-        return full[: n_max + 1]
+        check_deriv_order(n_max)
+        key = (y, c, policy)
+        bell = self._bell.get(key)
+        if bell is None:
+            psis = self._polygammas.get((y, policy))
+            if psis is None:
+                psis = self._polygammas[(y, policy)] = _polygamma_table(
+                    GAMMA_DERIV_MAX_ORDER, y, policy, self.hurwitz_zeta
+                )
+            bell = self._bell[key] = _bell(psis, math.log(c))
+        return bell[: n_max + 1]

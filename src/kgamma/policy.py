@@ -44,6 +44,14 @@ class AccuracyPolicy:
             raise ValueError("max_series_terms must be >= 1")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        # a sweep keys every cached kernel value with its policy: hash the
+        # fields once here, not on each of its ~10^5 lookups
+        object.__setattr__(self, "_hash", hash((
+            self.rel_tol, self.abs_tol, self.max_series_terms, self.max_subdivisions
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_POLICY = AccuracyPolicy()

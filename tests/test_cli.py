@@ -1,7 +1,11 @@
 """CLI tests: exit codes, output formats, determinism."""
 
+import csv
+import hashlib
+import io
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -51,6 +55,10 @@ class TestEval:
         )
 
 
+#: SHA-256 of the `verify --default-grid` CSV body (all but the timestamp line)
+DEFAULT_GRID_SHA256 = "b937883a755dfc9d7888306733ad5f194156e891ac0fce67715d4bfbb7b7fd27"
+
+
 class TestVerify:
     def test_small_t4_grid_csv(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
@@ -78,6 +86,25 @@ class TestVerify:
             run(["verify", "--default-grid", "--output", str(path)], capsys)
         bodies = [p.read_text().split("\n", 1)[1] for p in paths]
         assert bodies[0] == bodies[1]
+
+    def test_default_grid_golden(self, capsys, tmp_path):
+        # pins the report body: a change that moves a value must update this
+        # digest and say which rows moved and why
+        out_path = tmp_path / "default.csv"
+        code, _, _ = run(["verify", "--default-grid", "--output", str(out_path)],
+                         capsys)
+        body = out_path.read_text().split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_GRID_SHA256
+        rows = list(csv.DictReader(io.StringIO(body)))
+        assert len(rows) == 1545
+        assert Counter((r["theorem_id"], r["verdict"]) for r in rows) == {
+            ("T1", "PASS"): 400, ("T2", "PASS"): 57, ("T3", "PASS"): 228,
+            ("T4K", "PASS"): 68, ("T4K", "FAIL"): 12,
+            ("T4PK", "PASS"): 275, ("T4PK", "FAIL"): 45,
+            ("T5", "PASS"): 80, ("T6", "PASS"): 320, ("T7", "PASS"): 60,
+        }
+        # the 57 FAILs are the even-n Turán reversal
+        assert code == 1
 
     def test_t1_default_grid_passes(self, capsys, tmp_path):
         out_path = tmp_path / "t1.csv"
@@ -240,6 +267,53 @@ class TestCrosscheck:
         assert code == 0
         assert len(out.strip().splitlines()) == 7
         assert all(line.endswith(" ok") for line in out.strip().splitlines())
+
+
+    def test_nonconverged_oracle_is_uncertified(self, capsys):
+        # at x = 2.5e-5 the oracle's walk down v = log t reaches |v| = 2^20
+        # before the tail bound of the gamma integrals is met
+        point = ["crosscheck", "--x", "2.5e-5", "--k", "1", "--p-param", "1",
+                 "--m", "1"]
+        code, out, _ = run(point, capsys)
+        assert code == 1
+        statuses = {line.split()[0]: line.split()[2] for line in out.splitlines()}
+        uncertified = {"k_gamma", "pk_gamma", "k_gamma_deriv", "pk_gamma_deriv"}
+        assert statuses == {family: "UNCERTIFIED" if family in uncertified else "ok"
+                            for family in statuses}
+        assert len(statuses) == 7
+        # a converged value beyond --threshold is EXCEEDS; the others stay
+        # UNCERTIFIED whatever their discrepancy
+        code, out, _ = run(point + ["--threshold", "1e-30"], capsys)
+        assert code == 1
+        statuses = {line.split()[0]: line.split()[2] for line in out.splitlines()}
+        assert statuses == {family: "UNCERTIFIED" if family in uncertified
+                            else "EXCEEDS" for family in statuses}
+
+
+class TestParserReuse:
+    ARGVS = (
+        ["verify", "--theorems", "T4K,T7", "--x", "1,2", "--k", "1", "--n", "1,2",
+         "--format", "json"],
+        ["verify", "--theorems", "T4PK", "--x", "1", "--k", "1,2", "--n", "2"],
+        ["crosscheck", "--x", "1", "--k", "1", "--p-param", "2", "--m", "1",
+         "--n", "1"],
+        ["verify", "--theorems", "T4K,T7", "--x", "1,2", "--k", "1", "--n", "1,2",
+         "--format", "json"],
+        ["eval", "k_gamma", "--x", "1"],
+    )
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        # the JSON metadata carries a timestamp; fix it
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt: "2000-01-01T00:00:00")
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        cli._build_parser.cache_clear()
+        reused = [run(argv, capsys) for argv in self.ARGVS]
+        assert reused == fresh
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in reused] == [1, 1, 0, 1, 2]
 
 
 class TestVerifyOverflow:

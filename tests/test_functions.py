@@ -54,6 +54,18 @@ class TestKGamma:
             math.sqrt(math.pi / 2.0), rel=1e-13
         )
 
+    @pytest.mark.parametrize("x, p", [(6.8023, None), (6.8023, 0.01), (9.43, 0.005)])
+    def test_small_k_within_contract(self, x, p):
+        # at y = x/k ~ 700, (y - 1) ln k and ln Gamma(y) are several times
+        # their sum; summed directly, lgamma's rounding alone cost 1.0e-12,
+        # 1.5e-12 and 1.6e-12 relative at these points
+        k = 0.01
+        if p is None:
+            got, ref = fn.k_gamma(EvalPoint(x, k)), mp_k_gamma(x, k)
+        else:
+            got, ref = fn.pk_gamma(EvalPoint(x, k, p)), mp_pk_gamma(x, k, p)
+        assert abs(got - ref) <= 1e-12 * ref
+
     def test_overflow_fails_loudly(self):
         with pytest.raises(OverflowError):
             fn.k_gamma(EvalPoint(500.0, 1.0))
@@ -239,3 +251,107 @@ class TestDerivatives:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             fn.k_gamma_deriv(9, EvalPoint(1.0, 1.0))
+
+    @pytest.mark.parametrize("p", [None, 2.0])
+    def test_order_eight_at_small_k(self, p):
+        # the Leibniz form cancelled to 2.65e-3 relative error here
+        ref = mp_derivs(1.0, 0.01, p, 8)[8]
+        assert abs(_deriv(8, 1.0, 0.01, p) - ref) <= 1e-12 * abs(ref)
+
+    @given(
+        x=st.floats(min_value=0.1, max_value=10.0),
+        k=st.floats(min_value=0.01, max_value=3.0),
+        p=st.none() | st.floats(min_value=0.5, max_value=5.0),
+        n=st.integers(min_value=0, max_value=kernels.GAMMA_DERIV_MAX_ORDER),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath(self, x, k, p, n):
+        # an odd order crosses zero: its error is measured against the
+        # Cauchy-Schwarz bound sqrt(|D^(n-1) D^(n+1)|) on |D^(n)|
+        ref = mp_derivs(x, k, p, n + n % 2)
+        scale = mp.sqrt(abs(ref[n - 1] * ref[n + 1])) if n % 2 else abs(ref[n])
+        try:
+            got = _deriv(n, x, k, p)
+        except ComputationOverflowError:
+            assert max(abs(ref[0]), abs(ref[n])) > 1e300
+            return
+        assert abs(got - ref[n]) <= 1e-12 * scale
+
+    def test_underflow_is_a_value_not_an_overflow(self):
+        # Gamma_k(1) at k = 0.001 is 1e-433: both it and its derivative are 0
+        pt = EvalPoint(1.0, 0.001)
+        assert fn.k_gamma(pt) == 0.0
+        assert fn.k_gamma_deriv(1, pt) == 0.0
+
+
+def _deriv(n, x, k, p):
+    if p is None:
+        return fn.k_gamma_deriv(n, EvalPoint(x, k))
+    return fn.pk_gamma_deriv(n, EvalPoint(x, k, p))
+
+
+def mp_derivs(x, k, p, n_max):
+    """D^(0..n_max) of Gamma_k (p None) or pGamma_k, by 50-digit mpmath."""
+    with mp.workdps(50):
+        x, k = mp.mpf(x), mp.mpf(k)
+        if p is None:
+            log_f = lambda t: (t / k - 1) * mp.log(k) + mp.loggamma(t / k)
+        else:
+            log_f = lambda t: t / k * mp.log(p) - mp.log(k) + mp.loggamma(t / k)
+        return list(mp.diffs(lambda t: mp.exp(log_f(t)), x, n_max))
+
+
+#: derivative vectors that mix values, underflow and overflow
+TABLE_POINTS = (
+    EvalPoint(1.0, 1.0, 2.0),
+    EvalPoint(0.05, 3.0, 0.5),
+    EvalPoint(170.0, 1.0, 1.0),  # D^(6..8) overflow
+    EvalPoint(1.0, 0.001, 1.0),  # Gamma_k underflows, pGamma_k overflows
+    EvalPoint(5.0, 0.01, 0.5),  # y = 500: Stirling's series
+    EvalPoint(1e-40, 1.0, 1.0),  # D^(7) overflows, psi^(7)(1e-40) too
+    EvalPoint(1e7, 1e5, 1e10),  # every order overflows
+)
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestDerivativeTables:
+    """A sweep's derivative tables must not change a bit, nor which call raises."""
+
+    def test_cached_matches_direct(self):
+        cache = kernels.KernelCache()
+        outcomes = set()
+        for _ in range(2):  # the second pass reads the tables
+            for pt in TABLE_POINTS:
+                for deriv in (fn.k_gamma_deriv, fn.pk_gamma_deriv):
+                    for n in range(-1, kernels.GAMMA_DERIV_MAX_ORDER + 2):
+                        direct = _outcome(lambda: deriv(n, pt))
+                        assert _outcome(lambda: deriv(n, pt, cache=cache)) == direct
+                        outcomes.add(direct[0] if isinstance(direct, tuple) else float)
+        assert outcomes == {float, ComputationOverflowError, DomainError,
+                            UnsupportedOrderError}
+
+    def test_one_bell_sequence_per_y_and_c(self, monkeypatch):
+        calls = []
+        original = kernels.hurwitz_zeta
+
+        def counting(s, a, policy):
+            calls.append((s, a))
+            return original(s, a, policy)
+
+        monkeypatch.setattr(kernels, "hurwitz_zeta", counting)
+        cache = kernels.KernelCache()
+        fn.k_polygamma(1, EvalPoint(1.0, 2.0), cache=cache)
+        # p = k = 2 shares its Bell sequence with Gamma_k; both share
+        # psi^(1..7)(0.5), whose zeta_H(2, 0.5) k_polygamma already made
+        for pt in (EvalPoint(1.0, 2.0, 2.0), EvalPoint(1.0, 2.0, 3.0)):
+            for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
+                fn.k_gamma_deriv(n, pt, cache=cache)
+                fn.pk_gamma_deriv(n, pt, cache=cache)
+        assert calls == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
+        assert len(cache._bell) == 2 and len(cache.derivatives) == 3

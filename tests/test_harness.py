@@ -305,7 +305,7 @@ class TestScanCache:
 
     def test_error_grid_matches_uncached_scan(self):
         # k = 0.01 overflows Gamma, pGamma_k and high derivative orders; at
-        # y = x/k = 170 the full-order sequence fails but orders <= 5 do not
+        # y = x/k = 170 orders 6..8 overflow but orders <= 5 do not
         spec = GridSpec(xs=(0.5, 1.7, 5.0, 170.0), ks=(0.01, 0.05, 1.0))
         policy = harness.DEFAULT_POLICY
         checks, summary = harness.scan_grid(spec, harness.THEOREM_IDS, policy)
@@ -314,8 +314,8 @@ class TestScanCache:
         assert [repr(c) for c in checks] == [repr(c) for c in direct_checks]
         assert summary.errors == direct_errors
         assert any("overflows" in e for e in summary.errors)
-        # the fallback gives finite orders 3..5 at y = 170; only their Turán
-        # products overflow, which is an evaluation error, not a NaN slack
+        # orders 3..5 are finite at y = 170; only their Turán products
+        # overflow, which is an evaluation error, not a NaN slack
         assert ("T4K: Turán products of order 4 at EvalPoint(x=170.0, k=1.0, "
                 "p=None) overflow double precision") in summary.errors
         assert all(c.slack == c.slack for c in checks)

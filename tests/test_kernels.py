@@ -239,6 +239,35 @@ class TestGammaDerivSequence:
             assert full[: n + 1] == kernels.gamma_deriv_sequence(n, y)
 
 
+class TestBellSequence:
+    def test_gamma_sequence_is_gamma_times_bell(self):
+        # c = 1 makes u = psi(y): the cumulants of Gamma itself
+        for y in (0.3, 1.0, 7.5):
+            gamma = math.exp(kernels.log_gamma(y))
+            bell = kernels.bell_sequence(8, y, 1.0)
+            assert kernels.gamma_deriv_sequence(8, y) == [gamma * b for b in bell]
+
+    def test_low_orders_in_closed_form(self):
+        y, c = 2.5, 0.3
+        u = math.log(c) + kernels.polygamma(0, y)
+        p1, p2 = kernels.polygamma(1, y), kernels.polygamma(2, y)
+        bell = kernels.bell_sequence(3, y, c)
+        assert bell[:2] == [1.0, u]
+        assert bell[2] == pytest.approx(u * u + p1, rel=1e-15)
+        assert bell[3] == pytest.approx(u**3 + 3.0 * u * p1 + p2, rel=1e-15)
+
+    @pytest.mark.parametrize("y", [0.05, 1.0, 17.5])
+    def test_prefix_stable(self, y):
+        full = kernels.bell_sequence(kernels.GAMMA_DERIV_MAX_ORDER, y, 2.0)
+        for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
+            assert full[: n + 1] == kernels.bell_sequence(n, y, 2.0)
+
+    def test_polygamma_overflow_is_nan_from_its_order_on(self):
+        # psi^(7)(1e-40) ~ 7! 1e320 overflows; psi^(0..6) do not
+        bell = kernels.bell_sequence(8, 1e-40, 1.0)
+        assert all(math.isfinite(b) for b in bell[:8]) and math.isnan(bell[8])
+
+
 class TestKernelCache:
     def test_values_identical_to_kernels(self):
         cache = kernels.KernelCache()
@@ -246,30 +275,19 @@ class TestKernelCache:
             for s, a in ((2.0, 0.5), (3.5, 1.0), (13.0, 7.25)):
                 assert cache.hurwitz_zeta(s, a) == kernels.hurwitz_zeta(s, a)
             assert cache.riemann_zeta(3.0) == kernels.riemann_zeta(3.0)
-            for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
-                assert cache.gamma_deriv_sequence(n, 2.5) == (
-                    kernels.gamma_deriv_sequence(n, 2.5)
-                )
-
-    def test_full_order_failure_falls_back(self):
-        # Gamma^(6)(170) overflows, so orders up to 5 must still be served
-        with pytest.raises(OverflowError):
-            kernels.gamma_deriv_sequence(kernels.GAMMA_DERIV_MAX_ORDER, 170.0)
-        cache = kernels.KernelCache()
-        for n in range(6):
-            assert cache.gamma_deriv_sequence(n, 170.0) == (
-                kernels.gamma_deriv_sequence(n, 170.0)
-            )
-        with pytest.raises(OverflowError, match=r"Gamma\^\(6\)"):
-            cache.gamma_deriv_sequence(6, 170.0)
+            # psi^(j)(2.5) is shared by every c; each (y, c) has its own B
+            for c in (2.0, 0.5, 1.0):
+                for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
+                    assert cache.bell_sequence(n, 2.5, c) == (
+                        kernels.bell_sequence(n, 2.5, c)
+                    )
 
     def test_errors_match_kernels(self):
         cache = kernels.KernelCache()
         for bad_call in (
-            lambda src: src.gamma_deriv_sequence(9, 1.0),
-            lambda src: src.gamma_deriv_sequence(-1, 1.0),
-            lambda src: src.gamma_deriv_sequence(2, -1.0),
-            lambda src: src.gamma_deriv_sequence(1, 200.0),
+            lambda src: src.bell_sequence(9, 1.0, 1.0),
+            lambda src: src.bell_sequence(-1, 1.0, 1.0),
+            lambda src: src.bell_sequence(2, -1.0, 1.0),
             lambda src: src.hurwitz_zeta(1.0, 1.0),
             lambda src: src.riemann_zeta(math.inf),
         ):
