@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 mathematical FAIL, 2 usage error, 3 domain error,
 `eval oracle_*` on a result that did not converge, and `crosscheck` when a
 family is EXCEEDS (a converged oracle value disagrees by more than
 --threshold) or UNCERTIFIED (some oracle value did not converge).
+`verify` exits 1 if any check is FAIL; otherwise 3 if any grid point
+failed to evaluate (an `evaluation error` line on stderr); otherwise 0.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -29,10 +30,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-#: Environment variable overriding the default relative tolerance;
-#: explicit --rel-tol flags take precedence.
-REL_TOL_ENV = "KGAMMA_REL_TOL"
 
 CSV_COLUMNS = (
     "theorem_id", "x", "k", "p_param", "m", "n", "l",
@@ -53,23 +50,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _default_rel_tol() -> float:
-    raw = os.environ.get(REL_TOL_ENV)
-    if raw is None:
-        return DEFAULT_POLICY.rel_tol
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise UsageError(f"{REL_TOL_ENV} is not a number: {raw!r}") from exc
-    if not value > 0:
-        raise UsageError(f"{REL_TOL_ENV} must be positive, got {raw!r}")
-    return value
-
-
 def _closed_form_policy(args) -> AccuracyPolicy:
-    """The policy for closed forms: --rel-tol, else the environment default."""
+    """The policy for closed forms: --rel-tol, else the default."""
     if args.rel_tol is None:
-        return AccuracyPolicy(rel_tol=_default_rel_tol())
+        return DEFAULT_POLICY
     if not 0 < args.rel_tol < math.inf:
         raise UsageError(f"--rel-tol must be finite and positive, got {args.rel_tol!r}")
     return AccuracyPolicy(rel_tol=args.rel_tol)
@@ -223,26 +207,20 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 # verify
 
+#: grid flag (as its argparse dest) -> GridSpec field, in report order
+_GRID_AXES = {"x": "xs", "k": "ks", "p_param": "p_params", "m": "ms", "n": "ns",
+              "l": "ls", "holder_p": "holder_ps"}
+
 
 def _grid_from_args(args) -> harness.GridSpec:
     base = harness.GridSpec()
     if getattr(args, "default_grid", False):
         return base
     kwargs = {}
-    if args.x is not None:
-        kwargs["xs"] = parse_grid_axis(args.x)
-    if args.k is not None:
-        kwargs["ks"] = parse_grid_axis(args.k)
-    if args.p_param is not None:
-        kwargs["p_params"] = parse_grid_axis(args.p_param)
-    if args.m is not None:
-        kwargs["ms"] = parse_grid_axis(args.m, integer=True)
-    if args.n is not None:
-        kwargs["ns"] = parse_grid_axis(args.n, integer=True)
-    if getattr(args, "l", None) is not None:
-        kwargs["ls"] = parse_grid_axis(args.l, integer=True)
-    if getattr(args, "holder_p", None) is not None:
-        kwargs["holder_ps"] = parse_grid_axis(args.holder_p)
+    for dest, name in _GRID_AXES.items():
+        text = getattr(args, dest, None)  # crosscheck has no --l, --holder-p
+        if text is not None:
+            kwargs[name] = parse_grid_axis(text, integer=dest in ("m", "n", "l"))
     try:
         return dataclasses.replace(base, **kwargs)
     except DomainError as exc:
@@ -267,12 +245,7 @@ def _run_metadata(args, grid: harness.GridSpec, rel_tol: float) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "rel_tol": rel_tol,
         "slack_tol": args.slack_tol,
-        "grid": {
-            "x": list(grid.xs), "k": list(grid.ks),
-            "p_param": list(grid.p_params), "m": list(grid.ms),
-            "n": list(grid.ns), "l": list(grid.ls),
-            "holder_p": list(grid.holder_ps),
-        },
+        "grid": {dest: list(getattr(grid, name)) for dest, name in _GRID_AXES.items()},
     }
 
 
@@ -327,9 +300,12 @@ def cmd_verify(args) -> int:
         sys.stdout.write(text)
 
     any_fail = False
-    for theorem_id in harness.THEOREM_IDS:
+    for theorem_id in (t for t in harness.THEOREM_IDS if t in theorems):
         entry = summary.per_theorem.get(theorem_id)
         if entry is None:
+            errors = sum(e.startswith(f"{theorem_id}: ") for e in summary.errors)
+            print(f"{theorem_id}: 0 checks, {errors} evaluation errors",
+                  file=sys.stderr)
             continue
         print(
             f"{theorem_id}: {entry['count']} checks, {entry['PASS']} pass, "
@@ -341,7 +317,9 @@ def cmd_verify(args) -> int:
             any_fail = True
     for message in summary.errors:
         print(f"evaluation error: {message}", file=sys.stderr)
-    return EXIT_FAIL if any_fail else EXIT_OK
+    if any_fail:
+        return EXIT_FAIL
+    return EXIT_DOMAIN if summary.errors else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -354,12 +332,9 @@ def crosscheck_families(
 ) -> dict:
     """Max relative discrepancy, closed form vs defining integral, per family.
 
-    Only certified oracle values enter the returned maxima: those that
-    converged and, at an odd order, those whose error estimate is within the
-    oracle's tolerance of the Cauchy-Schwarz scale (near a zero of D^(n) a
-    tolerance relative to the value itself cannot be met).  The discrepancies
-    at the others certify nothing; their maxima per family go to
-    `uncertified` when it is given.
+    Only converged oracle values enter the returned maxima.  The
+    discrepancies at the others certify nothing; their maxima per family go
+    to `uncertified` when it is given.
 
     Derivatives of Gamma_k and pGamma_k are compared at `deriv_orders`.  An
     even order D^(n) is positive and is the scale of its own discrepancy;
@@ -374,14 +349,10 @@ def crosscheck_families(
 
     def note(family: str, closed: float, quad: oracle.QuadratureResult,
              scale: float | None = None) -> None:
-        certified = quad.converged
         if scale is None:
             scale = abs(closed)
-        else:
-            certified = (certified
-                         or quad.error_estimate <= oracle_policy.rel_tol * scale)
         rel = abs(quad.value - closed) / max(scale, 1e-300)
-        table = worst if certified else uncertified
+        table = worst if quad.converged else uncertified
         table[family] = max(table.get(family, 0.0), rel)
 
     def note_derivs(family: str, pt: fn.EvalPoint, use_p: bool) -> None:

@@ -24,11 +24,12 @@ The quadrature oracle module evaluates the defining integrals independently
 and is the cross-check for every reduction here.
 
 The zeta and derivative functions take an optional `kernels.KernelCache`;
-a sweep passes one so that kernel values shared between its checks are
-computed once: psi^(0..7) per y, B_0..8 per (y, c), and the derivative
-vector D_0..8 per point, which every order then reads.  Without it every
-call goes to the kernels directly, and a derivative builds B only up to
-its own order.
+a sweep passes one so that values shared between its checks are computed
+once: zeta_H(s, a) per argument pair, and the derivative vector D_0..8
+per point, which every order then reads.  The cache is bound to one
+policy, and a call under any other raises `DomainError`.  Without a cache
+every call goes to the kernels directly, and a derivative builds B only
+up to its own order.
 """
 
 from __future__ import annotations
@@ -240,7 +241,8 @@ def _derivative(
     if cache is None:
         d = _derivatives(n, pt, p, policy, kernels)[n]
     else:
-        key = (pt.x, pt.k, p, policy)
+        cache.require(policy)
+        key = (pt.x, pt.k, p)
         derivs = cache.derivatives.get(key)
         if derivs is None:
             derivs = cache.derivatives[key] = _derivatives(

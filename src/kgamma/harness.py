@@ -16,7 +16,8 @@ Theorem ids:
 
 `THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
 points and the check that evaluates one.  Each check takes an optional
-`kernels.KernelCache`; `scan_grid` gives one to every check of a sweep.
+`kernels.KernelCache`, which must hold the check's policy; `scan_grid`
+gives one to every check of a sweep.
 """
 
 from __future__ import annotations
@@ -329,8 +330,6 @@ class GridSpec:
     ns: tuple[int, ...] = (1, 2, 3, 4)
     ls: tuple[int, ...] = (0, 2)
     holder_ps: tuple[float, ...] = (2.0, 3.0, 1.5)
-    #: honor the integrality hypothesis on m/p + n/q for T1-T3
-    integer_orders_only: bool = True
 
     def __post_init__(self) -> None:
         for name in ("xs", "ks", "p_params", "holder_ps"):
@@ -343,10 +342,6 @@ class GridSpec:
 
     def holder_pairs(self) -> tuple[HolderPair, ...]:
         return tuple(HolderPair.conjugate(p) for p in self.holder_ps)
-
-
-def _is_near_integer(v: float) -> bool:
-    return abs(v - round(v)) <= 1e-9
 
 
 @dataclass
@@ -380,11 +375,11 @@ def _eval_points(spec: GridSpec, use_p: bool = False) -> Iterator[fn.EvalPoint]:
 
 
 def _holder_orders(spec: GridSpec, hp: HolderPair) -> Iterator[tuple[int, int, float]]:
-    """(m, n, s = m/p + n/q), with s integral unless the spec waives it."""
+    """(m, n, s = m/p + n/q) with s integral: the Hölder hypothesis of T1-T3."""
     for m in spec.ms:
         for n in spec.ns:
             s = m / hp.p + n / hp.q
-            if not spec.integer_orders_only or _is_near_integer(s):
+            if abs(s - round(s)) <= 1e-9:
                 yield m, n, s
 
 
@@ -461,7 +456,7 @@ def scan_grid(
         raise DomainError(f"unknown theorem ids: {sorted(unknown)}")
     checks: list[InequalityCheck] = []
     summary = ScanSummary()
-    cache = KernelCache()
+    cache = KernelCache(policy)
     for theorem_id, points, evaluate in THEOREMS:
         if theorem_id not in theorems:
             continue

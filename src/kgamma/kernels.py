@@ -1,8 +1,8 @@
 """Classical special-function kernels: log-gamma, polygamma, zetas, gamma derivatives.
 
 Everything in the generalized-function layer reduces to these.  All kernels
-are deterministic pure functions: same input and policy give bit-identical
-output.
+are pure functions: same input and policy give bit-identical output, so a
+`KernelCache` can serve them for a whole sweep under its one policy.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 
 from .policy import (
+    ABS_TOL,
     DEFAULT_POLICY,
     AccuracyPolicy,
     ComputationOverflowError,
@@ -67,6 +68,9 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Largest y with Gamma(y) finite in double precision.
 _LGAMMA_OVERFLOW = 709.78
+
+#: Cap on the direct-summation block of `hurwitz_zeta`.
+MAX_SERIES_TERMS = 1_000_000
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -159,7 +163,7 @@ def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
     # the next term; (s + 2J) / (2 pi M) < ~0.1 makes it negligible.
     n_terms = max(16, int(math.ceil(2.0 * (s + 14.0) - a)) + 1)
     while True:
-        n_terms = min(n_terms, policy.max_series_terms)
+        n_terms = min(n_terms, MAX_SERIES_TERMS)
         big_m = n_terms + a
         head = 0.0
         for n in range(n_terms - 1, -1, -1):  # small terms first
@@ -181,12 +185,12 @@ def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
         value = head + tail + correction
         # magnitude of the B_16 term bounds the Euler-Maclaurin remainder
         next_term = abs(3617.0 / 510.0 / fact * rising * m_power)
-        if next_term <= policy.rel_tol * abs(value) + policy.abs_tol:
+        if next_term <= policy.rel_tol * abs(value) + ABS_TOL:
             return value
-        if n_terms >= policy.max_series_terms:
+        if n_terms >= MAX_SERIES_TERMS:
             raise ComputationOverflowError(
                 f"hurwitz_zeta({s}, {a}) did not converge within "
-                f"{policy.max_series_terms} terms"
+                f"{MAX_SERIES_TERMS} terms"
             )
         n_terms *= 2
 
@@ -267,57 +271,52 @@ def gamma_deriv_sequence(
 
 
 class KernelCache:
-    """Memoised zeta values, polygammas and Bell sequences for one sweep.
+    """Memoised kernel values for one sweep, under the one policy it holds.
 
     Stands in for this module wherever the functions layer takes a `cache`:
     `hurwitz_zeta`, `riemann_zeta` and `bell_sequence` share the kernels'
     signatures and return their values bit for bit, since every kernel is a
-    pure function of its arguments.  Misses call the module-level kernels,
-    so profilers that wrap those see them.  Every table is keyed with the
+    pure function of its arguments.  A call under any policy but the
+    cache's raises `DomainError`.  Misses call the module-level kernels, so
+    profilers that wrap those see them.  Two tables, neither keyed with the
     policy:
 
-    - zeta values per (s, a);
-    - psi^(0..GAMMA_DERIV_MAX_ORDER-1) once per y, from the zeta table:
+    - zeta values per (s, a), from which `bell_sequence` reads its
       psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
-    - B_0..B_GAMMA_DERIV_MAX_ORDER once per (y, c), served as prefixes;
     - `derivatives`: the functions layer's derivative vectors, once per
       sweep point.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, policy: AccuracyPolicy) -> None:
+        self.policy = policy
         self._zeta: dict = {}
-        self._polygammas: dict = {}
-        self._bell: dict = {}
         self.derivatives: dict = {}
+
+    def require(self, policy: AccuracyPolicy) -> None:
+        """Refuse a call made under any policy other than the cache's."""
+        if policy is not self.policy and policy != self.policy:
+            raise DomainError(f"cache holds values for {self.policy}, not {policy}")
 
     def hurwitz_zeta(
         self, s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY
     ) -> float:
-        key = (s, a, policy)
-        value = self._zeta.get(key)
+        self.require(policy)
+        value = self._zeta.get((s, a))
         if value is None:
-            value = self._zeta[key] = hurwitz_zeta(s, a, policy)
+            value = self._zeta[(s, a)] = hurwitz_zeta(s, a, policy)
         return value
 
     def riemann_zeta(self, s: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
         # riemann_zeta(s) is hurwitz_zeta(s, 1.0): both share one table
-        key = (s, 1.0, policy)
-        value = self._zeta.get(key)
+        self.require(policy)
+        value = self._zeta.get((s, 1.0))
         if value is None:
-            value = self._zeta[key] = riemann_zeta(s, policy)
+            value = self._zeta[(s, 1.0)] = riemann_zeta(s, policy)
         return value
 
     def bell_sequence(
         self, n_max: int, y: float, c: float, policy: AccuracyPolicy = DEFAULT_POLICY
     ) -> list[float]:
         check_deriv_order(n_max)
-        key = (y, c, policy)
-        bell = self._bell.get(key)
-        if bell is None:
-            psis = self._polygammas.get((y, policy))
-            if psis is None:
-                psis = self._polygammas[(y, policy)] = _polygamma_table(
-                    GAMMA_DERIV_MAX_ORDER, y, policy, self.hurwitz_zeta
-                )
-            bell = self._bell[key] = _bell(psis, math.log(c))
-        return bell[: n_max + 1]
+        self.require(policy)
+        return _bell(_polygamma_table(n_max, y, policy, self.hurwitz_zeta), math.log(c))

@@ -28,7 +28,10 @@ error estimate dominates.
 Each panel's error estimate is the larger of two null rules of the K15
 nodes (K15 - G7 and a degree-13 companion), sharpened QUADPACK-style
 relative to the integrand's spread on the panel.  The result's estimate
-adds the truncated tails and the roundoff of the panel sum.  An integral
+adds the truncated tails and the roundoff of the panel sum.  It is
+converged when the tails were met and the estimate is within tolerance of
+the integral of |g|: |value| unless g changes sign, as log^n t does at odd
+n, where |value| can be far below the integrand's scale.  An integral
 beyond double range raises `ComputationOverflowError`.
 """
 
@@ -43,6 +46,7 @@ from typing import Callable
 
 from .functions import EvalPoint
 from .policy import (
+    ABS_TOL,
     ORACLE_POLICY,
     AccuracyPolicy,
     ComputationOverflowError,
@@ -224,7 +228,7 @@ def _integrate_zero_to_inf(
     total_err = sum(item[4] for item in heap)
     n_panels = len(heap)
     while n_panels < policy.max_subdivisions:
-        target = max(policy.abs_tol, 0.5 * policy.rel_tol * abs(total))
+        target = max(ABS_TOL, 0.5 * policy.rel_tol * abs(total))
         if total_err <= target:
             break
         _, a, b, val, err = heapq.heappop(heap)
@@ -247,9 +251,7 @@ def _integrate_zero_to_inf(
     except OverflowError as exc:
         raise ComputationOverflowError("integral overflows double precision") from exc
     total_err += upper_tail + lower_tail
-    converged = tails_met and total_err <= max(
-        policy.abs_tol, policy.rel_tol * abs(total)
-    )
+    converged = tails_met and total_err <= max(ABS_TOL, policy.rel_tol * mass)
     return QuadratureResult(total, total_err, n_panels, converged)
 
 

@@ -5,10 +5,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import kgamma
 from kgamma import cli
 
 
@@ -43,6 +47,17 @@ class TestEval:
         code, _, err = run(["eval", "k_gamma", "--x", "1"], capsys)
         assert code == 2
         assert "--k" in err
+
+    def test_oracle_converged_near_a_zero_of_an_odd_order(self, capsys):
+        # D^(3) of pGamma_k is -2.4e-4 here, against an integral of
+        # |t^(x-1) e^(-t^k/p) log^3 t| of 9.34
+        code, out, _ = run(
+            ["eval", "oracle_k_gamma_deriv", "--n", "3", "--x", "1.0597702202694022",
+             "--k", "1.0978725227110262", "--p", "3.0727313410050314"],
+            capsys,
+        )
+        assert code == 0
+        assert out.split()[2] == "converged=True"
 
     def test_oracle_variant_reports_error_estimate(self, capsys):
         code, out, _ = run(
@@ -151,17 +166,17 @@ class TestVerify:
         )
         assert code == 2
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.REL_TOL_ENV, "not-a-number")
-        code, _, err = run(
-            ["verify", "--theorems", "T5", "--x", "1", "--k", "1"], capsys
-        )
-        assert code == 2
-        monkeypatch.setenv(cli.REL_TOL_ENV, "1e-10")
-        code, _, _ = run(
-            ["verify", "--theorems", "T5", "--x", "1", "--k", "1"], capsys
+    def test_theorem_without_rows_gets_a_summary_line(self, capsys):
+        # no T2 point is admissible at k = 5: zeta_k(2) needs 2/5 > 1
+        code, out, err = run(
+            ["verify", "--theorems", "T2,T5", "--x", "1", "--k", "5",
+             "--m", "1", "--n", "2"],
+            capsys,
         )
         assert code == 0
+        assert len(out.splitlines()) == 2 + 2
+        assert "T2: 0 checks, 0 evaluation errors\n" in err
+        assert "T5: 2 checks, 2 pass" in err
 
 
 class TestRelTol:
@@ -318,15 +333,28 @@ class TestParserReuse:
 
 class TestVerifyOverflow:
     def test_overflowed_turan_products_are_not_a_fail(self, capsys):
+        # every point failed to evaluate: exit 3, not a FAIL and not success
         code, out, err = run(
             ["verify", "--theorems", "T4PK", "--x", "5", "--k", "0.05",
              "--p-param", "1", "--n", "1"],
             capsys,
         )
-        assert code == 0
+        assert code == 3
         assert out.splitlines()[2:] == []
+        assert err.splitlines()[0] == "T4PK: 0 checks, 1 evaluation errors"
         assert "evaluation error: T4PK: Turán products of order 1" in err
         assert "FAIL" not in out and "nan" not in out
+
+    def test_fail_outranks_evaluation_errors(self, capsys):
+        # x = k = 1, n = 2 is the even-n Turán reversal; x = 5, k = 0.05
+        # overflows for T4PK
+        code, _, err = run(
+            ["verify", "--theorems", "T4K,T4PK", "--x", "1,5", "--k", "0.05,1",
+             "--p-param", "1", "--n", "1,2"],
+            capsys,
+        )
+        assert code == 1
+        assert err.count("evaluation error: T4PK") == 2
 
 
 class TestGridParsing:
@@ -350,3 +378,46 @@ class TestGridParsing:
             cli.parse_grid_axis("1:2")
         with pytest.raises(cli.UsageError):
             cli.parse_grid_axis("")
+
+
+#: Runs `verify --default-grid` and one `crosscheck` with numpy, scipy and
+#: mpmath unimportable, and prints what they returned as JSON.
+NO_DEPENDENCIES = """
+import contextlib, hashlib, io, json, sys
+for name in ("numpy", "scipy", "mpmath"):
+    sys.modules[name] = None  # `import name` now raises ImportError
+from kgamma import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+code, text = run(["verify", "--default-grid"])
+body = text.split("\\n", 1)[1]
+json.dump({
+    "verify": [code, hashlib.sha256(body.encode()).hexdigest()],
+    "crosscheck": run(sys.argv[1:]),
+    "blocked": [name for name in ("mpmath", "numpy", "scipy")
+                if name in sys.modules and sys.modules[name] is None],
+}, sys.stdout)
+"""
+
+
+class TestNoDependencies:
+    CROSSCHECK = ["crosscheck", "--x", "0.7", "--k", "1.3", "--p-param", "2",
+                  "--m", "1,2"]
+
+    def test_runs_with_the_standard_library_alone(self, capsys):
+        src = os.path.dirname(os.path.dirname(kgamma.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_DEPENDENCIES, *self.CROSSCHECK],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["blocked"] == ["mpmath", "numpy", "scipy"]
+        assert result["verify"] == [1, DEFAULT_GRID_SHA256]
+        code, out, _ = run(self.CROSSCHECK, capsys)
+        assert result["crosscheck"] == [code, out] and code == 0

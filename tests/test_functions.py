@@ -324,7 +324,7 @@ class TestDerivativeTables:
     """A sweep's derivative tables must not change a bit, nor which call raises."""
 
     def test_cached_matches_direct(self):
-        cache = kernels.KernelCache()
+        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
         outcomes = set()
         for _ in range(2):  # the second pass reads the tables
             for pt in TABLE_POINTS:
@@ -336,7 +336,7 @@ class TestDerivativeTables:
         assert outcomes == {float, ComputationOverflowError, DomainError,
                             UnsupportedOrderError}
 
-    def test_one_bell_sequence_per_y_and_c(self, monkeypatch):
+    def test_one_zeta_call_per_distinct_argument(self, monkeypatch):
         calls = []
         original = kernels.hurwitz_zeta
 
@@ -345,13 +345,29 @@ class TestDerivativeTables:
             return original(s, a, policy)
 
         monkeypatch.setattr(kernels, "hurwitz_zeta", counting)
-        cache = kernels.KernelCache()
+        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
         fn.k_polygamma(1, EvalPoint(1.0, 2.0), cache=cache)
-        # p = k = 2 shares its Bell sequence with Gamma_k; both share
-        # psi^(1..7)(0.5), whose zeta_H(2, 0.5) k_polygamma already made
+        # every vector reads psi^(1..7)(0.5), whose zeta_H(2, 0.5)
+        # k_polygamma already made
         for pt in (EvalPoint(1.0, 2.0, 2.0), EvalPoint(1.0, 2.0, 3.0)):
             for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
                 fn.k_gamma_deriv(n, pt, cache=cache)
                 fn.pk_gamma_deriv(n, pt, cache=cache)
         assert calls == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
-        assert len(cache._bell) == 2 and len(cache.derivatives) == 3
+        # one derivative vector per (x, k, p): Gamma_k's and two pGamma_k's
+        assert len(cache.derivatives) == 3
+
+    def test_call_under_another_policy_is_refused(self):
+        cache = kernels.KernelCache(kernels.AccuracyPolicy(rel_tol=1e-6))
+        pt = EvalPoint(1.0, 2.0, 3.0)
+        for call in (
+            lambda: fn.k_gamma_deriv(2, pt, cache=cache),
+            lambda: fn.pk_gamma_deriv(2, pt, cache=cache),
+            lambda: fn.k_polygamma(1, pt, cache=cache),
+            lambda: fn.k_polygamma_magnitude_fractional(1.5, pt, cache=cache),
+            lambda: fn.k_zeta(4.0, 2.0, cache=cache),
+            lambda: fn.pk_zeta(4.0, 2.0, 3.0, cache=cache),
+        ):
+            with pytest.raises(DomainError, match="cache holds values for"):
+                call()
+        assert cache.derivatives == {}

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kgamma import harness, oracle
+from kgamma import cli, harness, oracle
 from kgamma.functions import EvalPoint
 from kgamma.harness import GridSpec, HolderPair
 from kgamma.policy import ComputationOverflowError, DomainError
@@ -91,6 +91,28 @@ class TestHolderZeta:
         hp = HolderPair(2.0, 2.0)
         with pytest.raises(DomainError):
             harness.check_holder_zeta(1, 1, hp, 3.0)  # zeta argument 2/3 <= 1
+
+    @pytest.mark.parametrize("ks, t3_errors", [
+        (GridSpec().ks, 0),
+        # k = 0.01: pGamma_k overflows at 80 T3 points, none of them at T2
+        (cli.parse_grid_axis("0.01:3:20"), 80),
+    ])
+    def test_t3_is_t2(self, ks, t3_errors):
+        # with y_j = (j + 1)/k the Hölder exponents give y_s = y_m/P + y_n/Q,
+        # so p^(y) and 1/k cancel in T3's gamma ratio, k^(y - 1) in T2's,
+        # and pzeta_k = zeta_k: every T3 row is its T2 twin up to roundoff
+        checks, summary = harness.scan_grid(GridSpec(ks=ks), ("T2", "T3"))
+        key = lambda c: tuple(c.inputs[f] for f in ("k", "m", "n", "holder_p"))
+        t2 = {key(c): c for c in checks if c.theorem_id == "T2"}
+        t3 = [c for c in checks if c.theorem_id == "T3"]
+        assert len(t3) + len(summary.errors) == len(GridSpec().p_params) * len(t2)
+        assert len(summary.errors) == t3_errors
+        assert all(e.startswith("T3: pGamma_k(") and "k=0.01," in e
+                   for e in summary.errors)
+        for check in t3:
+            twin = t2[key(check)]
+            assert check.verdict == twin.verdict
+            assert abs(check.slack - twin.slack) <= 1e-3 * check.numerical_margin
 
 
 class TestTuranGammaDeriv:

@@ -270,12 +270,12 @@ class TestBellSequence:
 
 class TestKernelCache:
     def test_values_identical_to_kernels(self):
-        cache = kernels.KernelCache()
+        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
         for _ in range(2):  # the second pass is served from the cache
             for s, a in ((2.0, 0.5), (3.5, 1.0), (13.0, 7.25)):
                 assert cache.hurwitz_zeta(s, a) == kernels.hurwitz_zeta(s, a)
             assert cache.riemann_zeta(3.0) == kernels.riemann_zeta(3.0)
-            # psi^(j)(2.5) is shared by every c; each (y, c) has its own B
+            # the Bell sequences read psi^(j)(2.5) from the zeta table
             for c in (2.0, 0.5, 1.0):
                 for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
                     assert cache.bell_sequence(n, 2.5, c) == (
@@ -283,7 +283,7 @@ class TestKernelCache:
                     )
 
     def test_errors_match_kernels(self):
-        cache = kernels.KernelCache()
+        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
         for bad_call in (
             lambda src: src.bell_sequence(9, 1.0, 1.0),
             lambda src: src.bell_sequence(-1, 1.0, 1.0),
@@ -297,7 +297,7 @@ class TestKernelCache:
                 bad_call(cache)
             assert str(cached.value) == str(direct.value)
 
-    def test_policy_is_part_of_the_key(self, monkeypatch):
+    def test_other_policy_is_refused(self, monkeypatch):
         calls = []
         original = kernels.hurwitz_zeta
 
@@ -307,7 +307,16 @@ class TestKernelCache:
 
         monkeypatch.setattr(kernels, "hurwitz_zeta", counting)
         tight, loose = kernels.AccuracyPolicy(), kernels.AccuracyPolicy(rel_tol=1e-6)
-        cache = kernels.KernelCache()
-        for policy in (tight, loose, tight, loose):
+        cache = kernels.KernelCache(tight)
+        # an equal policy is the same policy: served from the table
+        for policy in (tight, kernels.AccuracyPolicy(rel_tol=1e-12)):
             cache.hurwitz_zeta(2.0, 0.5, policy)
-        assert calls == [tight, loose]
+        for refused in (
+            lambda: cache.hurwitz_zeta(2.0, 0.5, loose),
+            lambda: cache.riemann_zeta(2.0, loose),
+            lambda: cache.bell_sequence(0, 1.0, 1.0, loose),
+            lambda: kernels.KernelCache(loose).hurwitz_zeta(2.0, 0.5),
+        ):
+            with pytest.raises(DomainError, match="cache holds values for"):
+                refused()
+        assert calls == [tight]

@@ -13,6 +13,7 @@ from kgamma import functions as fn
 from kgamma import oracle
 from kgamma.functions import EvalPoint
 from kgamma.policy import (
+    ABS_TOL,
     ORACLE_POLICY,
     AccuracyPolicy,
     ComputationOverflowError,
@@ -170,7 +171,7 @@ class TestOracleContracts:
         res = oracle.integrate_k_polygamma(3, EvalPoint(2.0, 3.0))
         if res.converged:
             assert res.error_estimate <= max(
-                ORACLE_POLICY.abs_tol, ORACLE_POLICY.rel_tol * abs(res.value)
+                ABS_TOL, ORACLE_POLICY.rel_tol * abs(res.value)
             )
         assert res.subdivisions_used >= 1
 
@@ -264,6 +265,15 @@ class TestLogVariable:
         # 1e-14 of that, more than rel_tol of the value
         res = oracle.integrate_k_gamma_deriv(1, EvalPoint(1.4616321, 1.0))
         assert_honest(res, mp_deriv(1, 1.4616321, 1.0, 1.0))
+
+    def test_converged_near_a_zero_of_an_odd_order(self):
+        # D^(3) of pGamma_k is -2.4e-4 here, while the integral of |g| is
+        # 9.34: an estimate of 1.1e-13 is converged against the latter
+        x, k, p = 1.0597702202694022, 1.0978725227110262, 3.0727313410050314
+        res = oracle.integrate_k_gamma_deriv(3, EvalPoint(x, k, p), use_p=True)
+        assert res.converged and res.error_estimate < 1e-12
+        assert abs(res.value) < 1e-3
+        assert_honest(res, mp_deriv(3, x, k, p))
 
     def test_panel_error_estimate_is_scale_invariant(self):
         # powers of two scale every node value exactly
