@@ -7,6 +7,8 @@ family is EXCEEDS (a converged oracle value disagrees by more than
 --threshold) or UNCERTIFIED (some oracle value did not converge).
 `verify` exits 1 if any check is FAIL; otherwise 3 if any grid point
 failed to evaluate (an `evaluation error` line on stderr); otherwise 0.
+`verify` prints one summary line per selected theorem to stderr: its checks
+by verdict, its points not evaluated and, if it has rows, its least slack.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 
 from . import __version__, harness, kernels, oracle
 from . import functions as fn
-from .policy import DEFAULT_POLICY, ORACLE_POLICY, AccuracyPolicy, DomainError
+from .policy import ABS_TOL, DEFAULT_POLICY, ORACLE_POLICY, AccuracyPolicy, DomainError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -182,7 +184,7 @@ _EVAL = {
     "oracle_bose": ("s k c", lambda a, pol: oracle.integrate_bose(a.s, a.k, a.c, pol)),
     # --p is optional here: given, it selects the p-k family
     "oracle_k_gamma_deriv": ("n x k", lambda a, pol: oracle.integrate_k_gamma_deriv(
-        a.n, _point(a), a.p is not None, pol)),
+        a.n, _point(a), pol)),
 }
 
 
@@ -299,25 +301,18 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(text)
 
-    any_fail = False
-    for theorem_id in (t for t in harness.THEOREM_IDS if t in theorems):
-        entry = summary.per_theorem.get(theorem_id)
-        if entry is None:
-            errors = sum(e.startswith(f"{theorem_id}: ") for e in summary.errors)
-            print(f"{theorem_id}: 0 checks, {errors} evaluation errors",
-                  file=sys.stderr)
-            continue
-        print(
+    for theorem_id, entry in summary.per_theorem.items():
+        line = (
             f"{theorem_id}: {entry['count']} checks, {entry['PASS']} pass, "
             f"{entry['FAIL']} fail, {entry['DIRECTION_NEGATIVE']} direction-negative, "
-            f"min slack {_fmt(entry['min_slack'])} at {entry['min_slack_at']}",
-            file=sys.stderr,
+            f"{entry['not_evaluated']} not evaluated"
         )
-        if entry["FAIL"]:
-            any_fail = True
+        if entry["count"]:
+            line += f", min slack {_fmt(entry['min_slack'])} at {entry['min_slack_at']}"
+        print(line, file=sys.stderr)
     for message in summary.errors:
         print(f"evaluation error: {message}", file=sys.stderr)
-    if any_fail:
+    if any(entry["FAIL"] for entry in summary.per_theorem.values()):
         return EXIT_FAIL
     return EXIT_DOMAIN if summary.errors else EXIT_OK
 
@@ -351,19 +346,19 @@ def crosscheck_families(
              scale: float | None = None) -> None:
         if scale is None:
             scale = abs(closed)
-        rel = abs(quad.value - closed) / max(scale, 1e-300)
+        rel = abs(quad.value - closed) / max(scale, ABS_TOL)
         table = worst if quad.converged else uncertified
         table[family] = max(table.get(family, 0.0), rel)
 
-    def note_derivs(family: str, pt: fn.EvalPoint, use_p: bool) -> None:
-        deriv = fn.pk_gamma_deriv if use_p else fn.k_gamma_deriv
+    def note_derivs(family: str, pt: fn.EvalPoint) -> None:
+        deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
         closed = [deriv(j, pt, policy) for j in range(top + 1)]
         for n in deriv_orders:
             scale = None
             if n % 2:
                 scale = math.sqrt(abs(closed[n - 1])) * math.sqrt(abs(closed[n + 1]))
             note(family, closed[n],
-                 oracle.integrate_k_gamma_deriv(n, pt, use_p, oracle_policy), scale)
+                 oracle.integrate_k_gamma_deriv(n, pt, oracle_policy), scale)
 
     for x in grid.xs:
         for k in grid.ks:
@@ -373,12 +368,12 @@ def crosscheck_families(
             for m in grid.ms:
                 note("k_polygamma", abs(fn.k_polygamma(m, pt, policy)),
                      oracle.integrate_k_polygamma(m, pt, oracle_policy))
-            note_derivs("k_gamma_deriv", pt, False)
+            note_derivs("k_gamma_deriv", pt)
             for p in grid.p_params:
                 ppt = fn.EvalPoint(x, k, p)
                 note("pk_gamma", fn.pk_gamma(ppt, policy),
                      oracle.integrate_pk_gamma(ppt, oracle_policy))
-                note_derivs("pk_gamma_deriv", ppt, True)
+                note_derivs("pk_gamma_deriv", ppt)
 
     for k in grid.ks:
         for m in grid.ms:

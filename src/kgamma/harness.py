@@ -14,6 +14,9 @@ Theorem ids:
        additive form (T6: p-k variant)
   T7   midpoint inequality for k-polygamma, direction depending on parity
 
+The point picks the family: a check runs the p-k variant (T3, T4PK, T6)
+exactly when it is given p, as `p_param` or as `EvalPoint.p`.
+
 `THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
 points and the check that evaluates one.  Each check takes an optional
 `kernels.KernelCache`, which must hold the check's policy; `scan_grid`
@@ -95,12 +98,18 @@ class InequalityCheck:
     verdict: str  # PASS | FAIL | DIRECTION_NEGATIVE
 
 
-def _verdict(theorem_id: str, slack: float, margin: float, slack_tol: float) -> str:
-    if slack >= -(margin + slack_tol):
-        return "PASS"
-    # T7's printed direction is self-contradictory in the source material;
-    # a violated parity prediction is a direction finding, not a hard FAIL.
-    return "DIRECTION_NEGATIVE" if theorem_id == "T7" else "FAIL"
+def _record(
+    theorem_id: str, inputs: dict, lhs: float, rhs: float, margin: float,
+    slack_tol: float, slack: float | None = None,
+) -> InequalityCheck:
+    """One check's record and verdict; the slack is lhs - rhs unless given."""
+    slack = lhs - rhs if slack is None else slack
+    verdict = "PASS"
+    if not slack >= -(margin + slack_tol):  # a NaN slack is a FAIL
+        # T7's printed direction is self-contradictory in the source material;
+        # a violated parity prediction is a direction finding, not a hard FAIL.
+        verdict = "DIRECTION_NEGATIVE" if theorem_id == "T7" else "FAIL"
+    return InequalityCheck(theorem_id, inputs, lhs, rhs, slack, margin, verdict)
 
 
 def check_holder_polygamma(
@@ -125,17 +134,12 @@ def check_holder_polygamma(
     b = abs(fn.k_polygamma(n, pt, policy, cache))
     lhs = a ** (1.0 / hp.p) * b ** (1.0 / hp.q)
     rhs = fn.k_polygamma_magnitude_fractional(s, pt, policy, cache)
-    slack = lhs - rhs
     # d(a^(1/p))/a = (1/p) a^(1/p - 1): relative errors divide by p, q
     margin = abs(lhs) * (_FUNC_REL / hp.p + _FUNC_REL / hp.q) + abs(rhs) * _FUNC_REL
-    return InequalityCheck(
+    return _record(
         "T1",
         {"x": pt.x, "k": pt.k, "m": m, "n": n, "holder_p": hp.p, "holder_q": hp.q},
-        lhs,
-        rhs,
-        slack,
-        margin,
-        _verdict("T1", slack, margin, slack_tol),
+        lhs, rhs, margin, slack_tol,
     )
 
 
@@ -175,25 +179,19 @@ def check_holder_zeta(
         gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
     )
     rhs = gamma_ratio * zeta(s + 1.0)
-    slack = lhs - rhs
     # lhs carries two damped factors, rhs four factors
     margin = abs(lhs) * _FUNC_REL + 4.0 * abs(rhs) * _FUNC_REL
-    return InequalityCheck(
+    return _record(
         theorem_id,
         {"k": k, "p_param": p_param, "m": m, "n": n,
          "holder_p": hp.p, "holder_q": hp.q},
-        lhs,
-        rhs,
-        slack,
-        margin,
-        _verdict(theorem_id, slack, margin, slack_tol),
+        lhs, rhs, margin, slack_tol,
     )
 
 
 def check_turan_gamma_deriv(
     n: int,
     pt: fn.EvalPoint,
-    use_p: bool = False,
     policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
     cache: KernelCache | None = None,
@@ -203,11 +201,12 @@ def check_turan_gamma_deriv(
     The inequality is proved only for odd n, where the Cauchy-Schwarz
     factorization has the even outer orders n - 1 and n + 1; at even n it
     genuinely reverses (n = 2, x = k = 1 gives slack ~ -0.77).  Any
-    1 <= n <= 7 is accepted so that the reversal can be reported.
+    1 <= n <= 7 is accepted so that the reversal can be reported.  A point
+    that carries p checks pGamma_k instead (T4PK).
     """
     if not 1 <= n <= 7:
         raise DomainError("Turán check requires 1 <= n <= 7")
-    deriv = fn.pk_gamma_deriv if use_p else fn.k_gamma_deriv
+    deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
     g_lo = deriv(n - 1, pt, policy, cache)
     g_mid = deriv(n, pt, policy, cache)
     g_hi = deriv(n + 1, pt, policy, cache)
@@ -218,19 +217,13 @@ def check_turan_gamma_deriv(
         raise ComputationOverflowError(
             f"Turán products of order {n} at {pt} overflow double precision"
         )
-    slack = lhs - rhs
     margin = abs(lhs) * (_deriv_rel(n - 1) + _deriv_rel(n + 1)) + abs(rhs) * (
         2.0 * _deriv_rel(n)
     )
-    theorem_id = "T4PK" if use_p else "T4K"
-    return InequalityCheck(
-        theorem_id,
-        {"x": pt.x, "k": pt.k, "p_param": pt.p if use_p else None, "n": n},
-        lhs,
-        rhs,
-        slack,
-        margin,
-        _verdict(theorem_id, slack, margin, slack_tol),
+    return _record(
+        "T4K" if pt.p is None else "T4PK",
+        {"x": pt.x, "k": pt.k, "p_param": pt.p, "n": n},
+        lhs, rhs, margin, slack_tol,
     )
 
 
@@ -238,7 +231,6 @@ def check_midpoint_gamma_deriv(
     n: int,
     l: int,
     pt: fn.EvalPoint,
-    use_p: bool = False,
     policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
     cache: KernelCache | None = None,
@@ -247,29 +239,23 @@ def check_midpoint_gamma_deriv(
 
     This is the additive form; the exponentiated statement follows from it
     by monotonicity of exp and would overflow immediately if asserted
-    directly.
+    directly.  A point that carries p checks pGamma_k instead (T6).
     """
     if n % 2 or l % 2 or not (n >= l >= 0) or n + l > 8:
         raise DomainError("midpoint check requires even n >= l >= 0 with n + l <= 8")
-    deriv = fn.pk_gamma_deriv if use_p else fn.k_gamma_deriv
+    deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
     g_lo = deriv(n - l, pt, policy, cache)
     g_hi = deriv(n + l, pt, policy, cache)
     g_mid = deriv(n, pt, policy, cache)
     lhs = 0.5 * (g_lo + g_hi)
     rhs = g_mid
-    slack = lhs - rhs
     margin = 0.5 * (
         abs(g_lo) * _deriv_rel(n - l) + abs(g_hi) * _deriv_rel(n + l)
     ) + abs(g_mid) * _deriv_rel(n)
-    theorem_id = "T6" if use_p else "T5"
-    return InequalityCheck(
-        theorem_id,
-        {"x": pt.x, "k": pt.k, "p_param": pt.p if use_p else None, "n": n, "l": l},
-        lhs,
-        rhs,
-        slack,
-        margin,
-        _verdict(theorem_id, slack, margin, slack_tol),
+    return _record(
+        "T5" if pt.p is None else "T6",
+        {"x": pt.x, "k": pt.k, "p_param": pt.p, "n": n, "l": l},
+        lhs, rhs, margin, slack_tol,
     )
 
 
@@ -293,17 +279,12 @@ def check_midpoint_polygamma(
     rhs = 0.5 * (fn.k_polygamma(n + 1, pt, policy, cache)
                  + fn.k_polygamma(n - 1, pt, policy, cache))
     d = lhs - rhs
-    slack = d if n % 2 == 1 else -d
     margin = (abs(lhs) + abs(rhs)) * _FUNC_REL
-    return InequalityCheck(
+    return _record(
         "T7",
         {"x": pt.x, "k": pt.k, "n": n,
          "raw_difference": d, "empirical_direction": "+" if d >= 0.0 else "-"},
-        lhs,
-        rhs,
-        slack,
-        margin,
-        _verdict("T7", slack, margin, slack_tol),
+        lhs, rhs, margin, slack_tol, slack=d if n % 2 == 1 else -d,
     )
 
 
@@ -346,31 +327,22 @@ class GridSpec:
 
 @dataclass
 class ScanSummary:
+    """Per selected theorem, its checks by verdict, its points not evaluated
+    and its least slack with the inputs where it occurs; `errors` holds one
+    message per point not evaluated."""
+
     per_theorem: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
-
-    def record(self, check: InequalityCheck) -> None:
-        entry = self.per_theorem.setdefault(
-            check.theorem_id,
-            {"count": 0, "PASS": 0, "FAIL": 0, "DIRECTION_NEGATIVE": 0,
-             "min_slack": math.inf, "min_slack_at": None},
-        )
-        entry["count"] += 1
-        entry[check.verdict] += 1
-        # ties keep the earlier (lexicographically first) grid point
-        if check.slack < entry["min_slack"]:
-            entry["min_slack"] = check.slack
-            entry["min_slack_at"] = dict(check.inputs)
 
 
 # Admissible points per theorem, in lexicographic grid order: each yields
 # the positional arguments of its check, up to the policy.
 
 
-def _eval_points(spec: GridSpec, use_p: bool = False) -> Iterator[fn.EvalPoint]:
+def _eval_points(spec: GridSpec, pk: bool = False) -> Iterator[fn.EvalPoint]:
     for x in spec.xs:
         for k in spec.ks:
-            for p_param in (spec.p_params if use_p else (None,)):
+            for p_param in (spec.p_params if pk else (None,)):
                 yield fn.EvalPoint(x, k, p_param)
 
 
@@ -391,22 +363,21 @@ def _holder_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
                     yield m, n, hp, pt
 
 
-def _holder_zeta_points(spec: GridSpec, use_p: bool) -> Iterator[tuple]:
+def _holder_zeta_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
     for k in spec.ks:
-        for p_param in (spec.p_params if use_p else (None,)):
+        for p_param in (spec.p_params if pk else (None,)):
             for hp in spec.holder_pairs():
                 for m, n, s in _holder_orders(spec, hp):
                     if min(m + 1.0, n + 1.0, s + 1.0) / k > 1.0:
                         yield m, n, hp, k, p_param
 
 
-def _turan_points(spec: GridSpec, use_p: bool) -> Iterator[tuple]:
-    return ((n, pt, use_p) for pt in _eval_points(spec, use_p)
-            for n in spec.ns if 1 <= n <= 7)
+def _turan_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
+    return ((n, pt) for pt in _eval_points(spec, pk) for n in spec.ns if 1 <= n <= 7)
 
 
-def _midpoint_gamma_points(spec: GridSpec, use_p: bool) -> Iterator[tuple]:
-    return ((n, l, pt, use_p) for pt in _eval_points(spec, use_p)
+def _midpoint_gamma_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
+    return ((n, l, pt) for pt in _eval_points(spec, pk)
             for n in spec.ns if n % 2 == 0
             for l in spec.ls if l % 2 == 0 and l <= n and n + l <= 8)
 
@@ -422,15 +393,13 @@ def _midpoint_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
 #: that wraps the module's check functions sees every call.
 THEOREMS = (
     ("T1", _holder_polygamma_points, lambda *a: check_holder_polygamma(*a)),
-    ("T2", partial(_holder_zeta_points, use_p=False), lambda *a: check_holder_zeta(*a)),
-    ("T3", partial(_holder_zeta_points, use_p=True), lambda *a: check_holder_zeta(*a)),
-    ("T4K", partial(_turan_points, use_p=False),
-     lambda *a: check_turan_gamma_deriv(*a)),
-    ("T4PK", partial(_turan_points, use_p=True),
-     lambda *a: check_turan_gamma_deriv(*a)),
-    ("T5", partial(_midpoint_gamma_points, use_p=False),
+    ("T2", partial(_holder_zeta_points, pk=False), lambda *a: check_holder_zeta(*a)),
+    ("T3", partial(_holder_zeta_points, pk=True), lambda *a: check_holder_zeta(*a)),
+    ("T4K", partial(_turan_points, pk=False), lambda *a: check_turan_gamma_deriv(*a)),
+    ("T4PK", partial(_turan_points, pk=True), lambda *a: check_turan_gamma_deriv(*a)),
+    ("T5", partial(_midpoint_gamma_points, pk=False),
      lambda *a: check_midpoint_gamma_deriv(*a)),
-    ("T6", partial(_midpoint_gamma_points, use_p=True),
+    ("T6", partial(_midpoint_gamma_points, pk=True),
      lambda *a: check_midpoint_gamma_deriv(*a)),
     ("T7", _midpoint_polygamma_points, lambda *a: check_midpoint_polygamma(*a)),
 )
@@ -448,8 +417,9 @@ def scan_grid(
 
     Output ordering is deterministic: theorems in canonical order, grid
     points in lexicographic order.  Per-point evaluation errors are
-    aggregated into the summary instead of aborting the sweep.  One kernel
-    cache serves every check of the sweep and is dropped with it.
+    counted in the summary instead of aborting the sweep, and every selected
+    theorem has a summary entry, with or without rows.  One kernel cache
+    serves every check of the sweep and is dropped with it.
     """
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
@@ -460,12 +430,22 @@ def scan_grid(
     for theorem_id, points, evaluate in THEOREMS:
         if theorem_id not in theorems:
             continue
+        entry = summary.per_theorem[theorem_id] = {
+            "count": 0, "PASS": 0, "FAIL": 0, "DIRECTION_NEGATIVE": 0,
+            "not_evaluated": 0, "min_slack": math.inf, "min_slack_at": None,
+        }
         for point in points(spec):
             try:
                 check = evaluate(*point, policy, slack_tol, cache)
             except (ArithmeticError, ValueError) as exc:
+                entry["not_evaluated"] += 1
                 summary.errors.append(f"{theorem_id}: {exc}")
                 continue
             checks.append(check)
-            summary.record(check)
+            entry["count"] += 1
+            entry[check.verdict] += 1
+            # ties keep the earlier (lexicographically first) grid point
+            if check.slack < entry["min_slack"]:
+                entry["min_slack"] = check.slack
+                entry["min_slack_at"] = dict(check.inputs)
     return checks, summary

@@ -221,14 +221,15 @@ def _integrate_zero_to_inf(
     else:
         tails_met = False
 
-    # refine panels where the local error estimate dominates
+    # refine panels where the local error estimate dominates, down to the
+    # roundoff the final estimate adds anyway (scale <= the integral of |g|)
     heap = [(-err, a, b, val, err) for (a, b, val, err) in panels]
     heapq.heapify(heap)
     total = sum(item[3] for item in heap)
     total_err = sum(item[4] for item in heap)
     n_panels = len(heap)
     while n_panels < policy.max_subdivisions:
-        target = max(ABS_TOL, 0.5 * policy.rel_tol * abs(total))
+        target = max(ABS_TOL, 0.5 * policy.rel_tol * abs(total), _ROUNDOFF * scale)
         if total_err <= target:
             break
         _, a, b, val, err = heapq.heappop(heap)
@@ -337,19 +338,17 @@ def integrate_bose(
 
 
 def integrate_k_gamma_deriv(
-    n: int,
-    pt: EvalPoint,
-    use_p: bool = False,
-    policy: AccuracyPolicy = ORACLE_POLICY,
+    n: int, pt: EvalPoint, policy: AccuracyPolicy = ORACLE_POLICY
 ) -> QuadratureResult:
-    """int_0^inf t^(x-1) e^(-t^k / c) log^n t dt, with c = p when use_p.
+    """int_0^inf t^(x-1) e^(-t^k / c) log^n t dt, with c = pt.p if set, else k.
 
-    In v = log t the integrand is e^(x v - e^(k v) / c) v^n.  The walk's
+    This is D^(n) of pGamma_k, or of Gamma_k at a point without p.  In
+    v = log t the integrand is e^(x v - e^(k v) / c) v^n.  The walk's
     breakpoint at v = 0 is where v^n changes sign for odd n.
     """
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
     if n > 8:
         raise UnsupportedOrderError(f"derivative order {n} exceeds supported cap 8")
-    c = pt.require_p() if use_p else pt.k
+    c = pt.k if pt.p is None else pt.p
     return _integrate_zero_to_inf(_gamma_integrand(n, pt, c), pt.x, policy)

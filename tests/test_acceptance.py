@@ -157,23 +157,23 @@ def test_criterion_7_turan_gamma_deriv():
     counterexample = harness.check_turan_gamma_deriv(2, EvalPoint(1.0, 1.0))
     ok = ok and counterexample.verdict == "FAIL"
     odd_violations, disagreements, even_fails = [], [], 0
-    for use_p in (False, True):
-        for x in STANDARD.xs:
-            for k in STANDARD.ks:
-                for p in (STANDARD.p_params if use_p else (None,)):
-                    pt = EvalPoint(x, k, p)
-                    reference = _mp_turan_slacks(x, k, p if use_p else k)
-                    for n, ref in reference.items():
-                        c = harness.check_turan_gamma_deriv(n, pt, use_p)
-                        bound = c.numerical_margin + 1e-9
-                        if n % 2 and c.slack < -bound:
-                            odd_violations.append((n, x, k, p, c.slack))
-                        # a verdict is mathematics only if exact arithmetic
-                        # gives the same sign, within the propagated margin
-                        if (abs(c.slack - ref) > bound
-                                or (c.verdict == "PASS") != (ref >= 0)):
-                            disagreements.append((n, x, k, p, c.slack, ref))
-                        even_fails += n % 2 == 0 and c.verdict == "FAIL"
+    for x in STANDARD.xs:
+        for k in STANDARD.ks:
+            # p = None is the k-family (T4K), any other p the p-k one (T4PK)
+            for p in (None,) + STANDARD.p_params:
+                pt = EvalPoint(x, k, p)
+                reference = _mp_turan_slacks(x, k, k if p is None else p)
+                for n, ref in reference.items():
+                    c = harness.check_turan_gamma_deriv(n, pt)
+                    bound = c.numerical_margin + 1e-9
+                    if n % 2 and c.slack < -bound:
+                        odd_violations.append((n, x, k, p, c.slack))
+                    # a verdict is mathematics only if exact arithmetic
+                    # gives the same sign, within the propagated margin
+                    if (abs(c.slack - ref) > bound
+                            or (c.verdict == "PASS") != (ref >= 0)):
+                        disagreements.append((n, x, k, p, c.slack, ref))
+                    even_fails += n % 2 == 0 and c.verdict == "FAIL"
     ok = ok and not odd_violations and not disagreements
     assert report(
         7, ok,
@@ -187,20 +187,18 @@ def test_criterion_7_turan_gamma_deriv():
 def test_criterion_8_midpoint_gamma_deriv():
     ok = True
     count = 0
-    for use_p in (False, True):
-        for x in STANDARD.xs:
-            for k in STANDARD.ks:
-                for p in (STANDARD.p_params if use_p else (None,)):
-                    pt = EvalPoint(x, k, p)
-                    for n in (2, 4):
-                        for l in (0, 2):
-                            c = harness.check_midpoint_gamma_deriv(
-                                n, l, pt, use_p
-                            )
-                            count += 1
-                            ok = ok and c.slack >= -(c.numerical_margin + 1e-9)
-                            if l == 0:
-                                ok = ok and abs(c.slack) <= c.numerical_margin
+    for x in STANDARD.xs:
+        for k in STANDARD.ks:
+            # p = None is the k-family (T5), any other p the p-k one (T6)
+            for p in (None,) + STANDARD.p_params:
+                pt = EvalPoint(x, k, p)
+                for n in (2, 4):
+                    for l in (0, 2):
+                        c = harness.check_midpoint_gamma_deriv(n, l, pt)
+                        count += 1
+                        ok = ok and c.slack >= -(c.numerical_margin + 1e-9)
+                        if l == 0:
+                            ok = ok and abs(c.slack) <= c.numerical_margin
     assert report(8, ok, f"midpoint inequality for gamma derivatives, "
                          f"{count} points")
 

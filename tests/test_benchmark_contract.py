@@ -1,0 +1,45 @@
+"""What the benchmark in perfbench/ takes from kgamma, held by tier-1 tests.
+
+perfbench/tracer.py wraps kgamma's public functions by module attribute,
+the workloads build `AccuracyPolicy` directly, and a `sweep` operation
+fails when `verify` prints `evaluation error` on stderr.  A rename or a new
+wording would make every benchmark operation fail, which no other test sees.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+from kgamma import cli
+from kgamma.policy import AccuracyPolicy
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    # by path: perfbench/ is not a package, and the tracer imports only the
+    # standard library
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists():
+    layers = load_tracer().LAYERS
+    assert layers
+    for module_name, functions in layers.values():
+        module = importlib.import_module(f"kgamma.{module_name}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_the_workload_policies_construct():
+    # the crosscheck workload builds both by keyword
+    AccuracyPolicy()
+    AccuracyPolicy(rel_tol=1e-10, max_subdivisions=4000)
+
+
+def test_default_grid_stderr_never_says_evaluation_error(capsys):
+    assert cli.main(["verify", "--default-grid"]) == 1
+    assert "evaluation error" not in capsys.readouterr().err

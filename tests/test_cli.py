@@ -175,8 +175,10 @@ class TestVerify:
         )
         assert code == 0
         assert len(out.splitlines()) == 2 + 2
-        assert "T2: 0 checks, 0 evaluation errors\n" in err
-        assert "T5: 2 checks, 2 pass" in err
+        # one format for every theorem; no min-slack clause without rows
+        counts = "0 fail, 0 direction-negative, 0 not evaluated"
+        assert f"T2: 0 checks, 0 pass, {counts}\n" in err
+        assert f"T5: 2 checks, 2 pass, {counts}, min slack " in err
 
 
 class TestRelTol:
@@ -341,7 +343,9 @@ class TestVerifyOverflow:
         )
         assert code == 3
         assert out.splitlines()[2:] == []
-        assert err.splitlines()[0] == "T4PK: 0 checks, 1 evaluation errors"
+        assert err.splitlines()[0] == (
+            "T4PK: 0 checks, 0 pass, 0 fail, 0 direction-negative, 1 not evaluated"
+        )
         assert "evaluation error: T4PK: Turán products of order 1" in err
         assert "FAIL" not in out and "nan" not in out
 
@@ -355,6 +359,20 @@ class TestVerifyOverflow:
         )
         assert code == 1
         assert err.count("evaluation error: T4PK") == 2
+
+    def test_theorem_with_rows_counts_its_unevaluated_points(self, capsys):
+        # pGamma_k overflows at k = 0.01 for 80 T3 points; the other 80 at
+        # k = 0.5 are rows, and T3's one summary line counts both
+        code, _, err = run(["verify", "--theorems", "T3", "--k", "0.01,0.5"], capsys)
+        assert code == 3
+        lines = err.splitlines()
+        assert lines[0].startswith(
+            "T3: 80 checks, 80 pass, 0 fail, 0 direction-negative, 80 not evaluated, "
+            "min slack "
+        )
+        assert len(lines) == 1 + 80
+        assert all(line.startswith("evaluation error: T3: pGamma_k(")
+                   for line in lines[1:])
 
 
 class TestGridParsing:

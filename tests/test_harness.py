@@ -144,11 +144,19 @@ class TestTuranGammaDeriv:
 
     def test_p_variant_consistency(self):
         base = harness.check_turan_gamma_deriv(2, EvalPoint(1.0, 1.0))
-        pvar = harness.check_turan_gamma_deriv(
-            2, EvalPoint(1.0, 1.0, 1.0), use_p=True
-        )
+        pvar = harness.check_turan_gamma_deriv(2, EvalPoint(1.0, 1.0, 1.0))
         assert pvar.slack == pytest.approx(base.slack, rel=1e-12)
         assert pvar.theorem_id == "T4PK"
+
+    def test_point_with_p_picks_the_p_k_family(self):
+        # a point with p gives the p-k record, bit for bit: pGamma_k at
+        # p = 2, whose slack is not Gamma_k's -0.77 at k = 1
+        check = harness.check_turan_gamma_deriv(2, EvalPoint(1, 1, 2))
+        assert check == harness.InequalityCheck(
+            "T4PK", {"x": 1, "k": 1, "p_param": 2, "n": 2},
+            -0.848830420198061, 11.000819725633427, -11.849650145831488,
+            7.109790087498893e-10, "FAIL",
+        )
 
     def test_order_bounds(self):
         with pytest.raises(DomainError):
@@ -161,7 +169,7 @@ class TestTuranGammaDeriv:
         # would be a NaN slack and a FAIL verdict
         pt = EvalPoint(5.0, 0.05, 1.0)
         with pytest.raises(ComputationOverflowError):
-            harness.check_turan_gamma_deriv(1, pt, use_p=True)
+            harness.check_turan_gamma_deriv(1, pt)
         checks, summary = harness.scan_grid(
             GridSpec(xs=(5.0,), ks=(0.05,), p_params=(1.0,), ns=(1,)), ("T4PK",)
         )
@@ -185,9 +193,7 @@ class TestMidpointGammaDeriv:
         assert check.verdict == "PASS"
 
     def test_p_variant(self):
-        check = harness.check_midpoint_gamma_deriv(
-            2, 2, EvalPoint(2.0, 2.0, 3.0), use_p=True
-        )
+        check = harness.check_midpoint_gamma_deriv(2, 2, EvalPoint(2.0, 2.0, 3.0))
         assert check.slack >= 0
         assert check.theorem_id == "T6"
 
@@ -294,13 +300,11 @@ def _direct_check(check, policy, slack_tol=harness.DEFAULT_SLACK_TOL):
         return harness.check_midpoint_polygamma(
             inp["n"], EvalPoint(inp["x"], inp["k"]), policy, slack_tol
         )
+    # p_param is None in T4K and T5 records: the point picks the family
     pt = EvalPoint(inp["x"], inp["k"], inp["p_param"])
-    use_p = tid in ("T4PK", "T6")
     if tid in ("T4K", "T4PK"):
-        return harness.check_turan_gamma_deriv(inp["n"], pt, use_p, policy, slack_tol)
-    return harness.check_midpoint_gamma_deriv(
-        inp["n"], inp["l"], pt, use_p, policy, slack_tol
-    )
+        return harness.check_turan_gamma_deriv(inp["n"], pt, policy, slack_tol)
+    return harness.check_midpoint_gamma_deriv(inp["n"], inp["l"], pt, policy, slack_tol)
 
 
 def _uncached_scan(spec, policy):

@@ -127,7 +127,7 @@ class TestDerivIntegral:
 
     def test_p_variant(self):
         ppt = EvalPoint(2.0, 2.0, 3.0)
-        res = oracle.integrate_k_gamma_deriv(3, ppt, use_p=True)
+        res = oracle.integrate_k_gamma_deriv(3, ppt)
         assert res.value == pytest.approx(fn.pk_gamma_deriv(3, ppt), rel=1e-8)
 
 
@@ -200,14 +200,14 @@ def log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
 
-def integrate(n, pt, use_p):
+def integrate(n, pt):
     """Order 0 through the gamma integrals, higher orders through the
-    derivative integral."""
+    derivative integral; the p-k family when the point carries p."""
     if n > 0:
-        return oracle.integrate_k_gamma_deriv(n, pt, use_p)
-    if use_p:
-        return oracle.integrate_pk_gamma(pt)
-    return oracle.integrate_k_gamma(pt)
+        return oracle.integrate_k_gamma_deriv(n, pt)
+    if pt.p is None:
+        return oracle.integrate_k_gamma(pt)
+    return oracle.integrate_pk_gamma(pt)
 
 
 def assert_honest(res, want):
@@ -222,14 +222,14 @@ class TestLogVariable:
         k=log_uniform(0.05, 20.0),
         p=log_uniform(0.05, 20.0),
         n=st.integers(min_value=0, max_value=4),
-        use_p=st.booleans(),
+        with_p=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_converged_within_ten_error_estimates(self, x, k, p, n, use_p):
-        pt = EvalPoint(x, k, p)
-        want = mp_deriv(n, x, k, p if use_p else k)
+    def test_converged_within_ten_error_estimates(self, x, k, p, n, with_p):
+        pt = EvalPoint(x, k, p if with_p else None)
+        want = mp_deriv(n, x, k, p if with_p else k)
         try:
-            res = integrate(n, pt, use_p)
+            res = integrate(n, pt)
         except ComputationOverflowError:
             # the integrand peaks beyond double range
             assert abs(want) > 1e300
@@ -255,7 +255,7 @@ class TestLogVariable:
         (2, 45.99953413178958, 9.445995048285564, 0.04113775254487631),
     ])
     def test_error_estimate_covers_tails_and_flanks(self, n, x, k, c):
-        res = oracle.integrate_k_gamma_deriv(n, EvalPoint(x, k, c), use_p=True)
+        res = oracle.integrate_k_gamma_deriv(n, EvalPoint(x, k, c))
         assert res.converged
         assert_honest(res, mp_deriv(n, x, k, c))
 
@@ -270,9 +270,19 @@ class TestLogVariable:
         # D^(3) of pGamma_k is -2.4e-4 here, while the integral of |g| is
         # 9.34: an estimate of 1.1e-13 is converged against the latter
         x, k, p = 1.0597702202694022, 1.0978725227110262, 3.0727313410050314
-        res = oracle.integrate_k_gamma_deriv(3, EvalPoint(x, k, p), use_p=True)
+        res = oracle.integrate_k_gamma_deriv(3, EvalPoint(x, k, p))
         assert res.converged and res.error_estimate < 1e-12
         assert abs(res.value) < 1e-3
+        assert_honest(res, mp_deriv(3, x, k, p))
+
+    def test_refinement_stops_at_the_roundoff_floor(self):
+        # 9e-6 relative from the point above D^(3) is -1.8e-15: refining
+        # toward rel_tol of that, far below the roundoff of the panel sum,
+        # spent all 4000 panels
+        x, k, p = 1.0597793777835383, 1.0978725227110262, 3.0727313410050314
+        res = oracle.integrate_k_gamma_deriv(3, EvalPoint(x, k, p))
+        assert res.converged and res.subdivisions_used <= 40
+        assert abs(res.value) < 1e-12 and res.error_estimate < 1e-12
         assert_honest(res, mp_deriv(3, x, k, p))
 
     def test_panel_error_estimate_is_scale_invariant(self):
@@ -287,10 +297,10 @@ class TestLogVariable:
             )
 
     @pytest.mark.parametrize("x", [0.001, 0.01])
-    @pytest.mark.parametrize("use_p", [False, True])
-    def test_small_x(self, x, use_p):
+    @pytest.mark.parametrize("with_p", [False, True])
+    def test_small_x(self, x, with_p):
         # sigma = x: the tail e^(x v) reaches 1e-12 only near v = -3e4
-        res = integrate(0, EvalPoint(x, 1.0, 1.0), use_p)
+        res = integrate(0, EvalPoint(x, 1.0, 1.0 if with_p else None))
         want = mp_deriv(0, x, 1.0, 1.0)
         assert res.converged
         assert res.value == pytest.approx(float(want), rel=1e-10)
@@ -330,7 +340,7 @@ class TestLogVariable:
 class TestOverflow:
     def test_integral_beyond_double_range_is_typed(self):
         with pytest.raises(ComputationOverflowError):
-            oracle.integrate_k_gamma_deriv(4, EvalPoint(10.0, 0.05, 2.0), use_p=True)
+            oracle.integrate_k_gamma_deriv(4, EvalPoint(10.0, 0.05, 2.0))
 
     def test_panel_sums_at_the_edge_of_range_are_typed(self):
         # the integral is about 1e308: node values are finite but the sum of
