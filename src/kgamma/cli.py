@@ -14,10 +14,8 @@ by verdict, its points not evaluated and, if it has rows, its least slack.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import sys
@@ -252,16 +250,35 @@ def _run_metadata(args, grid: harness.GridSpec, rel_tol: float) -> dict:
 
 
 def _render_csv(checks, metadata) -> str:
-    buf = io.StringIO()
+    # Each distinct nonzero float is repr'd once per report: equal nonzero
+    # floats have the same bits, so the same repr.  Everything else goes to
+    # _fmt, because equal keys can print differently: 2 (m) and 2.0
+    # (holder_p), 0.0 and -0.0 (T7 writes -d).  No field ever needs
+    # quoting: ids and verdicts are fixed tokens, and a repr holds no
+    # comma, quote or line break.
+    texts: dict[float, str] = {}
+
+    def field(value) -> str:
+        if value.__class__ is not float or not value:
+            return _fmt(value)
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = repr(value)
+        return text
+
     # timestamp lives only in this comment line; the body below is
     # byte-identical across runs with the same grid and tolerances
-    buf.write(f"# kgamma verify {metadata['artifact_version']} "
-              f"generated {metadata['timestamp']}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    # csv writes None as an empty field and a float by its repr, as _fmt does
-    writer.writerows(_check_row(check).values() for check in checks)
-    return buf.getvalue()
+    lines = [f"# kgamma verify {metadata['artifact_version']} "
+             f"generated {metadata['timestamp']}", ",".join(CSV_COLUMNS)]
+    for check in checks:
+        lines.append(",".join([
+            check.theorem_id,
+            *[field(check.inputs.get(col)) for col in CSV_COLUMNS[1:9]],
+            field(check.lhs), field(check.rhs), field(check.slack),
+            field(check.numerical_margin), check.verdict,
+        ]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _render_json(checks, metadata) -> str:
@@ -285,6 +302,10 @@ def cmd_verify(args) -> int:
     if unknown:
         raise UsageError(f"unknown theorem ids: {sorted(unknown)}")
 
+    if not 0 <= args.slack_tol < math.inf:
+        raise UsageError(
+            f"--slack-tol must be finite and non-negative, got {args.slack_tol!r}"
+        )
     grid = _grid_from_args(args)
     policy = _closed_form_policy(args)
     checks, summary = harness.scan_grid(grid, theorems, policy, args.slack_tol)
@@ -336,7 +357,7 @@ def crosscheck_families(
     an odd order crosses zero, so its scale is the Cauchy-Schwarz bound
     sqrt(D^(n-1) D^(n+1)) on |D^(n)|.  The closed-form orders 0 up to the
     even order at or above the largest requested one are computed once
-    per point.
+    per point, and order 0 shares the value family's integral.
     """
     worst: dict[str, float] = {}
     uncertified = {} if uncertified is None else uncertified
@@ -350,30 +371,35 @@ def crosscheck_families(
         table = worst if quad.converged else uncertified
         table[family] = max(table.get(family, 0.0), rel)
 
-    def note_derivs(family: str, pt: fn.EvalPoint) -> None:
+    def note_derivs(family: str, pt: fn.EvalPoint,
+                    quad_value: oracle.QuadratureResult) -> None:
+        # quad_value is the value family's integral, which is also D^(0)'s
         deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
         closed = [deriv(j, pt, policy) for j in range(top + 1)]
         for n in deriv_orders:
             scale = None
             if n % 2:
                 scale = math.sqrt(abs(closed[n - 1])) * math.sqrt(abs(closed[n + 1]))
-            note(family, closed[n],
-                 oracle.integrate_k_gamma_deriv(n, pt, oracle_policy), scale)
+            quad = quad_value if n == 0 else oracle.integrate_k_gamma_deriv(
+                n, pt, oracle_policy)
+            note(family, closed[n], quad, scale)
 
     for x in grid.xs:
         for k in grid.ks:
             pt = fn.EvalPoint(x, k)
-            note("k_gamma", fn.k_gamma(pt, policy),
-                 oracle.integrate_k_gamma(pt, oracle_policy))
+            value = fn.k_gamma(pt, policy)
+            quad = oracle.integrate_k_gamma(pt, oracle_policy)
+            note("k_gamma", value, quad)
             for m in grid.ms:
                 note("k_polygamma", abs(fn.k_polygamma(m, pt, policy)),
                      oracle.integrate_k_polygamma(m, pt, oracle_policy))
-            note_derivs("k_gamma_deriv", pt)
+            note_derivs("k_gamma_deriv", pt, quad)
             for p in grid.p_params:
                 ppt = fn.EvalPoint(x, k, p)
-                note("pk_gamma", fn.pk_gamma(ppt, policy),
-                     oracle.integrate_pk_gamma(ppt, oracle_policy))
-                note_derivs("pk_gamma_deriv", ppt)
+                value = fn.pk_gamma(ppt, policy)
+                quad = oracle.integrate_pk_gamma(ppt, oracle_policy)
+                note("pk_gamma", value, quad)
+                note_derivs("pk_gamma_deriv", ppt, quad)
 
     for k in grid.ks:
         for m in grid.ms:
@@ -391,6 +417,10 @@ def crosscheck_families(
 
 
 def cmd_crosscheck(args) -> int:
+    if not 0 < args.threshold < math.inf:
+        raise UsageError(
+            f"--threshold must be finite and positive, got {args.threshold!r}"
+        )
     grid = _grid_from_args(args)
     policy = _closed_form_policy(args)
     deriv_orders = range(5)

@@ -23,13 +23,17 @@ expansion of e^(x ln c / k) Gamma(x/k), whose alternating terms grow like
 The quadrature oracle module evaluates the defining integrals independently
 and is the cross-check for every reduction here.
 
-The zeta and derivative functions take an optional `kernels.KernelCache`;
-a sweep passes one so that values shared between its checks are computed
-once: zeta_H(s, a) per argument pair, and the derivative vector D_0..8
-per point, which every order then reads.  The cache is bound to one
-policy, and a call under any other raises `DomainError`.  Without a cache
-every call goes to the kernels directly, and a derivative builds B only
-up to its own order.
+The point picks the family: the k-family functions (`k_gamma`,
+`k_gamma_deriv`) refuse a point that carries p with `DomainError` naming
+their p-k counterpart, instead of dropping the p.
+
+The gamma, zeta and derivative functions take an optional
+`kernels.KernelCache`; a sweep passes one so that values shared between its
+checks are computed once: G(x) per point, zeta_H(s, a) per argument pair,
+and the derivative vector D_0..8 per point, which every order then reads.
+The cache is bound to one policy, and a call under any other raises
+`DomainError`.  Without a cache every call goes to the kernels directly,
+and a derivative builds B only up to its own order.
 """
 
 from __future__ import annotations
@@ -81,6 +85,14 @@ class EvalPoint:
             raise DomainError("this operation requires the p parameter")
         return self.p
 
+    def require_no_p(self, name: str, counterpart: str) -> None:
+        """Refuse p where `name` would drop it; `counterpart` takes it."""
+        if self.p is not None:
+            raise DomainError(
+                f"{name} takes a point without p, got p={self.p!r}; "
+                f"{counterpart} is the p-k family"
+            )
+
 
 #: Largest log value whose exp is finite in double precision.
 _LOG_MAX = math.log(sys.float_info.max)
@@ -126,17 +138,50 @@ def _log_pk_gamma(pt: EvalPoint, p: float, policy: AccuracyPolicy) -> float:
             + kernels.stirling_series(y))
 
 
-def k_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
-    """Gamma_k(x) = k^(x/k - 1) Gamma(x/k)."""
-    log_value = _log_k_gamma(pt, policy)
-    return _exp_or_overflow(log_value, "Gamma_k({}; k={})", pt.x, pt.k)
+def _gamma_value(pt: EvalPoint, p: float | None, policy: AccuracyPolicy) -> float:
+    # G(x): Gamma_k if p is None, else pGamma_k
+    if p is None:
+        return _exp_or_overflow(
+            _log_k_gamma(pt, policy), "Gamma_k({}; k={})", pt.x, pt.k
+        )
+    return _exp_or_overflow(
+        _log_pk_gamma(pt, p, policy), "pGamma_k({}; k={}, p={})", pt.x, pt.k, p
+    )
 
 
-def pk_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def _gamma(
+    pt: EvalPoint,
+    p: float | None,
+    policy: AccuracyPolicy,
+    cache: kernels.KernelCache | None,
+) -> float:
+    if cache is None:
+        return _gamma_value(pt, p, policy)
+    cache.require(policy)
+    key = (pt.x, pt.k, p)
+    value = cache.gammas.get(key)
+    if value is None:
+        value = cache.gammas[key] = _gamma_value(pt, p, policy)
+    return value
+
+
+def k_gamma(
+    pt: EvalPoint,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
+) -> float:
+    """Gamma_k(x) = k^(x/k - 1) Gamma(x/k), at a point without p."""
+    pt.require_no_p("k_gamma", "pk_gamma")
+    return _gamma(pt, None, policy, cache)
+
+
+def pk_gamma(
+    pt: EvalPoint,
+    policy: AccuracyPolicy = DEFAULT_POLICY,
+    cache: kernels.KernelCache | None = None,
+) -> float:
     """pGamma_k(x) = p^(x/k) / k * Gamma(x/k)."""
-    p = pt.require_p()
-    log_value = _log_pk_gamma(pt, p, policy)
-    return _exp_or_overflow(log_value, "pGamma_k({}; k={}, p={})", pt.x, pt.k, p)
+    return _gamma(pt, pt.require_p(), policy, cache)
 
 
 def k_polygamma(
@@ -263,7 +308,9 @@ def k_gamma_deriv(
     policy: AccuracyPolicy = DEFAULT_POLICY,
     cache: kernels.KernelCache | None = None,
 ) -> float:
-    """Gamma_k^(n)(x): the n-th derivative of Gamma_k at x, n <= 8."""
+    """Gamma_k^(n)(x): the n-th derivative of Gamma_k at x, n <= 8, at a
+    point without p."""
+    pt.require_no_p("k_gamma_deriv", "pk_gamma_deriv")
     return _derivative(n, pt, None, policy, cache)
 
 

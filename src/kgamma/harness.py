@@ -169,11 +169,11 @@ def check_holder_zeta(
     if p_param is None:
         theorem_id = "T2"
         zeta = lambda x: fn.k_zeta(x, k, policy, cache)
-        gamma = lambda x: fn.k_gamma(fn.EvalPoint(x, k), policy)
+        gamma = lambda x: fn.k_gamma(fn.EvalPoint(x, k), policy, cache)
     else:
         theorem_id = "T3"
         zeta = lambda x: fn.pk_zeta(x, k, p_param, policy, cache)
-        gamma = lambda x: fn.pk_gamma(fn.EvalPoint(x, k, p_param), policy)
+        gamma = lambda x: fn.pk_gamma(fn.EvalPoint(x, k, p_param), policy, cache)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     gamma_ratio = gamma(s + 1.0) / (
         gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)

@@ -278,11 +278,13 @@ class KernelCache:
     signatures and return their values bit for bit, since every kernel is a
     pure function of its arguments.  A call under any policy but the
     cache's raises `DomainError`.  Misses call the module-level kernels, so
-    profilers that wrap those see them.  Two tables, neither keyed with the
+    profilers that wrap those see them.  Three tables, none keyed with the
     policy:
 
     - zeta values per (s, a), from which `bell_sequence` reads its
       psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
+    - `gammas`: the functions layer's Gamma_k / pGamma_k values per
+      (x, k, p), with p None for Gamma_k;
     - `derivatives`: the functions layer's derivative vectors, once per
       sweep point.
     """
@@ -290,6 +292,7 @@ class KernelCache:
     def __init__(self, policy: AccuracyPolicy) -> None:
         self.policy = policy
         self._zeta: dict = {}
+        self.gammas: dict = {}
         self.derivatives: dict = {}
 
     def require(self, policy: AccuracyPolicy) -> None:

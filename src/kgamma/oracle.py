@@ -270,7 +270,8 @@ def _gamma_integrand(n: int, pt: EvalPoint, c: float) -> Callable[[float], float
 def integrate_k_gamma(
     pt: EvalPoint, policy: AccuracyPolicy = ORACLE_POLICY
 ) -> QuadratureResult:
-    """int_0^inf t^(x-1) e^(-t^k / k) dt."""
+    """int_0^inf t^(x-1) e^(-t^k / k) dt, at a point without p."""
+    pt.require_no_p("integrate_k_gamma", "integrate_pk_gamma")
     return _integrate_zero_to_inf(_gamma_integrand(0, pt, pt.k), pt.x, policy)
 
 

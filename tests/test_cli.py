@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 import kgamma
-from kgamma import cli
+from kgamma import cli, harness
 
 
 def run(argv, capsys):
@@ -72,6 +72,11 @@ class TestEval:
 
 #: SHA-256 of the `verify --default-grid` CSV body (all but the timestamp line)
 DEFAULT_GRID_SHA256 = "b937883a755dfc9d7888306733ad5f194156e891ac0fce67715d4bfbb7b7fd27"
+#: SHA-256 of the `verify --default-grid --format json` report without its
+#: timestamp line
+DEFAULT_GRID_JSON_SHA256 = (
+    "2c3b9c1b4b393bb754b3a3cf4aeeb3f4c8d9d679111b155755aa66ef076ff14f"
+)
 
 
 class TestVerify:
@@ -119,6 +124,16 @@ class TestVerify:
             ("T5", "PASS"): 80, ("T6", "PASS"): 320, ("T7", "PASS"): 60,
         }
         # the 57 FAILs are the even-n Turán reversal
+        assert code == 1
+
+    def test_default_grid_json_golden(self, capsys, tmp_path):
+        # pins the JSON report as the test above pins the CSV body
+        out_path = tmp_path / "default.json"
+        code, _, _ = run(["verify", "--default-grid", "--format", "json",
+                          "--output", str(out_path)], capsys)
+        text = "".join(line for line in out_path.read_text().splitlines(True)
+                       if '"timestamp"' not in line)
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_GRID_JSON_SHA256
         assert code == 1
 
     def test_t1_default_grid_passes(self, capsys, tmp_path):
@@ -203,6 +218,105 @@ class TestRelTol:
         assert code == 0
 
 
+def _check(theorem_id, inputs, lhs, rhs, slack, margin, verdict="PASS"):
+    return harness.InequalityCheck(theorem_id, inputs, lhs, rhs, slack, margin, verdict)
+
+
+#: Records whose fields are equal as dict keys but print differently: 2 (an
+#: order) and 2.0 (an exponent), 0.0 and -0.0; plus None, nan and infinities.
+TRICKY_CHECKS = [
+    _check("T1", {"x": 2.0, "k": 2.0, "m": 2, "n": 1, "holder_p": 2.0,
+                  "holder_q": 2.0}, 2.0, 2, 0.0, -0.0),
+    _check("T2", {"k": 1.0, "p_param": None, "m": 1, "n": 1, "holder_p": 1.5,
+                  "holder_q": 3.0}, -0.0, 0.0, 1e-300, 5e-324),
+    _check("T4PK", {"x": 0.1, "k": 1.0, "p_param": 2.0, "n": 2}, math.nan,
+           math.inf, -math.inf, math.nan, "FAIL"),
+    _check("T5", {"x": 1, "k": 1.0, "p_param": None, "n": 2, "l": 0},
+           0.1 + 0.2, 0.3, (0.1 + 0.2) - 0.3, 1.0, "PASS"),
+    _check("T7", {"x": 1.0, "k": 2.0, "n": 3, "raw_difference": -0.0,
+                  "empirical_direction": "-"}, 1.0, 1, -0.0, 0.0,
+           "DIRECTION_NEGATIVE"),
+    _check("T1", {"x": 2.0, "k": 2, "m": 2, "n": 2, "holder_p": 2.0,
+                  "holder_q": 2.0}, math.inf, -math.inf, 2.0, 2),
+]
+
+METADATA = {"artifact_version": "test", "timestamp": "2000-01-01T00:00:00+0000"}
+
+
+def _csv_writer_report(checks, metadata):
+    """The reference: every row through csv.writer, as the report once was."""
+    buf = io.StringIO()
+    buf.write(f"# kgamma verify {metadata['artifact_version']} "
+              f"generated {metadata['timestamp']}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.CSV_COLUMNS)
+    writer.writerows(cli._check_row(check).values() for check in checks)
+    return buf.getvalue()
+
+
+class TestCsvRenderer:
+    def test_matches_csv_writer(self):
+        assert (cli._render_csv(TRICKY_CHECKS, METADATA)
+                == _csv_writer_report(TRICKY_CHECKS, METADATA))
+
+    def test_matches_csv_writer_on_a_sweep(self):
+        checks, _ = harness.scan_grid(harness.GridSpec(), harness.THEOREM_IDS)
+        assert (cli._render_csv(checks, METADATA)
+                == _csv_writer_report(checks, METADATA))
+
+    def test_dict_reader_reads_back_the_fields(self):
+        text = cli._render_csv(TRICKY_CHECKS, METADATA)
+        rows = list(csv.DictReader(
+            line for line in text.splitlines() if not line.startswith("#")))
+        assert rows == [
+            {col: cli._fmt(value) for col, value in cli._check_row(check).items()}
+            for check in TRICKY_CHECKS
+        ]
+        assert rows[0]["m"] == "2" and rows[0]["holder_p"] == "2.0"
+        assert rows[0]["slack"] == "0.0" and rows[0]["margin"] == "-0.0"
+
+    def test_one_repr_per_distinct_nonzero_float(self, monkeypatch):
+        calls = Counter()
+
+        def counting(value):
+            if value.__class__ is float and value:
+                calls[value] += 1
+            return repr(value)
+
+        # cli's global `repr` shadows the builtin for the renderer
+        monkeypatch.setattr(cli, "repr", counting, raising=False)
+        checks, _ = harness.scan_grid(harness.GridSpec(), harness.THEOREM_IDS)
+        text = cli._render_csv(checks, METADATA)
+        monkeypatch.undo()
+        assert text == _csv_writer_report(checks, METADATA)
+        assert calls and max(calls.values()) == 1
+
+
+class TestVerdictTolerances:
+    """--slack-tol and --threshold decide verdicts: a NaN or out-of-range
+    value would turn them meaningless, so it is refused."""
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+    def test_bad_slack_tol_is_usage_error(self, capsys, value):
+        code, out, err = run(["verify", "--theorems", "T1", "--x", "1", "--k", "1",
+                              f"--slack-tol={value}"], capsys)
+        assert code == 2 and out == ""
+        assert "usage error" in err and "--slack-tol" in err
+
+    @pytest.mark.parametrize("value", ["0", "1e-9"])
+    def test_slack_tol_zero_or_positive_is_accepted(self, capsys, value):
+        code, _, _ = run(["verify", "--theorems", "T1", "--x", "1", "--k", "1",
+                          "--slack-tol", value], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+    def test_bad_threshold_is_usage_error(self, capsys, value):
+        code, out, err = run(["crosscheck", "--x", "1", "--k", "1", "--p-param", "1",
+                              "--m", "1", f"--threshold={value}"], capsys)
+        assert code == 2 and out == ""
+        assert "usage error" in err and "--threshold" in err
+
+
 class TestCrosscheck:
     def test_single_point(self, capsys):
         code, out, _ = run(
@@ -236,6 +350,21 @@ class TestCrosscheck:
         assert first["k_gamma_deriv"] != all_orders["k_gamma_deriv"]
         others = set(first) - {"k_gamma_deriv", "pk_gamma_deriv"}
         assert all(first[f] == all_orders[f] for f in others)
+
+    def test_order_zero_reuses_the_value_integral(self, capsys, monkeypatch):
+        calls = Counter()
+        original = cli.oracle.integrate_k_gamma_deriv
+
+        def counting(n, pt, policy):
+            calls[n, pt.p] += 1
+            return original(n, pt, policy)
+
+        monkeypatch.setattr(cli.oracle, "integrate_k_gamma_deriv", counting)
+        code, _, _ = run(["crosscheck", "--x", "1,2", "--k", "1", "--p-param", "3",
+                          "--m", "1"], capsys)
+        assert code == 0
+        # orders 1..4 once per point and family, order 0 never
+        assert calls == {(n, p): 2 for n in range(1, 5) for p in (None, 3.0)}
 
     @pytest.mark.parametrize("orders", ["9", "0,9", "-1"])
     def test_orders_outside_cap_are_usage_errors(self, capsys, orders):

@@ -327,8 +327,10 @@ class TestDerivativeTables:
         cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
         outcomes = set()
         for _ in range(2):  # the second pass reads the tables
-            for pt in TABLE_POINTS:
-                for deriv in (fn.k_gamma_deriv, fn.pk_gamma_deriv):
+            for ppt in TABLE_POINTS:
+                # Gamma_k at the point without p, pGamma_k at the point
+                for deriv, pt in ((fn.k_gamma_deriv, EvalPoint(ppt.x, ppt.k)),
+                                  (fn.pk_gamma_deriv, ppt)):
                     for n in range(-1, kernels.GAMMA_DERIV_MAX_ORDER + 2):
                         direct = _outcome(lambda: deriv(n, pt))
                         assert _outcome(lambda: deriv(n, pt, cache=cache)) == direct
@@ -349,20 +351,23 @@ class TestDerivativeTables:
         fn.k_polygamma(1, EvalPoint(1.0, 2.0), cache=cache)
         # every vector reads psi^(1..7)(0.5), whose zeta_H(2, 0.5)
         # k_polygamma already made
-        for pt in (EvalPoint(1.0, 2.0, 2.0), EvalPoint(1.0, 2.0, 3.0)):
-            for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
-                fn.k_gamma_deriv(n, pt, cache=cache)
-                fn.pk_gamma_deriv(n, pt, cache=cache)
+        for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
+            fn.k_gamma_deriv(n, EvalPoint(1.0, 2.0), cache=cache)
+            for p in (2.0, 3.0):
+                fn.pk_gamma_deriv(n, EvalPoint(1.0, 2.0, p), cache=cache)
         assert calls == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
         # one derivative vector per (x, k, p): Gamma_k's and two pGamma_k's
         assert len(cache.derivatives) == 3
 
     def test_call_under_another_policy_is_refused(self):
         cache = kernels.KernelCache(kernels.AccuracyPolicy(rel_tol=1e-6))
-        pt = EvalPoint(1.0, 2.0, 3.0)
+        # the k-family calls get a point without p, which they accept
+        pt, ppt = EvalPoint(1.0, 2.0), EvalPoint(1.0, 2.0, 3.0)
         for call in (
+            lambda: fn.k_gamma(pt, cache=cache),
+            lambda: fn.pk_gamma(ppt, cache=cache),
             lambda: fn.k_gamma_deriv(2, pt, cache=cache),
-            lambda: fn.pk_gamma_deriv(2, pt, cache=cache),
+            lambda: fn.pk_gamma_deriv(2, ppt, cache=cache),
             lambda: fn.k_polygamma(1, pt, cache=cache),
             lambda: fn.k_polygamma_magnitude_fractional(1.5, pt, cache=cache),
             lambda: fn.k_zeta(4.0, 2.0, cache=cache),
@@ -370,4 +375,33 @@ class TestDerivativeTables:
         ):
             with pytest.raises(DomainError, match="cache holds values for"):
                 call()
-        assert cache.derivatives == {}
+        assert cache.gammas == {} and cache.derivatives == {}
+
+    def test_gamma_table_is_bit_identical_and_keyed_per_family(self):
+        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
+        points = [EvalPoint(x, k) for x in (2.0, 3.0, 7.5) for k in (0.5, 1.3)]
+        ppoints = [EvalPoint(pt.x, pt.k, p) for pt in points for p in (0.7, 2.0)]
+        for _ in range(2):  # the second pass reads the table
+            for pt in points:
+                assert fn.k_gamma(pt, cache=cache) == fn.k_gamma(pt)
+            for ppt in ppoints:
+                assert fn.pk_gamma(ppt, cache=cache) == fn.pk_gamma(ppt)
+        assert set(cache.gammas) == {(pt.x, pt.k, pt.p) for pt in points + ppoints}
+        # an overflow is raised on every call, never stored
+        big = EvalPoint(7.5, 0.01)
+        for _ in range(2):
+            with pytest.raises(ComputationOverflowError):
+                fn.k_gamma(big, cache=cache)
+        assert (7.5, 0.01, None) not in cache.gammas
+
+
+class TestPointPicksTheFamily:
+    """A k-family call refuses a point with p instead of dropping the p."""
+
+    @pytest.mark.parametrize("call, counterpart", [
+        (lambda pt: fn.k_gamma(pt), "pk_gamma"),
+        (lambda pt: fn.k_gamma_deriv(1, pt), "pk_gamma_deriv"),
+    ])
+    def test_k_family_refuses_p(self, call, counterpart):
+        with pytest.raises(DomainError, match=f"got p=2.0; {counterpart} is"):
+            call(EvalPoint(1.0, 1.0, 2.0))

@@ -45,6 +45,11 @@ class TestKGammaIntegral:
             fn.k_gamma(EvalPoint(0.5, 1.0)), rel=1e-8
         )
 
+    def test_point_with_p_is_refused(self):
+        # the point picks the family: a p would be dropped here
+        with pytest.raises(DomainError, match="integrate_pk_gamma is the p-k family"):
+            oracle.integrate_k_gamma(EvalPoint(1.0, 1.0, 2.0))
+
 
 class TestPkGammaIntegral:
     def test_classical(self):
@@ -114,6 +119,14 @@ class TestDerivIntegral:
         a = oracle.integrate_k_gamma_deriv(0, EvalPoint(2.0, 2.0))
         b = oracle.integrate_k_gamma(EvalPoint(2.0, 2.0))
         assert a.value == pytest.approx(b.value, rel=1e-10)
+
+    def test_zeroth_is_the_value_integral(self):
+        # same integrand, so the same result: crosscheck reuses one for the other
+        for pt in (EvalPoint(2.0, 2.0), EvalPoint(0.3, 1.7), EvalPoint(5.0, 0.5)):
+            assert oracle.integrate_k_gamma_deriv(0, pt) == oracle.integrate_k_gamma(pt)
+            ppt = EvalPoint(pt.x, pt.k, 0.7)
+            assert (oracle.integrate_k_gamma_deriv(0, ppt)
+                    == oracle.integrate_pk_gamma(ppt))
 
     def test_first_at_one(self):
         res = oracle.integrate_k_gamma_deriv(1, EvalPoint(1.0, 1.0))
