@@ -9,6 +9,7 @@ family is EXCEEDS (a converged oracle value disagrees by more than
 failed to evaluate (an `evaluation error` line on stderr); otherwise 0.
 `verify` prints one summary line per selected theorem to stderr: its checks
 by verdict, its points not evaluated and, if it has rows, its least slack.
+`eval` refuses --p (exit 2) for a function that takes no p.
 """
 
 from __future__ import annotations
@@ -160,38 +161,45 @@ def _point(args) -> fn.EvalPoint:
     return fn.EvalPoint(args.x, args.k, args.p)
 
 
-#: eval function -> (required flags, evaluate(args, policy)); the oracle_*
-#: entries return a QuadratureResult and run under the oracle policy
+#: eval function -> (flags, evaluate(args, policy)).  Every flag is
+#: required but a bracketed one, which may be left out: oracle_k_gamma_deriv
+#: takes the p-k family exactly when --p is given.  A function whose flags
+#: leave out p refuses --p.  The oracle_* entries return a QuadratureResult
+#: and run under the oracle policy.
 _EVAL = {
-    "k_gamma": ("x k", lambda a, pol: fn.k_gamma(fn.EvalPoint(a.x, a.k), pol)),
+    "k_gamma": ("x k", lambda a, pol: fn.k_gamma(_point(a), pol)),
     "pk_gamma": ("x k p", lambda a, pol: fn.pk_gamma(_point(a), pol)),
-    "k_polygamma": ("m x k", lambda a, pol: fn.k_polygamma(
-        a.m, fn.EvalPoint(a.x, a.k), pol)),
+    "k_polygamma": ("m x k", lambda a, pol: fn.k_polygamma(a.m, _point(a), pol)),
     "k_zeta": ("x k", lambda a, pol: fn.k_zeta(a.x, a.k, pol)),
     "pk_zeta": ("x k p", lambda a, pol: fn.pk_zeta(a.x, a.k, a.p, pol)),
-    "k_gamma_deriv": ("n x k", lambda a, pol: fn.k_gamma_deriv(
-        a.n, fn.EvalPoint(a.x, a.k), pol)),
+    "k_gamma_deriv": ("n x k", lambda a, pol: fn.k_gamma_deriv(a.n, _point(a), pol)),
     "pk_gamma_deriv": ("n x k p", lambda a, pol: fn.pk_gamma_deriv(
         a.n, _point(a), pol)),
     "oracle_k_gamma": ("x k", lambda a, pol: oracle.integrate_k_gamma(
-        fn.EvalPoint(a.x, a.k), pol)),
+        _point(a), pol)),
     "oracle_pk_gamma": ("x k p", lambda a, pol: oracle.integrate_pk_gamma(
         _point(a), pol)),
     "oracle_k_polygamma": ("m x k", lambda a, pol: oracle.integrate_k_polygamma(
-        a.m, fn.EvalPoint(a.x, a.k), pol)),
+        a.m, _point(a), pol)),
     "oracle_bose": ("s k c", lambda a, pol: oracle.integrate_bose(a.s, a.k, a.c, pol)),
-    # --p is optional here: given, it selects the p-k family
-    "oracle_k_gamma_deriv": ("n x k", lambda a, pol: oracle.integrate_k_gamma_deriv(
-        a.n, _point(a), pol)),
+    "oracle_k_gamma_deriv": ("n x k [p]", lambda a, pol: (
+        oracle.integrate_k_gamma_deriv(a.n, _point(a), pol))),
 }
 
 
 def cmd_eval(args) -> int:
     policy = _closed_form_policy(args)
-    required, evaluate = _EVAL[args.function]
-    for name in required.split():
-        if getattr(args, name) is None:
+    flags, evaluate = _EVAL[args.function]
+    names = flags.split()
+    for name in names:
+        if not name.startswith("[") and getattr(args, name) is None:
             raise UsageError(f"function {args.function} requires --{name}")
+    if args.p is not None and not ("p" in names or "[p]" in names):
+        counterpart = args.function.replace("k_", "pk_", 1)
+        hint = ""
+        if counterpart != args.function and counterpart in _EVAL:
+            hint = f"; use {counterpart}"
+        raise UsageError(f"function {args.function} does not take --p{hint}")
     if not args.function.startswith("oracle_"):
         print(_fmt(evaluate(args, policy)))
         return EXIT_OK

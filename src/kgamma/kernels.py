@@ -72,6 +72,21 @@ _LGAMMA_OVERFLOW = 709.78
 #: Cap on the direct-summation block of `hurwitz_zeta`.
 MAX_SERIES_TERMS = 1_000_000
 
+# |B_16|, the first Bernoulli number `hurwitz_zeta` leaves out, and
+# ln(|B_16|/16!)
+_B16_ABS = 3617.0 / 510.0
+_LOG_B16_TERM = math.log(_B16_ABS / math.factorial(16))
+
+# ln 2^56: `hurwitz_zeta` sizes its remainder bound to 2^-56 of the value
+_LOG_2_56 = 56.0 * math.log(2.0)
+
+# (B_2j/(2j)!, 2j - 1, 2j) for j = 1..8, with |B_16| at j = 8: the factors
+# of the Euler-Maclaurin coefficients of `_em_row`
+_EM_STEPS = tuple(
+    (b2j / math.factorial(2 * j), 2 * j - 1, 2 * j)
+    for j, b2j in enumerate((*_BERNOULLI, _B16_ABS), start=1)
+)
+
 
 def _require_positive(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -150,18 +165,23 @@ def riemann_zeta(s: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
 def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """zeta_H(s, a) = sum_{n>=0} (n+a)^(-s), for s > 1 and a > 0.
 
-    Direct summation of an initial block of N terms, then an
-    Euler-Maclaurin tail correction through B_14.  N is grown until the
-    first omitted correction term (the standard remainder bound) is below
-    the policy tolerance.
+    Direct summation of N terms, then an Euler-Maclaurin tail at
+    M = N + a through B_14.  (n+a)^(-s) is completely monotone, so the
+    remainder lies between 0 and the first omitted term, the B_16 term
+    K(s) M^(-s-15), K(s) = |B_16|/16! Gamma(s+15)/Gamma(s).  N is the
+    smallest count with that bound at most 2^-56 a^-s (`_direct_terms`);
+    since zeta_H(s, a) >= a^-s, the remainder is at most 2^-56 of the
+    value.  N is 1 to 11 for s in (1, 40] and a in [1e-3, 1e3] (Johansson,
+    Rigorous high-precision computation of the Hurwitz zeta function and
+    its derivatives, Numer. Algorithms 2015).  Should the bound still miss
+    the policy tolerance, N is doubled up to `MAX_SERIES_TERMS`.
     """
     if not (math.isfinite(s) and s > 1.0):
         raise DomainError(f"hurwitz_zeta requires s > 1, got {s!r}")
     _require_positive("a", a)
 
-    # The remainder after the B_{2J} term is bounded by the magnitude of
-    # the next term; (s + 2J) / (2 pi M) < ~0.1 makes it negligible.
-    n_terms = max(16, int(math.ceil(2.0 * (s + 14.0) - a)) + 1)
+    corrections, k_s = _EM_ROWS.get(s) or _em_row(s)
+    n_terms = _direct_terms(s, a)
     while True:
         n_terms = min(n_terms, MAX_SERIES_TERMS)
         big_m = n_terms + a
@@ -170,21 +190,15 @@ def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
             head += (n + a) ** (-s)
 
         tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
-        rising = s  # s (s+1) ... (s + 2j - 2)
         m_power = big_m ** (-s - 1.0)
-        fact = 2.0  # (2j)!
+        m_squared = big_m * big_m
         correction = 0.0
-        last_term = 0.0
-        for j, b2j in enumerate(_BERNOULLI, start=1):
-            last_term = b2j / fact * rising * m_power
-            correction += last_term
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            m_power /= big_m * big_m
-            fact *= (2 * j + 1) * (2 * j + 2)
+        for coefficient in corrections:
+            correction += coefficient * m_power
+            m_power /= m_squared
 
         value = head + tail + correction
-        # magnitude of the B_16 term bounds the Euler-Maclaurin remainder
-        next_term = abs(3617.0 / 510.0 / fact * rising * m_power)
+        next_term = abs(k_s * m_power)
         if next_term <= policy.rel_tol * abs(value) + ABS_TOL:
             return value
         if n_terms >= MAX_SERIES_TERMS:
@@ -193,6 +207,38 @@ def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
                 f"{MAX_SERIES_TERMS} terms"
             )
         n_terms *= 2
+
+
+def _em_row(s: float) -> tuple:
+    # (B_2j/(2j)!) s(s+1)...(s+2j-2) for j = 1..7, the Euler-Maclaurin
+    # corrections through B_14, and K(s), the same with |B_16| at j = 8
+    row = []
+    rising = s
+    for coefficient, low, high in _EM_STEPS:
+        row.append(coefficient * rising)
+        rising *= (s + low) * (s + high)
+    return tuple(row[:-1]), row[-1]
+
+
+def _log_k(s: float) -> float:
+    # ln K(s) = ln(|B_16|/16!) + ln Gamma(s+15) - ln Gamma(s); finite where
+    # K(s) itself overflows
+    return _LOG_B16_TERM + math.lgamma(s + 15.0) - math.lgamma(s)
+
+
+def _direct_terms(s: float, a: float) -> int:
+    """Smallest N >= 1 with K(s) (N + a)^(-s-15) <= 2^-56 a^-s."""
+    log_k = _LOG_K.get(s)
+    if log_k is None:
+        log_k = _log_k(s)
+    big_m = math.exp((log_k + s * math.log(a) + _LOG_2_56) / (s + 15.0))
+    return max(1, math.ceil(big_m - a))
+
+
+# The integer exponents of psi^(1..12): their rows and ln K(s), formed once
+# exactly as `_em_row` and `_log_k` form them for any other s.
+_EM_ROWS = {s: _em_row(s) for s in map(float, range(2, POLYGAMMA_MAX_ORDER + 2))}
+_LOG_K = {s: _log_k(s) for s in _EM_ROWS}
 
 
 def check_deriv_order(n: int) -> None:

@@ -48,6 +48,31 @@ class TestEval:
         assert code == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize("argv, counterpart", [
+        (["k_gamma", "--x", "3", "--k", "1"], "pk_gamma"),
+        (["k_gamma_deriv", "--n", "1", "--x", "3", "--k", "1"], "pk_gamma_deriv"),
+        (["k_polygamma", "--m", "1", "--x", "3", "--k", "1"], None),
+        (["k_zeta", "--x", "3", "--k", "1"], "pk_zeta"),
+        (["oracle_k_gamma", "--x", "3", "--k", "1"], "oracle_pk_gamma"),
+        (["oracle_k_polygamma", "--m", "1", "--x", "3", "--k", "1"], None),
+        (["oracle_bose", "--s", "1", "--k", "1", "--c", "1"], None),
+    ])
+    def test_p_is_refused_by_a_function_without_p(self, capsys, argv, counterpart):
+        # k_gamma at x = 3, k = 1 is 2; with p = 2 the p-k value is 16
+        code, out, err = run(["eval", *argv, "--p", "2"], capsys)
+        assert code == 2 and out == ""
+        hint = f"; use {counterpart}" if counterpart else ""
+        assert err == f"usage error: function {argv[0]} does not take --p{hint}\n"
+
+    def test_p_switches_oracle_k_gamma_deriv_to_the_p_k_family(self, capsys):
+        point = ["eval", "oracle_k_gamma_deriv", "--n", "0", "--x", "3", "--k", "1"]
+        code, out, _ = run(point, capsys)
+        assert code == 0
+        assert float(out.split()[0]) == pytest.approx(2.0, rel=1e-10)
+        code, out, _ = run(point + ["--p", "2"], capsys)
+        assert code == 0
+        assert float(out.split()[0]) == pytest.approx(16.0, rel=1e-10)
+
     def test_oracle_converged_near_a_zero_of_an_odd_order(self, capsys):
         # D^(3) of pGamma_k is -2.4e-4 here, against an integral of
         # |t^(x-1) e^(-t^k/p) log^3 t| of 9.34
@@ -71,11 +96,11 @@ class TestEval:
 
 
 #: SHA-256 of the `verify --default-grid` CSV body (all but the timestamp line)
-DEFAULT_GRID_SHA256 = "b937883a755dfc9d7888306733ad5f194156e891ac0fce67715d4bfbb7b7fd27"
+DEFAULT_GRID_SHA256 = "34d6d26f3ec04734fd1a55cde5d3b57eeb16d882dddcf97ce29741be3dce9b4e"
 #: SHA-256 of the `verify --default-grid --format json` report without its
 #: timestamp line
 DEFAULT_GRID_JSON_SHA256 = (
-    "2c3b9c1b4b393bb754b3a3cf4aeeb3f4c8d9d679111b155755aa66ef076ff14f"
+    "a552d9b6c446cf0b9e5b7a54b7fc03f47fa0b45c89ff9d8f2d5fcba703d948fe"
 )
 
 

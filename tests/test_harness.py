@@ -154,8 +154,8 @@ class TestTuranGammaDeriv:
         check = harness.check_turan_gamma_deriv(2, EvalPoint(1, 1, 2))
         assert check == harness.InequalityCheck(
             "T4PK", {"x": 1, "k": 1, "p_param": 2, "n": 2},
-            -0.848830420198061, 11.000819725633427, -11.849650145831488,
-            7.109790087498893e-10, "FAIL",
+            -0.848830420198061, 11.000819725633423, -11.849650145831484,
+            7.109790087498891e-10, "FAIL",
         )
 
     def test_order_bounds(self):

@@ -180,11 +180,63 @@ class TestHurwitzZeta:
             brute_hurwitz(2.5, 0.8), rel=1e-7
         )
 
+    def test_accuracy_against_50_digits(self):
+        # integer s (the polygamma orders) and fractional s (k-zeta,
+        # fractional polygamma), a log-uniform over six decades
+        rng = random.Random(300)
+        worst = 0.0
+        with mp.workdps(50):
+            for i in range(300):
+                s = float(rng.randint(2, 14)) if i % 2 else 14.0 - 13.0 * rng.random()
+                a = 10.0 ** rng.uniform(-3.0, 3.0)
+                ref = mp.zeta(s, a)
+                err = abs((mp.mpf(kernels.hurwitz_zeta(s, a)) - ref) / ref)
+                worst = max(worst, float(err))
+        assert worst <= 1e-15
+
+    def test_tolerance_below_the_sizing_target_grows_the_sum(self):
+        # the direct block is sized for 2^-56 ~ 1.4e-17; a tighter policy
+        # doubles it until the remainder bound meets the tolerance
+        tight = kernels.AccuracyPolicy(rel_tol=1e-20)
+        for s, a in ((2.0, 1.0), (3.5, 0.25), (13.0, 7.0)):
+            ref = float(mp.zeta(s, a))
+            assert kernels.hurwitz_zeta(s, a, tight) == pytest.approx(ref, rel=1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             kernels.hurwitz_zeta(1.0, 1.0)
         with pytest.raises(DomainError):
             kernels.hurwitz_zeta(2.0, 0.0)
+
+
+class TestDirectTerms:
+    """`hurwitz_zeta` sums N direct terms, the least N whose B_16 remainder
+    bound K(s) (N + a)^(-s-15), K(s) = |B_16|/16! s(s+1)...(s+14), is at
+    most 2^-56 a^-s."""
+
+    @staticmethod
+    def bound_ratio(s, a, n):
+        # the remainder bound at n direct terms over 2^-56 a^-s, in 30 digits
+        with mp.workdps(30):
+            s, a = mp.mpf(s), mp.mpf(a)
+            k = mp.mpf(3617) / 510 / mp.factorial(16) * mp.rf(s, 15)
+            return k * (n + a) ** (-s - 15) * 2**56 * a**s
+
+    def test_least_count_meeting_the_bound(self):
+        rng = random.Random(56)
+        for i in range(300):
+            s = float(rng.randint(2, 40)) if i % 2 else 40.0 - 39.0 * rng.random()
+            a = 10.0 ** rng.uniform(-3.0, 3.0)
+            n = kernels._direct_terms(s, a)
+            assert n >= 1
+            assert self.bound_ratio(s, a, n) <= 1 + 1e-9
+            if n > 1:
+                assert self.bound_ratio(s, a, n - 1) > 1 - 1e-9
+
+    def test_at_most_twelve_terms(self):
+        ss = [1.0 + 39.0 * i / 200 for i in range(1, 201)] + [1.0 + 1e-9, 1.001]
+        aas = [10.0 ** (-3.0 + 6.0 * j / 300) for j in range(301)]
+        assert max(kernels._direct_terms(s, a) for s in ss for a in aas) <= 12
 
 
 class TestGammaDerivSequence:
