@@ -9,7 +9,10 @@ family is EXCEEDS (a converged oracle value disagrees by more than
 failed to evaluate (an `evaluation error` line on stderr); otherwise 0.
 `verify` prints one summary line per selected theorem to stderr: its checks
 by verdict, its points not evaluated and, if it has rows, its least slack.
-`eval` refuses --p (exit 2) for a function that takes no p.
+`eval` refuses --p (exit 2) for a function that takes no p.  Only `eval`
+takes --rel-tol: it sets an oracle function's tolerance, while closed
+forms, accurate to one fixed 2^-56 Hurwitz truncation, refuse a value
+below 2^-56 (exit 3).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import time
 
 from . import __version__, harness, kernels, oracle
 from . import functions as fn
-from .policy import ABS_TOL, DEFAULT_POLICY, ORACLE_POLICY, AccuracyPolicy, DomainError
+from .policy import ABS_TOL, DEFAULT_POLICY, ORACLE_POLICY, DomainError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,15 +52,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _closed_form_policy(args) -> AccuracyPolicy:
-    """The policy for closed forms: --rel-tol, else the default."""
-    if args.rel_tol is None:
-        return DEFAULT_POLICY
-    if not 0 < args.rel_tol < math.inf:
-        raise UsageError(f"--rel-tol must be finite and positive, got {args.rel_tol!r}")
-    return AccuracyPolicy(rel_tol=args.rel_tol)
 
 
 def parse_grid_axis(text: str, integer: bool = False) -> tuple:
@@ -134,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", default=None)
     p_verify.add_argument("--l", default=None)
     p_verify.add_argument("--holder-p", default=None)
-    p_verify.add_argument("--rel-tol", type=float, default=None)
     p_verify.add_argument("--slack-tol", type=float,
                           default=harness.DEFAULT_SLACK_TOL)
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -148,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument("--p-param", default=None)
     p_cross.add_argument("--m", default=None)
     p_cross.add_argument("--n", default=None)
-    p_cross.add_argument("--rel-tol", type=float, default=None)
     p_cross.add_argument("--threshold", type=float, default=1e-8)
     return parser
 
@@ -188,7 +180,8 @@ _EVAL = {
 
 
 def cmd_eval(args) -> int:
-    policy = _closed_form_policy(args)
+    if args.rel_tol is not None and not 0 < args.rel_tol < math.inf:
+        raise UsageError(f"--rel-tol must be finite and positive, got {args.rel_tol!r}")
     flags, evaluate = _EVAL[args.function]
     names = flags.split()
     for name in names:
@@ -200,13 +193,14 @@ def cmd_eval(args) -> int:
         if counterpart != args.function and counterpart in _EVAL:
             hint = f"; use {counterpart}"
         raise UsageError(f"function {args.function} does not take --p{hint}")
-    if not args.function.startswith("oracle_"):
+    is_oracle = args.function.startswith("oracle_")
+    policy = ORACLE_POLICY if is_oracle else DEFAULT_POLICY
+    if args.rel_tol is not None:
+        policy = dataclasses.replace(policy, rel_tol=args.rel_tol)
+    if not is_oracle:
         print(_fmt(evaluate(args, policy)))
         return EXIT_OK
-    oracle_policy = ORACLE_POLICY if args.rel_tol is None else dataclasses.replace(
-        ORACLE_POLICY, rel_tol=args.rel_tol
-    )
-    result = evaluate(args, oracle_policy)
+    result = evaluate(args, policy)
     print(f"{_fmt(result.value)} error_estimate={_fmt(result.error_estimate)} "
           f"converged={result.converged}")
     return EXIT_OK if result.converged else EXIT_FAIL
@@ -247,11 +241,10 @@ def _check_row(check: harness.InequalityCheck) -> dict:
     }
 
 
-def _run_metadata(args, grid: harness.GridSpec, rel_tol: float) -> dict:
+def _run_metadata(args, grid: harness.GridSpec) -> dict:
     return {
         "artifact_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "rel_tol": rel_tol,
         "slack_tol": args.slack_tol,
         "grid": {dest: list(getattr(grid, name)) for dest, name in _GRID_AXES.items()},
     }
@@ -315,10 +308,9 @@ def cmd_verify(args) -> int:
             f"--slack-tol must be finite and non-negative, got {args.slack_tol!r}"
         )
     grid = _grid_from_args(args)
-    policy = _closed_form_policy(args)
-    checks, summary = harness.scan_grid(grid, theorems, policy, args.slack_tol)
+    checks, summary = harness.scan_grid(grid, theorems, args.slack_tol)
 
-    metadata = _run_metadata(args, grid, policy.rel_tol)
+    metadata = _run_metadata(args, grid)
     text = (_render_csv if args.format == "csv" else _render_json)(checks, metadata)
     if args.output:
         try:
@@ -351,7 +343,7 @@ def cmd_verify(args) -> int:
 
 
 def crosscheck_families(
-    grid: harness.GridSpec, oracle_policy, policy, deriv_orders=range(5),
+    grid: harness.GridSpec, oracle_policy, deriv_orders=range(5),
     uncertified: dict | None = None,
 ) -> dict:
     """Max relative discrepancy, closed form vs defining integral, per family.
@@ -383,7 +375,7 @@ def crosscheck_families(
                     quad_value: oracle.QuadratureResult) -> None:
         # quad_value is the value family's integral, which is also D^(0)'s
         deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-        closed = [deriv(j, pt, policy) for j in range(top + 1)]
+        closed = [deriv(j, pt) for j in range(top + 1)]
         for n in deriv_orders:
             scale = None
             if n % 2:
@@ -395,16 +387,16 @@ def crosscheck_families(
     for x in grid.xs:
         for k in grid.ks:
             pt = fn.EvalPoint(x, k)
-            value = fn.k_gamma(pt, policy)
+            value = fn.k_gamma(pt)
             quad = oracle.integrate_k_gamma(pt, oracle_policy)
             note("k_gamma", value, quad)
             for m in grid.ms:
-                note("k_polygamma", abs(fn.k_polygamma(m, pt, policy)),
+                note("k_polygamma", abs(fn.k_polygamma(m, pt)),
                      oracle.integrate_k_polygamma(m, pt, oracle_policy))
             note_derivs("k_gamma_deriv", pt, quad)
             for p in grid.p_params:
                 ppt = fn.EvalPoint(x, k, p)
-                value = fn.pk_gamma(ppt, policy)
+                value = fn.pk_gamma(ppt)
                 quad = oracle.integrate_pk_gamma(ppt, oracle_policy)
                 note("pk_gamma", value, quad)
                 note_derivs("pk_gamma_deriv", ppt, quad)
@@ -413,12 +405,11 @@ def crosscheck_families(
         for m in grid.ms:
             if m - k <= -1.0:
                 continue
-            closed = (fn.k_zeta(m + 1.0, k, policy)
-                      * fn.k_gamma(fn.EvalPoint(m + 1.0, k), policy))
+            closed = fn.k_zeta(m + 1.0, k) * fn.k_gamma(fn.EvalPoint(m + 1.0, k))
             note("bose_k_zeta", closed, oracle.integrate_bose(m, k, k, oracle_policy))
             for p in grid.p_params:
-                closed_p = (fn.pk_zeta(m + 1.0, k, p, policy)
-                            * fn.pk_gamma(fn.EvalPoint(m + 1.0, k, p), policy))
+                closed_p = (fn.pk_zeta(m + 1.0, k, p)
+                            * fn.pk_gamma(fn.EvalPoint(m + 1.0, k, p)))
                 note("bose_pk_zeta", closed_p,
                      oracle.integrate_bose(m, k, p, oracle_policy))
     return worst
@@ -430,7 +421,6 @@ def cmd_crosscheck(args) -> int:
             f"--threshold must be finite and positive, got {args.threshold!r}"
         )
     grid = _grid_from_args(args)
-    policy = _closed_form_policy(args)
     deriv_orders = range(5)
     if args.n is not None:
         deriv_orders = grid.ns
@@ -438,10 +428,10 @@ def cmd_crosscheck(args) -> int:
             raise UsageError(
                 f"--n orders must lie in 0..{kernels.GAMMA_DERIV_MAX_ORDER}"
             )
-    if any(m > kernels.POLYGAMMA_MAX_ORDER for m in grid.ms):
-        raise UsageError(f"--m orders must not exceed {kernels.POLYGAMMA_MAX_ORDER}")
+    if any(not 1 <= m <= kernels.POLYGAMMA_MAX_ORDER for m in grid.ms):
+        raise UsageError(f"--m orders must lie in 1..{kernels.POLYGAMMA_MAX_ORDER}")
     uncertified: dict[str, float] = {}
-    worst = crosscheck_families(grid, ORACLE_POLICY, policy, deriv_orders, uncertified)
+    worst = crosscheck_families(grid, ORACLE_POLICY, deriv_orders, uncertified)
     ok = True
     for family in sorted(worst.keys() | uncertified.keys()):
         certified = worst.get(family, 0.0)

@@ -27,13 +27,18 @@ The point picks the family: the k-family functions (`k_gamma`,
 `k_gamma_deriv`) refuse a point that carries p with `DomainError` naming
 their p-k counterpart, instead of dropping the p.
 
+Every value is accurate to the kernels' one contract, a Hurwitz remainder
+of at most 2^-56 of the value (`kernels.HURWITZ_REL_TOL`).  Each function
+still takes an `AccuracyPolicy`, and checks it once: a rel_tol at or above
+2^-56 is met as it stands, and a smaller one, which double precision cannot
+deliver, raises `DomainError`.
+
 The gamma, zeta and derivative functions take an optional
 `kernels.KernelCache`; a sweep passes one so that values shared between its
 checks are computed once: G(x) per point, zeta_H(s, a) per argument pair,
 and the derivative vector D_0..8 per point, which every order then reads.
-The cache is bound to one policy, and a call under any other raises
-`DomainError`.  Without a cache every call goes to the kernels directly,
-and a derivative builds B only up to its own order.
+Without a cache every call goes to the kernels directly, and a derivative
+builds B only up to its own order.
 """
 
 from __future__ import annotations
@@ -114,54 +119,55 @@ def _exp_or_overflow(log_value: float, what: str, *what_args) -> float:
     return math.exp(log_value)
 
 
+def _check_policy(policy: AccuracyPolicy) -> None:
+    """Refuse a tolerance finer than the kernels' fixed 2^-56 contract."""
+    if policy.rel_tol < kernels.HURWITZ_REL_TOL:
+        raise DomainError(
+            f"closed forms are accurate to 2^-56 relative; rel_tol "
+            f"{policy.rel_tol!r} is below it"
+        )
+
+
 def _kernels(cache: kernels.KernelCache | None):
     """Where zeta values and Bell sequences come from."""
     return kernels if cache is None else cache
 
 
-def _log_k_gamma(pt: EvalPoint, policy: AccuracyPolicy) -> float:
+def _log_k_gamma(pt: EvalPoint) -> float:
     y = pt.x / pt.k
     if y < _STIRLING_Y:
-        return (y - 1.0) * math.log(pt.k) + kernels.log_gamma(y, policy)
+        return (y - 1.0) * math.log(pt.k) + kernels.log_gamma(y)
     # (y - 1) ln k + (y - 1/2) ln y = (y - 1) ln(k y) + (ln y)/2 with k y ~ x:
     # the two O(y ln y) terms cancel before they are rounded
     return ((y - 1.0) * math.log(pt.k * y) + 0.5 * math.log(y) - y
             + kernels.stirling_series(y))
 
 
-def _log_pk_gamma(pt: EvalPoint, p: float, policy: AccuracyPolicy) -> float:
+def _log_pk_gamma(pt: EvalPoint, p: float) -> float:
     y = pt.x / pt.k
     if y < _STIRLING_Y:
-        return y * math.log(p) - math.log(pt.k) + kernels.log_gamma(y, policy)
+        return y * math.log(p) - math.log(pt.k) + kernels.log_gamma(y)
     # y ln p + (y - 1/2) ln y = y ln(p y) - (ln y)/2
     return (y * math.log(p * y) - 0.5 * math.log(y) - math.log(pt.k) - y
             + kernels.stirling_series(y))
 
 
-def _gamma_value(pt: EvalPoint, p: float | None, policy: AccuracyPolicy) -> float:
+def _gamma_value(pt: EvalPoint, p: float | None) -> float:
     # G(x): Gamma_k if p is None, else pGamma_k
     if p is None:
-        return _exp_or_overflow(
-            _log_k_gamma(pt, policy), "Gamma_k({}; k={})", pt.x, pt.k
-        )
+        return _exp_or_overflow(_log_k_gamma(pt), "Gamma_k({}; k={})", pt.x, pt.k)
     return _exp_or_overflow(
-        _log_pk_gamma(pt, p, policy), "pGamma_k({}; k={}, p={})", pt.x, pt.k, p
+        _log_pk_gamma(pt, p), "pGamma_k({}; k={}, p={})", pt.x, pt.k, p
     )
 
 
-def _gamma(
-    pt: EvalPoint,
-    p: float | None,
-    policy: AccuracyPolicy,
-    cache: kernels.KernelCache | None,
-) -> float:
+def _gamma(pt: EvalPoint, p: float | None, cache: kernels.KernelCache | None) -> float:
     if cache is None:
-        return _gamma_value(pt, p, policy)
-    cache.require(policy)
+        return _gamma_value(pt, p)
     key = (pt.x, pt.k, p)
     value = cache.gammas.get(key)
     if value is None:
-        value = cache.gammas[key] = _gamma_value(pt, p, policy)
+        value = cache.gammas[key] = _gamma_value(pt, p)
     return value
 
 
@@ -172,7 +178,8 @@ def k_gamma(
 ) -> float:
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k), at a point without p."""
     pt.require_no_p("k_gamma", "pk_gamma")
-    return _gamma(pt, None, policy, cache)
+    _check_policy(policy)
+    return _gamma(pt, None, cache)
 
 
 def pk_gamma(
@@ -181,7 +188,8 @@ def pk_gamma(
     cache: kernels.KernelCache | None = None,
 ) -> float:
     """pGamma_k(x) = p^(x/k) / k * Gamma(x/k)."""
-    return _gamma(pt, pt.require_p(), policy, cache)
+    _check_policy(policy)
+    return _gamma(pt, pt.require_p(), cache)
 
 
 def k_polygamma(
@@ -201,9 +209,10 @@ def k_polygamma(
         raise UnsupportedOrderError(
             f"order {m} exceeds supported cap {kernels.POLYGAMMA_MAX_ORDER}"
         )
+    _check_policy(policy)
     sign = 1.0 if m % 2 == 1 else -1.0
     scale = math.factorial(m) * pt.k ** (-(m + 1.0))
-    return sign * scale * _kernels(cache).hurwitz_zeta(m + 1.0, pt.x / pt.k, policy)
+    return sign * scale * _kernels(cache).hurwitz_zeta(m + 1.0, pt.x / pt.k)
 
 
 def k_polygamma_magnitude_fractional(
@@ -220,9 +229,10 @@ def k_polygamma_magnitude_fractional(
     """
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
-    log_scale = kernels.log_gamma(s + 1.0, policy) - (s + 1.0) * math.log(pt.k)
+    _check_policy(policy)
+    log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(pt.k)
     scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, pt.k)
-    return scale * _kernels(cache).hurwitz_zeta(s + 1.0, pt.x / pt.k, policy)
+    return scale * _kernels(cache).hurwitz_zeta(s + 1.0, pt.x / pt.k)
 
 
 def k_zeta(
@@ -236,7 +246,8 @@ def k_zeta(
         raise DomainError(f"k must be a finite positive real, got {k!r}")
     if not (math.isfinite(x) and x / k > 1.0):
         raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
-    return _kernels(cache).riemann_zeta(x / k, policy)
+    _check_policy(policy)
+    return _kernels(cache).riemann_zeta(x / k)
 
 
 def pk_zeta(
@@ -258,18 +269,18 @@ def pk_zeta(
 
 
 def _derivatives(
-    n_max: int, pt: EvalPoint, p: float | None, policy: AccuracyPolicy, source
+    n_max: int, pt: EvalPoint, p: float | None, source
 ) -> list[float | None]:
     # [D_0, ..., D_n_max] of G = Gamma_k (p None) or pGamma_k, None where
     # D_j overflows: D_j = G k^-j B_j, with B_j the Bell polynomials of
     # `source` at c = k or c = p
     if p is None:
-        c, log_value = pt.k, _log_k_gamma(pt, policy)
+        c, log_value = pt.k, _log_k_gamma(pt)
     else:
-        c, log_value = p, _log_pk_gamma(pt, p, policy)
+        c, log_value = p, _log_pk_gamma(pt, p)
     value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
     derivs = []
-    for j, b in enumerate(source.bell_sequence(n_max, pt.x / pt.k, c, policy)):
+    for j, b in enumerate(source.bell_sequence(n_max, pt.x / pt.k, c)):
         d = value * (b * pt.k ** -float(j))
         derivs.append(d if math.isfinite(d) else None)
     return derivs
@@ -279,19 +290,17 @@ def _derivative(
     n: int,
     pt: EvalPoint,
     p: float | None,
-    policy: AccuracyPolicy,
     cache: kernels.KernelCache | None,
 ) -> float:
     kernels.check_deriv_order(n)
     if cache is None:
-        d = _derivatives(n, pt, p, policy, kernels)[n]
+        d = _derivatives(n, pt, p, kernels)[n]
     else:
-        cache.require(policy)
         key = (pt.x, pt.k, p)
         derivs = cache.derivatives.get(key)
         if derivs is None:
             derivs = cache.derivatives[key] = _derivatives(
-                kernels.GAMMA_DERIV_MAX_ORDER, pt, p, policy, cache
+                kernels.GAMMA_DERIV_MAX_ORDER, pt, p, cache
             )
         d = derivs[n]
     if d is None:
@@ -311,7 +320,8 @@ def k_gamma_deriv(
     """Gamma_k^(n)(x): the n-th derivative of Gamma_k at x, n <= 8, at a
     point without p."""
     pt.require_no_p("k_gamma_deriv", "pk_gamma_deriv")
-    return _derivative(n, pt, None, policy, cache)
+    _check_policy(policy)
+    return _derivative(n, pt, None, cache)
 
 
 def pk_gamma_deriv(
@@ -321,4 +331,5 @@ def pk_gamma_deriv(
     cache: kernels.KernelCache | None = None,
 ) -> float:
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
-    return _derivative(n, pt, pt.require_p(), policy, cache)
+    _check_policy(policy)
+    return _derivative(n, pt, pt.require_p(), cache)

@@ -19,8 +19,7 @@ exactly when it is given p, as `p_param` or as `EvalPoint.p`.
 
 `THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
 points and the check that evaluates one.  Each check takes an optional
-`kernels.KernelCache`, which must hold the check's policy; `scan_grid`
-gives one to every check of a sweep.
+`kernels.KernelCache`; `scan_grid` gives one to every check of a sweep.
 """
 
 from __future__ import annotations
@@ -32,12 +31,7 @@ from typing import Iterator, Sequence
 
 from . import functions as fn
 from .kernels import KernelCache
-from .policy import (
-    DEFAULT_POLICY,
-    AccuracyPolicy,
-    ComputationOverflowError,
-    DomainError,
-)
+from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
     "THEOREMS",
@@ -55,7 +49,8 @@ __all__ = [
 ]
 
 #: Uniform relative-accuracy contract assumed for closed-form function
-#: values when propagating margins (10x the 1e-12 kernel contract).
+#: values when propagating margins: headroom over the 2^-56 Hurwitz
+#: truncation for the rounding of the scales and Bell sums built on it.
 _FUNC_REL = 1e-11
 
 #: Extra absolute tolerance granted on top of the propagated margin;
@@ -76,7 +71,9 @@ class HolderPair:
 
     def __post_init__(self) -> None:
         if not (self.p > 1.0 and self.q > 1.0):
-            raise DomainError("Hölder exponents must both exceed 1")
+            raise DomainError(
+                f"Hölder exponents must both exceed 1, got p={self.p!r}, q={self.q!r}"
+            )
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
             raise DomainError(f"exponents are not conjugate: {self.p}, {self.q}")
 
@@ -117,7 +114,6 @@ def check_holder_polygamma(
     n: int,
     hp: HolderPair,
     pt: fn.EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
     cache: KernelCache | None = None,
 ) -> InequalityCheck:
@@ -130,10 +126,10 @@ def check_holder_polygamma(
     if m < 1 or n < 1:
         raise DomainError("orders m, n must be >= 1")
     s = m / hp.p + n / hp.q
-    a = abs(fn.k_polygamma(m, pt, policy, cache))
-    b = abs(fn.k_polygamma(n, pt, policy, cache))
+    a = abs(fn.k_polygamma(m, pt, cache=cache))
+    b = abs(fn.k_polygamma(n, pt, cache=cache))
     lhs = a ** (1.0 / hp.p) * b ** (1.0 / hp.q)
-    rhs = fn.k_polygamma_magnitude_fractional(s, pt, policy, cache)
+    rhs = fn.k_polygamma_magnitude_fractional(s, pt, cache=cache)
     # d(a^(1/p))/a = (1/p) a^(1/p - 1): relative errors divide by p, q
     margin = abs(lhs) * (_FUNC_REL / hp.p + _FUNC_REL / hp.q) + abs(rhs) * _FUNC_REL
     return _record(
@@ -149,7 +145,6 @@ def check_holder_zeta(
     hp: HolderPair,
     k: float,
     p_param: float | None = None,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
     cache: KernelCache | None = None,
 ) -> InequalityCheck:
@@ -168,12 +163,12 @@ def check_holder_zeta(
             raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
     if p_param is None:
         theorem_id = "T2"
-        zeta = lambda x: fn.k_zeta(x, k, policy, cache)
-        gamma = lambda x: fn.k_gamma(fn.EvalPoint(x, k), policy, cache)
+        zeta = lambda x: fn.k_zeta(x, k, cache=cache)
+        gamma = lambda x: fn.k_gamma(fn.EvalPoint(x, k), cache=cache)
     else:
         theorem_id = "T3"
-        zeta = lambda x: fn.pk_zeta(x, k, p_param, policy, cache)
-        gamma = lambda x: fn.pk_gamma(fn.EvalPoint(x, k, p_param), policy, cache)
+        zeta = lambda x: fn.pk_zeta(x, k, p_param, cache=cache)
+        gamma = lambda x: fn.pk_gamma(fn.EvalPoint(x, k, p_param), cache=cache)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     gamma_ratio = gamma(s + 1.0) / (
         gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
@@ -192,7 +187,6 @@ def check_holder_zeta(
 def check_turan_gamma_deriv(
     n: int,
     pt: fn.EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
     cache: KernelCache | None = None,
 ) -> InequalityCheck:
@@ -207,9 +201,9 @@ def check_turan_gamma_deriv(
     if not 1 <= n <= 7:
         raise DomainError("Turán check requires 1 <= n <= 7")
     deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-    g_lo = deriv(n - 1, pt, policy, cache)
-    g_mid = deriv(n, pt, policy, cache)
-    g_hi = deriv(n + 1, pt, policy, cache)
+    g_lo = deriv(n - 1, pt, cache=cache)
+    g_mid = deriv(n, pt, cache=cache)
+    g_hi = deriv(n + 1, pt, cache=cache)
     lhs = g_lo * g_hi
     rhs = g_mid * g_mid
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -231,7 +225,6 @@ def check_midpoint_gamma_deriv(
     n: int,
     l: int,
     pt: fn.EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
     cache: KernelCache | None = None,
 ) -> InequalityCheck:
@@ -244,9 +237,9 @@ def check_midpoint_gamma_deriv(
     if n % 2 or l % 2 or not (n >= l >= 0) or n + l > 8:
         raise DomainError("midpoint check requires even n >= l >= 0 with n + l <= 8")
     deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-    g_lo = deriv(n - l, pt, policy, cache)
-    g_hi = deriv(n + l, pt, policy, cache)
-    g_mid = deriv(n, pt, policy, cache)
+    g_lo = deriv(n - l, pt, cache=cache)
+    g_hi = deriv(n + l, pt, cache=cache)
+    g_mid = deriv(n, pt, cache=cache)
     lhs = 0.5 * (g_lo + g_hi)
     rhs = g_mid
     margin = 0.5 * (
@@ -262,7 +255,6 @@ def check_midpoint_gamma_deriv(
 def check_midpoint_polygamma(
     n: int,
     pt: fn.EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
     cache: KernelCache | None = None,
 ) -> InequalityCheck:
@@ -275,9 +267,9 @@ def check_midpoint_polygamma(
     """
     if not 2 <= n <= 11:
         raise DomainError("polygamma midpoint check requires 2 <= n <= 11")
-    lhs = fn.k_polygamma(n, pt, policy, cache)
-    rhs = 0.5 * (fn.k_polygamma(n + 1, pt, policy, cache)
-                 + fn.k_polygamma(n - 1, pt, policy, cache))
+    lhs = fn.k_polygamma(n, pt, cache=cache)
+    rhs = 0.5 * (fn.k_polygamma(n + 1, pt, cache=cache)
+                 + fn.k_polygamma(n - 1, pt, cache=cache))
     d = lhs - rhs
     margin = (abs(lhs) + abs(rhs)) * _FUNC_REL
     return _record(
@@ -298,8 +290,8 @@ class GridSpec:
 
     Theorem-specific hypotheses (zeta domain, Hölder integrality, the
     even orders of T5/T6, the order ranges of T4 and T7) are applied per
-    theorem when enumerating points, so any positive lists are acceptable
-    here.  T4K/T4PK deliberately enumerate both parities of n: the Turán
+    theorem when enumerating points, so any finite positive lists are
+    acceptable here, with Hölder exponents whose conjugates exceed 1.  T4K/T4PK deliberately enumerate both parities of n: the Turán
     inequality holds only at odd n, and the even-n points are kept so that
     its reversal there is reported as FAIL.
     """
@@ -314,10 +306,12 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("xs", "ks", "p_params", "holder_ps"):
-            if any(not (v > 0) for v in getattr(self, name)):
-                raise DomainError(f"all {name} values must be positive")
+            if any(not (0 < v < math.inf) for v in getattr(self, name)):
+                raise DomainError(f"all {name} values must be finite and positive")
         if any(v <= 1.0 for v in self.holder_ps):
             raise DomainError("Hölder exponents must exceed 1")
+        # each exponent needs a conjugate q > 1: p = 1e300 rounds q to 1.0
+        self.holder_pairs()
         if any(not isinstance(v, int) or v < 0 for v in self.ms + self.ns + self.ls):
             raise DomainError("orders must be non-negative integers")
 
@@ -336,7 +330,7 @@ class ScanSummary:
 
 
 # Admissible points per theorem, in lexicographic grid order: each yields
-# the positional arguments of its check, up to the policy.
+# the positional arguments of its check, up to the slack tolerance.
 
 
 def _eval_points(spec: GridSpec, pk: bool = False) -> Iterator[fn.EvalPoint]:
@@ -347,11 +341,12 @@ def _eval_points(spec: GridSpec, pk: bool = False) -> Iterator[fn.EvalPoint]:
 
 
 def _holder_orders(spec: GridSpec, hp: HolderPair) -> Iterator[tuple[int, int, float]]:
-    """(m, n, s = m/p + n/q) with s integral: the Hölder hypothesis of T1-T3."""
+    """(m, n, s = m/p + n/q) with m, n >= 1 and s integral: the Hölder
+    hypothesis of T1-T3."""
     for m in spec.ms:
         for n in spec.ns:
             s = m / hp.p + n / hp.q
-            if abs(s - round(s)) <= 1e-9:
+            if m >= 1 and n >= 1 and abs(s - round(s)) <= 1e-9:
                 yield m, n, s
 
 
@@ -388,7 +383,7 @@ def _midpoint_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
 
 #: The theorem table: (theorem_id, points, evaluate) per theorem, in report
 #: order.  points(spec) yields the admissible argument tuples of evaluate,
-#: which is called as evaluate(*point, policy, slack_tol, cache).  The checks
+#: which is called as evaluate(*point, slack_tol, cache).  The checks
 #: are looked up when called, not when the table is built, so a profiler
 #: that wraps the module's check functions sees every call.
 THEOREMS = (
@@ -410,7 +405,6 @@ THEOREM_IDS = tuple(theorem_id for theorem_id, _, _ in THEOREMS)
 def scan_grid(
     spec: GridSpec,
     theorems: Sequence[str],
-    policy: AccuracyPolicy = DEFAULT_POLICY,
     slack_tol: float = DEFAULT_SLACK_TOL,
 ) -> tuple[list[InequalityCheck], ScanSummary]:
     """Evaluate every admissible grid point for the selected theorems.
@@ -426,7 +420,7 @@ def scan_grid(
         raise DomainError(f"unknown theorem ids: {sorted(unknown)}")
     checks: list[InequalityCheck] = []
     summary = ScanSummary()
-    cache = KernelCache(policy)
+    cache = KernelCache()
     for theorem_id, points, evaluate in THEOREMS:
         if theorem_id not in theorems:
             continue
@@ -436,7 +430,7 @@ def scan_grid(
         }
         for point in points(spec):
             try:
-                check = evaluate(*point, policy, slack_tol, cache)
+                check = evaluate(*point, slack_tol, cache)
             except (ArithmeticError, ValueError) as exc:
                 entry["not_evaluated"] += 1
                 summary.errors.append(f"{theorem_id}: {exc}")

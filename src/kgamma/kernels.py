@@ -1,8 +1,10 @@
 """Classical special-function kernels: log-gamma, polygamma, zetas, gamma derivatives.
 
 Everything in the generalized-function layer reduces to these.  All kernels
-are pure functions: same input and policy give bit-identical output, so a
-`KernelCache` can serve them for a whole sweep under its one policy.
+are pure functions of their arguments, accurate to one fixed contract: the
+Hurwitz sum is truncated at 2^-56 of its value (`HURWITZ_REL_TOL`), and no
+kernel takes a tolerance.  The same input gives bit-identical output, so a
+`KernelCache` can serve them for a whole sweep.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -20,15 +22,9 @@ p-k-gamma families.
 from __future__ import annotations
 
 import math
+import sys
 
-from .policy import (
-    ABS_TOL,
-    DEFAULT_POLICY,
-    AccuracyPolicy,
-    ComputationOverflowError,
-    DomainError,
-    UnsupportedOrderError,
-)
+from .policy import ABS_TOL, ComputationOverflowError, DomainError, UnsupportedOrderError
 
 __all__ = [
     "log_gamma",
@@ -40,6 +36,7 @@ __all__ = [
     "gamma_deriv_sequence",
     "check_deriv_order",
     "KernelCache",
+    "HURWITZ_REL_TOL",
     "POLYGAMMA_MAX_ORDER",
     "GAMMA_DERIV_MAX_ORDER",
 ]
@@ -69,16 +66,20 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Largest y with Gamma(y) finite in double precision.
 _LGAMMA_OVERFLOW = 709.78
 
-#: Cap on the direct-summation block of `hurwitz_zeta`.
-MAX_SERIES_TERMS = 1_000_000
+_FLOAT_MAX = sys.float_info.max
+
+#: Relative truncation of `hurwitz_zeta`: its remainder bound is at most
+#: this fraction of the value, so every closed form built on it is accurate
+#: to this and no tolerance can ask for more.
+HURWITZ_REL_TOL = 2.0**-56
 
 # |B_16|, the first Bernoulli number `hurwitz_zeta` leaves out, and
 # ln(|B_16|/16!)
 _B16_ABS = 3617.0 / 510.0
 _LOG_B16_TERM = math.log(_B16_ABS / math.factorial(16))
 
-# ln 2^56: `hurwitz_zeta` sizes its remainder bound to 2^-56 of the value
-_LOG_2_56 = 56.0 * math.log(2.0)
+# ln(1/HURWITZ_REL_TOL): `hurwitz_zeta` sizes its remainder bound to it
+_LOG_INV_REL_TOL = -math.log(HURWITZ_REL_TOL)
 
 # (B_2j/(2j)!, 2j - 1, 2j) for j = 1..8, with |B_16| at j = 8: the factors
 # of the Euler-Maclaurin coefficients of `_em_row`
@@ -93,11 +94,11 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be a finite positive real, got {value!r}")
 
 
-def log_gamma(y: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def log_gamma(y: float) -> float:
     """ln Gamma(y) for y > 0.
 
     Backed by the platform lgamma, which is accurate to a few ulp on
-    [1e-3, 1e3]; comfortably inside the 1e-12 relative contract.
+    [1e-3, 1e3].
     """
     _require_positive("y", y)
     return math.lgamma(y)
@@ -119,7 +120,7 @@ def stirling_series(y: float) -> float:
 
 def _digamma(y: float) -> float:
     # Recurrence up to y >= 8, then the Stirling-type asymptotic series.
-    # The B_14 term at y = 8 is ~1e-16 relative, below the contract.
+    # The B_14 term at y = 8 is ~1e-16 relative.
     acc = 0.0
     while y < 8.0:
         acc -= 1.0 / y
@@ -133,7 +134,7 @@ def _digamma(y: float) -> float:
     return acc + math.log(y) - 0.5 / y - series
 
 
-def polygamma(m: int, y: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def polygamma(m: int, y: float) -> float:
     """psi^(m)(y): the m-th derivative of digamma's antiderivative ln Gamma.
 
     m = 0 is digamma; for m >= 1 the value is (-1)^(m+1) m! zeta_H(m+1, y).
@@ -145,24 +146,24 @@ def polygamma(m: int, y: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> floa
             f"polygamma order {m} exceeds supported cap {POLYGAMMA_MAX_ORDER}"
         )
     _require_positive("y", y)
-    return _polygamma(m, y, policy, hurwitz_zeta)
+    return _polygamma(m, y, hurwitz_zeta)
 
 
-def _polygamma(m: int, y: float, policy: AccuracyPolicy, zeta) -> float:
+def _polygamma(m: int, y: float, zeta) -> float:
     if m == 0:
         return _digamma(y)
     sign = 1.0 if m % 2 == 1 else -1.0
-    return sign * math.factorial(m) * zeta(m + 1, y, policy)
+    return sign * math.factorial(m) * zeta(m + 1, y)
 
 
-def riemann_zeta(s: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def riemann_zeta(s: float) -> float:
     """zeta(s) for s > 1.  No analytic continuation below s = 1."""
     if not (math.isfinite(s) and s > 1.0):
         raise DomainError(f"riemann_zeta requires s > 1, got {s!r}")
-    return hurwitz_zeta(s, 1.0, policy)
+    return hurwitz_zeta(s, 1.0)
 
 
-def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def hurwitz_zeta(s: float, a: float) -> float:
     """zeta_H(s, a) = sum_{n>=0} (n+a)^(-s), for s > 1 and a > 0.
 
     Direct summation of N terms, then an Euler-Maclaurin tail at
@@ -170,43 +171,47 @@ def hurwitz_zeta(s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY) ->
     remainder lies between 0 and the first omitted term, the B_16 term
     K(s) M^(-s-15), K(s) = |B_16|/16! Gamma(s+15)/Gamma(s).  N is the
     smallest count with that bound at most 2^-56 a^-s (`_direct_terms`);
-    since zeta_H(s, a) >= a^-s, the remainder is at most 2^-56 of the
-    value.  N is 1 to 11 for s in (1, 40] and a in [1e-3, 1e3] (Johansson,
-    Rigorous high-precision computation of the Hurwitz zeta function and
-    its derivatives, Numer. Algorithms 2015).  Should the bound still miss
-    the policy tolerance, N is doubled up to `MAX_SERIES_TERMS`.
+    since zeta_H(s, a) >= a^-s, the remainder is at most `HURWITZ_REL_TOL`
+    of the value.  N is 1 to 11 for s in (1, 40] and a in [1e-3, 1e3]
+    (Johansson, Rigorous high-precision computation of the Hurwitz zeta
+    function and its derivatives, Numer. Algorithms 2015).  The bound is
+    checked once; a value it does not certify, or one that overflows,
+    raises `ComputationOverflowError`.
     """
     if not (math.isfinite(s) and s > 1.0):
         raise DomainError(f"hurwitz_zeta requires s > 1, got {s!r}")
     _require_positive("a", a)
 
     corrections, k_s = _EM_ROWS.get(s) or _em_row(s)
-    n_terms = _direct_terms(s, a)
-    while True:
-        n_terms = min(n_terms, MAX_SERIES_TERMS)
-        big_m = n_terms + a
+    try:
+        n_terms = _direct_terms(s, a)
         head = 0.0
         for n in range(n_terms - 1, -1, -1):  # small terms first
             head += (n + a) ** (-s)
+    except OverflowError:
+        # a^-s beyond the double range (a < 1), or s too large for ln K(s)
+        raise ComputationOverflowError(
+            f"hurwitz_zeta({s}, {a}) overflows double precision"
+        ) from None
 
-        tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
-        m_power = big_m ** (-s - 1.0)
-        m_squared = big_m * big_m
-        correction = 0.0
-        for coefficient in corrections:
-            correction += coefficient * m_power
-            m_power /= m_squared
+    big_m = n_terms + a
+    tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
+    m_power = big_m ** (-s - 1.0)
+    m_squared = big_m * big_m
+    correction = 0.0
+    for coefficient in corrections:
+        correction += coefficient * m_power
+        m_power /= m_squared
 
-        value = head + tail + correction
-        next_term = abs(k_s * m_power)
-        if next_term <= policy.rel_tol * abs(value) + ABS_TOL:
-            return value
-        if n_terms >= MAX_SERIES_TERMS:
-            raise ComputationOverflowError(
-                f"hurwitz_zeta({s}, {a}) did not converge within "
-                f"{MAX_SERIES_TERMS} terms"
-            )
-        n_terms *= 2
+    value = head + tail + correction
+    # k_s is finite (`_em_row`), so the bound is never inf * 0; the floor
+    # keeps a subnormal value from failing on rounding alone
+    if not k_s * m_power <= HURWITZ_REL_TOL * value + ABS_TOL < math.inf:
+        raise ComputationOverflowError(
+            f"hurwitz_zeta({s}, {a}): the remainder bound after {n_terms} "
+            f"terms exceeds 2^-56 of the value {value}"
+        )
+    return value
 
 
 def _em_row(s: float) -> tuple:
@@ -217,6 +222,11 @@ def _em_row(s: float) -> tuple:
     for coefficient, low, high in _EM_STEPS:
         row.append(coefficient * rising)
         rising *= (s + low) * (s + high)
+    if row[-1] == math.inf:
+        # s above about 3e20.  Wherever zeta_H(s, a) is finite, M^(-s-1)
+        # then underflows to 0, and capped products keep inf * 0 = NaN out
+        # of the sum and the bound
+        row = [math.copysign(min(abs(c), _FLOAT_MAX), c) for c in row]
     return tuple(row[:-1]), row[-1]
 
 
@@ -231,7 +241,7 @@ def _direct_terms(s: float, a: float) -> int:
     log_k = _LOG_K.get(s)
     if log_k is None:
         log_k = _log_k(s)
-    big_m = math.exp((log_k + s * math.log(a) + _LOG_2_56) / (s + 15.0))
+    big_m = math.exp((log_k + s * math.log(a) + _LOG_INV_REL_TOL) / (s + 15.0))
     return max(1, math.ceil(big_m - a))
 
 
@@ -251,7 +261,7 @@ def check_deriv_order(n: int) -> None:
         )
 
 
-def _polygamma_table(n: int, y: float, policy: AccuracyPolicy, zeta) -> list[float]:
+def _polygamma_table(n: int, y: float, zeta) -> list[float]:
     # psi^(0..n-1)(y) with Hurwitz zeta values from `zeta`; an order that
     # overflows is NaN, and so is every Bell polynomial that uses it
     if n:
@@ -259,7 +269,7 @@ def _polygamma_table(n: int, y: float, policy: AccuracyPolicy, zeta) -> list[flo
     table = []
     for m in range(n):
         try:
-            table.append(_polygamma(m, y, policy, zeta))
+            table.append(_polygamma(m, y, zeta))
         except OverflowError:
             table.append(math.nan)
     return table
@@ -278,9 +288,7 @@ def _bell(psis: list[float], log_c: float) -> list[float]:
     return bell
 
 
-def bell_sequence(
-    n_max: int, y: float, c: float, policy: AccuracyPolicy = DEFAULT_POLICY
-) -> list[float]:
+def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     """[B_0, ..., B_n_max]: complete Bell polynomials of the cumulants
     kappa_1 = log c + psi(y) and kappa_(i+1) = psi^(i)(y), for c > 0.
 
@@ -290,24 +298,22 @@ def bell_sequence(
     every later entry are NaN.
     """
     check_deriv_order(n_max)
-    return _bell(_polygamma_table(n_max, y, policy, hurwitz_zeta), math.log(c))
+    return _bell(_polygamma_table(n_max, y, hurwitz_zeta), math.log(c))
 
 
-def gamma_deriv_sequence(
-    n_max: int, y: float, policy: AccuracyPolicy = DEFAULT_POLICY
-) -> list[float]:
+def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
     """[Gamma(y), Gamma'(y), ..., Gamma^(n_max)(y)] as Gamma(y) B_j.
 
     B_j are the Bell polynomials of `bell_sequence` with c = 1, that is
     kappa_1 = psi(y): the cumulants of Gamma are the derivatives of ln Gamma.
     """
     check_deriv_order(n_max)
-    lg = log_gamma(y, policy)
+    lg = log_gamma(y)
     if lg > _LGAMMA_OVERFLOW:
         raise ComputationOverflowError(f"Gamma({y}) overflows double precision")
     gamma = math.exp(lg)
     derivs = []
-    psis = _polygamma_table(n_max, y, policy, hurwitz_zeta)
+    psis = _polygamma_table(n_max, y, hurwitz_zeta)
     for j, b in enumerate(_bell(psis, 0.0)):
         d = gamma * b
         if not math.isfinite(d):
@@ -317,15 +323,13 @@ def gamma_deriv_sequence(
 
 
 class KernelCache:
-    """Memoised kernel values for one sweep, under the one policy it holds.
+    """Memoised kernel values for one sweep.
 
     Stands in for this module wherever the functions layer takes a `cache`:
     `hurwitz_zeta`, `riemann_zeta` and `bell_sequence` share the kernels'
     signatures and return their values bit for bit, since every kernel is a
-    pure function of its arguments.  A call under any policy but the
-    cache's raises `DomainError`.  Misses call the module-level kernels, so
-    profilers that wrap those see them.  Three tables, none keyed with the
-    policy:
+    pure function of its arguments.  Misses call the module-level kernels,
+    so profilers that wrap those see them.  Three tables:
 
     - zeta values per (s, a), from which `bell_sequence` reads its
       psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
@@ -335,37 +339,24 @@ class KernelCache:
       sweep point.
     """
 
-    def __init__(self, policy: AccuracyPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._zeta: dict = {}
         self.gammas: dict = {}
         self.derivatives: dict = {}
 
-    def require(self, policy: AccuracyPolicy) -> None:
-        """Refuse a call made under any policy other than the cache's."""
-        if policy is not self.policy and policy != self.policy:
-            raise DomainError(f"cache holds values for {self.policy}, not {policy}")
-
-    def hurwitz_zeta(
-        self, s: float, a: float, policy: AccuracyPolicy = DEFAULT_POLICY
-    ) -> float:
-        self.require(policy)
+    def hurwitz_zeta(self, s: float, a: float) -> float:
         value = self._zeta.get((s, a))
         if value is None:
-            value = self._zeta[(s, a)] = hurwitz_zeta(s, a, policy)
+            value = self._zeta[(s, a)] = hurwitz_zeta(s, a)
         return value
 
-    def riemann_zeta(self, s: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+    def riemann_zeta(self, s: float) -> float:
         # riemann_zeta(s) is hurwitz_zeta(s, 1.0): both share one table
-        self.require(policy)
         value = self._zeta.get((s, 1.0))
         if value is None:
-            value = self._zeta[(s, 1.0)] = riemann_zeta(s, policy)
+            value = self._zeta[(s, 1.0)] = riemann_zeta(s)
         return value
 
-    def bell_sequence(
-        self, n_max: int, y: float, c: float, policy: AccuracyPolicy = DEFAULT_POLICY
-    ) -> list[float]:
+    def bell_sequence(self, n_max: int, y: float, c: float) -> list[float]:
         check_deriv_order(n_max)
-        self.require(policy)
-        return _bell(_polygamma_table(n_max, y, policy, self.hurwitz_zeta), math.log(c))
+        return _bell(_polygamma_table(n_max, y, self.hurwitz_zeta), math.log(c))

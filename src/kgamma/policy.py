@@ -1,4 +1,5 @@
-"""Accuracy policy, absolute tolerance floor and error types of every routine."""
+"""The oracle's accuracy policy, the absolute tolerance floor, and the error
+types of every routine."""
 
 from __future__ import annotations
 
@@ -28,10 +29,12 @@ ABS_TOL = 1e-300
 
 @dataclass(frozen=True)
 class AccuracyPolicy:
-    """Tolerance and work budget governing every numerical routine.
+    """Tolerance and work budget of the quadrature oracle.
 
     rel_tol applies to final values; max_subdivisions bounds the panel
-    count of the adaptive quadrature oracle.
+    count of the adaptive quadrature.  The closed forms in `functions` take
+    a policy too but compute to one fixed 2^-56 truncation: they accept any
+    rel_tol at or above it and refuse a smaller one.
     """
 
     rel_tol: float = 1e-12

@@ -19,7 +19,7 @@ from kgamma import cli, harness, kernels, oracle
 from kgamma import functions as fn
 from kgamma.functions import EvalPoint
 from kgamma.harness import GridSpec, HolderPair
-from kgamma.policy import DEFAULT_POLICY, AccuracyPolicy
+from kgamma.policy import AccuracyPolicy
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -65,8 +65,7 @@ def test_criterion_1_classical_reductions():
 def test_criterion_2_oracle_equivalence():
     start = time.time()
     worst = cli.crosscheck_families(
-        STANDARD, AccuracyPolicy(rel_tol=1e-10, max_subdivisions=4000),
-        DEFAULT_POLICY,
+        STANDARD, AccuracyPolicy(rel_tol=1e-10, max_subdivisions=4000)
     )
     elapsed = time.time() - start
     worst_overall = max(worst.values())

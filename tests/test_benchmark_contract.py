@@ -11,6 +11,7 @@ import importlib.util
 import pathlib
 
 from kgamma import cli
+from kgamma import functions as fn
 from kgamma.policy import AccuracyPolicy
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -38,6 +39,15 @@ def test_the_workload_policies_construct():
     # the crosscheck workload builds both by keyword
     AccuracyPolicy()
     AccuracyPolicy(rel_tol=1e-10, max_subdivisions=4000)
+
+
+def test_closed_forms_take_the_crosscheck_policy_positionally():
+    # the crosscheck workload checks fn.k_gamma(pt, AccuracyPolicy()) and
+    # fn.pk_gamma(ppt, AccuracyPolicy()): the same bits as without a policy
+    for x, k, p in ((0.15, 0.5, 2.0), (1.0, 1.0, 1.0), (7.3, 1.4, 0.6)):
+        pt, ppt = fn.EvalPoint(x, k), fn.EvalPoint(x, k, p)
+        assert fn.k_gamma(pt, AccuracyPolicy()) == fn.k_gamma(pt)
+        assert fn.pk_gamma(ppt, AccuracyPolicy()) == fn.pk_gamma(ppt)
 
 
 def test_default_grid_stderr_never_says_evaluation_error(capsys):

@@ -100,8 +100,15 @@ DEFAULT_GRID_SHA256 = "34d6d26f3ec04734fd1a55cde5d3b57eeb16d882dddcf97ce29741be3
 #: SHA-256 of the `verify --default-grid --format json` report without its
 #: timestamp line
 DEFAULT_GRID_JSON_SHA256 = (
-    "a552d9b6c446cf0b9e5b7a54b7fc03f47fa0b45c89ff9d8f2d5fcba703d948fe"
+    "071a6c78076e0f2459cdb09b9840bd44094436c8037ed92d2036beb7c3407d3a"
 )
+
+
+class TestEvalLargeOrder:
+    def test_k_zeta_far_above_the_em_coefficient_range(self, capsys):
+        # s = 1e25: K(s) overflows, and zeta(s) is 1.0 in double precision
+        code, out, err = run(["eval", "k_zeta", "--x", "1e25", "--k", "1"], capsys)
+        assert (code, out, err) == (0, "1.0\n", "")
 
 
 class TestVerify:
@@ -222,6 +229,8 @@ class TestVerify:
 
 
 class TestRelTol:
+    """Only `eval` takes --rel-tol; `verify` and `crosscheck` refuse the flag."""
+
     POINT = {
         "eval": ["eval", "k_gamma", "--x", "1", "--k", "1"],
         "eval_oracle": ["eval", "oracle_k_gamma", "--x", "1", "--k", "1"],
@@ -229,18 +238,43 @@ class TestRelTol:
         "crosscheck": ["crosscheck", "--x", "1", "--k", "1", "--p-param", "1",
                        "--m", "1"],
     }
+    SWEEPS = ("crosscheck", "verify")
+
+    @staticmethod
+    def exit_code(argv, capsys):
+        # argparse exits 2 itself on a flag the command does not know
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(POINT))
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_non_positive_is_usage_error(self, capsys, command, value):
-        code, _, err = run(self.POINT[command] + ["--rel-tol", value], capsys)
+        code, err = self.exit_code(self.POINT[command] + ["--rel-tol", value], capsys)
         assert code == 2
-        assert "usage error" in err and "--rel-tol" in err
+        if command in self.SWEEPS:
+            # refused as an unknown flag, before its value is looked at
+            assert f"unrecognized arguments: --rel-tol {value}" in err
+        else:
+            assert "usage error" in err and "--rel-tol" in err
 
-    @pytest.mark.parametrize("command", sorted(POINT))
+    @pytest.mark.parametrize("command", ["eval", "eval_oracle"])
     def test_positive_is_accepted(self, capsys, command):
         code, _, _ = run(self.POINT[command] + ["--rel-tol", "1e-9"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("command", SWEEPS)
+    def test_sweeps_refuse_it(self, capsys, command):
+        code, err = self.exit_code(self.POINT[command] + ["--rel-tol", "1e-9"], capsys)
+        assert code == 2
+        assert "unrecognized arguments: --rel-tol 1e-9" in err
+
+    def test_closed_form_refuses_a_finer_value(self, capsys):
+        code, out, err = run(self.POINT["eval"] + ["--rel-tol", "1e-17"], capsys)
+        assert code == 3 and out == ""
+        assert "domain error" in err and "2^-56" in err
 
 
 def _check(theorem_id, inputs, lhs, rhs, slack, margin, verdict="PASS"):
@@ -429,6 +463,14 @@ class TestCrosscheck:
         assert code == 2
         assert out == "" and "usage error" in err and "--m" in err
 
+    @pytest.mark.parametrize("orders", ["0", "0,1"])
+    def test_polygamma_order_zero_is_a_usage_error(self, capsys, orders):
+        # refused before any integral, not as a domain error after the first
+        code, out, err = run(["crosscheck", "--x", "1", "--k", "1", "--m", orders],
+                             capsys)
+        assert code == 2
+        assert out == "" and "usage error" in err and "--m" in err
+
     def test_bose_underflow_near_zero(self, capsys):
         # t^k / c underflows to 0 near t = 0 for k close to 2
         code, out, _ = run(
@@ -527,6 +569,30 @@ class TestVerifyOverflow:
         assert len(lines) == 1 + 80
         assert all(line.startswith("evaluation error: T3: pGamma_k(")
                    for line in lines[1:])
+
+
+class TestGridValues:
+    """Every grid the CLI accepts enumerates without an error of its own."""
+
+    T1 = ["verify", "--theorems", "T1", "--x", "1", "--k", "1"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--holder-p", "inf"),  # q = inf / inf is NaN
+        ("--holder-p", "1e300"),  # q = p / (p - 1) rounds to 1.0
+        ("--x", "inf"),
+    ])
+    def test_value_without_a_point_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(self.T1 + [flag, value], capsys)
+        assert code == 2
+        assert out == "" and "usage error" in err
+
+    def test_hoelder_orders_start_at_one(self, capsys):
+        # m = 0 and n = 0 are outside T1's hypothesis m, n >= 1: no point
+        for extra in (["--m", "0"], ["--m", "0,1", "--n", "0,1"]):
+            code, out, err = run(self.T1 + extra, capsys)
+            assert code == 0
+            assert "evaluation error" not in err and "0 not evaluated" in err
+        assert len(out.splitlines()) == 2 + 3  # (1, 1) at p = 2, 3, 1.5
 
 
 class TestGridParsing:

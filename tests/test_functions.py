@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from kgamma import functions as fn
 from kgamma import kernels
 from kgamma.functions import EvalPoint
-from kgamma.policy import ComputationOverflowError, DomainError, UnsupportedOrderError
+from kgamma.policy import (
+    AccuracyPolicy,
+    ComputationOverflowError,
+    DomainError,
+    UnsupportedOrderError,
+)
 
 EULER_GAMMA = 0.5772156649015329
 mp.mp.dps = 40
@@ -324,7 +329,7 @@ class TestDerivativeTables:
     """A sweep's derivative tables must not change a bit, nor which call raises."""
 
     def test_cached_matches_direct(self):
-        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
+        cache = kernels.KernelCache()
         outcomes = set()
         for _ in range(2):  # the second pass reads the tables
             for ppt in TABLE_POINTS:
@@ -342,12 +347,12 @@ class TestDerivativeTables:
         calls = []
         original = kernels.hurwitz_zeta
 
-        def counting(s, a, policy):
+        def counting(s, a):
             calls.append((s, a))
-            return original(s, a, policy)
+            return original(s, a)
 
         monkeypatch.setattr(kernels, "hurwitz_zeta", counting)
-        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
+        cache = kernels.KernelCache()
         fn.k_polygamma(1, EvalPoint(1.0, 2.0), cache=cache)
         # every vector reads psi^(1..7)(0.5), whose zeta_H(2, 0.5)
         # k_polygamma already made
@@ -359,26 +364,8 @@ class TestDerivativeTables:
         # one derivative vector per (x, k, p): Gamma_k's and two pGamma_k's
         assert len(cache.derivatives) == 3
 
-    def test_call_under_another_policy_is_refused(self):
-        cache = kernels.KernelCache(kernels.AccuracyPolicy(rel_tol=1e-6))
-        # the k-family calls get a point without p, which they accept
-        pt, ppt = EvalPoint(1.0, 2.0), EvalPoint(1.0, 2.0, 3.0)
-        for call in (
-            lambda: fn.k_gamma(pt, cache=cache),
-            lambda: fn.pk_gamma(ppt, cache=cache),
-            lambda: fn.k_gamma_deriv(2, pt, cache=cache),
-            lambda: fn.pk_gamma_deriv(2, ppt, cache=cache),
-            lambda: fn.k_polygamma(1, pt, cache=cache),
-            lambda: fn.k_polygamma_magnitude_fractional(1.5, pt, cache=cache),
-            lambda: fn.k_zeta(4.0, 2.0, cache=cache),
-            lambda: fn.pk_zeta(4.0, 2.0, 3.0, cache=cache),
-        ):
-            with pytest.raises(DomainError, match="cache holds values for"):
-                call()
-        assert cache.gammas == {} and cache.derivatives == {}
-
     def test_gamma_table_is_bit_identical_and_keyed_per_family(self):
-        cache = kernels.KernelCache(kernels.DEFAULT_POLICY)
+        cache = kernels.KernelCache()
         points = [EvalPoint(x, k) for x in (2.0, 3.0, 7.5) for k in (0.5, 1.3)]
         ppoints = [EvalPoint(pt.x, pt.k, p) for pt in points for p in (0.7, 2.0)]
         for _ in range(2):  # the second pass reads the table
@@ -393,6 +380,44 @@ class TestDerivativeTables:
             with pytest.raises(ComputationOverflowError):
                 fn.k_gamma(big, cache=cache)
         assert (7.5, 0.01, None) not in cache.gammas
+
+
+#: every public closed form, as a call on (policy, cache)
+CLOSED_FORMS = {
+    "k_gamma": lambda pol, c: fn.k_gamma(EvalPoint(2.5, 0.7), pol, c),
+    "pk_gamma": lambda pol, c: fn.pk_gamma(EvalPoint(2.5, 0.7, 1.9), pol, c),
+    "k_polygamma": lambda pol, c: fn.k_polygamma(3, EvalPoint(2.5, 0.7), pol, c),
+    "k_polygamma_magnitude_fractional": lambda pol, c: (
+        fn.k_polygamma_magnitude_fractional(2.3, EvalPoint(2.5, 0.7), pol, c)),
+    "k_zeta": lambda pol, c: fn.k_zeta(2.5, 0.7, pol, c),
+    "pk_zeta": lambda pol, c: fn.pk_zeta(2.5, 0.7, 1.9, pol, c),
+    "k_gamma_deriv": lambda pol, c: fn.k_gamma_deriv(5, EvalPoint(2.5, 0.7), pol, c),
+    "pk_gamma_deriv": lambda pol, c: fn.pk_gamma_deriv(
+        5, EvalPoint(2.5, 0.7, 1.9), pol, c),
+}
+
+
+class TestPolicyFloor:
+    """Closed forms are accurate to the Hurwitz sum's fixed 2^-56: any
+    rel_tol at or above it gives the same bits, a finer one is refused."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_tolerance_at_or_above_the_floor_gives_the_same_bits(self, name):
+        call = CLOSED_FORMS[name]
+        default = call(AccuracyPolicy(), None)
+        for rel_tol in (1e-6, 1e-12, 2.0**-56):
+            policy = AccuracyPolicy(rel_tol=rel_tol)
+            assert call(policy, None) == default
+            assert call(policy, kernels.KernelCache()) == default
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_tolerance_below_the_floor_is_refused(self, name):
+        cache = kernels.KernelCache()
+        for source in (None, cache):
+            with pytest.raises(DomainError, match="2\\^-56"):
+                CLOSED_FORMS[name](AccuracyPolicy(rel_tol=1e-17), source)
+        # refused before any work: nothing was cached
+        assert cache.gammas == {} and cache.derivatives == {} and cache._zeta == {}
 
 
 class TestPointPicksTheFamily:

@@ -284,36 +284,36 @@ class TestScanGrid:
         }
 
 
-def _direct_check(check, policy, slack_tol=harness.DEFAULT_SLACK_TOL):
+def _direct_check(check, slack_tol=harness.DEFAULT_SLACK_TOL):
     """The uncached check_* call that produces `check`, rebuilt from its inputs."""
     inp, tid = check.inputs, check.theorem_id
     if tid in ("T1", "T2", "T3"):
         hp = HolderPair(inp["holder_p"], inp["holder_q"])
         if tid == "T1":
             return harness.check_holder_polygamma(
-                inp["m"], inp["n"], hp, EvalPoint(inp["x"], inp["k"]), policy, slack_tol
+                inp["m"], inp["n"], hp, EvalPoint(inp["x"], inp["k"]), slack_tol
             )
         return harness.check_holder_zeta(
-            inp["m"], inp["n"], hp, inp["k"], inp["p_param"], policy, slack_tol
+            inp["m"], inp["n"], hp, inp["k"], inp["p_param"], slack_tol
         )
     if tid == "T7":
         return harness.check_midpoint_polygamma(
-            inp["n"], EvalPoint(inp["x"], inp["k"]), policy, slack_tol
+            inp["n"], EvalPoint(inp["x"], inp["k"]), slack_tol
         )
     # p_param is None in T4K and T5 records: the point picks the family
     pt = EvalPoint(inp["x"], inp["k"], inp["p_param"])
     if tid in ("T4K", "T4PK"):
-        return harness.check_turan_gamma_deriv(inp["n"], pt, policy, slack_tol)
-    return harness.check_midpoint_gamma_deriv(inp["n"], inp["l"], pt, policy, slack_tol)
+        return harness.check_turan_gamma_deriv(inp["n"], pt, slack_tol)
+    return harness.check_midpoint_gamma_deriv(inp["n"], inp["l"], pt, slack_tol)
 
 
-def _uncached_scan(spec, policy):
+def _uncached_scan(spec):
     """scan_grid's records and errors, every check evaluated without a cache."""
     checks, errors = [], []
     for theorem_id, points, evaluate in harness.THEOREMS:
         for point in points(spec):
             try:
-                checks.append(evaluate(*point, policy, harness.DEFAULT_SLACK_TOL, None))
+                checks.append(evaluate(*point, harness.DEFAULT_SLACK_TOL, None))
             except (ArithmeticError, ValueError) as exc:
                 errors.append(f"{theorem_id}: {exc}")
     return checks, errors
@@ -323,19 +323,17 @@ class TestScanCache:
     """A sweep's kernel cache must not change a single bit of its output."""
 
     def test_default_grid_matches_direct_calls(self):
-        policy = harness.DEFAULT_POLICY
         checks, summary = harness.scan_grid(GridSpec(), harness.THEOREM_IDS)
         assert len(checks) == 1545 and summary.errors == []
         for check in checks:
-            assert _direct_check(check, policy) == check
+            assert _direct_check(check) == check
 
     def test_error_grid_matches_uncached_scan(self):
         # k = 0.01 overflows Gamma, pGamma_k and high derivative orders; at
         # y = x/k = 170 orders 6..8 overflow but orders <= 5 do not
         spec = GridSpec(xs=(0.5, 1.7, 5.0, 170.0), ks=(0.01, 0.05, 1.0))
-        policy = harness.DEFAULT_POLICY
-        checks, summary = harness.scan_grid(spec, harness.THEOREM_IDS, policy)
-        direct_checks, direct_errors = _uncached_scan(spec, policy)
+        checks, summary = harness.scan_grid(spec, harness.THEOREM_IDS)
+        direct_checks, direct_errors = _uncached_scan(spec)
         # repr: exact float round trip
         assert [repr(c) for c in checks] == [repr(c) for c in direct_checks]
         assert summary.errors == direct_errors
@@ -345,11 +343,3 @@ class TestScanCache:
         assert ("T4K: Turán products of order 4 at EvalPoint(x=170.0, k=1.0, "
                 "p=None) overflow double precision") in summary.errors
         assert all(c.slack == c.slack for c in checks)
-
-    def test_scans_with_different_rel_tol_are_independent(self):
-        spec = GridSpec(xs=(0.5, 2.0), ks=(0.5, 1.0))
-        for rel_tol in (1e-12, 1e-4, 1e-12):
-            policy = harness.AccuracyPolicy(rel_tol=rel_tol)
-            checks, summary = harness.scan_grid(spec, harness.THEOREM_IDS, policy)
-            direct_checks, direct_errors = _uncached_scan(spec, policy)
-            assert checks == direct_checks and summary.errors == direct_errors
