@@ -8,7 +8,8 @@ family is EXCEEDS (a converged oracle value disagrees by more than
 `verify` exits 1 if any check is FAIL; otherwise 3 if any grid point
 failed to evaluate (an `evaluation error` line on stderr); otherwise 0.
 `verify` prints one summary line per selected theorem to stderr: its checks
-by verdict, its points not evaluated and, if it has rows, its least slack.
+by verdict, its points not evaluated and, if it has rows, its least slack
+`at` that row's input columns that are not empty.
 `eval` refuses --p (exit 2) for a function that takes no p.  Only `eval`
 takes --rel-tol: it sets an oracle function's tolerance, while closed
 forms, accurate to one fixed 2^-56 Hurwitz truncation, refuse a value
@@ -22,6 +23,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import time
 
@@ -35,10 +37,11 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-CSV_COLUMNS = (
-    "theorem_id", "x", "k", "p_param", "m", "n", "l",
-    "holder_p", "holder_q", "lhs", "rhs", "slack", "margin", "verdict",
-)
+#: The report's columns: the fields of a check record, in order.
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(harness.InequalityCheck))
+
+# a check record's column values, as a tuple in column order
+_row = operator.attrgetter(*CSV_COLUMNS)
 
 
 class UsageError(Exception):
@@ -229,18 +232,6 @@ def _grid_from_args(args) -> harness.GridSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _check_row(check: harness.InequalityCheck) -> dict:
-    return {
-        "theorem_id": check.theorem_id,
-        **{col: check.inputs.get(col) for col in CSV_COLUMNS[1:9]},
-        "lhs": check.lhs,
-        "rhs": check.rhs,
-        "slack": check.slack,
-        "margin": check.numerical_margin,
-        "verdict": check.verdict,
-    }
-
-
 def _run_metadata(args, grid: harness.GridSpec) -> dict:
     return {
         "artifact_version": __version__,
@@ -272,12 +263,7 @@ def _render_csv(checks, metadata) -> str:
     lines = [f"# kgamma verify {metadata['artifact_version']} "
              f"generated {metadata['timestamp']}", ",".join(CSV_COLUMNS)]
     for check in checks:
-        lines.append(",".join([
-            check.theorem_id,
-            *[field(check.inputs.get(col)) for col in CSV_COLUMNS[1:9]],
-            field(check.lhs), field(check.rhs), field(check.slack),
-            field(check.numerical_margin), check.verdict,
-        ]))
+        lines.append(",".join(map(field, _row(check))))
     lines.append("")
     return "\n".join(lines)
 
@@ -286,7 +272,7 @@ def _render_json(checks, metadata) -> str:
     # a single array: one run-metadata header object, then one object per record
     payload = [{"run_metadata": metadata}]
     for check in checks:
-        payload.append(_check_row(check))
+        payload.append(dict(zip(CSV_COLUMNS, _row(check))))
     return json.dumps(payload, indent=2) + "\n"
 
 

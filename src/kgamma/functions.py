@@ -119,6 +119,16 @@ def _exp_or_overflow(log_value: float, what: str, *what_args) -> float:
     return math.exp(log_value)
 
 
+def _finite_or_overflow(value: float, what: str, *what_args) -> float:
+    # a scale that overflowed is inf, and inf times a zeta value that
+    # underflowed to 0 is NaN: both are overflow, never a silent result
+    if not math.isfinite(value):
+        raise ComputationOverflowError(
+            f"{what.format(*what_args)} overflows double precision"
+        )
+    return value
+
+
 def _check_policy(policy: AccuracyPolicy) -> None:
     """Refuse a tolerance finer than the kernels' fixed 2^-56 contract."""
     if policy.rel_tol < kernels.HURWITZ_REL_TOL:
@@ -211,8 +221,12 @@ def k_polygamma(
         )
     _check_policy(policy)
     sign = 1.0 if m % 2 == 1 else -1.0
-    scale = math.factorial(m) * pt.k ** (-(m + 1.0))
-    return sign * scale * _kernels(cache).hurwitz_zeta(m + 1.0, pt.x / pt.k)
+    try:
+        scale = math.factorial(m) * pt.k ** (-(m + 1.0))
+    except OverflowError:  # k^-(m+1) beyond the double range
+        scale = math.inf
+    value = sign * scale * _kernels(cache).hurwitz_zeta(m + 1.0, pt.x / pt.k)
+    return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, pt.x, pt.k)
 
 
 def k_polygamma_magnitude_fractional(
@@ -232,7 +246,8 @@ def k_polygamma_magnitude_fractional(
     _check_policy(policy)
     log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(pt.k)
     scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, pt.k)
-    return scale * _kernels(cache).hurwitz_zeta(s + 1.0, pt.x / pt.k)
+    value = scale * _kernels(cache).hurwitz_zeta(s + 1.0, pt.x / pt.k)
+    return _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, pt.x, pt.k)
 
 
 def k_zeta(

@@ -17,6 +17,10 @@ Theorem ids:
 The point picks the family: a check runs the p-k variant (T3, T4PK, T6)
 exactly when it is given p, as `p_param` or as `EvalPoint.p`.
 
+Each check returns one `InequalityCheck`, which is also one report row:
+its fields are the CSV columns in order, with None for an input the
+theorem does not take.
+
 `THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
 points and the check that evaluates one.  Each check takes an optional
 `kernels.KernelCache`; `scan_grid` gives one to every check of a sweep.
@@ -25,7 +29,7 @@ points and the check that evaluates one.  Each check takes an optional
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -82,31 +86,50 @@ class HolderPair:
         return cls(p, p / (p - 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InequalityCheck:
-    """One verification record: both sides, oriented slack, verdict."""
+    """One verification record, which is also one report row: its fields,
+    in order, are the CSV columns and the JSON keys.  An input the theorem
+    does not take is None.  Not frozen, since a frozen record costs several
+    times as much to build; nothing mutates one."""
 
     theorem_id: str
-    inputs: dict
+    x: float | None
+    k: float
+    p_param: float | None
+    m: int | None
+    n: int | None
+    l: int | None
+    holder_p: float | None
+    holder_q: float | None
     lhs: float
     rhs: float
     slack: float
-    numerical_margin: float
+    margin: float
     verdict: str  # PASS | FAIL | DIRECTION_NEGATIVE
 
 
+def _inputs_of(check: InequalityCheck) -> dict:
+    """The input columns of `check`, x through holder_q, that are not None."""
+    return {f.name: value for f in fields(check)[1:9]
+            if (value := getattr(check, f.name)) is not None}
+
+
 def _record(
-    theorem_id: str, inputs: dict, lhs: float, rhs: float, margin: float,
-    slack_tol: float, slack: float | None = None,
+    theorem_id: str, lhs: float, rhs: float, margin: float, slack_tol: float,
+    slack: float | None = None, *, k: float, x=None, p_param=None, m=None, n=None,
+    l=None, holder_p=None, holder_q=None,
 ) -> InequalityCheck:
-    """One check's record and verdict; the slack is lhs - rhs unless given."""
+    """One check's record and verdict; the slack is lhs - rhs unless given,
+    and an input left out is None."""
     slack = lhs - rhs if slack is None else slack
     verdict = "PASS"
     if not slack >= -(margin + slack_tol):  # a NaN slack is a FAIL
         # T7's printed direction is self-contradictory in the source material;
         # a violated parity prediction is a direction finding, not a hard FAIL.
         verdict = "DIRECTION_NEGATIVE" if theorem_id == "T7" else "FAIL"
-    return InequalityCheck(theorem_id, inputs, lhs, rhs, slack, margin, verdict)
+    return InequalityCheck(theorem_id, x, k, p_param, m, n, l, holder_p, holder_q,
+                           lhs, rhs, slack, margin, verdict)
 
 
 def check_holder_polygamma(
@@ -132,11 +155,8 @@ def check_holder_polygamma(
     rhs = fn.k_polygamma_magnitude_fractional(s, pt, cache=cache)
     # d(a^(1/p))/a = (1/p) a^(1/p - 1): relative errors divide by p, q
     margin = abs(lhs) * (_FUNC_REL / hp.p + _FUNC_REL / hp.q) + abs(rhs) * _FUNC_REL
-    return _record(
-        "T1",
-        {"x": pt.x, "k": pt.k, "m": m, "n": n, "holder_p": hp.p, "holder_q": hp.q},
-        lhs, rhs, margin, slack_tol,
-    )
+    return _record("T1", lhs, rhs, margin, slack_tol, x=pt.x, k=pt.k, m=m, n=n,
+                   holder_p=hp.p, holder_q=hp.q)
 
 
 def check_holder_zeta(
@@ -176,12 +196,8 @@ def check_holder_zeta(
     rhs = gamma_ratio * zeta(s + 1.0)
     # lhs carries two damped factors, rhs four factors
     margin = abs(lhs) * _FUNC_REL + 4.0 * abs(rhs) * _FUNC_REL
-    return _record(
-        theorem_id,
-        {"k": k, "p_param": p_param, "m": m, "n": n,
-         "holder_p": hp.p, "holder_q": hp.q},
-        lhs, rhs, margin, slack_tol,
-    )
+    return _record(theorem_id, lhs, rhs, margin, slack_tol,
+                   k=k, p_param=p_param, m=m, n=n, holder_p=hp.p, holder_q=hp.q)
 
 
 def check_turan_gamma_deriv(
@@ -214,11 +230,8 @@ def check_turan_gamma_deriv(
     margin = abs(lhs) * (_deriv_rel(n - 1) + _deriv_rel(n + 1)) + abs(rhs) * (
         2.0 * _deriv_rel(n)
     )
-    return _record(
-        "T4K" if pt.p is None else "T4PK",
-        {"x": pt.x, "k": pt.k, "p_param": pt.p, "n": n},
-        lhs, rhs, margin, slack_tol,
-    )
+    return _record("T4K" if pt.p is None else "T4PK", lhs, rhs, margin, slack_tol,
+                   x=pt.x, k=pt.k, p_param=pt.p, n=n)
 
 
 def check_midpoint_gamma_deriv(
@@ -245,11 +258,8 @@ def check_midpoint_gamma_deriv(
     margin = 0.5 * (
         abs(g_lo) * _deriv_rel(n - l) + abs(g_hi) * _deriv_rel(n + l)
     ) + abs(g_mid) * _deriv_rel(n)
-    return _record(
-        "T5" if pt.p is None else "T6",
-        {"x": pt.x, "k": pt.k, "p_param": pt.p, "n": n, "l": l},
-        lhs, rhs, margin, slack_tol,
-    )
+    return _record("T5" if pt.p is None else "T6", lhs, rhs, margin, slack_tol,
+                   x=pt.x, k=pt.k, p_param=pt.p, n=n, l=l)
 
 
 def check_midpoint_polygamma(
@@ -262,8 +272,9 @@ def check_midpoint_polygamma(
 
     d = psi_k^(n) - [psi_k^(n+1) + psi_k^(n-1)] / 2; the predicted
     direction is d >= 0 for odd n, d <= 0 for even n.  n >= 2: n = 1
-    would reference the undefined psi_k^(0).  The raw difference d is kept
-    in the record so reports expose the empirical direction.
+    would reference the undefined psi_k^(0).  The record's slack is d at
+    odd n and -d at even n, so d and its sign, the empirical direction,
+    follow from slack and n exactly.
     """
     if not 2 <= n <= 11:
         raise DomainError("polygamma midpoint check requires 2 <= n <= 11")
@@ -272,12 +283,8 @@ def check_midpoint_polygamma(
                  + fn.k_polygamma(n - 1, pt, cache=cache))
     d = lhs - rhs
     margin = (abs(lhs) + abs(rhs)) * _FUNC_REL
-    return _record(
-        "T7",
-        {"x": pt.x, "k": pt.k, "n": n,
-         "raw_difference": d, "empirical_direction": "+" if d >= 0.0 else "-"},
-        lhs, rhs, margin, slack_tol, slack=d if n % 2 == 1 else -d,
-    )
+    return _record("T7", lhs, rhs, margin, slack_tol, d if n % 2 == 1 else -d,
+                   x=pt.x, k=pt.k, n=n)
 
 
 # --------------------------------------------------------------------------
@@ -322,8 +329,9 @@ class GridSpec:
 @dataclass
 class ScanSummary:
     """Per selected theorem, its checks by verdict, its points not evaluated
-    and its least slack with the inputs where it occurs; `errors` holds one
-    message per point not evaluated."""
+    and its least slack; `min_slack_at` is a dict of that row's input
+    columns that are not None.  `errors` holds one message per point not
+    evaluated."""
 
     per_theorem: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
@@ -428,6 +436,7 @@ def scan_grid(
             "count": 0, "PASS": 0, "FAIL": 0, "DIRECTION_NEGATIVE": 0,
             "not_evaluated": 0, "min_slack": math.inf, "min_slack_at": None,
         }
+        least = None
         for point in points(spec):
             try:
                 check = evaluate(*point, slack_tol, cache)
@@ -441,5 +450,7 @@ def scan_grid(
             # ties keep the earlier (lexicographically first) grid point
             if check.slack < entry["min_slack"]:
                 entry["min_slack"] = check.slack
-                entry["min_slack_at"] = dict(check.inputs)
+                least = check
+        if least is not None:
+            entry["min_slack_at"] = _inputs_of(least)
     return checks, summary

@@ -78,6 +78,12 @@ HURWITZ_REL_TOL = 2.0**-56
 _B16_ABS = 3617.0 / 510.0
 _LOG_B16_TERM = math.log(_B16_ABS / math.factorial(16))
 
+# From this s on, `_log_k` sums the logs of the rising product.  The lgamma
+# difference loses digits as s grows (1e-14 relative at 1e3), is 0 once
+# s + 15 rounds to s and overflows above about 2.5e305; below 1e3 it is
+# kept, so the sums sized there are unchanged.
+_LOG_K_SUM_S = 1e3
+
 # ln(1/HURWITZ_REL_TOL): `hurwitz_zeta` sizes its remainder bound to it
 _LOG_INV_REL_TOL = -math.log(HURWITZ_REL_TOL)
 
@@ -189,7 +195,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
         for n in range(n_terms - 1, -1, -1):  # small terms first
             head += (n + a) ** (-s)
     except OverflowError:
-        # a^-s beyond the double range (a < 1), or s too large for ln K(s)
+        # a^-s beyond the double range (a < 1), or s ln a beyond it (a > 1)
         raise ComputationOverflowError(
             f"hurwitz_zeta({s}, {a}) overflows double precision"
         ) from None
@@ -231,9 +237,11 @@ def _em_row(s: float) -> tuple:
 
 
 def _log_k(s: float) -> float:
-    # ln K(s) = ln(|B_16|/16!) + ln Gamma(s+15) - ln Gamma(s); finite where
-    # K(s) itself overflows
-    return _LOG_B16_TERM + math.lgamma(s + 15.0) - math.lgamma(s)
+    # ln K(s) = ln(|B_16|/16!) + ln Gamma(s+15) - ln Gamma(s), which is
+    # ln(|B_16|/16!) + sum_(i<15) ln(s+i); finite where K(s) itself overflows
+    if s < _LOG_K_SUM_S:
+        return _LOG_B16_TERM + math.lgamma(s + 15.0) - math.lgamma(s)
+    return _LOG_B16_TERM + sum(math.log(s + i) for i in range(15))
 
 
 def _direct_terms(s: float, a: float) -> int:

@@ -3,6 +3,7 @@ types of every routine."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -31,8 +32,9 @@ ABS_TOL = 1e-300
 class AccuracyPolicy:
     """Tolerance and work budget of the quadrature oracle.
 
-    rel_tol applies to final values; max_subdivisions bounds the panel
-    count of the adaptive quadrature.  The closed forms in `functions` take
+    rel_tol, finite and positive, applies to final values;
+    max_subdivisions, an integer >= 1, bounds the panel count of the
+    adaptive quadrature.  The closed forms in `functions` take
     a policy too but compute to one fixed 2^-56 truncation: they accept any
     rel_tol at or above it and refuse a smaller one.
     """
@@ -41,10 +43,12 @@ class AccuracyPolicy:
     max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0):
-            raise ValueError("rel_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        # an infinite rel_tol would certify any value as converged
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {n!r}")
 
 
 DEFAULT_POLICY = AccuracyPolicy()

@@ -110,9 +110,9 @@ def test_criterion_5_holder_polygamma():
     checks, _ = harness.scan_grid(STANDARD, ("T1",))
     ok = True
     for c in checks:
-        ok = ok and c.slack >= -(c.numerical_margin + 1e-9)
-        if c.inputs["m"] == c.inputs["n"]:
-            ok = ok and abs(c.slack) <= c.numerical_margin + 1e-12
+        ok = ok and c.slack >= -(c.margin + 1e-9)
+        if c.m == c.n:
+            ok = ok and abs(c.slack) <= c.margin + 1e-12
     min_slack = min(c.slack for c in checks)
     assert report(5, ok, f"Hölder polygamma inequality, {len(checks)} points, "
                          f"min slack {min_slack:.3e}")
@@ -122,9 +122,9 @@ def test_criterion_6_holder_zeta():
     checks, _ = harness.scan_grid(STANDARD, ("T2", "T3"))
     ok = bool(checks)
     for c in checks:
-        ok = ok and c.slack >= -(c.numerical_margin + 1e-9)
-        if c.inputs["m"] == c.inputs["n"]:
-            ok = ok and abs(c.slack) <= c.numerical_margin + 1e-12
+        ok = ok and c.slack >= -(c.margin + 1e-9)
+        if c.m == c.n:
+            ok = ok and abs(c.slack) <= c.margin + 1e-12
     # the p-variant at p = k must reproduce the plain variant exactly
     hp = HolderPair(2.0, 2.0)
     for k in (1.0, 2.0):
@@ -164,7 +164,7 @@ def test_criterion_7_turan_gamma_deriv():
                 reference = _mp_turan_slacks(x, k, k if p is None else p)
                 for n, ref in reference.items():
                     c = harness.check_turan_gamma_deriv(n, pt)
-                    bound = c.numerical_margin + 1e-9
+                    bound = c.margin + 1e-9
                     if n % 2 and c.slack < -bound:
                         odd_violations.append((n, x, k, p, c.slack))
                     # a verdict is mathematics only if exact arithmetic
@@ -195,9 +195,9 @@ def test_criterion_8_midpoint_gamma_deriv():
                     for l in (0, 2):
                         c = harness.check_midpoint_gamma_deriv(n, l, pt)
                         count += 1
-                        ok = ok and c.slack >= -(c.numerical_margin + 1e-9)
+                        ok = ok and c.slack >= -(c.margin + 1e-9)
                         if l == 0:
-                            ok = ok and abs(c.slack) <= c.numerical_margin
+                            ok = ok and abs(c.slack) <= c.margin
     assert report(8, ok, f"midpoint inequality for gamma derivatives, "
                          f"{count} points")
 
@@ -208,9 +208,11 @@ def test_criterion_9_midpoint_polygamma():
     ok = bool(checks) and not summary.errors
     flips = 0
     for c in checks:
-        ok = ok and c.slack >= -(c.numerical_margin + 1e-9)
-        predicted = "+" if c.inputs["n"] % 2 == 1 else "-"
-        if c.inputs["empirical_direction"] != predicted:
+        ok = ok and c.slack >= -(c.margin + 1e-9)
+        # the raw difference d is the slack at odd n and -slack at even n
+        d = c.slack if c.n % 2 == 1 else -c.slack
+        predicted = "+" if c.n % 2 == 1 else "-"
+        if ("+" if d >= 0.0 else "-") != predicted:
             flips += 1
     ok = ok and flips == 0
     assert report(9, ok, f"polygamma midpoint directions, {len(checks)} "

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, output formats, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -106,9 +107,11 @@ DEFAULT_GRID_JSON_SHA256 = (
 
 class TestEvalLargeOrder:
     def test_k_zeta_far_above_the_em_coefficient_range(self, capsys):
-        # s = 1e25: K(s) overflows, and zeta(s) is 1.0 in double precision
-        code, out, err = run(["eval", "k_zeta", "--x", "1e25", "--k", "1"], capsys)
-        assert (code, out, err) == (0, "1.0\n", "")
+        # s = 1e25: K(s) overflows, and zeta(s) is 1.0 in double precision;
+        # so it is at s = 1e308, where lgamma(s + 15) overflows
+        for x in ("1e25", "1e308"):
+            code, out, err = run(["eval", "k_zeta", "--x", x, "--k", "1"], capsys)
+            assert (code, out, err) == (0, "1.0\n", "")
 
 
 class TestVerify:
@@ -278,7 +281,10 @@ class TestRelTol:
 
 
 def _check(theorem_id, inputs, lhs, rhs, slack, margin, verdict="PASS"):
-    return harness.InequalityCheck(theorem_id, inputs, lhs, rhs, slack, margin, verdict)
+    # an input left out of `inputs` is None, as in the harness's records
+    inputs = dict.fromkeys(cli.CSV_COLUMNS[1:9]) | inputs
+    return harness.InequalityCheck(theorem_id, **inputs, lhs=lhs, rhs=rhs,
+                                   slack=slack, margin=margin, verdict=verdict)
 
 
 #: Records whose fields are equal as dict keys but print differently: 2 (an
@@ -286,14 +292,13 @@ def _check(theorem_id, inputs, lhs, rhs, slack, margin, verdict="PASS"):
 TRICKY_CHECKS = [
     _check("T1", {"x": 2.0, "k": 2.0, "m": 2, "n": 1, "holder_p": 2.0,
                   "holder_q": 2.0}, 2.0, 2, 0.0, -0.0),
-    _check("T2", {"k": 1.0, "p_param": None, "m": 1, "n": 1, "holder_p": 1.5,
-                  "holder_q": 3.0}, -0.0, 0.0, 1e-300, 5e-324),
+    _check("T2", {"k": 1.0, "m": 1, "n": 1, "holder_p": 1.5, "holder_q": 3.0},
+           -0.0, 0.0, 1e-300, 5e-324),
     _check("T4PK", {"x": 0.1, "k": 1.0, "p_param": 2.0, "n": 2}, math.nan,
            math.inf, -math.inf, math.nan, "FAIL"),
-    _check("T5", {"x": 1, "k": 1.0, "p_param": None, "n": 2, "l": 0},
+    _check("T5", {"x": 1, "k": 1.0, "n": 2, "l": 0},
            0.1 + 0.2, 0.3, (0.1 + 0.2) - 0.3, 1.0, "PASS"),
-    _check("T7", {"x": 1.0, "k": 2.0, "n": 3, "raw_difference": -0.0,
-                  "empirical_direction": "-"}, 1.0, 1, -0.0, 0.0,
+    _check("T7", {"x": 1.0, "k": 2.0, "n": 3}, 1.0, 1, -0.0, 0.0,
            "DIRECTION_NEGATIVE"),
     _check("T1", {"x": 2.0, "k": 2, "m": 2, "n": 2, "holder_p": 2.0,
                   "holder_q": 2.0}, math.inf, -math.inf, 2.0, 2),
@@ -309,8 +314,12 @@ def _csv_writer_report(checks, metadata):
               f"generated {metadata['timestamp']}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.CSV_COLUMNS)
-    writer.writerows(cli._check_row(check).values() for check in checks)
+    writer.writerows(dataclasses.astuple(check) for check in checks)
     return buf.getvalue()
+
+
+def _printed_fields(check):
+    return {col: cli._fmt(getattr(check, col)) for col in cli.CSV_COLUMNS}
 
 
 class TestCsvRenderer:
@@ -327,10 +336,7 @@ class TestCsvRenderer:
         text = cli._render_csv(TRICKY_CHECKS, METADATA)
         rows = list(csv.DictReader(
             line for line in text.splitlines() if not line.startswith("#")))
-        assert rows == [
-            {col: cli._fmt(value) for col, value in cli._check_row(check).items()}
-            for check in TRICKY_CHECKS
-        ]
+        assert rows == [_printed_fields(check) for check in TRICKY_CHECKS]
         assert rows[0]["m"] == "2" and rows[0]["holder_p"] == "2.0"
         assert rows[0]["slack"] == "0.0" and rows[0]["margin"] == "-0.0"
 
@@ -349,6 +355,36 @@ class TestCsvRenderer:
         monkeypatch.undo()
         assert text == _csv_writer_report(checks, METADATA)
         assert calls and max(calls.values()) == 1
+
+
+
+class TestRecordIsTheRow:
+    """A check record's fields are the report's columns, in order."""
+
+    def test_columns_are_the_record_fields(self):
+        assert cli.CSV_COLUMNS == (
+            "theorem_id", "x", "k", "p_param", "m", "n", "l",
+            "holder_p", "holder_q", "lhs", "rhs", "slack", "margin", "verdict",
+        )
+        assert cli.CSV_COLUMNS == tuple(
+            f.name for f in dataclasses.fields(harness.InequalityCheck))
+
+    def test_default_grid_rows_and_objects_are_the_fields(self):
+        checks, _ = harness.scan_grid(harness.GridSpec(), harness.THEOREM_IDS)
+        assert {c.theorem_id for c in checks} == set(harness.THEOREM_IDS)
+        text = cli._render_csv(checks, METADATA)
+        rows = list(csv.DictReader(
+            line for line in text.splitlines() if not line.startswith("#")))
+        objects = json.loads(cli._render_json(checks, METADATA))
+        assert objects[0] == {"run_metadata": METADATA}
+        assert len(rows) == len(objects) - 1 == len(checks)
+        for check, row, obj in zip(checks, rows, objects[1:]):
+            assert row == _printed_fields(check)
+            # JSON round-trips floats exactly and keeps ints and None
+            assert list(obj.items()) == [
+                (col, getattr(check, col)) for col in cli.CSV_COLUMNS]
+            assert all(type(obj[col]) is type(getattr(check, col))
+                       for col in cli.CSV_COLUMNS)
 
 
 class TestVerdictTolerances:
@@ -616,6 +652,48 @@ class TestGridParsing:
             cli.parse_grid_axis("1:2")
         with pytest.raises(cli.UsageError):
             cli.parse_grid_axis("")
+
+    def test_count_one_is_the_lower_end(self, capsys):
+        assert cli.parse_grid_axis("1:5:1") == (1.0,)
+        code, out, _ = run(["verify", "--theorems", "T7", "--x", "1:5:1",
+                            "--k", "1", "--n", "2"], capsys)
+        assert code == 0
+        assert out.splitlines()[2].startswith("T7,1.0,1.0,")
+        assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0:5:3:log", "log spacing requires positive endpoints"),
+        ("5:1:3", "bad range spec '5:1:3'"),
+    ])
+    def test_bad_range_is_usage_error(self, capsys, spec, message):
+        code, out, err = run(["verify", "--theorems", "T7", "--x", spec,
+                              "--k", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {message}\n"
+
+
+class TestOverflowIsAnEvaluationError:
+    """Closed forms beyond the double range raise typed errors (exit 3)
+    instead of returning infinities that a report would print."""
+
+    @pytest.mark.parametrize("argv, order", [
+        (["--theorems", "T1", "--x", "1e-26", "--k", "1e-23", "--m", "11",
+          "--n", "11", "--holder-p", "2"], 11),
+        (["--theorems", "T7", "--x", "5e-24", "--k", "1e-23", "--n", "11"], 12),
+    ])
+    def test_verify(self, capsys, argv, order):
+        code, out, err = run(["verify"] + argv, capsys)
+        assert code == 3
+        assert len(out.splitlines()) == 2  # the header lines only
+        assert "inf" not in err and "min slack" not in err
+        assert f"evaluation error: {argv[1]}: psi_k^({order})(" in err
+
+    def test_eval_k_polygamma(self, capsys):
+        code, out, err = run(["eval", "k_polygamma", "--m", "12", "--x", "5e-24",
+                              "--k", "1e-23"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("overflow: psi_k^(12)(5e-24; k=1e-23) overflows "
+                       "double precision\n")
 
 
 #: Runs `verify --default-grid` and one `crosscheck` with numpy, scipy and

@@ -1,6 +1,7 @@
 """Tests of the generalized k- and p-k-family closed forms."""
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -150,6 +151,28 @@ class TestKPolygamma:
         mags = [abs(fn.k_polygamma(m, EvalPoint(x, k))) for x in xs]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
+    @pytest.mark.parametrize("m, x, k", [
+        (12, 5e-24, 1e-23),  # finite scale, the product is -inf
+        (11, 1e-26, 1e-23),  # finite scale, the product is +inf
+        (12, 1.0, 1e-30),  # k^-13 overflows, and zeta_H(13, 1e30) underflows
+    ])
+    def test_overflow_is_typed(self, m, x, k):
+        with pytest.raises(ComputationOverflowError,
+                           match=re.escape(f"psi_k^({m})({x}; k={k}) overflows")):
+            fn.k_polygamma(m, EvalPoint(x, k))
+
+    @pytest.mark.parametrize("m, x, k", [
+        (12, 6e-23, 1e-23),  # -4.3e297
+        (11, 1e-25, 1e-23),  # 4.0e307, near the largest double
+        (1, 1.0, 1.0),
+        (4, 2.5, 0.5),
+    ])
+    def test_finite_values_are_the_plain_product(self, m, x, k):
+        # a finite value is the closed form bit for bit, to the range's edge
+        value = (-1.0) ** (m + 1) * math.factorial(m) * k ** (-(m + 1.0)) * (
+            kernels.hurwitz_zeta(m + 1.0, x / k))
+        assert fn.k_polygamma(m, EvalPoint(x, k)) == value
+
     def test_order_bounds(self):
         with pytest.raises(DomainError):
             fn.k_polygamma(0, EvalPoint(1.0, 1.0))
@@ -184,6 +207,12 @@ class TestFractionalMagnitude:
     def test_domain(self):
         with pytest.raises(DomainError):
             fn.k_polygamma_magnitude_fractional(0.5, EvalPoint(1.0, 1.0))
+
+    @pytest.mark.parametrize("s", [11.0, 11.5])
+    def test_overflow_is_typed(self, s):
+        # the scale Gamma(s+1) k^-(s+1) is finite, its product with zeta_H is not
+        with pytest.raises(ComputationOverflowError, match=re.escape(f"|psi_k^({s})")):
+            fn.k_polygamma_magnitude_fractional(s, EvalPoint(1e-26, 1e-23))
 
 
 class TestZetas:

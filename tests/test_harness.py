@@ -29,7 +29,7 @@ class TestHolderPolygamma:
         for p_exp in (2.0, 3.0, 1.5):
             hp = HolderPair.conjugate(p_exp)
             check = harness.check_holder_polygamma(2, 2, hp, EvalPoint(1.5, 2.0))
-            assert abs(check.slack) <= check.numerical_margin + 1e-12
+            assert abs(check.slack) <= check.margin + 1e-12
             assert check.verdict == "PASS"
 
     def test_classical_example(self):
@@ -62,7 +62,7 @@ class TestHolderZeta:
     def test_equality_case(self):
         hp = HolderPair(2.0, 2.0)
         check = harness.check_holder_zeta(3, 3, hp, 1.0)
-        assert abs(check.slack) <= check.numerical_margin + 1e-12
+        assert abs(check.slack) <= check.margin + 1e-12
 
     def test_classical_example(self):
         # lhs = sqrt(zeta(2) zeta(4)); rhs = Gamma(3)/sqrt(Gamma(2)Gamma(4)) zeta(3)
@@ -102,7 +102,7 @@ class TestHolderZeta:
         # so p^(y) and 1/k cancel in T3's gamma ratio, k^(y - 1) in T2's,
         # and pzeta_k = zeta_k: every T3 row is its T2 twin up to roundoff
         checks, summary = harness.scan_grid(GridSpec(ks=ks), ("T2", "T3"))
-        key = lambda c: tuple(c.inputs[f] for f in ("k", "m", "n", "holder_p"))
+        key = lambda c: (c.k, c.m, c.n, c.holder_p)
         t2 = {key(c): c for c in checks if c.theorem_id == "T2"}
         t3 = [c for c in checks if c.theorem_id == "T3"]
         assert len(t3) + len(summary.errors) == len(GridSpec().p_params) * len(t2)
@@ -112,7 +112,7 @@ class TestHolderZeta:
         for check in t3:
             twin = t2[key(check)]
             assert check.verdict == twin.verdict
-            assert abs(check.slack - twin.slack) <= 1e-3 * check.numerical_margin
+            assert abs(check.slack - twin.slack) <= 1e-3 * check.margin
 
 
 class TestTuranGammaDeriv:
@@ -153,7 +153,7 @@ class TestTuranGammaDeriv:
         # p = 2, whose slack is not Gamma_k's -0.77 at k = 1
         check = harness.check_turan_gamma_deriv(2, EvalPoint(1, 1, 2))
         assert check == harness.InequalityCheck(
-            "T4PK", {"x": 1, "k": 1, "p_param": 2, "n": 2},
+            "T4PK", 1, 1, 2, None, 2, None, None, None,
             -0.848830420198061, 11.000819725633423, -11.849650145831484,
             7.109790087498891e-10, "FAIL",
         )
@@ -206,26 +206,32 @@ class TestMidpointGammaDeriv:
             harness.check_midpoint_gamma_deriv(6, 4, EvalPoint(1.0, 1.0))
 
 
+def _raw_difference(check):
+    """T7's d = psi_k^(n) - [psi_k^(n+1) + psi_k^(n-1)] / 2: the record's
+    slack is d at odd n and -d at even n."""
+    return check.slack if check.n % 2 else -check.slack
+
+
 class TestMidpointPolygamma:
     def test_odd_order_positive(self):
         # d = psi'''(1) - [psi''''(1) + psi''(1)]/2 > 0
         check = harness.check_midpoint_polygamma(3, EvalPoint(1.0, 1.0))
         assert check.verdict == "PASS"
-        assert check.inputs["empirical_direction"] == "+"
         d_expect = (math.pi**4 / 15.0) - 0.5 * (
             -24.0 * 1.0369277551433699 + (-2.0 * ZETA3)
         )
-        assert check.inputs["raw_difference"] == pytest.approx(d_expect, rel=1e-10)
+        assert _raw_difference(check) == pytest.approx(d_expect, rel=1e-10)
+        assert _raw_difference(check) == check.lhs - check.rhs
 
     def test_even_order_negative(self):
         check = harness.check_midpoint_polygamma(2, EvalPoint(1.0, 1.0))
         assert check.verdict == "PASS"
-        assert check.inputs["empirical_direction"] == "-"
-        assert check.inputs["raw_difference"] < 0
+        assert _raw_difference(check) < 0
+        assert _raw_difference(check) == check.lhs - check.rhs
 
     def test_generalized_point(self):
         check = harness.check_midpoint_polygamma(2, EvalPoint(2.0, 2.0))
-        assert check.inputs["raw_difference"] < 0
+        assert _raw_difference(check) < 0
         assert check.verdict == "PASS"
 
     def test_order_bounds(self):
@@ -248,7 +254,7 @@ class TestScanGrid:
         entry = summary.per_theorem["T4K"]
         # odd orders hold; the even-order points at k <= 1 genuinely reverse
         assert entry["PASS"] == sum(1 for c in checks if c.slack >= 0)
-        assert all(c.slack > 0 for c in checks if c.inputs["n"] == 1)
+        assert all(c.slack > 0 for c in checks if c.n == 1)
 
     def test_t7_all_pass_with_parity_direction(self):
         spec = GridSpec(xs=(1.0, 5.0), ks=(1.0, 3.0), ns=(2, 3, 4, 5))
@@ -279,32 +285,28 @@ class TestScanGrid:
                         holder_ps=(2.0,))
         checks, _ = harness.scan_grid(spec, ("T1",))
         # p = q = 2 keeps only m + n even
-        assert {(c.inputs["m"], c.inputs["n"]) for c in checks} == {
+        assert {(c.m, c.n) for c in checks} == {
             (1, 1), (2, 2)
         }
 
 
 def _direct_check(check, slack_tol=harness.DEFAULT_SLACK_TOL):
     """The uncached check_* call that produces `check`, rebuilt from its inputs."""
-    inp, tid = check.inputs, check.theorem_id
+    c, tid = check, check.theorem_id
     if tid in ("T1", "T2", "T3"):
-        hp = HolderPair(inp["holder_p"], inp["holder_q"])
+        hp = HolderPair(c.holder_p, c.holder_q)
         if tid == "T1":
             return harness.check_holder_polygamma(
-                inp["m"], inp["n"], hp, EvalPoint(inp["x"], inp["k"]), slack_tol
+                c.m, c.n, hp, EvalPoint(c.x, c.k), slack_tol
             )
-        return harness.check_holder_zeta(
-            inp["m"], inp["n"], hp, inp["k"], inp["p_param"], slack_tol
-        )
+        return harness.check_holder_zeta(c.m, c.n, hp, c.k, c.p_param, slack_tol)
     if tid == "T7":
-        return harness.check_midpoint_polygamma(
-            inp["n"], EvalPoint(inp["x"], inp["k"]), slack_tol
-        )
+        return harness.check_midpoint_polygamma(c.n, EvalPoint(c.x, c.k), slack_tol)
     # p_param is None in T4K and T5 records: the point picks the family
-    pt = EvalPoint(inp["x"], inp["k"], inp["p_param"])
+    pt = EvalPoint(c.x, c.k, c.p_param)
     if tid in ("T4K", "T4PK"):
-        return harness.check_turan_gamma_deriv(inp["n"], pt, slack_tol)
-    return harness.check_midpoint_gamma_deriv(inp["n"], inp["l"], pt, slack_tol)
+        return harness.check_turan_gamma_deriv(c.n, pt, slack_tol)
+    return harness.check_midpoint_gamma_deriv(c.n, c.l, pt, slack_tol)
 
 
 def _uncached_scan(spec):

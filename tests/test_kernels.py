@@ -195,17 +195,32 @@ class TestHurwitzZeta:
                 worst = max(worst, float(err))
         assert worst <= 1e-15
 
-    @pytest.mark.parametrize("s", [1e3, 1e10, 1e20, 1e25, 1e300])
-    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("s", [1e3, 1e6, 1e10, 1e15, 1e20, 1e25, 1e100, 1e300,
+                                   1e308])
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1.5, 1e3])
     def test_large_s_is_the_nearest_double_or_overflows(self, s, a):
-        # above s ~ 3e20 K(s) overflows; the sum must still not meet inf * 0
-        ref = float(mp.zeta(mp.mpf(s), mp.mpf(a)))
-        if ref == math.inf:
+        # above s ~ 3e20 K(s) overflows; the sum must still not meet inf * 0.
+        # ln K(s) sizes the sum up to the largest double (it was 0 above
+        # 2^53 and overflowed near 2.5e305), but s ln a itself overflows at
+        # s = 1e308, a = 1e3
+        with mp.workdps(50):
+            ref = float(mp.zeta(mp.mpf(s), mp.mpf(a)))
+        if ref == math.inf or s * math.log(a) == math.inf:
             name = re.escape(f"hurwitz_zeta({s}, {a})")
             with pytest.raises(ComputationOverflowError, match=name):
                 kernels.hurwitz_zeta(s, a)
         else:
             assert kernels.hurwitz_zeta(s, a) == ref
+
+    @pytest.mark.parametrize("s", [2.5, 500.0, math.nextafter(1e3, 0.0), 1e3,
+                                   1e15, 1e16, 1e18, 1e308])
+    def test_log_k_at_any_s(self, s):
+        # ln K(s) = ln(|B_16|/16! s(s+1)...(s+14)), in 50 digits, on both
+        # sides of the switch from the lgamma difference to the log sum
+        with mp.workdps(50):
+            rising = mp.fprod(mp.mpf(s) + i for i in range(15))
+            ref = mp.log(mp.mpf(3617) / 510 / mp.factorial(16) * rising)
+            assert abs(kernels._log_k(s) - ref) <= 1e-13 * abs(ref)
 
     def test_overflowing_power_is_typed(self):
         # 0.5^-2000 = 2^2000 is beyond the double range

@@ -180,6 +180,21 @@ class TestOracleContracts:
             fine = oracle.integrate_k_gamma(pt, ORACLE_POLICY)
             assert abs(coarse.value - fine.value) <= 1e-8 * abs(fine.value)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": math.inf}, {"rel_tol": math.nan}, {"rel_tol": 0.0},
+        {"rel_tol": -1e-10}, {"max_subdivisions": 0}, {"max_subdivisions": 10.5},
+        {"max_subdivisions": math.inf}, {"max_subdivisions": True},
+    ])
+    def test_policy_refuses_a_meaningless_setting(self, kwargs):
+        # rel_tol = inf once certified integrate_k_gamma at x = 0.05 as
+        # 0.7497, converged, against Gamma(0.05) = 19.47
+        with pytest.raises(ValueError):
+            AccuracyPolicy(**kwargs)
+
+    def test_policy_accepts_the_benchmark_settings(self):
+        assert AccuracyPolicy() == AccuracyPolicy(1e-12, 4000)
+        assert AccuracyPolicy(rel_tol=1e-10, max_subdivisions=4000) == ORACLE_POLICY
+
     def test_result_invariant(self):
         res = oracle.integrate_k_polygamma(3, EvalPoint(2.0, 3.0))
         if res.converged:
