@@ -328,8 +328,11 @@ def cmd_verify(args) -> int:
 # crosscheck
 
 
+_DERIV_ORDERS = range(5)  # compared by `crosscheck` unless --n is given
+
+
 def crosscheck_families(
-    grid: harness.GridSpec, oracle_policy, deriv_orders=range(5),
+    grid: harness.GridSpec, oracle_policy, deriv_orders=_DERIV_ORDERS,
     uncertified: dict | None = None,
 ) -> dict:
     """Max relative discrepancy, closed form vs defining integral, per family.
@@ -338,12 +341,14 @@ def crosscheck_families(
     discrepancies at the others certify nothing; their maxima per family go
     to `uncertified` when it is given.
 
-    Derivatives of Gamma_k and pGamma_k are compared at `deriv_orders`.  An
-    even order D^(n) is positive and is the scale of its own discrepancy;
-    an odd order crosses zero, so its scale is the Cauchy-Schwarz bound
-    sqrt(D^(n-1) D^(n+1)) on |D^(n)|.  The closed-form orders 0 up to the
-    even order at or above the largest requested one are computed once
-    per point, and order 0 shares the value family's integral.
+    The point picks the family, as in `functions`: each (x, k) and each Bose
+    integral is checked without p, the k family, then at each p of the grid.
+    Derivatives are compared at `deriv_orders`.  An even order D^(n) is
+    positive and is the scale of its own discrepancy; an odd order crosses
+    zero, so its scale is the Cauchy-Schwarz bound sqrt(D^(n-1) D^(n+1)) on
+    |D^(n)|.  The closed-form orders 0 up to the even order at or above the
+    largest requested one are computed once per point, and order 0 shares
+    the value family's integral.
     """
     worst: dict[str, float] = {}
     uncertified = {} if uncertified is None else uncertified
@@ -357,47 +362,41 @@ def crosscheck_families(
         table = worst if quad.converged else uncertified
         table[family] = max(table.get(family, 0.0), rel)
 
-    def note_derivs(family: str, pt: fn.EvalPoint,
-                    quad_value: oracle.QuadratureResult) -> None:
-        # quad_value is the value family's integral, which is also D^(0)'s
-        deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-        closed = [deriv(j, pt) for j in range(top + 1)]
-        for n in deriv_orders:
-            scale = None
-            if n % 2:
-                scale = math.sqrt(abs(closed[n - 1])) * math.sqrt(abs(closed[n + 1]))
-            quad = quad_value if n == 0 else oracle.integrate_k_gamma_deriv(
-                n, pt, oracle_policy)
-            note(family, closed[n], quad, scale)
-
     for x in grid.xs:
         for k in grid.ks:
-            pt = fn.EvalPoint(x, k)
-            value = fn.k_gamma(pt)
-            quad = oracle.integrate_k_gamma(pt, oracle_policy)
-            note("k_gamma", value, quad)
-            for m in grid.ms:
-                note("k_polygamma", abs(fn.k_polygamma(m, pt)),
-                     oracle.integrate_k_polygamma(m, pt, oracle_policy))
-            note_derivs("k_gamma_deriv", pt, quad)
-            for p in grid.p_params:
-                ppt = fn.EvalPoint(x, k, p)
-                value = fn.pk_gamma(ppt)
-                quad = oracle.integrate_pk_gamma(ppt, oracle_policy)
-                note("pk_gamma", value, quad)
-                note_derivs("pk_gamma_deriv", ppt, quad)
+            for p in (None, *grid.p_params):
+                pt = fn.EvalPoint(x, k, p)
+                family, gamma, integral, deriv = (
+                    ("k_gamma", fn.k_gamma, oracle.integrate_k_gamma,
+                     fn.k_gamma_deriv) if p is None else
+                    ("pk_gamma", fn.pk_gamma, oracle.integrate_pk_gamma,
+                     fn.pk_gamma_deriv))
+                value = gamma(pt)
+                quad = integral(pt, oracle_policy)
+                note(family, value, quad)
+                if p is None:  # psi_k has no p-k variant
+                    for m in grid.ms:
+                        note("k_polygamma", abs(fn.k_polygamma(m, pt)),
+                             oracle.integrate_k_polygamma(m, pt, oracle_policy))
+                closed = [deriv(j, pt) for j in range(top + 1)]
+                for n in deriv_orders:
+                    scale = None
+                    if n % 2:
+                        scale = (math.sqrt(abs(closed[n - 1]))
+                                 * math.sqrt(abs(closed[n + 1])))
+                    note(family + "_deriv", closed[n], quad if n == 0 else
+                         oracle.integrate_k_gamma_deriv(n, pt, oracle_policy), scale)
 
     for k in grid.ks:
         for m in grid.ms:
             if m - k <= -1.0:
                 continue
-            closed = fn.k_zeta(m + 1.0, k) * fn.k_gamma(fn.EvalPoint(m + 1.0, k))
-            note("bose_k_zeta", closed, oracle.integrate_bose(m, k, k, oracle_policy))
-            for p in grid.p_params:
-                closed_p = (fn.pk_zeta(m + 1.0, k, p)
-                            * fn.pk_gamma(fn.EvalPoint(m + 1.0, k, p)))
-                note("bose_pk_zeta", closed_p,
-                     oracle.integrate_bose(m, k, p, oracle_policy))
+            for p in (None, *grid.p_params):
+                gamma = fn.k_gamma if p is None else fn.pk_gamma
+                # pzeta_k is zeta_k for every p; the kernel scale c is p or k
+                closed = fn.k_zeta(m + 1.0, k) * gamma(fn.EvalPoint(m + 1.0, k, p))
+                note("bose_k_zeta" if p is None else "bose_pk_zeta", closed,
+                     oracle.integrate_bose(m, k, k if p is None else p, oracle_policy))
     return worst
 
 
@@ -407,7 +406,7 @@ def cmd_crosscheck(args) -> int:
             f"--threshold must be finite and positive, got {args.threshold!r}"
         )
     grid = _grid_from_args(args)
-    deriv_orders = range(5)
+    deriv_orders = _DERIV_ORDERS
     if args.n is not None:
         deriv_orders = grid.ns
         if any(n > kernels.GAMMA_DERIV_MAX_ORDER for n in deriv_orders):

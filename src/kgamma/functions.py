@@ -23,9 +23,11 @@ expansion of e^(x ln c / k) Gamma(x/k), whose alternating terms grow like
 The quadrature oracle module evaluates the defining integrals independently
 and is the cross-check for every reduction here.
 
-The point picks the family: the k-family functions (`k_gamma`,
-`k_gamma_deriv`) refuse a point that carries p with `DomainError` naming
-their p-k counterpart, instead of dropping the p.
+The point picks the family: below the public functions one path serves
+both, reading G = Gamma_k at a point without p and G = pGamma_k at a point
+with p, and the caches key on (x, k, p).  The k-family functions
+(`k_gamma`, `k_gamma_deriv`) refuse a point that carries p with
+`DomainError` naming their p-k counterpart, instead of dropping the p.
 
 Every value is accurate to the kernels' one contract, a Hurwitz remainder
 of at most 2^-56 of the value (`kernels.HURWITZ_REL_TOL`).  Each function
@@ -143,41 +145,37 @@ def _kernels(cache: kernels.KernelCache | None):
     return kernels if cache is None else cache
 
 
-def _log_k_gamma(pt: EvalPoint) -> float:
+def _log_gamma(pt: EvalPoint) -> float:
+    # ln G(x): ln Gamma_k at a point without p, ln pGamma_k at one with p.
+    # Each family keeps its own rounding of the prefactor, (y - 1) ln k and
+    # y ln p - ln k; one y ln c - ln k would move the last bit of ln Gamma_k
     y = pt.x / pt.k
+    k, p = pt.k, pt.p
     if y < _STIRLING_Y:
-        return (y - 1.0) * math.log(pt.k) + kernels.log_gamma(y)
-    # (y - 1) ln k + (y - 1/2) ln y = (y - 1) ln(k y) + (ln y)/2 with k y ~ x:
-    # the two O(y ln y) terms cancel before they are rounded
-    return ((y - 1.0) * math.log(pt.k * y) + 0.5 * math.log(y) - y
-            + kernels.stirling_series(y))
+        log_scale = ((y - 1.0) * math.log(k) if p is None
+                     else y * math.log(p) - math.log(k))
+        return log_scale + kernels.log_gamma(y)
+    # (y - 1) ln k + (y - 1/2) ln y = (y - 1) ln(k y) + (ln y)/2 with k y ~ x,
+    # and y ln p + (y - 1/2) ln y = y ln(p y) - (ln y)/2: the two O(y ln y)
+    # terms cancel before they are rounded
+    head = ((y - 1.0) * math.log(k * y) + 0.5 * math.log(y) if p is None
+            else y * math.log(p * y) - 0.5 * math.log(y) - math.log(k))
+    return head - y + kernels.stirling_series(y)
 
 
-def _log_pk_gamma(pt: EvalPoint, p: float) -> float:
-    y = pt.x / pt.k
-    if y < _STIRLING_Y:
-        return y * math.log(p) - math.log(pt.k) + kernels.log_gamma(y)
-    # y ln p + (y - 1/2) ln y = y ln(p y) - (ln y)/2
-    return (y * math.log(p * y) - 0.5 * math.log(y) - math.log(pt.k) - y
-            + kernels.stirling_series(y))
+def _gamma_value(pt: EvalPoint) -> float:
+    # G(x); str.format drops the p a Gamma_k message has no field for
+    what = "Gamma_k({}; k={})" if pt.p is None else "pGamma_k({}; k={}, p={})"
+    return _exp_or_overflow(_log_gamma(pt), what, pt.x, pt.k, pt.p)
 
 
-def _gamma_value(pt: EvalPoint, p: float | None) -> float:
-    # G(x): Gamma_k if p is None, else pGamma_k
-    if p is None:
-        return _exp_or_overflow(_log_k_gamma(pt), "Gamma_k({}; k={})", pt.x, pt.k)
-    return _exp_or_overflow(
-        _log_pk_gamma(pt, p), "pGamma_k({}; k={}, p={})", pt.x, pt.k, p
-    )
-
-
-def _gamma(pt: EvalPoint, p: float | None, cache: kernels.KernelCache | None) -> float:
+def _gamma(pt: EvalPoint, cache: kernels.KernelCache | None) -> float:
     if cache is None:
-        return _gamma_value(pt, p)
-    key = (pt.x, pt.k, p)
+        return _gamma_value(pt)
+    key = (pt.x, pt.k, pt.p)
     value = cache.gammas.get(key)
     if value is None:
-        value = cache.gammas[key] = _gamma_value(pt, p)
+        value = cache.gammas[key] = _gamma_value(pt)
     return value
 
 
@@ -189,7 +187,7 @@ def k_gamma(
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k), at a point without p."""
     pt.require_no_p("k_gamma", "pk_gamma")
     _check_policy(policy)
-    return _gamma(pt, None, cache)
+    return _gamma(pt, cache)
 
 
 def pk_gamma(
@@ -199,7 +197,8 @@ def pk_gamma(
 ) -> float:
     """pGamma_k(x) = p^(x/k) / k * Gamma(x/k)."""
     _check_policy(policy)
-    return _gamma(pt, pt.require_p(), cache)
+    pt.require_p()
+    return _gamma(pt, cache)
 
 
 def k_polygamma(
@@ -283,16 +282,12 @@ def pk_zeta(
     return k_zeta(x, k, policy, cache)
 
 
-def _derivatives(
-    n_max: int, pt: EvalPoint, p: float | None, source
-) -> list[float | None]:
-    # [D_0, ..., D_n_max] of G = Gamma_k (p None) or pGamma_k, None where
-    # D_j overflows: D_j = G k^-j B_j, with B_j the Bell polynomials of
-    # `source` at c = k or c = p
-    if p is None:
-        c, log_value = pt.k, _log_k_gamma(pt)
-    else:
-        c, log_value = p, _log_pk_gamma(pt, p)
+def _derivatives(n_max: int, pt: EvalPoint, source) -> list[float | None]:
+    # [D_0, ..., D_n_max] of G, None where D_j overflows: D_j = G k^-j B_j,
+    # with B_j the Bell polynomials of `source` at c = k, or c = p at a
+    # point with p
+    c = pt.k if pt.p is None else pt.p
+    log_value = _log_gamma(pt)
     value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
     derivs = []
     for j, b in enumerate(source.bell_sequence(n_max, pt.x / pt.k, c)):
@@ -301,25 +296,20 @@ def _derivatives(
     return derivs
 
 
-def _derivative(
-    n: int,
-    pt: EvalPoint,
-    p: float | None,
-    cache: kernels.KernelCache | None,
-) -> float:
+def _derivative(n: int, pt: EvalPoint, cache: kernels.KernelCache | None) -> float:
     kernels.check_deriv_order(n)
     if cache is None:
-        d = _derivatives(n, pt, p, kernels)[n]
+        d = _derivatives(n, pt, kernels)[n]
     else:
-        key = (pt.x, pt.k, p)
+        key = (pt.x, pt.k, pt.p)
         derivs = cache.derivatives.get(key)
         if derivs is None:
             derivs = cache.derivatives[key] = _derivatives(
-                kernels.GAMMA_DERIV_MAX_ORDER, pt, p, cache
+                kernels.GAMMA_DERIV_MAX_ORDER, pt, cache
             )
         d = derivs[n]
     if d is None:
-        family = "Gamma_k" if p is None else "pGamma_k"
+        family = "Gamma_k" if pt.p is None else "pGamma_k"
         raise ComputationOverflowError(
             f"{family}^({n}) at {pt} overflows double precision"
         )
@@ -336,7 +326,7 @@ def k_gamma_deriv(
     point without p."""
     pt.require_no_p("k_gamma_deriv", "pk_gamma_deriv")
     _check_policy(policy)
-    return _derivative(n, pt, None, cache)
+    return _derivative(n, pt, cache)
 
 
 def pk_gamma_deriv(
@@ -347,4 +337,5 @@ def pk_gamma_deriv(
 ) -> float:
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
     _check_policy(policy)
-    return _derivative(n, pt, pt.require_p(), cache)
+    pt.require_p()
+    return _derivative(n, pt, cache)

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import KernelCache
+from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, KernelCache
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -148,7 +148,9 @@ def check_holder_polygamma(
     """
     if m < 1 or n < 1:
         raise DomainError("orders m, n must be >= 1")
-    s = m / hp.p + n / hp.q
+    # s >= 1 exactly for m, n >= 1; the sum can round below it (to
+    # 0.9999999999999999 at p = 1.843), outside the fractional order's domain
+    s = max(1.0, m / hp.p + n / hp.q)
     a = abs(fn.k_polygamma(m, pt, cache=cache))
     b = abs(fn.k_polygamma(n, pt, cache=cache))
     lhs = a ** (1.0 / hp.p) * b ** (1.0 / hp.q)
@@ -181,14 +183,10 @@ def check_holder_zeta(
     for arg in (m + 1.0, n + 1.0, s + 1.0):
         if arg / k <= 1.0:
             raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
-    if p_param is None:
-        theorem_id = "T2"
-        zeta = lambda x: fn.k_zeta(x, k, cache=cache)
-        gamma = lambda x: fn.k_gamma(fn.EvalPoint(x, k), cache=cache)
-    else:
-        theorem_id = "T3"
-        zeta = lambda x: fn.pk_zeta(x, k, p_param, cache=cache)
-        gamma = lambda x: fn.pk_gamma(fn.EvalPoint(x, k, p_param), cache=cache)
+    # pzeta_k is zeta_k for every p, and the point checks p
+    gamma_k = fn.k_gamma if p_param is None else fn.pk_gamma
+    zeta = lambda x: fn.k_zeta(x, k, cache=cache)
+    gamma = lambda x: gamma_k(fn.EvalPoint(x, k, p_param), cache=cache)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     gamma_ratio = gamma(s + 1.0) / (
         gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
@@ -196,7 +194,7 @@ def check_holder_zeta(
     rhs = gamma_ratio * zeta(s + 1.0)
     # lhs carries two damped factors, rhs four factors
     margin = abs(lhs) * _FUNC_REL + 4.0 * abs(rhs) * _FUNC_REL
-    return _record(theorem_id, lhs, rhs, margin, slack_tol,
+    return _record("T2" if p_param is None else "T3", lhs, rhs, margin, slack_tol,
                    k=k, p_param=p_param, m=m, n=n, holder_p=hp.p, holder_q=hp.q)
 
 
@@ -214,8 +212,9 @@ def check_turan_gamma_deriv(
     1 <= n <= 7 is accepted so that the reversal can be reported.  A point
     that carries p checks pGamma_k instead (T4PK).
     """
-    if not 1 <= n <= 7:
-        raise DomainError("Turán check requires 1 <= n <= 7")
+    if not 1 <= n < GAMMA_DERIV_MAX_ORDER:  # reads order n + 1
+        raise DomainError(
+            f"Turán check requires 1 <= n <= {GAMMA_DERIV_MAX_ORDER - 1}")
     deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
     g_lo = deriv(n - 1, pt, cache=cache)
     g_mid = deriv(n, pt, cache=cache)
@@ -247,8 +246,9 @@ def check_midpoint_gamma_deriv(
     by monotonicity of exp and would overflow immediately if asserted
     directly.  A point that carries p checks pGamma_k instead (T6).
     """
-    if n % 2 or l % 2 or not (n >= l >= 0) or n + l > 8:
-        raise DomainError("midpoint check requires even n >= l >= 0 with n + l <= 8")
+    if n % 2 or l % 2 or not (n >= l >= 0) or n + l > GAMMA_DERIV_MAX_ORDER:
+        raise DomainError("midpoint check requires even n >= l >= 0 with "
+                          f"n + l <= {GAMMA_DERIV_MAX_ORDER}")
     deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
     g_lo = deriv(n - l, pt, cache=cache)
     g_hi = deriv(n + l, pt, cache=cache)
@@ -276,8 +276,9 @@ def check_midpoint_polygamma(
     odd n and -d at even n, so d and its sign, the empirical direction,
     follow from slack and n exactly.
     """
-    if not 2 <= n <= 11:
-        raise DomainError("polygamma midpoint check requires 2 <= n <= 11")
+    if not 2 <= n < POLYGAMMA_MAX_ORDER:  # reads order n + 1
+        raise DomainError(
+            f"polygamma midpoint check requires 2 <= n <= {POLYGAMMA_MAX_ORDER - 1}")
     lhs = fn.k_polygamma(n, pt, cache=cache)
     rhs = 0.5 * (fn.k_polygamma(n + 1, pt, cache=cache)
                  + fn.k_polygamma(n - 1, pt, cache=cache))
@@ -361,9 +362,8 @@ def _holder_orders(spec: GridSpec, hp: HolderPair) -> Iterator[tuple[int, int, f
 def _holder_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
     for pt in _eval_points(spec):
         for hp in spec.holder_pairs():
-            for m, n, s in _holder_orders(spec, hp):
-                if s >= 1.0:
-                    yield m, n, hp, pt
+            for m, n, _ in _holder_orders(spec, hp):
+                yield m, n, hp, pt
 
 
 def _holder_zeta_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
@@ -376,17 +376,20 @@ def _holder_zeta_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
 
 
 def _turan_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
-    return ((n, pt) for pt in _eval_points(spec, pk) for n in spec.ns if 1 <= n <= 7)
+    return ((n, pt) for pt in _eval_points(spec, pk) for n in spec.ns
+            if 1 <= n < GAMMA_DERIV_MAX_ORDER)
 
 
 def _midpoint_gamma_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
     return ((n, l, pt) for pt in _eval_points(spec, pk)
             for n in spec.ns if n % 2 == 0
-            for l in spec.ls if l % 2 == 0 and l <= n and n + l <= 8)
+            for l in spec.ls
+            if l % 2 == 0 and l <= n and n + l <= GAMMA_DERIV_MAX_ORDER)
 
 
 def _midpoint_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
-    return ((n, pt) for pt in _eval_points(spec) for n in spec.ns if 2 <= n <= 11)
+    return ((n, pt) for pt in _eval_points(spec) for n in spec.ns
+            if 2 <= n < POLYGAMMA_MAX_ORDER)
 
 
 #: The theorem table: (theorem_id, points, evaluate) per theorem, in report

@@ -249,8 +249,12 @@ def _direct_terms(s: float, a: float) -> int:
     log_k = _LOG_K.get(s)
     if log_k is None:
         log_k = _log_k(s)
-    big_m = math.exp((log_k + s * math.log(a) + _LOG_INV_REL_TOL) / (s + 15.0))
-    return max(1, math.ceil(big_m - a))
+    exponent = (log_k + s * math.log(a) + _LOG_INV_REL_TOL) / (s + 15.0)
+    if exponent == math.inf:
+        # s ln a overflowed (s ~ 1e308, a > 1): every term a^-s underflows
+        # to 0, and the remainder check certifies the sum after one
+        return 1
+    return max(1, math.ceil(math.exp(exponent) - a))
 
 
 # The integer exponents of psi^(1..12): their rows and ln K(s), formed once

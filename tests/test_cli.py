@@ -39,6 +39,11 @@ class TestEval:
         assert code == 3
         assert "x" in err
 
+    def test_no_subcommand_is_usage_error(self, capsys):
+        code, out, err = run([], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: kgamma")
+
     def test_unknown_function_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "nope", "--x", "1"])
@@ -630,6 +635,18 @@ class TestGridValues:
             assert "evaluation error" not in err and "0 not evaluated" in err
         assert len(out.splitlines()) == 2 + 3  # (1, 1) at p = 2, 3, 1.5
 
+    def test_rounded_exponent_sum_keeps_its_row(self, capsys):
+        # at p = 1.843, s = 1/p + 1/q rounds to 0.9999999999999999 for
+        # m = n = 1; T1 reports that row as T2 does
+        argv = ["--x", "1", "--k", "0.5", "--m", "1,2", "--n", "1,2",
+                "--holder-p", "1.843"]
+        for theorem_id in ("T1", "T2"):
+            code, out, err = run(["verify", "--theorems", theorem_id] + argv,
+                                 capsys)
+            assert code == 0 and "0 not evaluated" in err
+            rows = out.splitlines()[2:]
+            assert [row.split(",")[4:6] for row in rows] == [["1", "1"], ["2", "2"]]
+
 
 class TestGridParsing:
     def test_comma_list(self):
@@ -664,6 +681,8 @@ class TestGridParsing:
     @pytest.mark.parametrize("spec, message", [
         ("0:5:3:log", "log spacing requires positive endpoints"),
         ("5:1:3", "bad range spec '5:1:3'"),
+        ("a:2:3", "bad range spec 'a:2:3'"),
+        ("1,a", "bad list spec '1,a'"),
     ])
     def test_bad_range_is_usage_error(self, capsys, spec, message):
         code, out, err = run(["verify", "--theorems", "T7", "--x", spec,

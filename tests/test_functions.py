@@ -224,6 +224,11 @@ class TestZetas:
     def test_k_zeta_domain(self):
         with pytest.raises(DomainError):
             fn.k_zeta(2.0, 2.0)
+        for k in (0.0, math.nan):
+            with pytest.raises(DomainError, match="k must be a finite positive"):
+                fn.k_zeta(2.0, k)
+        with pytest.raises(DomainError, match="p must be a finite positive"):
+            fn.pk_zeta(2.0, 1.0, 0.0)
 
     def test_pk_zeta_p_independent(self):
         values = [fn.pk_zeta(4.0, 2.0, p) for p in STANDARD_PS]

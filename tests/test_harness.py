@@ -5,6 +5,7 @@ import math
 import pytest
 
 from kgamma import cli, harness, oracle
+from kgamma import functions as fn
 from kgamma.functions import EvalPoint
 from kgamma.harness import GridSpec, HolderPair
 from kgamma.policy import ComputationOverflowError, DomainError
@@ -51,6 +52,22 @@ class TestHolderPolygamma:
         assert check.slack > 0
         assert check.verdict == "PASS"
 
+    def test_rounded_exponent_sum_is_one(self):
+        # m = n = 1: s = 1/p + 1/q is 1 exactly, but rounds to
+        # 0.9999999999999999 at p = 1.843, below the fractional order's domain
+        hp = HolderPair.conjugate(1.843)
+        assert 1.0 / hp.p + 1.0 / hp.q < 1.0
+        check = harness.check_holder_polygamma(1, 1, hp, EvalPoint(1.0, 0.5))
+        assert check.rhs == fn.k_polygamma_magnitude_fractional(
+            1.0, EvalPoint(1.0, 0.5))
+        assert check.verdict == "PASS"
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0)])
+    def test_domain(self, m, n):
+        with pytest.raises(DomainError, match="orders m, n must be >= 1"):
+            harness.check_holder_polygamma(m, n, HolderPair(2.0, 2.0),
+                                           EvalPoint(1.0, 1.0))
+
     def test_exponent_degeneracy_limit(self):
         # p -> 1+: lhs -> |psi^(m)|, s -> m, slack -> 0
         hp = HolderPair.conjugate(1.0 + 1e-6)
@@ -91,6 +108,9 @@ class TestHolderZeta:
         hp = HolderPair(2.0, 2.0)
         with pytest.raises(DomainError):
             harness.check_holder_zeta(1, 1, hp, 3.0)  # zeta argument 2/3 <= 1
+        for m, n in ((0, 1), (1, 0)):
+            with pytest.raises(DomainError, match="orders m, n must be >= 1"):
+                harness.check_holder_zeta(m, n, hp, 1.0)
 
     @pytest.mark.parametrize("ks, t3_errors", [
         (GridSpec().ks, 0),

@@ -18,6 +18,7 @@ from kgamma.policy import (
     AccuracyPolicy,
     ComputationOverflowError,
     DomainError,
+    UnsupportedOrderError,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -103,6 +104,11 @@ class TestBoseIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             oracle.integrate_bose(1.0, 2.5, 1.0)  # s - k <= -1
+        with pytest.raises(DomainError, match="requires s >= 1"):
+            oracle.integrate_bose(0.5, 1.0, 1.0)
+        for k, c in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(DomainError, match="requires k > 0 and c > 0"):
+                oracle.integrate_bose(1.0, k, c)
 
     def test_underflowed_kernel_near_zero(self):
         # t^k / c underflows to 0 in the panels far below v = 0, where the
@@ -137,6 +143,13 @@ class TestDerivIntegral:
         assert res.value == pytest.approx(
             EULER_GAMMA**2 + math.pi**2 / 6.0, rel=1e-8
         )
+
+    @pytest.mark.parametrize("n, error", [
+        (-1, DomainError), (1.5, DomainError), (9, UnsupportedOrderError),
+    ])
+    def test_order_outside_0_to_8_is_refused(self, n, error):
+        with pytest.raises(error, match="derivative order"):
+            oracle.integrate_k_gamma_deriv(n, EvalPoint(1.0, 1.0))
 
     def test_p_variant(self):
         ppt = EvalPoint(2.0, 2.0, 3.0)
