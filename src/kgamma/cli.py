@@ -90,7 +90,7 @@ def parse_grid_axis(text: str, integer: bool = False) -> tuple:
     if integer:
         out = []
         for v in values:
-            if abs(v - round(v)) > 1e-9:
+            if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9):
                 raise UsageError(f"axis requires integers, got {v}")
             out.append(int(round(v)))
         return tuple(out)

@@ -35,12 +35,11 @@ still takes an `AccuracyPolicy`, and checks it once: a rel_tol at or above
 2^-56 is met as it stands, and a smaller one, which double precision cannot
 deliver, raises `DomainError`.
 
-The gamma, zeta and derivative functions take an optional
-`kernels.KernelCache`; a sweep passes one so that values shared between its
-checks are computed once: G(x) per point, zeta_H(s, a) per argument pair,
-and the derivative vector D_0..8 per point, which every order then reads.
-Without a cache every call goes to the kernels directly, and a derivative
-builds B only up to its own order.
+Inside a `kernels.memoised()` block, as in every `verify` sweep, values
+shared between calls are computed once: G(x) per point, zeta_H(s, a) per
+argument pair, and the derivative vector D_0..8 per point, which every
+order then reads.  Outside one every call goes to the kernels directly, and
+a derivative builds B only up to its own order.
 """
 
 from __future__ import annotations
@@ -140,8 +139,9 @@ def _check_policy(policy: AccuracyPolicy) -> None:
         )
 
 
-def _kernels(cache: kernels.KernelCache | None):
-    """Where zeta values and Bell sequences come from."""
+def _kernels():
+    """Where zeta values come from: the active cache, or the kernels."""
+    cache = kernels.active_cache()
     return kernels if cache is None else cache
 
 
@@ -169,7 +169,8 @@ def _gamma_value(pt: EvalPoint) -> float:
     return _exp_or_overflow(_log_gamma(pt), what, pt.x, pt.k, pt.p)
 
 
-def _gamma(pt: EvalPoint, cache: kernels.KernelCache | None) -> float:
+def _gamma(pt: EvalPoint) -> float:
+    cache = kernels.active_cache()
     if cache is None:
         return _gamma_value(pt)
     key = (pt.x, pt.k, pt.p)
@@ -179,33 +180,22 @@ def _gamma(pt: EvalPoint, cache: kernels.KernelCache | None) -> float:
     return value
 
 
-def k_gamma(
-    pt: EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
-) -> float:
+def k_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k), at a point without p."""
     pt.require_no_p("k_gamma", "pk_gamma")
     _check_policy(policy)
-    return _gamma(pt, cache)
+    return _gamma(pt)
 
 
-def pk_gamma(
-    pt: EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
-) -> float:
+def pk_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """pGamma_k(x) = p^(x/k) / k * Gamma(x/k)."""
     _check_policy(policy)
     pt.require_p()
-    return _gamma(pt, cache)
+    return _gamma(pt)
 
 
 def k_polygamma(
-    m: int,
-    pt: EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
+    m: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
 ) -> float:
     """psi_k^(m)(x) for m >= 1; sign is (-1)^(m+1).
 
@@ -224,15 +214,12 @@ def k_polygamma(
         scale = math.factorial(m) * pt.k ** (-(m + 1.0))
     except OverflowError:  # k^-(m+1) beyond the double range
         scale = math.inf
-    value = sign * scale * _kernels(cache).hurwitz_zeta(m + 1.0, pt.x / pt.k)
+    value = sign * scale * _kernels().hurwitz_zeta(m + 1.0, pt.x / pt.k)
     return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, pt.x, pt.k)
 
 
 def k_polygamma_magnitude_fractional(
-    s: float,
-    pt: EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
+    s: float, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
 ) -> float:
     """|psi_k^(s)(x)| for real order s >= 1, via the integral definition.
 
@@ -245,31 +232,22 @@ def k_polygamma_magnitude_fractional(
     _check_policy(policy)
     log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(pt.k)
     scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, pt.k)
-    value = scale * _kernels(cache).hurwitz_zeta(s + 1.0, pt.x / pt.k)
+    value = scale * _kernels().hurwitz_zeta(s + 1.0, pt.x / pt.k)
     return _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, pt.x, pt.k)
 
 
-def k_zeta(
-    x: float,
-    k: float,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
-) -> float:
+def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """zeta_k(x) = zeta(x/k), for x/k > 1."""
     if not (math.isfinite(k) and k > 0):
         raise DomainError(f"k must be a finite positive real, got {k!r}")
     if not (math.isfinite(x) and x / k > 1.0):
         raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
     _check_policy(policy)
-    return _kernels(cache).riemann_zeta(x / k)
+    return _kernels().riemann_zeta(x / k)
 
 
 def pk_zeta(
-    x: float,
-    k: float,
-    p: float,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
+    x: float, k: float, p: float, policy: AccuracyPolicy = DEFAULT_POLICY
 ) -> float:
     """pzeta_k(x) for x/k > 1 and p > 0.
 
@@ -279,34 +257,33 @@ def pk_zeta(
     """
     if not (math.isfinite(p) and p > 0):
         raise DomainError(f"p must be a finite positive real, got {p!r}")
-    return k_zeta(x, k, policy, cache)
+    return k_zeta(x, k, policy)
 
 
-def _derivatives(n_max: int, pt: EvalPoint, source) -> list[float | None]:
+def _derivatives(n_max: int, pt: EvalPoint) -> list[float | None]:
     # [D_0, ..., D_n_max] of G, None where D_j overflows: D_j = G k^-j B_j,
-    # with B_j the Bell polynomials of `source` at c = k, or c = p at a
-    # point with p
+    # with B_j the Bell polynomials at c = k, or c = p at a point with p
     c = pt.k if pt.p is None else pt.p
     log_value = _log_gamma(pt)
     value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
     derivs = []
-    for j, b in enumerate(source.bell_sequence(n_max, pt.x / pt.k, c)):
+    for j, b in enumerate(kernels.bell_sequence(n_max, pt.x / pt.k, c)):
         d = value * (b * pt.k ** -float(j))
         derivs.append(d if math.isfinite(d) else None)
     return derivs
 
 
-def _derivative(n: int, pt: EvalPoint, cache: kernels.KernelCache | None) -> float:
+def _derivative(n: int, pt: EvalPoint) -> float:
     kernels.check_deriv_order(n)
+    cache = kernels.active_cache()
     if cache is None:
-        d = _derivatives(n, pt, kernels)[n]
+        d = _derivatives(n, pt)[n]
     else:
         key = (pt.x, pt.k, pt.p)
         derivs = cache.derivatives.get(key)
         if derivs is None:
             derivs = cache.derivatives[key] = _derivatives(
-                kernels.GAMMA_DERIV_MAX_ORDER, pt, cache
-            )
+                kernels.GAMMA_DERIV_MAX_ORDER, pt)
         d = derivs[n]
     if d is None:
         family = "Gamma_k" if pt.p is None else "pGamma_k"
@@ -317,25 +294,19 @@ def _derivative(n: int, pt: EvalPoint, cache: kernels.KernelCache | None) -> flo
 
 
 def k_gamma_deriv(
-    n: int,
-    pt: EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
+    n: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
 ) -> float:
     """Gamma_k^(n)(x): the n-th derivative of Gamma_k at x, n <= 8, at a
     point without p."""
     pt.require_no_p("k_gamma_deriv", "pk_gamma_deriv")
     _check_policy(policy)
-    return _derivative(n, pt, cache)
+    return _derivative(n, pt)
 
 
 def pk_gamma_deriv(
-    n: int,
-    pt: EvalPoint,
-    policy: AccuracyPolicy = DEFAULT_POLICY,
-    cache: kernels.KernelCache | None = None,
+    n: int, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
 ) -> float:
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
     _check_policy(policy)
     pt.require_p()
-    return _derivative(n, pt, cache)
+    return _derivative(n, pt)

@@ -22,8 +22,8 @@ its fields are the CSV columns in order, with None for an input the
 theorem does not take.
 
 `THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
-points and the check that evaluates one.  Each check takes an optional
-`kernels.KernelCache`; `scan_grid` gives one to every check of a sweep.
+points and the check that evaluates one.  `scan_grid` runs every check of
+a sweep inside one `kernels.memoised()` block.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, KernelCache
+from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, memoised
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -138,7 +138,6 @@ def check_holder_polygamma(
     hp: HolderPair,
     pt: fn.EvalPoint,
     slack_tol: float = DEFAULT_SLACK_TOL,
-    cache: KernelCache | None = None,
 ) -> InequalityCheck:
     """|psi_k^(m)|^(1/p) |psi_k^(n)|^(1/q) >= |psi_k^(m/p + n/q)|.
 
@@ -151,10 +150,10 @@ def check_holder_polygamma(
     # s >= 1 exactly for m, n >= 1; the sum can round below it (to
     # 0.9999999999999999 at p = 1.843), outside the fractional order's domain
     s = max(1.0, m / hp.p + n / hp.q)
-    a = abs(fn.k_polygamma(m, pt, cache=cache))
-    b = abs(fn.k_polygamma(n, pt, cache=cache))
+    a = abs(fn.k_polygamma(m, pt))
+    b = abs(fn.k_polygamma(n, pt))
     lhs = a ** (1.0 / hp.p) * b ** (1.0 / hp.q)
-    rhs = fn.k_polygamma_magnitude_fractional(s, pt, cache=cache)
+    rhs = fn.k_polygamma_magnitude_fractional(s, pt)
     # d(a^(1/p))/a = (1/p) a^(1/p - 1): relative errors divide by p, q
     margin = abs(lhs) * (_FUNC_REL / hp.p + _FUNC_REL / hp.q) + abs(rhs) * _FUNC_REL
     return _record("T1", lhs, rhs, margin, slack_tol, x=pt.x, k=pt.k, m=m, n=n,
@@ -168,7 +167,6 @@ def check_holder_zeta(
     k: float,
     p_param: float | None = None,
     slack_tol: float = DEFAULT_SLACK_TOL,
-    cache: KernelCache | None = None,
 ) -> InequalityCheck:
     """Hölder inequality for the (p-)k-zeta / (p-)k-gamma pair.
 
@@ -185,8 +183,8 @@ def check_holder_zeta(
             raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
     # pzeta_k is zeta_k for every p, and the point checks p
     gamma_k = fn.k_gamma if p_param is None else fn.pk_gamma
-    zeta = lambda x: fn.k_zeta(x, k, cache=cache)
-    gamma = lambda x: gamma_k(fn.EvalPoint(x, k, p_param), cache=cache)
+    zeta = lambda x: fn.k_zeta(x, k)
+    gamma = lambda x: gamma_k(fn.EvalPoint(x, k, p_param))
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     gamma_ratio = gamma(s + 1.0) / (
         gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
@@ -199,10 +197,7 @@ def check_holder_zeta(
 
 
 def check_turan_gamma_deriv(
-    n: int,
-    pt: fn.EvalPoint,
-    slack_tol: float = DEFAULT_SLACK_TOL,
-    cache: KernelCache | None = None,
+    n: int, pt: fn.EvalPoint, slack_tol: float = DEFAULT_SLACK_TOL
 ) -> InequalityCheck:
     """Turán inequality Gamma_k^(n-1) Gamma_k^(n+1) - (Gamma_k^(n))^2 >= 0.
 
@@ -216,9 +211,9 @@ def check_turan_gamma_deriv(
         raise DomainError(
             f"Turán check requires 1 <= n <= {GAMMA_DERIV_MAX_ORDER - 1}")
     deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-    g_lo = deriv(n - 1, pt, cache=cache)
-    g_mid = deriv(n, pt, cache=cache)
-    g_hi = deriv(n + 1, pt, cache=cache)
+    g_lo = deriv(n - 1, pt)
+    g_mid = deriv(n, pt)
+    g_hi = deriv(n + 1, pt)
     lhs = g_lo * g_hi
     rhs = g_mid * g_mid
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -234,11 +229,7 @@ def check_turan_gamma_deriv(
 
 
 def check_midpoint_gamma_deriv(
-    n: int,
-    l: int,
-    pt: fn.EvalPoint,
-    slack_tol: float = DEFAULT_SLACK_TOL,
-    cache: KernelCache | None = None,
+    n: int, l: int, pt: fn.EvalPoint, slack_tol: float = DEFAULT_SLACK_TOL
 ) -> InequalityCheck:
     """[Gamma_k^(n-l) + Gamma_k^(n+l)] / 2 - Gamma_k^(n) >= 0, n, l even.
 
@@ -250,9 +241,9 @@ def check_midpoint_gamma_deriv(
         raise DomainError("midpoint check requires even n >= l >= 0 with "
                           f"n + l <= {GAMMA_DERIV_MAX_ORDER}")
     deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-    g_lo = deriv(n - l, pt, cache=cache)
-    g_hi = deriv(n + l, pt, cache=cache)
-    g_mid = deriv(n, pt, cache=cache)
+    g_lo = deriv(n - l, pt)
+    g_hi = deriv(n + l, pt)
+    g_mid = deriv(n, pt)
     lhs = 0.5 * (g_lo + g_hi)
     rhs = g_mid
     margin = 0.5 * (
@@ -263,10 +254,7 @@ def check_midpoint_gamma_deriv(
 
 
 def check_midpoint_polygamma(
-    n: int,
-    pt: fn.EvalPoint,
-    slack_tol: float = DEFAULT_SLACK_TOL,
-    cache: KernelCache | None = None,
+    n: int, pt: fn.EvalPoint, slack_tol: float = DEFAULT_SLACK_TOL
 ) -> InequalityCheck:
     """Midpoint inequality for k-polygamma, parity-oriented.
 
@@ -279,9 +267,8 @@ def check_midpoint_polygamma(
     if not 2 <= n < POLYGAMMA_MAX_ORDER:  # reads order n + 1
         raise DomainError(
             f"polygamma midpoint check requires 2 <= n <= {POLYGAMMA_MAX_ORDER - 1}")
-    lhs = fn.k_polygamma(n, pt, cache=cache)
-    rhs = 0.5 * (fn.k_polygamma(n + 1, pt, cache=cache)
-                 + fn.k_polygamma(n - 1, pt, cache=cache))
+    lhs = fn.k_polygamma(n, pt)
+    rhs = 0.5 * (fn.k_polygamma(n + 1, pt) + fn.k_polygamma(n - 1, pt))
     d = lhs - rhs
     margin = (abs(lhs) + abs(rhs)) * _FUNC_REL
     return _record("T7", lhs, rhs, margin, slack_tol, d if n % 2 == 1 else -d,
@@ -394,7 +381,7 @@ def _midpoint_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
 
 #: The theorem table: (theorem_id, points, evaluate) per theorem, in report
 #: order.  points(spec) yields the admissible argument tuples of evaluate,
-#: which is called as evaluate(*point, slack_tol, cache).  The checks
+#: which is called as evaluate(*point, slack_tol).  The checks
 #: are looked up when called, not when the table is built, so a profiler
 #: that wraps the module's check functions sees every call.
 THEOREMS = (
@@ -423,37 +410,37 @@ def scan_grid(
     Output ordering is deterministic: theorems in canonical order, grid
     points in lexicographic order.  Per-point evaluation errors are
     counted in the summary instead of aborting the sweep, and every selected
-    theorem has a summary entry, with or without rows.  One kernel cache
-    serves every check of the sweep and is dropped with it.
+    theorem has a summary entry, with or without rows.  The sweep is one
+    `kernels.memoised()` block, whose cache is dropped when it returns.
     """
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise DomainError(f"unknown theorem ids: {sorted(unknown)}")
     checks: list[InequalityCheck] = []
     summary = ScanSummary()
-    cache = KernelCache()
-    for theorem_id, points, evaluate in THEOREMS:
-        if theorem_id not in theorems:
-            continue
-        entry = summary.per_theorem[theorem_id] = {
-            "count": 0, "PASS": 0, "FAIL": 0, "DIRECTION_NEGATIVE": 0,
-            "not_evaluated": 0, "min_slack": math.inf, "min_slack_at": None,
-        }
-        least = None
-        for point in points(spec):
-            try:
-                check = evaluate(*point, slack_tol, cache)
-            except (ArithmeticError, ValueError) as exc:
-                entry["not_evaluated"] += 1
-                summary.errors.append(f"{theorem_id}: {exc}")
+    with memoised():
+        for theorem_id, points, evaluate in THEOREMS:
+            if theorem_id not in theorems:
                 continue
-            checks.append(check)
-            entry["count"] += 1
-            entry[check.verdict] += 1
-            # ties keep the earlier (lexicographically first) grid point
-            if check.slack < entry["min_slack"]:
-                entry["min_slack"] = check.slack
-                least = check
-        if least is not None:
-            entry["min_slack_at"] = _inputs_of(least)
+            entry = summary.per_theorem[theorem_id] = {
+                "count": 0, "PASS": 0, "FAIL": 0, "DIRECTION_NEGATIVE": 0,
+                "not_evaluated": 0, "min_slack": math.inf, "min_slack_at": None,
+            }
+            least = None
+            for point in points(spec):
+                try:
+                    check = evaluate(*point, slack_tol)
+                except (ArithmeticError, ValueError) as exc:
+                    entry["not_evaluated"] += 1
+                    summary.errors.append(f"{theorem_id}: {exc}")
+                    continue
+                checks.append(check)
+                entry["count"] += 1
+                entry[check.verdict] += 1
+                # ties keep the earlier (lexicographically first) grid point
+                if check.slack < entry["min_slack"]:
+                    entry["min_slack"] = check.slack
+                    least = check
+            if least is not None:
+                entry["min_slack_at"] = _inputs_of(least)
     return checks, summary

@@ -3,8 +3,9 @@
 Everything in the generalized-function layer reduces to these.  All kernels
 are pure functions of their arguments, accurate to one fixed contract: the
 Hurwitz sum is truncated at 2^-56 of its value (`HURWITZ_REL_TOL`), and no
-kernel takes a tolerance.  The same input gives bit-identical output, so a
-`KernelCache` can serve them for a whole sweep.
+kernel takes a tolerance.  The same input gives bit-identical output, so
+inside a `memoised()` block one `KernelCache` serves the zeta values, and
+the functions layer's values, of everything the block evaluates.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -21,6 +22,8 @@ p-k-gamma families.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import sys
 
@@ -36,6 +39,8 @@ __all__ = [
     "gamma_deriv_sequence",
     "check_deriv_order",
     "KernelCache",
+    "memoised",
+    "active_cache",
     "HURWITZ_REL_TOL",
     "POLYGAMMA_MAX_ORDER",
     "GAMMA_DERIV_MAX_ORDER",
@@ -310,7 +315,9 @@ def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     every later entry are NaN.
     """
     check_deriv_order(n_max)
-    return _bell(_polygamma_table(n_max, y, hurwitz_zeta), math.log(c))
+    cache = active_cache()
+    zeta = hurwitz_zeta if cache is None else cache.hurwitz_zeta
+    return _bell(_polygamma_table(n_max, y, zeta), math.log(c))
 
 
 def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
@@ -335,20 +342,19 @@ def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
 
 
 class KernelCache:
-    """Memoised kernel values for one sweep.
+    """Memoised kernel values for one `memoised()` block.
 
-    Stands in for this module wherever the functions layer takes a `cache`:
-    `hurwitz_zeta`, `riemann_zeta` and `bell_sequence` share the kernels'
-    signatures and return their values bit for bit, since every kernel is a
-    pure function of its arguments.  Misses call the module-level kernels,
-    so profilers that wrap those see them.  Three tables:
+    `hurwitz_zeta` and `riemann_zeta` share the kernels' signatures and
+    return their values bit for bit, since every kernel is a pure function
+    of its arguments.  Misses call the module-level kernels, so profilers
+    that wrap those see them.  Three tables:
 
     - zeta values per (s, a), from which `bell_sequence` reads its
       psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
     - `gammas`: the functions layer's Gamma_k / pGamma_k values per
       (x, k, p), with p None for Gamma_k;
     - `derivatives`: the functions layer's derivative vectors, once per
-      sweep point.
+      point.
     """
 
     def __init__(self) -> None:
@@ -369,6 +375,24 @@ class KernelCache:
             value = self._zeta[(s, 1.0)] = riemann_zeta(s)
         return value
 
-    def bell_sequence(self, n_max: int, y: float, c: float) -> list[float]:
-        check_deriv_order(n_max)
-        return _bell(_polygamma_table(n_max, y, self.hurwitz_zeta), math.log(c))
+
+_ACTIVE_CACHE = contextvars.ContextVar("kgamma_kernel_cache", default=None)
+
+#: The `KernelCache` of the innermost `memoised()` block of this context,
+#: or None.  A new thread starts outside every block.
+active_cache = _ACTIVE_CACHE.get
+
+
+@contextlib.contextmanager
+def memoised():
+    """A block in which kernel and closed-form values are computed once.
+
+    Yields the block's new `KernelCache`; on exit, normal or by an
+    exception, the enclosing block's cache (or none) is active again.
+    """
+    cache = KernelCache()
+    token = _ACTIVE_CACHE.set(cache)
+    try:
+        yield cache
+    finally:
+        _ACTIVE_CACHE.reset(token)

@@ -3,8 +3,9 @@
 Evaluates the generalized-gamma family directly from the integral
 definitions with adaptive Gauss-Kronrod (G7/K15) quadrature, so the
 closed-form reductions in `functions` can be cross-validated against a
-route that shares none of their code.  This module deliberately never
-calls the scalar kernels: independence is the whole point.
+route that shares none of their arithmetic.  This module deliberately
+evaluates none of the scalar kernels, since independence is the whole
+point; it shares only their derivative-order check.
 
 Log-variable scheme: an integral of f over t in (0, inf) is taken as the
 integral of g(v) = t f(t), t = e^v, over the whole line.  Each integrand
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
+from . import kernels
 from .functions import EvalPoint
 from .policy import (
     ABS_TOL,
@@ -51,7 +53,6 @@ from .policy import (
     AccuracyPolicy,
     ComputationOverflowError,
     DomainError,
-    UnsupportedOrderError,
 )
 
 __all__ = [
@@ -345,11 +346,10 @@ def integrate_k_gamma_deriv(
 
     This is D^(n) of pGamma_k, or of Gamma_k at a point without p.  In
     v = log t the integrand is e^(x v - e^(k v) / c) v^n.  The walk's
-    breakpoint at v = 0 is where v^n changes sign for odd n.
+    breakpoint at v = 0 is where v^n changes sign for odd n.  An order
+    outside 0..8 is refused by `kernels.check_deriv_order`, an argument
+    check that evaluates no kernel.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
-    if n > 8:
-        raise UnsupportedOrderError(f"derivative order {n} exceeds supported cap 8")
+    kernels.check_deriv_order(n)
     c = pt.k if pt.p is None else pt.p
     return _integrate_zero_to_inf(_gamma_integrand(n, pt, c), pt.x, policy)

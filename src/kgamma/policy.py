@@ -11,7 +11,7 @@ class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class UnsupportedOrderError(ValueError):
+class UnsupportedOrderError(DomainError):
     """A derivative/polygamma order beyond the supported cap was requested."""
 
 

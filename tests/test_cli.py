@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 import kgamma
-from kgamma import cli, harness
+from kgamma import cli, harness, kernels
 
 
 def run(argv, capsys):
@@ -38,6 +38,17 @@ class TestEval:
         code, _, err = run(["eval", "k_gamma", "--x", "-1", "--k", "1"], capsys)
         assert code == 3
         assert "x" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["k_gamma_deriv", "--n", "9"], "derivative order 9 exceeds supported cap 8"),
+        (["k_polygamma", "--m", "13"], "order 13 exceeds supported cap 12"),
+        (["oracle_k_gamma_deriv", "--n", "9"],
+         "derivative order 9 exceeds supported cap 8"),
+    ])
+    def test_order_above_the_cap_is_domain_error(self, capsys, argv, message):
+        code, out, err = run(["eval", *argv, "--x", "1", "--k", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"domain error: {message}\n"
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, out, err = run([], capsys)
@@ -544,6 +555,29 @@ class TestCrosscheck:
                             else "EXCEEDS" for family in statuses}
 
 
+class TestCacheScope:
+    """Only a `verify` sweep evaluates inside a `kernels.memoised()` block."""
+
+    @pytest.mark.parametrize("argv, memoised", [
+        (["eval", "k_polygamma", "--m", "2", "--x", "1", "--k", "1"], False),
+        (["crosscheck", "--x", "1", "--k", "1", "--m", "1", "--n", "1"], False),
+        (["verify", "--theorems", "T7", "--x", "1", "--k", "1", "--n", "2"], True),
+    ])
+    def test_zeta_calls_see_a_cache_only_in_verify(self, capsys, monkeypatch,
+                                                   argv, memoised):
+        seen = set()
+        zeta = kernels.hurwitz_zeta
+
+        def recording(s, a):
+            seen.add(kernels.active_cache() is not None)
+            return zeta(s, a)
+
+        monkeypatch.setattr(kernels, "hurwitz_zeta", recording)
+        run(argv, capsys)
+        assert seen == {memoised}
+        assert kernels.active_cache() is None
+
+
 class TestParserReuse:
     ARGVS = (
         ["verify", "--theorems", "T4K,T7", "--x", "1,2", "--k", "1", "--n", "1,2",
@@ -621,11 +655,23 @@ class TestGridValues:
         ("--holder-p", "inf"),  # q = inf / inf is NaN
         ("--holder-p", "1e300"),  # q = p / (p - 1) rounds to 1.0
         ("--x", "inf"),
+        ("--m", "nan"),
+        ("--l", "nan"),
+        ("--m", "1e400"),  # parses as inf
+        ("--n", "inf"),
     ])
     def test_value_without_a_point_is_usage_error(self, capsys, flag, value):
         code, out, err = run(self.T1 + [flag, value], capsys)
         assert code == 2
         assert out == "" and "usage error" in err
+
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_crosscheck_non_finite_order_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(["crosscheck", "--x", "1", "--k", "1", flag, value],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: axis requires integers, got {value}\n"
 
     def test_hoelder_orders_start_at_one(self, capsys):
         # m = 0 and n = 0 are outside T1's hypothesis m, n >= 1: no point

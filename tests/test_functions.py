@@ -363,17 +363,17 @@ class TestDerivativeTables:
     """A sweep's derivative tables must not change a bit, nor which call raises."""
 
     def test_cached_matches_direct(self):
-        cache = kernels.KernelCache()
-        outcomes = set()
-        for _ in range(2):  # the second pass reads the tables
-            for ppt in TABLE_POINTS:
-                # Gamma_k at the point without p, pGamma_k at the point
-                for deriv, pt in ((fn.k_gamma_deriv, EvalPoint(ppt.x, ppt.k)),
-                                  (fn.pk_gamma_deriv, ppt)):
-                    for n in range(-1, kernels.GAMMA_DERIV_MAX_ORDER + 2):
-                        direct = _outcome(lambda: deriv(n, pt))
-                        assert _outcome(lambda: deriv(n, pt, cache=cache)) == direct
-                        outcomes.add(direct[0] if isinstance(direct, tuple) else float)
+        # Gamma_k at each point without p, pGamma_k at the point
+        calls = [lambda deriv=deriv, n=n, pt=pt: deriv(n, pt)
+                 for ppt in TABLE_POINTS
+                 for deriv, pt in ((fn.k_gamma_deriv, EvalPoint(ppt.x, ppt.k)),
+                                   (fn.pk_gamma_deriv, ppt))
+                 for n in range(-1, kernels.GAMMA_DERIV_MAX_ORDER + 2)]
+        direct = [_outcome(call) for call in calls]
+        with kernels.memoised():
+            for _ in range(2):  # the second pass reads the tables
+                assert [_outcome(call) for call in calls] == direct
+        outcomes = {o[0] if isinstance(o, tuple) else float for o in direct}
         assert outcomes == {float, ComputationOverflowError, DomainError,
                             UnsupportedOrderError}
 
@@ -386,48 +386,49 @@ class TestDerivativeTables:
             return original(s, a)
 
         monkeypatch.setattr(kernels, "hurwitz_zeta", counting)
-        cache = kernels.KernelCache()
-        fn.k_polygamma(1, EvalPoint(1.0, 2.0), cache=cache)
-        # every vector reads psi^(1..7)(0.5), whose zeta_H(2, 0.5)
-        # k_polygamma already made
-        for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
-            fn.k_gamma_deriv(n, EvalPoint(1.0, 2.0), cache=cache)
-            for p in (2.0, 3.0):
-                fn.pk_gamma_deriv(n, EvalPoint(1.0, 2.0, p), cache=cache)
+        with kernels.memoised() as cache:
+            fn.k_polygamma(1, EvalPoint(1.0, 2.0))
+            # every vector reads psi^(1..7)(0.5), whose zeta_H(2, 0.5)
+            # k_polygamma already made
+            for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
+                fn.k_gamma_deriv(n, EvalPoint(1.0, 2.0))
+                for p in (2.0, 3.0):
+                    fn.pk_gamma_deriv(n, EvalPoint(1.0, 2.0, p))
         assert calls == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
         # one derivative vector per (x, k, p): Gamma_k's and two pGamma_k's
         assert len(cache.derivatives) == 3
 
     def test_gamma_table_is_bit_identical_and_keyed_per_family(self):
-        cache = kernels.KernelCache()
         points = [EvalPoint(x, k) for x in (2.0, 3.0, 7.5) for k in (0.5, 1.3)]
         ppoints = [EvalPoint(pt.x, pt.k, p) for pt in points for p in (0.7, 2.0)]
-        for _ in range(2):  # the second pass reads the table
-            for pt in points:
-                assert fn.k_gamma(pt, cache=cache) == fn.k_gamma(pt)
-            for ppt in ppoints:
-                assert fn.pk_gamma(ppt, cache=cache) == fn.pk_gamma(ppt)
-        assert set(cache.gammas) == {(pt.x, pt.k, pt.p) for pt in points + ppoints}
-        # an overflow is raised on every call, never stored
+        direct = {pt: fn.k_gamma(pt) for pt in points}
+        direct.update((ppt, fn.pk_gamma(ppt)) for ppt in ppoints)
         big = EvalPoint(7.5, 0.01)
-        for _ in range(2):
-            with pytest.raises(ComputationOverflowError):
-                fn.k_gamma(big, cache=cache)
+        with kernels.memoised() as cache:
+            for _ in range(2):  # the second pass reads the table
+                for pt in points:
+                    assert fn.k_gamma(pt) == direct[pt]
+                for ppt in ppoints:
+                    assert fn.pk_gamma(ppt) == direct[ppt]
+            # an overflow is raised on every call, never stored
+            for _ in range(2):
+                with pytest.raises(ComputationOverflowError):
+                    fn.k_gamma(big)
+        assert set(cache.gammas) == {(pt.x, pt.k, pt.p) for pt in points + ppoints}
         assert (7.5, 0.01, None) not in cache.gammas
 
 
-#: every public closed form, as a call on (policy, cache)
+#: every public closed form, as a call on a policy
 CLOSED_FORMS = {
-    "k_gamma": lambda pol, c: fn.k_gamma(EvalPoint(2.5, 0.7), pol, c),
-    "pk_gamma": lambda pol, c: fn.pk_gamma(EvalPoint(2.5, 0.7, 1.9), pol, c),
-    "k_polygamma": lambda pol, c: fn.k_polygamma(3, EvalPoint(2.5, 0.7), pol, c),
-    "k_polygamma_magnitude_fractional": lambda pol, c: (
-        fn.k_polygamma_magnitude_fractional(2.3, EvalPoint(2.5, 0.7), pol, c)),
-    "k_zeta": lambda pol, c: fn.k_zeta(2.5, 0.7, pol, c),
-    "pk_zeta": lambda pol, c: fn.pk_zeta(2.5, 0.7, 1.9, pol, c),
-    "k_gamma_deriv": lambda pol, c: fn.k_gamma_deriv(5, EvalPoint(2.5, 0.7), pol, c),
-    "pk_gamma_deriv": lambda pol, c: fn.pk_gamma_deriv(
-        5, EvalPoint(2.5, 0.7, 1.9), pol, c),
+    "k_gamma": lambda pol: fn.k_gamma(EvalPoint(2.5, 0.7), pol),
+    "pk_gamma": lambda pol: fn.pk_gamma(EvalPoint(2.5, 0.7, 1.9), pol),
+    "k_polygamma": lambda pol: fn.k_polygamma(3, EvalPoint(2.5, 0.7), pol),
+    "k_polygamma_magnitude_fractional": lambda pol: (
+        fn.k_polygamma_magnitude_fractional(2.3, EvalPoint(2.5, 0.7), pol)),
+    "k_zeta": lambda pol: fn.k_zeta(2.5, 0.7, pol),
+    "pk_zeta": lambda pol: fn.pk_zeta(2.5, 0.7, 1.9, pol),
+    "k_gamma_deriv": lambda pol: fn.k_gamma_deriv(5, EvalPoint(2.5, 0.7), pol),
+    "pk_gamma_deriv": lambda pol: fn.pk_gamma_deriv(5, EvalPoint(2.5, 0.7, 1.9), pol),
 }
 
 
@@ -438,18 +439,21 @@ class TestPolicyFloor:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_tolerance_at_or_above_the_floor_gives_the_same_bits(self, name):
         call = CLOSED_FORMS[name]
-        default = call(AccuracyPolicy(), None)
+        default = call(AccuracyPolicy())
         for rel_tol in (1e-6, 1e-12, 2.0**-56):
             policy = AccuracyPolicy(rel_tol=rel_tol)
-            assert call(policy, None) == default
-            assert call(policy, kernels.KernelCache()) == default
+            assert call(policy) == default
+            with kernels.memoised():
+                assert call(policy) == default
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_tolerance_below_the_floor_is_refused(self, name):
-        cache = kernels.KernelCache()
-        for source in (None, cache):
+        policy = AccuracyPolicy(rel_tol=1e-17)
+        with pytest.raises(DomainError, match="2\\^-56"):
+            CLOSED_FORMS[name](policy)
+        with kernels.memoised() as cache:
             with pytest.raises(DomainError, match="2\\^-56"):
-                CLOSED_FORMS[name](AccuracyPolicy(rel_tol=1e-17), source)
+                CLOSED_FORMS[name](policy)
         # refused before any work: nothing was cached
         assert cache.gammas == {} and cache.derivatives == {} and cache._zeta == {}
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kgamma import cli, harness, oracle
+from kgamma import cli, harness, kernels, oracle
 from kgamma import functions as fn
 from kgamma.functions import EvalPoint
 from kgamma.harness import GridSpec, HolderPair
@@ -330,12 +330,13 @@ def _direct_check(check, slack_tol=harness.DEFAULT_SLACK_TOL):
 
 
 def _uncached_scan(spec):
-    """scan_grid's records and errors, every check evaluated without a cache."""
+    """scan_grid's records and errors, every check evaluated outside any
+    `kernels.memoised()` block."""
     checks, errors = [], []
     for theorem_id, points, evaluate in harness.THEOREMS:
         for point in points(spec):
             try:
-                checks.append(evaluate(*point, harness.DEFAULT_SLACK_TOL, None))
+                checks.append(evaluate(*point, harness.DEFAULT_SLACK_TOL))
             except (ArithmeticError, ValueError) as exc:
                 errors.append(f"{theorem_id}: {exc}")
     return checks, errors
@@ -343,6 +344,24 @@ def _uncached_scan(spec):
 
 class TestScanCache:
     """A sweep's kernel cache must not change a single bit of its output."""
+
+    def test_one_block_per_sweep(self, monkeypatch):
+        seen = []
+        check = harness.check_midpoint_polygamma
+
+        def recording(*args):
+            seen.append(kernels.active_cache())
+            return check(*args)
+
+        monkeypatch.setattr(harness, "check_midpoint_polygamma", recording)
+        spec = GridSpec(xs=(1.0, 2.0), ks=(1.0,), ns=(2, 3))
+        for _ in range(2):
+            harness.scan_grid(spec, ("T7",))
+            assert kernels.active_cache() is None
+        # every check of a sweep shares its cache; the next sweep has its own
+        first, second = seen[:4], seen[4:]
+        assert len(seen) == 8 and first[0] is not None and second[0] is not first[0]
+        assert all(c is first[0] for c in first) and all(c is second[0] for c in second)
 
     def test_default_grid_matches_direct_calls(self):
         checks, summary = harness.scan_grid(GridSpec(), harness.THEOREM_IDS)

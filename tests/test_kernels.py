@@ -8,6 +8,7 @@ file; mpmath provides an additional arbitrary-precision cross-check.
 import math
 import random
 import re
+import threading
 
 import mpmath as mp
 import pytest
@@ -347,29 +348,59 @@ class TestBellSequence:
 
 class TestKernelCache:
     def test_values_identical_to_kernels(self):
-        cache = kernels.KernelCache()
-        for _ in range(2):  # the second pass is served from the cache
-            for s, a in ((2.0, 0.5), (3.5, 1.0), (13.0, 7.25)):
-                assert cache.hurwitz_zeta(s, a) == kernels.hurwitz_zeta(s, a)
-            assert cache.riemann_zeta(3.0) == kernels.riemann_zeta(3.0)
-            # the Bell sequences read psi^(j)(2.5) from the zeta table
-            for c in (2.0, 0.5, 1.0):
-                for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1):
-                    assert cache.bell_sequence(n, 2.5, c) == (
-                        kernels.bell_sequence(n, 2.5, c)
-                    )
+        bells = {(n, c): kernels.bell_sequence(n, 2.5, c)
+                 for c in (2.0, 0.5, 1.0)
+                 for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1)}
+        with kernels.memoised() as cache:
+            for _ in range(2):  # the second pass is served from the cache
+                for s, a in ((2.0, 0.5), (3.5, 1.0), (13.0, 7.25)):
+                    assert cache.hurwitz_zeta(s, a) == kernels.hurwitz_zeta(s, a)
+                assert cache.riemann_zeta(3.0) == kernels.riemann_zeta(3.0)
+                # the Bell sequences read psi^(j)(2.5) from the zeta table
+                for (n, c), bell in bells.items():
+                    assert kernels.bell_sequence(n, 2.5, c) == bell
+            assert set(cache._zeta) >= {(float(s), 2.5) for s in range(2, 9)}
 
     def test_errors_match_kernels(self):
-        cache = kernels.KernelCache()
         for bad_call in (
-            lambda src: src.bell_sequence(9, 1.0, 1.0),
-            lambda src: src.bell_sequence(-1, 1.0, 1.0),
-            lambda src: src.bell_sequence(2, -1.0, 1.0),
+            lambda src: kernels.bell_sequence(9, 1.0, 1.0),
+            lambda src: kernels.bell_sequence(-1, 1.0, 1.0),
+            lambda src: kernels.bell_sequence(2, -1.0, 1.0),
             lambda src: src.hurwitz_zeta(1.0, 1.0),
             lambda src: src.riemann_zeta(math.inf),
         ):
             with pytest.raises(Exception) as direct:
                 bad_call(kernels)
-            with pytest.raises(type(direct.value)) as cached:
-                bad_call(cache)
+            with kernels.memoised() as cache:
+                with pytest.raises(type(direct.value)) as cached:
+                    bad_call(cache)
             assert str(cached.value) == str(direct.value)
+
+
+class TestMemoisedScope:
+    """A cache is active exactly inside a `memoised()` block."""
+
+    def test_none_outside_every_block(self):
+        assert kernels.active_cache() is None
+
+    def test_none_after_an_exception_leaves_the_block(self):
+        with pytest.raises(ZeroDivisionError):
+            with kernels.memoised() as cache:
+                assert kernels.active_cache() is cache
+                1 / 0
+        assert kernels.active_cache() is None
+
+    def test_nested_block_restores_the_outer_cache(self):
+        with kernels.memoised() as outer:
+            with kernels.memoised() as inner:
+                assert kernels.active_cache() is inner and inner is not outer
+            assert kernels.active_cache() is outer
+        assert kernels.active_cache() is None
+
+    def test_thread_started_inside_a_block_sees_none(self):
+        seen = []
+        with kernels.memoised():
+            thread = threading.Thread(target=lambda: seen.append(kernels.active_cache()))
+            thread.start()
+            thread.join()
+        assert seen == [None]
