@@ -332,14 +332,13 @@ _DERIV_ORDERS = range(5)  # compared by `crosscheck` unless --n is given
 
 
 def crosscheck_families(
-    grid: harness.GridSpec, oracle_policy, deriv_orders=_DERIV_ORDERS,
-    uncertified: dict | None = None,
-) -> dict:
+    grid: harness.GridSpec, deriv_orders=_DERIV_ORDERS
+) -> tuple[dict, dict]:
     """Max relative discrepancy, closed form vs defining integral, per family.
 
-    Only converged oracle values enter the returned maxima.  The
-    discrepancies at the others certify nothing; their maxima per family go
-    to `uncertified` when it is given.
+    Returns (certified, uncertified) maxima per family: the oracle runs
+    under `ORACLE_POLICY`, and a value that did not converge certifies
+    nothing, so its discrepancy goes to the uncertified maxima.
 
     The point picks the family, as in `functions`: each (x, k) and each Bose
     integral is checked without p, the k family, then at each p of the grid.
@@ -351,7 +350,7 @@ def crosscheck_families(
     the value family's integral.
     """
     worst: dict[str, float] = {}
-    uncertified = {} if uncertified is None else uncertified
+    uncertified: dict[str, float] = {}
     top = max(n + n % 2 for n in deriv_orders)
 
     def note(family: str, closed: float, quad: oracle.QuadratureResult,
@@ -372,12 +371,12 @@ def crosscheck_families(
                     ("pk_gamma", fn.pk_gamma, oracle.integrate_pk_gamma,
                      fn.pk_gamma_deriv))
                 value = gamma(pt)
-                quad = integral(pt, oracle_policy)
+                quad = integral(pt, ORACLE_POLICY)
                 note(family, value, quad)
                 if p is None:  # psi_k has no p-k variant
                     for m in grid.ms:
                         note("k_polygamma", abs(fn.k_polygamma(m, pt)),
-                             oracle.integrate_k_polygamma(m, pt, oracle_policy))
+                             oracle.integrate_k_polygamma(m, pt, ORACLE_POLICY))
                 closed = [deriv(j, pt) for j in range(top + 1)]
                 for n in deriv_orders:
                     scale = None
@@ -385,7 +384,7 @@ def crosscheck_families(
                         scale = (math.sqrt(abs(closed[n - 1]))
                                  * math.sqrt(abs(closed[n + 1])))
                     note(family + "_deriv", closed[n], quad if n == 0 else
-                         oracle.integrate_k_gamma_deriv(n, pt, oracle_policy), scale)
+                         oracle.integrate_k_gamma_deriv(n, pt, ORACLE_POLICY), scale)
 
     for k in grid.ks:
         for m in grid.ms:
@@ -396,8 +395,8 @@ def crosscheck_families(
                 # pzeta_k is zeta_k for every p; the kernel scale c is p or k
                 closed = fn.k_zeta(m + 1.0, k) * gamma(fn.EvalPoint(m + 1.0, k, p))
                 note("bose_k_zeta" if p is None else "bose_pk_zeta", closed,
-                     oracle.integrate_bose(m, k, k if p is None else p, oracle_policy))
-    return worst
+                     oracle.integrate_bose(m, k, k if p is None else p, ORACLE_POLICY))
+    return worst, uncertified
 
 
 def cmd_crosscheck(args) -> int:
@@ -415,8 +414,7 @@ def cmd_crosscheck(args) -> int:
             )
     if any(not 1 <= m <= kernels.POLYGAMMA_MAX_ORDER for m in grid.ms):
         raise UsageError(f"--m orders must lie in 1..{kernels.POLYGAMMA_MAX_ORDER}")
-    uncertified: dict[str, float] = {}
-    worst = crosscheck_families(grid, ORACLE_POLICY, deriv_orders, uncertified)
+    worst, uncertified = crosscheck_families(grid, deriv_orders)
     ok = True
     for family in sorted(worst.keys() | uncertified.keys()):
         certified = worst.get(family, 0.0)

@@ -36,10 +36,11 @@ still takes an `AccuracyPolicy`, and checks it once: a rel_tol at or above
 deliver, raises `DomainError`.
 
 Inside a `kernels.memoised()` block, as in every `verify` sweep, values
-shared between calls are computed once: G(x) per point, zeta_H(s, a) per
-argument pair, and the derivative vector D_0..8 per point, which every
-order then reads.  Outside one every call goes to the kernels directly, and
-a derivative builds B only up to its own order.
+shared between calls are computed once, each into its own table of the
+block's `KernelCache`: G(x) per point by `_gamma`, the vector D_0..8 per
+point, read by every order, by `_derivative`, and zeta_H(s, a) by
+`kernels.hurwitz_zeta`.  Outside one a derivative builds B only up to its
+own order.
 """
 
 from __future__ import annotations
@@ -139,12 +140,6 @@ def _check_policy(policy: AccuracyPolicy) -> None:
         )
 
 
-def _kernels():
-    """Where zeta values come from: the active cache, or the kernels."""
-    cache = kernels.active_cache()
-    return kernels if cache is None else cache
-
-
 def _log_gamma(pt: EvalPoint) -> float:
     # ln G(x): ln Gamma_k at a point without p, ln pGamma_k at one with p.
     # Each family keeps its own rounding of the prefactor, (y - 1) ln k and
@@ -214,7 +209,7 @@ def k_polygamma(
         scale = math.factorial(m) * pt.k ** (-(m + 1.0))
     except OverflowError:  # k^-(m+1) beyond the double range
         scale = math.inf
-    value = sign * scale * _kernels().hurwitz_zeta(m + 1.0, pt.x / pt.k)
+    value = sign * scale * kernels.hurwitz_zeta(m + 1.0, pt.x / pt.k)
     return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, pt.x, pt.k)
 
 
@@ -232,7 +227,7 @@ def k_polygamma_magnitude_fractional(
     _check_policy(policy)
     log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(pt.k)
     scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, pt.k)
-    value = scale * _kernels().hurwitz_zeta(s + 1.0, pt.x / pt.k)
+    value = scale * kernels.hurwitz_zeta(s + 1.0, pt.x / pt.k)
     return _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, pt.x, pt.k)
 
 
@@ -243,7 +238,7 @@ def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float
     if not (math.isfinite(x) and x / k > 1.0):
         raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
     _check_policy(policy)
-    return _kernels().riemann_zeta(x / k)
+    return kernels.riemann_zeta(x / k)
 
 
 def pk_zeta(

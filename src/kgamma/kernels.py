@@ -4,8 +4,9 @@ Everything in the generalized-function layer reduces to these.  All kernels
 are pure functions of their arguments, accurate to one fixed contract: the
 Hurwitz sum is truncated at 2^-56 of its value (`HURWITZ_REL_TOL`), and no
 kernel takes a tolerance.  The same input gives bit-identical output, so
-inside a `memoised()` block one `KernelCache` serves the zeta values, and
-the functions layer's values, of everything the block evaluates.
+inside a `memoised()` block each memoised function fills its own table of
+the block's `KernelCache`: here `hurwitz_zeta` the zeta table, which
+`riemann_zeta`, `polygamma` and `bell_sequence` reach through it.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -26,6 +27,7 @@ import contextlib
 import contextvars
 import math
 import sys
+from dataclasses import dataclass, field
 
 from .policy import ABS_TOL, ComputationOverflowError, DomainError, UnsupportedOrderError
 
@@ -157,18 +159,18 @@ def polygamma(m: int, y: float) -> float:
             f"polygamma order {m} exceeds supported cap {POLYGAMMA_MAX_ORDER}"
         )
     _require_positive("y", y)
-    return _polygamma(m, y, hurwitz_zeta)
+    return _polygamma(m, y)
 
 
-def _polygamma(m: int, y: float, zeta) -> float:
+def _polygamma(m: int, y: float) -> float:
     if m == 0:
         return _digamma(y)
     sign = 1.0 if m % 2 == 1 else -1.0
-    return sign * math.factorial(m) * zeta(m + 1, y)
+    return sign * math.factorial(m) * hurwitz_zeta(m + 1, y)
 
 
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1.  No analytic continuation below s = 1."""
+    """zeta(s) = zeta_H(s, 1) for s > 1; no analytic continuation below."""
     if not (math.isfinite(s) and s > 1.0):
         raise DomainError(f"riemann_zeta requires s > 1, got {s!r}")
     return hurwitz_zeta(s, 1.0)
@@ -187,8 +189,15 @@ def hurwitz_zeta(s: float, a: float) -> float:
     (Johansson, Rigorous high-precision computation of the Hurwitz zeta
     function and its derivatives, Numer. Algorithms 2015).  The bound is
     checked once; a value it does not certify, or one that overflows,
-    raises `ComputationOverflowError`.
+    raises `ComputationOverflowError`.  Inside a `memoised()` block each
+    (s, a) is computed once, into the zeta table; a call that raises
+    stores nothing.
     """
+    cache = active_cache()
+    if cache is not None:
+        value = cache.zetas.get((s, a))
+        if value is not None:
+            return value
     if not (math.isfinite(s) and s > 1.0):
         raise DomainError(f"hurwitz_zeta requires s > 1, got {s!r}")
     _require_positive("a", a)
@@ -222,6 +231,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
             f"hurwitz_zeta({s}, {a}): the remainder bound after {n_terms} "
             f"terms exceeds 2^-56 of the value {value}"
         )
+    if cache is not None:
+        cache.zetas[(s, a)] = value
     return value
 
 
@@ -278,33 +289,6 @@ def check_deriv_order(n: int) -> None:
         )
 
 
-def _polygamma_table(n: int, y: float, zeta) -> list[float]:
-    # psi^(0..n-1)(y) with Hurwitz zeta values from `zeta`; an order that
-    # overflows is NaN, and so is every Bell polynomial that uses it
-    if n:
-        _require_positive("y", y)
-    table = []
-    for m in range(n):
-        try:
-            table.append(_polygamma(m, y, zeta))
-        except OverflowError:
-            table.append(math.nan)
-    return table
-
-
-def _bell(psis: list[float], log_c: float) -> list[float]:
-    # B_0..B_len(psis) of kappa_1 = log c + psi(y), kappa_(i+1) = psi^(i)(y)
-    kappas = [log_c + psis[0], *psis[1:]] if psis else []
-    bell = [1.0]
-    for j in range(len(kappas)):
-        binomial = _BINOMIAL[j]
-        total = 0.0
-        for i in range(j + 1):
-            total += binomial[i] * bell[j - i] * kappas[i]
-        bell.append(total)
-    return bell
-
-
 def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     """[B_0, ..., B_n_max]: complete Bell polynomials of the cumulants
     kappa_1 = log c + psi(y) and kappa_(i+1) = psi^(i)(y), for c > 0.
@@ -315,9 +299,25 @@ def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     every later entry are NaN.
     """
     check_deriv_order(n_max)
-    cache = active_cache()
-    zeta = hurwitz_zeta if cache is None else cache.hurwitz_zeta
-    return _bell(_polygamma_table(n_max, y, zeta), math.log(c))
+    if n_max:
+        _require_positive("y", y)
+    log_c = math.log(c)
+    kappas = []
+    for m in range(n_max):
+        try:
+            kappas.append(_polygamma(m, y))
+        except OverflowError:
+            kappas.append(math.nan)
+    if kappas:
+        kappas[0] = log_c + kappas[0]
+    bell = [1.0]
+    for j in range(n_max):
+        binomial = _BINOMIAL[j]
+        total = 0.0
+        for i in range(j + 1):
+            total += binomial[i] * bell[j - i] * kappas[i]
+        bell.append(total)
+    return bell
 
 
 def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
@@ -326,14 +326,13 @@ def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
     B_j are the Bell polynomials of `bell_sequence` with c = 1, that is
     kappa_1 = psi(y): the cumulants of Gamma are the derivatives of ln Gamma.
     """
-    check_deriv_order(n_max)
+    bell = bell_sequence(n_max, y, 1.0)
     lg = log_gamma(y)
     if lg > _LGAMMA_OVERFLOW:
         raise ComputationOverflowError(f"Gamma({y}) overflows double precision")
     gamma = math.exp(lg)
     derivs = []
-    psis = _polygamma_table(n_max, y, hurwitz_zeta)
-    for j, b in enumerate(_bell(psis, 0.0)):
+    for j, b in enumerate(bell):
         d = gamma * b
         if not math.isfinite(d):
             raise ComputationOverflowError(f"Gamma^({j})({y}) overflows double precision")
@@ -341,39 +340,25 @@ def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
     return derivs
 
 
+@dataclass(slots=True)
 class KernelCache:
-    """Memoised kernel values for one `memoised()` block.
+    """The tables of one `memoised()` block.  Each is filled by the one
+    function that reads it, with the values it would compute outside a
+    block, bit for bit, since every kernel is a pure function of its
+    arguments:
 
-    `hurwitz_zeta` and `riemann_zeta` share the kernels' signatures and
-    return their values bit for bit, since every kernel is a pure function
-    of its arguments.  Misses call the module-level kernels, so profilers
-    that wrap those see them.  Three tables:
-
-    - zeta values per (s, a), from which `bell_sequence` reads its
-      psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
-    - `gammas`: the functions layer's Gamma_k / pGamma_k values per
-      (x, k, p), with p None for Gamma_k;
-    - `derivatives`: the functions layer's derivative vectors, once per
-      point.
+    - `zetas`: zeta_H(s, a) per (s, a), filled by `kernels.hurwitz_zeta`;
+      `riemann_zeta(s)` is zeta_H(s, 1), and `polygamma` and
+      `bell_sequence` read psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
+    - `gammas`: Gamma_k / pGamma_k values per (x, k, p), with p None for
+      Gamma_k, filled by `functions._gamma`;
+    - `derivatives`: derivative vectors D_0..8 per (x, k, p), filled by
+      `functions._derivative`.
     """
 
-    def __init__(self) -> None:
-        self._zeta: dict = {}
-        self.gammas: dict = {}
-        self.derivatives: dict = {}
-
-    def hurwitz_zeta(self, s: float, a: float) -> float:
-        value = self._zeta.get((s, a))
-        if value is None:
-            value = self._zeta[(s, a)] = hurwitz_zeta(s, a)
-        return value
-
-    def riemann_zeta(self, s: float) -> float:
-        # riemann_zeta(s) is hurwitz_zeta(s, 1.0): both share one table
-        value = self._zeta.get((s, 1.0))
-        if value is None:
-            value = self._zeta[(s, 1.0)] = riemann_zeta(s)
-        return value
+    zetas: dict = field(default_factory=dict)
+    gammas: dict = field(default_factory=dict)
+    derivatives: dict = field(default_factory=dict)
 
 
 _ACTIVE_CACHE = contextvars.ContextVar("kgamma_kernel_cache", default=None)

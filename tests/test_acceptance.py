@@ -19,7 +19,6 @@ from kgamma import cli, harness, kernels, oracle
 from kgamma import functions as fn
 from kgamma.functions import EvalPoint
 from kgamma.harness import GridSpec, HolderPair
-from kgamma.policy import AccuracyPolicy
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -64,12 +63,10 @@ def test_criterion_1_classical_reductions():
 
 def test_criterion_2_oracle_equivalence():
     start = time.time()
-    worst = cli.crosscheck_families(
-        STANDARD, AccuracyPolicy(rel_tol=1e-10, max_subdivisions=4000)
-    )
+    worst, uncertified = cli.crosscheck_families(STANDARD)
     elapsed = time.time() - start
     worst_overall = max(worst.values())
-    ok = worst_overall <= 1e-8 and elapsed < 60.0
+    ok = worst_overall <= 1e-8 and not uncertified and elapsed < 60.0
     assert report(2, ok, f"oracle equivalence, worst family discrepancy "
                          f"{worst_overall:.3e}, {elapsed:.1f}s")
 

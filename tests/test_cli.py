@@ -15,6 +15,7 @@ import pytest
 
 import kgamma
 from kgamma import cli, harness, kernels
+from kgamma import functions as fn
 
 
 def run(argv, capsys):
@@ -630,6 +631,30 @@ class TestVerifyOverflow:
         )
         assert code == 1
         assert err.count("evaluation error: T4PK") == 2
+
+    def test_midpoint_of_two_finite_orders_near_the_largest_double(self, capsys):
+        # D^0 ~ 3.7e302 and D^8 ~ 1.8e308 are finite, but their sum is not:
+        # the midpoint halves each before adding
+        x = 169.07650971061716
+        code, out, err = run(
+            ["verify", "--theorems", "T5,T6", "--x", repr(x), "--k", "1",
+             "--p-param", "1", "--n", "4", "--l", "4", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert "Infinity" not in out and "inf" not in err
+        records = json.loads(out)[1:]
+        assert [r["theorem_id"] for r in records] == ["T5", "T6"]
+        for record, pt, deriv in zip(
+            records,
+            (fn.EvalPoint(x, 1.0), fn.EvalPoint(x, 1.0, 1.0)),
+            (fn.k_gamma_deriv, fn.pk_gamma_deriv),
+        ):
+            lo, hi = deriv(0, pt), deriv(8, pt)
+            assert math.isinf(lo + hi)
+            assert record["lhs"] == 0.5 * lo + 0.5 * hi
+            assert math.isfinite(record["slack"])
+            assert record["verdict"] == "PASS"
 
     def test_theorem_with_rows_counts_its_unevaluated_points(self, capsys):
         # pGamma_k overflows at k = 0.01 for 80 T3 points; the other 80 at

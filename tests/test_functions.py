@@ -359,6 +359,21 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _zeta_computations(monkeypatch) -> list:
+    """The (s, a) of each zeta value computed from here on.  The Hurwitz sum
+    is sized by `kernels._direct_terms` once per value; a read from a
+    block's zeta table skips it."""
+    computed = []
+    direct_terms = kernels._direct_terms
+
+    def counting(s, a):
+        computed.append((s, a))
+        return direct_terms(s, a)
+
+    monkeypatch.setattr(kernels, "_direct_terms", counting)
+    return computed
+
+
 class TestDerivativeTables:
     """A sweep's derivative tables must not change a bit, nor which call raises."""
 
@@ -378,14 +393,7 @@ class TestDerivativeTables:
                             UnsupportedOrderError}
 
     def test_one_zeta_call_per_distinct_argument(self, monkeypatch):
-        calls = []
-        original = kernels.hurwitz_zeta
-
-        def counting(s, a):
-            calls.append((s, a))
-            return original(s, a)
-
-        monkeypatch.setattr(kernels, "hurwitz_zeta", counting)
+        computed = _zeta_computations(monkeypatch)
         with kernels.memoised() as cache:
             fn.k_polygamma(1, EvalPoint(1.0, 2.0))
             # every vector reads psi^(1..7)(0.5), whose zeta_H(2, 0.5)
@@ -394,9 +402,29 @@ class TestDerivativeTables:
                 fn.k_gamma_deriv(n, EvalPoint(1.0, 2.0))
                 for p in (2.0, 3.0):
                     fn.pk_gamma_deriv(n, EvalPoint(1.0, 2.0, p))
-        assert calls == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
+        assert computed == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
+        assert set(cache.zetas) == set(computed)
         # one derivative vector per (x, k, p): Gamma_k's and two pGamma_k's
         assert len(cache.derivatives) == 3
+
+    def test_one_zeta_table_for_every_reader(self, monkeypatch):
+        # bell_sequence, k_polygamma, k_zeta and polygamma all reach
+        # kernels.hurwitz_zeta, so each zeta_H(s, a) is computed once
+        # whichever of them asks first, with the bits it has outside a block
+        calls = [
+            lambda: kernels.bell_sequence(3, 1.0, 2.0),  # zeta_H(2..3, 1)
+            lambda: fn.k_zeta(6.0, 2.0),  # zeta(3) = zeta_H(3, 1)
+            lambda: fn.k_polygamma(1, EvalPoint(2.0, 2.0)),  # zeta_H(2, 1)
+            lambda: kernels.polygamma(3, 1.0),  # zeta_H(4, 1)
+            lambda: fn.k_polygamma(3, EvalPoint(0.5, 0.5)),  # zeta_H(4, 1)
+            lambda: kernels.bell_sequence(4, 1.0, 0.5),  # zeta_H(2..4, 1)
+        ]
+        direct = [call() for call in calls]
+        computed = _zeta_computations(monkeypatch)
+        with kernels.memoised() as cache:
+            assert [call() for call in calls] == direct
+        assert computed == [(2, 1.0), (3, 1.0), (4, 1.0)]
+        assert set(cache.zetas) == {(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)}
 
     def test_gamma_table_is_bit_identical_and_keyed_per_family(self):
         points = [EvalPoint(x, k) for x in (2.0, 3.0, 7.5) for k in (0.5, 1.3)]
@@ -455,7 +483,7 @@ class TestPolicyFloor:
             with pytest.raises(DomainError, match="2\\^-56"):
                 CLOSED_FORMS[name](policy)
         # refused before any work: nothing was cached
-        assert cache.gammas == {} and cache.derivatives == {} and cache._zeta == {}
+        assert cache.gammas == {} and cache.derivatives == {} and cache.zetas == {}
 
 
 class TestPointPicksTheFamily:

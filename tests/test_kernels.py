@@ -347,34 +347,45 @@ class TestBellSequence:
 
 
 class TestKernelCache:
+    """`hurwitz_zeta` fills the block's zeta table itself: same bits and
+    errors as outside a block, one computation per (s, a)."""
+
     def test_values_identical_to_kernels(self):
+        zetas = {(s, a): kernels.hurwitz_zeta(s, a)
+                 for s, a in ((2.0, 0.5), (3.5, 1.0), (13.0, 7.25))}
+        riemann = kernels.riemann_zeta(3.0)
         bells = {(n, c): kernels.bell_sequence(n, 2.5, c)
                  for c in (2.0, 0.5, 1.0)
                  for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1)}
         with kernels.memoised() as cache:
-            for _ in range(2):  # the second pass is served from the cache
-                for s, a in ((2.0, 0.5), (3.5, 1.0), (13.0, 7.25)):
-                    assert cache.hurwitz_zeta(s, a) == kernels.hurwitz_zeta(s, a)
-                assert cache.riemann_zeta(3.0) == kernels.riemann_zeta(3.0)
+            for _ in range(2):  # the second pass is served from the table
+                for (s, a), value in zetas.items():
+                    assert kernels.hurwitz_zeta(s, a) == value
+                assert kernels.riemann_zeta(3.0) == riemann
                 # the Bell sequences read psi^(j)(2.5) from the zeta table
                 for (n, c), bell in bells.items():
                     assert kernels.bell_sequence(n, 2.5, c) == bell
-            assert set(cache._zeta) >= {(float(s), 2.5) for s in range(2, 9)}
+            assert set(cache.zetas) >= {(float(s), 2.5) for s in range(2, 9)}
+            # riemann_zeta(s) is zeta_H(s, 1): one entry of the same table
+            assert set(cache.zetas) >= {*zetas, (3.0, 1.0)}
 
     def test_errors_match_kernels(self):
         for bad_call in (
-            lambda src: kernels.bell_sequence(9, 1.0, 1.0),
-            lambda src: kernels.bell_sequence(-1, 1.0, 1.0),
-            lambda src: kernels.bell_sequence(2, -1.0, 1.0),
-            lambda src: src.hurwitz_zeta(1.0, 1.0),
-            lambda src: src.riemann_zeta(math.inf),
+            lambda: kernels.bell_sequence(9, 1.0, 1.0),
+            lambda: kernels.bell_sequence(-1, 1.0, 1.0),
+            lambda: kernels.bell_sequence(2, -1.0, 1.0),
+            lambda: kernels.hurwitz_zeta(1.0, 1.0),
+            lambda: kernels.hurwitz_zeta(2000, 0.5),  # a^-s overflows
+            lambda: kernels.riemann_zeta(math.inf),
         ):
             with pytest.raises(Exception) as direct:
-                bad_call(kernels)
+                bad_call()
             with kernels.memoised() as cache:
-                with pytest.raises(type(direct.value)) as cached:
-                    bad_call(cache)
-            assert str(cached.value) == str(direct.value)
+                for _ in range(2):  # raised again: the first call stored nothing
+                    with pytest.raises(type(direct.value)) as cached:
+                        bad_call()
+                    assert str(cached.value) == str(direct.value)
+            assert cache.zetas == {}
 
 
 class TestMemoisedScope:
