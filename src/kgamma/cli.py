@@ -7,13 +7,13 @@ family is EXCEEDS (a converged oracle value disagrees by more than
 --threshold) or UNCERTIFIED (some oracle value did not converge).
 `verify` exits 1 if any check is FAIL; otherwise 3 if any grid point
 failed to evaluate (an `evaluation error` line on stderr); otherwise 0.
-`verify` prints one summary line per selected theorem to stderr: its checks
-by verdict, its points not evaluated and, if it has rows, its least slack
-`at` that row's input columns that are not empty.
-`eval` refuses --p (exit 2) for a function that takes no p.  Only `eval`
-takes --rel-tol: it sets an oracle function's tolerance, while closed
-forms, accurate to one fixed 2^-56 Hurwitz truncation, refuse a value
-below 2^-56 (exit 3).
+`verify` prints one summary line per selected theorem to stderr: its checks,
+its PASS and FAIL counts, its points not evaluated and, if it has rows, its
+least slack (a NaN first) `at` that row's input columns that are not empty.
+`eval` refuses --p (exit 2) for a function that takes no p.  Only the
+`eval oracle_*` functions take --rel-tol, their quadrature tolerance; a
+closed form, accurate to one fixed 2^-56 Hurwitz truncation, refuses it
+(exit 2).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import time
 
 from . import __version__, harness, kernels, oracle
 from . import functions as fn
-from .policy import ABS_TOL, DEFAULT_POLICY, ORACLE_POLICY, DomainError
+from .policy import ABS_TOL, ORACLE_POLICY, DomainError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=int)
     p_eval.add_argument("--s", type=float, help="order for oracle_bose")
     p_eval.add_argument("--c", type=float, help="kernel scale for oracle_bose")
-    p_eval.add_argument("--rel-tol", type=float, default=None)
+    p_eval.add_argument("--rel-tol", type=float, help="oracle_* tolerance")
 
     p_verify = sub.add_parser("verify", help="run an inequality sweep")
     p_verify.add_argument("--theorems", default=None,
@@ -156,20 +156,19 @@ def _point(args) -> fn.EvalPoint:
     return fn.EvalPoint(args.x, args.k, args.p)
 
 
-#: eval function -> (flags, evaluate(args, policy)).  Every flag is
-#: required but a bracketed one, which may be left out: oracle_k_gamma_deriv
-#: takes the p-k family exactly when --p is given.  A function whose flags
-#: leave out p refuses --p.  The oracle_* entries return a QuadratureResult
-#: and run under the oracle policy.
+#: eval function -> (flags, evaluate).  Every flag is required but a
+#: bracketed one, which may be left out: oracle_k_gamma_deriv takes the p-k
+#: family exactly when --p is given.  A function whose flags leave out p
+#: refuses --p.  A closed form is evaluate(args); an oracle_* entry is
+#: evaluate(args, policy) and returns a QuadratureResult.
 _EVAL = {
-    "k_gamma": ("x k", lambda a, pol: fn.k_gamma(_point(a), pol)),
-    "pk_gamma": ("x k p", lambda a, pol: fn.pk_gamma(_point(a), pol)),
-    "k_polygamma": ("m x k", lambda a, pol: fn.k_polygamma(a.m, _point(a), pol)),
-    "k_zeta": ("x k", lambda a, pol: fn.k_zeta(a.x, a.k, pol)),
-    "pk_zeta": ("x k p", lambda a, pol: fn.pk_zeta(a.x, a.k, a.p, pol)),
-    "k_gamma_deriv": ("n x k", lambda a, pol: fn.k_gamma_deriv(a.n, _point(a), pol)),
-    "pk_gamma_deriv": ("n x k p", lambda a, pol: fn.pk_gamma_deriv(
-        a.n, _point(a), pol)),
+    "k_gamma": ("x k", lambda a: fn.k_gamma(_point(a))),
+    "pk_gamma": ("x k p", lambda a: fn.pk_gamma(_point(a))),
+    "k_polygamma": ("m x k", lambda a: fn.k_polygamma(a.m, _point(a))),
+    "k_zeta": ("x k", lambda a: fn.k_zeta(a.x, a.k)),
+    "pk_zeta": ("x k p", lambda a: fn.pk_zeta(a.x, a.k, a.p)),
+    "k_gamma_deriv": ("n x k", lambda a: fn.k_gamma_deriv(a.n, _point(a))),
+    "pk_gamma_deriv": ("n x k p", lambda a: fn.pk_gamma_deriv(a.n, _point(a))),
     "oracle_k_gamma": ("x k", lambda a, pol: oracle.integrate_k_gamma(
         _point(a), pol)),
     "oracle_pk_gamma": ("x k p", lambda a, pol: oracle.integrate_pk_gamma(
@@ -183,6 +182,10 @@ _EVAL = {
 
 
 def cmd_eval(args) -> int:
+    is_oracle = args.function.startswith("oracle_")
+    if args.rel_tol is not None and not is_oracle:
+        raise UsageError(f"function {args.function} does not take --rel-tol: "
+                         "closed forms have one fixed 2^-56 accuracy")
     if args.rel_tol is not None and not 0 < args.rel_tol < math.inf:
         raise UsageError(f"--rel-tol must be finite and positive, got {args.rel_tol!r}")
     flags, evaluate = _EVAL[args.function]
@@ -196,13 +199,12 @@ def cmd_eval(args) -> int:
         if counterpart != args.function and counterpart in _EVAL:
             hint = f"; use {counterpart}"
         raise UsageError(f"function {args.function} does not take --p{hint}")
-    is_oracle = args.function.startswith("oracle_")
-    policy = ORACLE_POLICY if is_oracle else DEFAULT_POLICY
+    if not is_oracle:
+        print(_fmt(evaluate(args)))
+        return EXIT_OK
+    policy = ORACLE_POLICY
     if args.rel_tol is not None:
         policy = dataclasses.replace(policy, rel_tol=args.rel_tol)
-    if not is_oracle:
-        print(_fmt(evaluate(args, policy)))
-        return EXIT_OK
     result = evaluate(args, policy)
     print(f"{_fmt(result.value)} error_estimate={_fmt(result.error_estimate)} "
           f"converged={result.converged}")
@@ -311,8 +313,7 @@ def cmd_verify(args) -> int:
     for theorem_id, entry in summary.per_theorem.items():
         line = (
             f"{theorem_id}: {entry['count']} checks, {entry['PASS']} pass, "
-            f"{entry['FAIL']} fail, {entry['DIRECTION_NEGATIVE']} direction-negative, "
-            f"{entry['not_evaluated']} not evaluated"
+            f"{entry['FAIL']} fail, {entry['not_evaluated']} not evaluated"
         )
         if entry["count"]:
             line += f", min slack {_fmt(entry['min_slack'])} at {entry['min_slack_at']}"

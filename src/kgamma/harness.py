@@ -90,8 +90,8 @@ class HolderPair:
 class InequalityCheck:
     """One verification record, which is also one report row: its fields,
     in order, are the CSV columns and the JSON keys.  An input the theorem
-    does not take is None.  Not frozen, since a frozen record costs several
-    times as much to build; nothing mutates one."""
+    does not take is None; the verdict is PASS or FAIL.  Not frozen, since
+    a frozen record costs several times as much to build."""
 
     theorem_id: str
     x: float | None
@@ -106,7 +106,7 @@ class InequalityCheck:
     rhs: float
     slack: float
     margin: float
-    verdict: str  # PASS | FAIL | DIRECTION_NEGATIVE
+    verdict: str
 
 
 def _inputs_of(check: InequalityCheck) -> dict:
@@ -120,14 +120,11 @@ def _record(
     slack: float | None = None, *, k: float, x=None, p_param=None, m=None, n=None,
     l=None, holder_p=None, holder_q=None,
 ) -> InequalityCheck:
-    """One check's record and verdict; the slack is lhs - rhs unless given,
-    and an input left out is None."""
+    """One check's record; the slack is lhs - rhs unless given, and an input
+    left out is None.  The verdict is PASS if slack >= -(margin + slack_tol),
+    else FAIL, so a NaN slack is a FAIL."""
     slack = lhs - rhs if slack is None else slack
-    verdict = "PASS"
-    if not slack >= -(margin + slack_tol):  # a NaN slack is a FAIL
-        # T7's printed direction is self-contradictory in the source material;
-        # a violated parity prediction is a direction finding, not a hard FAIL.
-        verdict = "DIRECTION_NEGATIVE" if theorem_id == "T7" else "FAIL"
+    verdict = "PASS" if slack >= -(margin + slack_tol) else "FAIL"
     return InequalityCheck(theorem_id, x, k, p_param, m, n, l, holder_p, holder_q,
                            lhs, rhs, slack, margin, verdict)
 
@@ -186,10 +183,13 @@ def check_holder_zeta(
     zeta = lambda x: fn.k_zeta(x, k)
     gamma = lambda x: gamma_k(fn.EvalPoint(x, k, p_param))
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
-    gamma_ratio = gamma(s + 1.0) / (
-        gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
-    )
-    rhs = gamma_ratio * zeta(s + 1.0)
+    numerator = gamma(s + 1.0)
+    denominator = gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
+    if not denominator > 0.0:  # a bare ZeroDivisionError names no point
+        raise ComputationOverflowError(
+            f"gamma ratio denominator of orders m={m}, n={n} at k={k}, "
+            f"p={p_param} underflows to 0 in double precision")
+    rhs = numerator / denominator * zeta(s + 1.0)
     # lhs carries two damped factors, rhs four factors
     margin = abs(lhs) * _FUNC_REL + 4.0 * abs(rhs) * _FUNC_REL
     return _record("T2" if p_param is None else "T3", lhs, rhs, margin, slack_tol,
@@ -260,10 +260,11 @@ def check_midpoint_polygamma(
     """Midpoint inequality for k-polygamma, parity-oriented.
 
     d = psi_k^(n) - [psi_k^(n+1) + psi_k^(n-1)] / 2; the predicted
-    direction is d >= 0 for odd n, d <= 0 for even n.  n >= 2: n = 1
-    would reference the undefined psi_k^(0).  The record's slack is d at
-    odd n and -d at even n, so d and its sign, the empirical direction,
-    follow from slack and n exactly.
+    direction is d >= 0 for odd n, d <= 0 for even n, and the slack is d
+    at odd n and -d at even n.  n >= 2: n = 1 would reference the
+    undefined psi_k^(0).  psi_k^(m) has the sign (-1)^(m+1), so lhs and
+    rhs have opposite signs, the slack is |lhs| + |rhs|, and every row is
+    PASS by the sign pattern alone.
     """
     if not 2 <= n < POLYGAMMA_MAX_ORDER:  # reads order n + 1
         raise DomainError(
@@ -287,7 +288,8 @@ class GridSpec:
     Theorem-specific hypotheses (zeta domain, Hölder integrality, the
     even orders of T5/T6, the order ranges of T4 and T7) are applied per
     theorem when enumerating points, so any finite positive lists are
-    acceptable here, with Hölder exponents whose conjugates exceed 1.  T4K/T4PK deliberately enumerate both parities of n: the Turán
+    acceptable here, with Hölder exponents whose conjugates exceed 1.
+    T4K/T4PK deliberately enumerate both parities of n: the Turán
     inequality holds only at odd n, and the even-n points are kept so that
     its reversal there is reported as FAIL.
     """
@@ -317,10 +319,10 @@ class GridSpec:
 
 @dataclass
 class ScanSummary:
-    """Per selected theorem, its checks by verdict, its points not evaluated
-    and its least slack; `min_slack_at` is a dict of that row's input
-    columns that are not None.  `errors` holds one message per point not
-    evaluated."""
+    """Per selected theorem, an entry built from its rows: `count`, `PASS`,
+    `FAIL`, `not_evaluated`, and the least row's (a NaN slack first)
+    `min_slack` and `min_slack_at`, a dict of its input columns that are not
+    None.  `errors` holds one message per point not evaluated."""
 
     per_theorem: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
@@ -423,25 +425,20 @@ def scan_grid(
         for theorem_id, points, evaluate in THEOREMS:
             if theorem_id not in theorems:
                 continue
-            entry = summary.per_theorem[theorem_id] = {
-                "count": 0, "PASS": 0, "FAIL": 0, "DIRECTION_NEGATIVE": 0,
-                "not_evaluated": 0, "min_slack": math.inf, "min_slack_at": None,
-            }
-            least = None
+            first, errors = len(checks), len(summary.errors)
             for point in points(spec):
                 try:
-                    check = evaluate(*point, slack_tol)
+                    checks.append(evaluate(*point, slack_tol))
                 except (ArithmeticError, ValueError) as exc:
-                    entry["not_evaluated"] += 1
                     summary.errors.append(f"{theorem_id}: {exc}")
-                    continue
-                checks.append(check)
-                entry["count"] += 1
-                entry[check.verdict] += 1
-                # ties keep the earlier (lexicographically first) grid point
-                if check.slack < entry["min_slack"]:
-                    entry["min_slack"] = check.slack
-                    least = check
-            if least is not None:
-                entry["min_slack_at"] = _inputs_of(least)
+            rows = checks[first:]
+            passed = sum(row.verdict == "PASS" for row in rows)
+            # a NaN slack sorts first; min keeps the earlier of equal keys
+            least = min(rows, key=lambda c: (c.slack == c.slack, c.slack), default=None)
+            summary.per_theorem[theorem_id] = {
+                "count": len(rows), "PASS": passed, "FAIL": len(rows) - passed,
+                "not_evaluated": len(summary.errors) - errors,
+                "min_slack": math.inf if least is None else least.slack,
+                "min_slack_at": None if least is None else _inputs_of(least),
+            }
     return checks, summary

@@ -321,8 +321,9 @@ def integrate_bose(
     """
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"bose integral requires s >= 1, got {s!r}")
-    if not (k > 0 and c > 0):
-        raise DomainError("bose integral requires k > 0 and c > 0")
+    if not (0 < k < math.inf and 0 < c < math.inf):
+        raise DomainError(
+            f"bose integral requires k > 0 and c > 0, both finite; got {k!r}, {c!r}")
     if s - k <= -1.0:
         raise DomainError(
             f"bose integrand is non-integrable at 0 for s - k <= -1 (s={s}, k={k})"

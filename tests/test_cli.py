@@ -102,6 +102,13 @@ class TestEval:
         assert code == 0
         assert out.split()[2] == "converged=True"
 
+    @pytest.mark.parametrize("k, c", [("1", "inf"), ("inf", "1")])
+    def test_oracle_bose_refuses_an_infinite_scale(self, capsys, k, c):
+        code, out, err = run(
+            ["eval", "oracle_bose", "--s", "2", "--k", k, "--c", c], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: bose integral requires k > 0 and c > 0")
+
     def test_oracle_variant_reports_error_estimate(self, capsys):
         code, out, _ = run(
             ["eval", "oracle_k_gamma", "--x", "1", "--k", "2"], capsys
@@ -243,13 +250,14 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == 2 + 2
         # one format for every theorem; no min-slack clause without rows
-        counts = "0 fail, 0 direction-negative, 0 not evaluated"
+        counts = "0 fail, 0 not evaluated"
         assert f"T2: 0 checks, 0 pass, {counts}\n" in err
         assert f"T5: 2 checks, 2 pass, {counts}, min slack " in err
 
 
 class TestRelTol:
-    """Only `eval` takes --rel-tol; `verify` and `crosscheck` refuse the flag."""
+    """Only `eval oracle_*` takes --rel-tol; a closed form refuses it as a
+    usage error, and `verify` and `crosscheck` do not know the flag."""
 
     POINT = {
         "eval": ["eval", "k_gamma", "--x", "1", "--k", "1"],
@@ -282,8 +290,12 @@ class TestRelTol:
 
     @pytest.mark.parametrize("command", ["eval", "eval_oracle"])
     def test_positive_is_accepted(self, capsys, command):
-        code, _, _ = run(self.POINT[command] + ["--rel-tol", "1e-9"], capsys)
-        assert code == 0
+        code, _, err = run(self.POINT[command] + ["--rel-tol", "1e-9"], capsys)
+        if command == "eval":  # a closed form takes no tolerance
+            assert code == 2
+            assert "usage error: function k_gamma does not take --rel-tol" in err
+        else:
+            assert code == 0
 
     @pytest.mark.parametrize("command", SWEEPS)
     def test_sweeps_refuse_it(self, capsys, command):
@@ -293,8 +305,8 @@ class TestRelTol:
 
     def test_closed_form_refuses_a_finer_value(self, capsys):
         code, out, err = run(self.POINT["eval"] + ["--rel-tol", "1e-17"], capsys)
-        assert code == 3 and out == ""
-        assert "domain error" in err and "2^-56" in err
+        assert code == 2 and out == ""
+        assert "usage error" in err and "2^-56" in err
 
 
 def _check(theorem_id, inputs, lhs, rhs, slack, margin, verdict="PASS"):
@@ -315,8 +327,7 @@ TRICKY_CHECKS = [
            math.inf, -math.inf, math.nan, "FAIL"),
     _check("T5", {"x": 1, "k": 1.0, "n": 2, "l": 0},
            0.1 + 0.2, 0.3, (0.1 + 0.2) - 0.3, 1.0, "PASS"),
-    _check("T7", {"x": 1.0, "k": 2.0, "n": 3}, 1.0, 1, -0.0, 0.0,
-           "DIRECTION_NEGATIVE"),
+    _check("T7", {"x": 1.0, "k": 2.0, "n": 3}, 1.0, 1, -0.0, 0.0, "FAIL"),
     _check("T1", {"x": 2.0, "k": 2, "m": 2, "n": 2, "holder_p": 2.0,
                   "holder_q": 2.0}, math.inf, -math.inf, 2.0, 2),
 ]
@@ -616,7 +627,7 @@ class TestVerifyOverflow:
         assert code == 3
         assert out.splitlines()[2:] == []
         assert err.splitlines()[0] == (
-            "T4PK: 0 checks, 0 pass, 0 fail, 0 direction-negative, 1 not evaluated"
+            "T4PK: 0 checks, 0 pass, 0 fail, 1 not evaluated"
         )
         assert "evaluation error: T4PK: Turán products of order 1" in err
         assert "FAIL" not in out and "nan" not in out
@@ -656,6 +667,21 @@ class TestVerifyOverflow:
             assert math.isfinite(record["slack"])
             assert record["verdict"] == "PASS"
 
+    def test_underflowed_gamma_ratio_names_the_point(self, capsys):
+        # pGamma_k underflows to 0 in the denominator of T3's gamma ratio
+        code, out, err = run(
+            ["verify", "--theorems", "T3", "--k", "0.5", "--p-param", "1e-200",
+             "--m", "2,4", "--n", "2,4", "--holder-p", "2"],
+            capsys,
+        )
+        assert code == 3
+        assert out.splitlines()[2:] == []
+        errors = err.splitlines()[1:]
+        assert len(errors) == 4 and "division by zero" not in err
+        assert errors[1] == (
+            "evaluation error: T3: gamma ratio denominator of orders m=2, n=4 "
+            "at k=0.5, p=1e-200 underflows to 0 in double precision")
+
     def test_theorem_with_rows_counts_its_unevaluated_points(self, capsys):
         # pGamma_k overflows at k = 0.01 for 80 T3 points; the other 80 at
         # k = 0.5 are rows, and T3's one summary line counts both
@@ -663,7 +689,7 @@ class TestVerifyOverflow:
         assert code == 3
         lines = err.splitlines()
         assert lines[0].startswith(
-            "T3: 80 checks, 80 pass, 0 fail, 0 direction-negative, 80 not evaluated, "
+            "T3: 80 checks, 80 pass, 0 fail, 80 not evaluated, "
             "min slack "
         )
         assert len(lines) == 1 + 80

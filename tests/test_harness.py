@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgamma import cli, harness, kernels, oracle
 from kgamma import functions as fn
@@ -111,6 +113,13 @@ class TestHolderZeta:
         for m, n in ((0, 1), (1, 0)):
             with pytest.raises(DomainError, match="orders m, n must be >= 1"):
                 harness.check_holder_zeta(m, n, hp, 1.0)
+
+    def test_underflowed_gamma_ratio_is_an_evaluation_error(self):
+        # pGamma_k(3; k=0.5, p=1e-200) = p^6 Gamma(6) / k underflows to 0 in
+        # the ratio's denominator, which once raised a bare ZeroDivisionError
+        with pytest.raises(ComputationOverflowError,
+                           match="m=2, n=2 at k=0.5, p=1e-200 underflows to 0"):
+            harness.check_holder_zeta(2, 2, HolderPair(2.0, 2.0), 0.5, 1e-200)
 
     @pytest.mark.parametrize("ks, t3_errors", [
         (GridSpec().ks, 0),
@@ -254,6 +263,20 @@ class TestMidpointPolygamma:
         assert _raw_difference(check) < 0
         assert check.verdict == "PASS"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 1.0), st.integers(2, 11))
+    def test_sign_identity(self, log_x, log_k, n):
+        # psi_k^(m) has the sign (-1)^(m+1), so lhs and rhs have opposite
+        # signs, the parity-oriented slack is |lhs| + |rhs|, and no row FAILs
+        try:
+            check = harness.check_midpoint_polygamma(
+                n, EvalPoint(10.0**log_x, 10.0**log_k))
+        except ComputationOverflowError:
+            return
+        assert check.lhs * check.rhs <= 0.0
+        assert check.slack == abs(check.lhs) + abs(check.rhs)
+        assert check.verdict == "PASS"
+
     def test_order_bounds(self):
         with pytest.raises(DomainError):
             harness.check_midpoint_polygamma(1, EvalPoint(1.0, 1.0))
@@ -283,6 +306,30 @@ class TestScanGrid:
         assert summary.per_theorem["T7"]["PASS"] == 16
         # frozen regression: smallest observed parity-oriented slack
         assert summary.per_theorem["T7"]["min_slack"] > 1e-4
+
+    def test_summary_is_built_from_the_rows(self, monkeypatch):
+        # one theorem whose rows all have slack +inf, one with NaN slacks
+        def theorem(theorem_id, slacks):
+            points = lambda spec: ((s, float(x)) for x, s in enumerate(slacks, 1))
+            evaluate = lambda slack, x, slack_tol: harness._record(
+                theorem_id, slack, 0.0, 0.0, slack_tol, x=x, k=1.0)
+            return theorem_id, points, evaluate
+
+        monkeypatch.setattr(harness, "THEOREMS", (
+            theorem("T1", [math.inf, math.inf]),
+            theorem("T7", [1.0, math.nan, -5.0, math.nan]),
+        ))
+        checks, summary = harness.scan_grid(GridSpec(), ("T1", "T7"))
+        assert len(checks) == 6
+        assert summary.per_theorem["T1"] == {
+            "count": 2, "PASS": 2, "FAIL": 0, "not_evaluated": 0,
+            "min_slack": math.inf, "min_slack_at": {"x": 1.0, "k": 1.0},
+        }
+        entry = summary.per_theorem["T7"]
+        assert (entry["count"], entry["PASS"], entry["FAIL"]) == (4, 1, 3)
+        # a NaN slack is the worst row, and the earlier of two
+        assert math.isnan(entry["min_slack"])
+        assert entry["min_slack_at"] == {"x": 2.0, "k": 1.0}
 
     def test_determinism(self):
         spec = GridSpec()

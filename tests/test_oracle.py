@@ -106,7 +106,8 @@ class TestBoseIntegral:
             oracle.integrate_bose(1.0, 2.5, 1.0)  # s - k <= -1
         with pytest.raises(DomainError, match="requires s >= 1"):
             oracle.integrate_bose(0.5, 1.0, 1.0)
-        for k, c in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)):
+        for k, c in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0),
+                     (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
             with pytest.raises(DomainError, match="requires k > 0 and c > 0"):
                 oracle.integrate_bose(1.0, k, c)
 
