@@ -37,10 +37,15 @@ deliver, raises `DomainError`.
 
 Inside a `kernels.memoised()` block, as in every `verify` sweep, values
 shared between calls are computed once, each into its own table of the
-block's `KernelCache`: G(x) per point by `_gamma`, the vector D_0..8 per
-point, read by every order, by `_derivative`, and zeta_H(s, a) by
-`kernels.hurwitz_zeta`.  Outside one a derivative builds B only up to its
-own order.
+block's `KernelCache` by the one function that reads it: G(x) per point
+by `_gamma`; the vector D_0..8 per point by `_derivative_vector`, read by
+every order, and once per sweep row by `gamma_derivatives`, which takes
+all the orders a Turán or midpoint check needs; psi_k^(m)(x) per
+(m, x, k) by `k_polygamma`; |psi_k^(s)(x)| per (s, x, k) by
+`k_polygamma_magnitude_fractional`; and zeta_H(s, a) by
+`kernels.hurwitz_zeta`.  A call that raises stores nothing.  Outside a
+block every value is computed afresh, and derivatives build B only up to
+the largest order asked for.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
     "pk_zeta",
     "k_gamma_deriv",
     "pk_gamma_deriv",
+    "gamma_derivatives",
 ]
 
 
@@ -204,13 +210,22 @@ def k_polygamma(
             f"order {m} exceeds supported cap {kernels.POLYGAMMA_MAX_ORDER}"
         )
     _check_policy(policy)
+    # inside a block, read from or stored in the table; a raise stores nothing
+    cache = kernels.active_cache()
+    if cache is not None:
+        value = cache.polygammas.get((m, pt.x, pt.k))
+        if value is not None:
+            return value
     sign = 1.0 if m % 2 == 1 else -1.0
     try:
         scale = math.factorial(m) * pt.k ** (-(m + 1.0))
     except OverflowError:  # k^-(m+1) beyond the double range
         scale = math.inf
     value = sign * scale * kernels.hurwitz_zeta(m + 1.0, pt.x / pt.k)
-    return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, pt.x, pt.k)
+    value = _finite_or_overflow(value, "psi_k^({})({}; k={})", m, pt.x, pt.k)
+    if cache is not None:
+        cache.polygammas[(m, pt.x, pt.k)] = value
+    return value
 
 
 def k_polygamma_magnitude_fractional(
@@ -225,10 +240,18 @@ def k_polygamma_magnitude_fractional(
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
     _check_policy(policy)
+    cache = kernels.active_cache()
+    if cache is not None:
+        value = cache.magnitudes.get((s, pt.x, pt.k))
+        if value is not None:
+            return value
     log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(pt.k)
     scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, pt.k)
     value = scale * kernels.hurwitz_zeta(s + 1.0, pt.x / pt.k)
-    return _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, pt.x, pt.k)
+    value = _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, pt.x, pt.k)
+    if cache is not None:
+        cache.magnitudes[(s, pt.x, pt.k)] = value
+    return value
 
 
 def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
@@ -238,7 +261,9 @@ def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float
     if not (math.isfinite(x) and x / k > 1.0):
         raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
     _check_policy(policy)
-    return kernels.riemann_zeta(x / k)
+    s = x / k
+    # zeta(s) rounds to 1.0 from s = 54 on, as does an s beyond the double range
+    return 1.0 if s == math.inf else kernels.riemann_zeta(s)
 
 
 def pk_zeta(
@@ -268,23 +293,30 @@ def _derivatives(n_max: int, pt: EvalPoint) -> list[float | None]:
     return derivs
 
 
-def _derivative(n: int, pt: EvalPoint) -> float:
-    kernels.check_deriv_order(n)
+def _derivative_vector(n_max: int, pt: EvalPoint) -> list[float | None]:
+    # [D_0, ..., D_n_max] at least: the point's whole D_0..8 inside a block,
+    # built once and read by every order, and only up to n_max outside one
     cache = kernels.active_cache()
     if cache is None:
-        d = _derivatives(n, pt)[n]
-    else:
-        key = (pt.x, pt.k, pt.p)
-        derivs = cache.derivatives.get(key)
-        if derivs is None:
-            derivs = cache.derivatives[key] = _derivatives(
-                kernels.GAMMA_DERIV_MAX_ORDER, pt)
-        d = derivs[n]
+        return _derivatives(n_max, pt)
+    key = (pt.x, pt.k, pt.p)
+    derivs = cache.derivatives.get(key)
+    if derivs is None:
+        derivs = cache.derivatives[key] = _derivatives(
+            kernels.GAMMA_DERIV_MAX_ORDER, pt)
+    return derivs
+
+
+def _derivative_overflow(n: int, pt: EvalPoint) -> ComputationOverflowError:
+    family = "Gamma_k" if pt.p is None else "pGamma_k"
+    return ComputationOverflowError(f"{family}^({n}) at {pt} overflows double precision")
+
+
+def _derivative(n: int, pt: EvalPoint) -> float:
+    kernels.check_deriv_order(n)
+    d = _derivative_vector(n, pt)[n]
     if d is None:
-        family = "Gamma_k" if pt.p is None else "pGamma_k"
-        raise ComputationOverflowError(
-            f"{family}^({n}) at {pt} overflows double precision"
-        )
+        raise _derivative_overflow(n, pt)
     return d
 
 
@@ -305,3 +337,24 @@ def pk_gamma_deriv(
     _check_policy(policy)
     pt.require_p()
     return _derivative(n, pt)
+
+
+def gamma_derivatives(
+    orders: tuple[int, ...], pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
+) -> list[float]:
+    """G^(n)(x) for each n of `orders`, a non-empty tuple, in order, with
+    G = Gamma_k at a point without p and G = pGamma_k at one with p, n <= 8.
+
+    Every order is checked first.  The values, and the error the first
+    order that overflows raises, are then those of `k_gamma_deriv` or
+    `pk_gamma_deriv` called order by order; the point's derivatives are
+    read once for all of them.
+    """
+    _check_policy(policy)
+    for n in orders:
+        kernels.check_deriv_order(n)
+    derivs = _derivative_vector(max(orders), pt)
+    values = [derivs[n] for n in orders]
+    if None in values:
+        raise _derivative_overflow(orders[values.index(None)], pt)
+    return values

@@ -23,7 +23,12 @@ theorem does not take.
 
 `THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
 points and the check that evaluates one.  `scan_grid` runs every check of
-a sweep inside one `kernels.memoised()` block.
+a sweep inside one `kernels.memoised()` block, where each row reads what
+its point shares with other rows from the block's tables: a T2/T3 row its
+G values, a T4-T6 row its point's derivative vector, once for all its
+orders, and a T1/T7 row its polygamma values.  Every row is still the
+record of one call of its module-level check, which a profiler or test
+can wrap.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, memoised
+from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, active_cache, memoised
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -61,9 +66,8 @@ _FUNC_REL = 1e-11
 #: Hölder sides with exponents near 1 lose a few digits.
 DEFAULT_SLACK_TOL = 1e-9
 
-#: Relative contract of the j-th gamma-derivative entry.
-def _deriv_rel(j: int) -> float:
-    return _FUNC_REL * (j + 1)
+#: Relative contract of the j-th gamma-derivative entry, per j.
+_DERIV_REL = tuple(_FUNC_REL * (j + 1) for j in range(GAMMA_DERIV_MAX_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,15 @@ def check_holder_zeta(
     # pzeta_k is zeta_k for every p, and the point checks p
     gamma_k = fn.k_gamma if p_param is None else fn.pk_gamma
     zeta = lambda x: fn.k_zeta(x, k)
-    gamma = lambda x: gamma_k(fn.EvalPoint(x, k, p_param))
+    # G at a point already in the block's gamma table is read from it; any
+    # other is computed, and stored, by the public function
+    cache = active_cache()
+    gammas = {} if cache is None else cache.gammas
+
+    def gamma(x: float) -> float:
+        value = gammas.get((x, k, p_param))
+        return gamma_k(fn.EvalPoint(x, k, p_param)) if value is None else value
+
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     numerator = gamma(s + 1.0)
     denominator = gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
@@ -210,10 +222,7 @@ def check_turan_gamma_deriv(
     if not 1 <= n < GAMMA_DERIV_MAX_ORDER:  # reads order n + 1
         raise DomainError(
             f"Turán check requires 1 <= n <= {GAMMA_DERIV_MAX_ORDER - 1}")
-    deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-    g_lo = deriv(n - 1, pt)
-    g_mid = deriv(n, pt)
-    g_hi = deriv(n + 1, pt)
+    g_lo, g_mid, g_hi = fn.gamma_derivatives((n - 1, n, n + 1), pt)
     lhs = g_lo * g_hi
     rhs = g_mid * g_mid
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -221,8 +230,8 @@ def check_turan_gamma_deriv(
         raise ComputationOverflowError(
             f"Turán products of order {n} at {pt} overflow double precision"
         )
-    margin = abs(lhs) * (_deriv_rel(n - 1) + _deriv_rel(n + 1)) + abs(rhs) * (
-        2.0 * _deriv_rel(n)
+    margin = abs(lhs) * (_DERIV_REL[n - 1] + _DERIV_REL[n + 1]) + abs(rhs) * (
+        2.0 * _DERIV_REL[n]
     )
     return _record("T4K" if pt.p is None else "T4PK", lhs, rhs, margin, slack_tol,
                    x=pt.x, k=pt.k, p_param=pt.p, n=n)
@@ -240,16 +249,13 @@ def check_midpoint_gamma_deriv(
     if n % 2 or l % 2 or not (n >= l >= 0) or n + l > GAMMA_DERIV_MAX_ORDER:
         raise DomainError("midpoint check requires even n >= l >= 0 with "
                           f"n + l <= {GAMMA_DERIV_MAX_ORDER}")
-    deriv = fn.k_gamma_deriv if pt.p is None else fn.pk_gamma_deriv
-    g_lo = deriv(n - l, pt)
-    g_hi = deriv(n + l, pt)
-    g_mid = deriv(n, pt)
+    g_lo, g_hi, g_mid = fn.gamma_derivatives((n - l, n + l, n), pt)
     # halved first: finite D^0 and D^8 can sum past the largest double
     lhs = 0.5 * g_lo + 0.5 * g_hi
     rhs = g_mid
     margin = 0.5 * (
-        abs(g_lo) * _deriv_rel(n - l) + abs(g_hi) * _deriv_rel(n + l)
-    ) + abs(g_mid) * _deriv_rel(n)
+        abs(g_lo) * _DERIV_REL[n - l] + abs(g_hi) * _DERIV_REL[n + l]
+    ) + abs(g_mid) * _DERIV_REL[n]
     return _record("T5" if pt.p is None else "T6", lhs, rhs, margin, slack_tol,
                    x=pt.x, k=pt.k, p_param=pt.p, n=n, l=l)
 
@@ -349,20 +355,27 @@ def _holder_orders(spec: GridSpec, hp: HolderPair) -> Iterator[tuple[int, int, f
                 yield m, n, s
 
 
+def _holder_triples(spec: GridSpec) -> list[tuple[HolderPair, int, int, float]]:
+    """(hp, m, n, s) for each Hölder pair and its `_holder_orders`, built
+    once per theorem of a sweep rather than at every point."""
+    return [(hp, m, n, s) for hp in spec.holder_pairs()
+            for m, n, s in _holder_orders(spec, hp)]
+
+
 def _holder_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
+    triples = _holder_triples(spec)
     for pt in _eval_points(spec):
-        for hp in spec.holder_pairs():
-            for m, n, _ in _holder_orders(spec, hp):
-                yield m, n, hp, pt
+        for hp, m, n, _ in triples:
+            yield m, n, hp, pt
 
 
 def _holder_zeta_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
+    triples = _holder_triples(spec)
     for k in spec.ks:
         for p_param in (spec.p_params if pk else (None,)):
-            for hp in spec.holder_pairs():
-                for m, n, s in _holder_orders(spec, hp):
-                    if min(m + 1.0, n + 1.0, s + 1.0) / k > 1.0:
-                        yield m, n, hp, k, p_param
+            for hp, m, n, s in triples:
+                if min(m + 1.0, n + 1.0, s + 1.0) / k > 1.0:
+                    yield m, n, hp, k, p_param
 
 
 def _turan_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:

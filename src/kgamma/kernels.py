@@ -351,14 +351,21 @@ class KernelCache:
       `riemann_zeta(s)` is zeta_H(s, 1), and `polygamma` and
       `bell_sequence` read psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
     - `gammas`: Gamma_k / pGamma_k values per (x, k, p), with p None for
-      Gamma_k, filled by `functions._gamma`;
+      Gamma_k, filled by `functions._gamma`; `harness.check_holder_zeta`
+      reads it too, and builds a point only for a value not yet there;
     - `derivatives`: derivative vectors D_0..8 per (x, k, p), filled by
-      `functions._derivative`.
+      `functions._derivative_vector`, which every derivative order reads;
+    - `polygammas`: psi_k^(m)(x) per (m, x, k), filled by
+      `functions.k_polygamma`;
+    - `magnitudes`: |psi_k^(s)(x)| per (s, x, k), filled by
+      `functions.k_polygamma_magnitude_fractional`.
     """
 
     zetas: dict = field(default_factory=dict)
     gammas: dict = field(default_factory=dict)
     derivatives: dict = field(default_factory=dict)
+    polygammas: dict = field(default_factory=dict)
+    magnitudes: dict = field(default_factory=dict)
 
 
 _ACTIVE_CACHE = contextvars.ContextVar("kgamma_kernel_cache", default=None)

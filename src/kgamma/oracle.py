@@ -30,10 +30,11 @@ Each panel's error estimate is the larger of two null rules of the K15
 nodes (K15 - G7 and a degree-13 companion), sharpened QUADPACK-style
 relative to the integrand's spread on the panel.  The result's estimate
 adds the truncated tails and the roundoff of the panel sum.  It is
-converged when the tails were met and the estimate is within tolerance of
-the integral of |g|: |value| unless g changes sign, as log^n t does at odd
-n, where |value| can be far below the integrand's scale.  An integral
-beyond double range raises `ComputationOverflowError`.
+converged when the tails were met and the estimate is within the relative
+tolerance of the integral of |g|, which must be positive: |value| unless g
+changes sign, as log^n t does at odd n, where |value| can be far below the
+integrand's scale.  An integral beyond double range raises
+`ComputationOverflowError`.
 """
 
 from __future__ import annotations
@@ -253,7 +254,10 @@ def _integrate_zero_to_inf(
     except OverflowError as exc:
         raise ComputationOverflowError("integral overflows double precision") from exc
     total_err += upper_tail + lower_tail
-    converged = tails_met and total_err <= max(ABS_TOL, policy.rel_tol * mass)
+    # relative to the mass alone: an absolute floor would certify any value
+    # of an integral below it, and a zero mass (every panel underflowed)
+    # certifies nothing
+    converged = tails_met and 0.0 < mass and total_err <= policy.rel_tol * mass
     return QuadratureResult(total, total_err, n_panels, converged)
 
 

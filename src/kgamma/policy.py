@@ -23,8 +23,10 @@ class ComputationOverflowError(OverflowError):
     """
 
 
-#: Absolute floor under every relative tolerance, so that a value at or
-#: near zero can still be converged.
+#: Absolute floor under relative tolerances where a value can be at or near
+#: zero: the Hurwitz remainder check, the oracle's refinement target and a
+#: relative discrepancy's denominator.  It certifies no oracle value, which
+#: converges relative to the integral's mass alone.
 ABS_TOL = 1e-300
 
 

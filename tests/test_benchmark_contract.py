@@ -6,11 +6,12 @@ fails when `verify` prints `evaluation error` on stderr.  A rename or a new
 wording would make every benchmark operation fail, which no other test sees.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
 
-from kgamma import cli
+from kgamma import cli, harness
 from kgamma import functions as fn
 from kgamma.policy import AccuracyPolicy
 
@@ -53,3 +54,28 @@ def test_closed_forms_take_the_crosscheck_policy_positionally():
 def test_default_grid_stderr_never_says_evaluation_error(capsys):
     assert cli.main(["verify", "--default-grid"]) == 1
     assert "evaluation error" not in capsys.readouterr().err
+
+
+def test_each_sweep_row_is_the_record_of_one_check_call(monkeypatch):
+    # the benchmark's flipped-sign self-test wraps each harness.check_* by
+    # module attribute and flips the slack of the record it returns, and the
+    # tracer counts those calls: every row must be one such call's record
+    records = []
+    for name in ("check_holder_polygamma", "check_holder_zeta", "check_turan_gamma_deriv",
+                 "check_midpoint_gamma_deriv", "check_midpoint_polygamma"):
+        original = getattr(harness, name)
+
+        def flipped(*args, _original=original, **kwargs):
+            check = _original(*args, **kwargs)
+            records.append(check)
+            return dataclasses.replace(check, slack=-check.slack)
+
+        monkeypatch.setattr(harness, name, flipped)
+    # the benchmark's sweep grid: 6 x, three k in [0.5, 2) and one in (2, 3]
+    spec = harness.GridSpec(xs=(0.6, 1.7, 2.9, 4.4, 7.1, 9.8), ks=(0.7, 1.1, 1.9, 2.5))
+    rows, summary = harness.scan_grid(spec, harness.THEOREM_IDS)
+    assert len(rows) == len(records) == 1867 and summary.errors == []
+    assert [repr(-row.slack) for row in rows] == [repr(r.slack) for r in records]
+    monkeypatch.undo()
+    plain, _ = harness.scan_grid(spec, harness.THEOREM_IDS)
+    assert [repr(row.slack) for row in plain] == [repr(r.slack) for r in records]

@@ -109,6 +109,13 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err.startswith("domain error: bose integral requires k > 0 and c > 0")
 
+    def test_oracle_below_the_absolute_floor_is_not_converged(self, capsys):
+        # pGamma_k(1) = p = 1e-300; the oracle returns 1.9e-309, uncertified
+        code, out, _ = run(["eval", "oracle_pk_gamma", "--x", "1", "--k", "1",
+                            "--p", "1e-300"], capsys)
+        assert code == 1
+        assert out.split()[2] == "converged=False"
+
     def test_oracle_variant_reports_error_estimate(self, capsys):
         code, out, _ = run(
             ["eval", "oracle_k_gamma", "--x", "1", "--k", "2"], capsys
@@ -128,6 +135,16 @@ DEFAULT_GRID_JSON_SHA256 = (
     "071a6c78076e0f2459cdb09b9840bd44094436c8037ed92d2036beb7c3407d3a"
 )
 
+#: A 40 x 20 sweep of every theorem down to k = 0.01, where Gamma_k and the
+#: high derivative orders overflow: SHA-256 of its CSV body and of its
+#: stderr, eight summary lines and 1,380 evaluation errors
+GRID_40X20 = ["verify", "--x", "0.5:10:40", "--k", "0.01:3:20",
+              "--theorems", "T1,T2,T3,T4K,T4PK,T5,T6,T7"]
+GRID_40X20_SHA256 = "2a58da84637f217584f34a5c6b578915073f6233b04dd859050a1507ef6a71cf"
+GRID_40X20_STDERR_SHA256 = (
+    "a2448fa580e2abb4cb63bda3c4ba7c9aca9ae21d8873dc3e60d852eddb905093"
+)
+
 
 class TestEvalLargeOrder:
     def test_k_zeta_far_above_the_em_coefficient_range(self, capsys):
@@ -136,6 +153,14 @@ class TestEvalLargeOrder:
         for x in ("1e25", "1e308"):
             code, out, err = run(["eval", "k_zeta", "--x", x, "--k", "1"], capsys)
             assert (code, out, err) == (0, "1.0\n", "")
+
+    def test_k_zeta_whose_ratio_overflows(self, capsys):
+        # x/k = 2/1e-320 is inf: zeta is 1.0 there, not a domain error
+        code, out, err = run(["eval", "k_zeta", "--x", "2", "--k", "1e-320"], capsys)
+        assert (code, out, err) == (0, "1.0\n", "")
+        code, out, err = run(["eval", "pk_zeta", "--x", "2", "--k", "1e-320",
+                              "--p", "3"], capsys)
+        assert (code, out, err) == (0, "1.0\n", "")
 
 
 class TestVerify:
@@ -193,6 +218,17 @@ class TestVerify:
         text = "".join(line for line in out_path.read_text().splitlines(True)
                        if '"timestamp"' not in line)
         assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_GRID_JSON_SHA256
+        assert code == 1
+
+    def test_40_by_20_grid_golden(self, capsys):
+        # pins a sweep whose rows share each point's values with many others
+        # and whose errors come from every layer, as the default grid's do not
+        code, out, err = run(GRID_40X20, capsys)
+        body = out.split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == GRID_40X20_SHA256
+        assert hashlib.sha256(err.encode()).hexdigest() == GRID_40X20_STDERR_SHA256
+        assert sum(line.startswith("evaluation error: ")
+                   for line in err.splitlines()) == 1380
         assert code == 1
 
     def test_t1_default_grid_passes(self, capsys, tmp_path):
@@ -565,6 +601,16 @@ class TestCrosscheck:
         statuses = {line.split()[0]: line.split()[2] for line in out.splitlines()}
         assert statuses == {family: "UNCERTIFIED" if family in uncertified
                             else "EXCEEDS" for family in statuses}
+
+    def test_oracle_below_the_absolute_floor_blames_no_closed_form(self, capsys):
+        # the oracle's pGamma_k(1) at p = 1e-300 is off by 1 - 2e-9 relative
+        # and not converged: UNCERTIFIED, never EXCEEDS of the closed form
+        code, out, _ = run(["crosscheck", "--x", "1", "--k", "1", "--p-param",
+                            "1e-300", "--m", "2", "--n", "0"], capsys)
+        assert code == 1
+        statuses = {line.split()[0]: line.split()[2] for line in out.splitlines()}
+        assert statuses["pk_gamma"] == statuses["pk_gamma_deriv"] == "UNCERTIFIED"
+        assert "EXCEEDS" not in statuses.values()
 
 
 class TestCacheScope:

@@ -236,6 +236,17 @@ class TestZetas:
         assert spread <= 1e-10 * max(values)
         assert values[0] == pytest.approx(fn.k_zeta(4.0, 2.0), rel=1e-13)
 
+    def test_ratio_beyond_the_double_range_is_one(self):
+        # zeta(s) rounds to 1.0 from s = 54 on; x/k = 2/1e-320 overflows to inf
+        assert fn.k_zeta(54.0, 1.0) == 1.0
+        assert fn.k_zeta(2.0, 1e-320) == 1.0
+        assert fn.pk_zeta(2.0, 1e-320, 3.0) == 1.0
+        # x/k <= 1 is still refused, and so is an infinite x
+        with pytest.raises(DomainError, match="x/k > 1"):
+            fn.k_zeta(1e-320, 1.0)
+        with pytest.raises(DomainError, match="x/k > 1"):
+            fn.k_zeta(math.inf, 1.0)
+
     def test_pk_zeta_classical(self):
         assert fn.pk_zeta(2.0, 1.0, 3.0) == pytest.approx(
             math.pi**2 / 6.0, rel=1e-12
@@ -444,6 +455,62 @@ class TestDerivativeTables:
                     fn.k_gamma(big)
         assert set(cache.gammas) == {(pt.x, pt.k, pt.p) for pt in points + ppoints}
         assert (7.5, 0.01, None) not in cache.gammas
+
+    def test_gamma_derivatives_match_the_order_by_order_calls(self):
+        # the order triples the Turan and midpoint checks read, and refused
+        # orders: the values, or the first error, of one call per order once
+        # every order is checked, outside a block and from the table inside one
+        order_lists = ((0, 1, 2), (6, 7, 8), (2, 6, 4), (0, 8, 4), (8, 0),
+                       (9,), (1, -1), (3, 9, 8))
+        cases = [(orders, pt) for ppt in TABLE_POINTS
+                 for pt in (EvalPoint(ppt.x, ppt.k), ppt) for orders in order_lists]
+
+        def one_by_one(orders, pt):
+            for n in orders:
+                kernels.check_deriv_order(n)
+            return [_deriv(n, pt.x, pt.k, pt.p) for n in orders]
+
+        direct = [_outcome(lambda: one_by_one(*case)) for case in cases]
+        assert [_outcome(lambda: fn.gamma_derivatives(*case))
+                for case in cases] == direct
+        with kernels.memoised() as cache:
+            for _ in range(2):  # the second pass reads the tables
+                assert [_outcome(lambda: fn.gamma_derivatives(*case))
+                        for case in cases] == direct
+        outcomes = {o[0] for o in direct if isinstance(o, tuple)}
+        assert outcomes == {ComputationOverflowError, DomainError, UnsupportedOrderError}
+        # one vector per point that some valid list reached
+        assert set(cache.derivatives) == {(pt.x, pt.k, pt.p) for _, pt in cases}
+
+    def test_polygamma_tables_are_bit_identical_and_store_no_error(self):
+        # psi_k^(m) per (m, x, k) and |psi_k^(s)| per (s, x, k): the bits
+        # outside a block, and every error raised again, never stored
+        points = [EvalPoint(2.5, 0.7), EvalPoint(2.5, 0.7, 3.0), EvalPoint(0.05, 3.0),
+                  EvalPoint(1e-26, 1e-23), EvalPoint(5e-24, 1e-23)]
+        polygamma_calls = [(m, pt) for m in (0, 1, 2, 5, 11, 12, 13) for pt in points]
+        magnitude_calls = [(s, pt) for s in (0.5, 1.0, 2.3, 11.0, 11.5, math.nan)
+                           for pt in points]
+        calls = ([lambda m=m, pt=pt: fn.k_polygamma(m, pt) for m, pt in polygamma_calls]
+                 + [lambda s=s, pt=pt: fn.k_polygamma_magnitude_fractional(s, pt)
+                    for s, pt in magnitude_calls])
+        direct = [_outcome(call) for call in calls]
+        with kernels.memoised() as cache:
+            for _ in range(2):  # the second pass reads the tables
+                assert [_outcome(call) for call in calls] == direct
+        outcomes = {o[0] if isinstance(o, tuple) else float for o in direct}
+        assert outcomes == {float, ComputationOverflowError, DomainError,
+                            UnsupportedOrderError}
+        # p is no argument of psi_k: a point with p shares the entry without
+        values = direct[:len(polygamma_calls)]
+        assert set(cache.polygammas) == {
+            (m, pt.x, pt.k) for (m, pt), value in zip(polygamma_calls, values)
+            if not isinstance(value, tuple)}
+        values = direct[len(polygamma_calls):]
+        assert set(cache.magnitudes) == {
+            (s, pt.x, pt.k) for (s, pt), value in zip(magnitude_calls, values)
+            if not isinstance(value, tuple)}
+        assert all(isinstance(v, float) for v in cache.polygammas.values())
+        assert all(isinstance(v, float) for v in cache.magnitudes.values())
 
 
 #: every public closed form, as a call on a policy

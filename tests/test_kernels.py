@@ -5,6 +5,7 @@ frozen from the brute-force series oracles defined at the top of this
 file; mpmath provides an additional arbitrary-precision cross-check.
 """
 
+import dataclasses
 import math
 import random
 import re
@@ -386,6 +387,29 @@ class TestKernelCache:
                         bad_call()
                     assert str(cached.value) == str(direct.value)
             assert cache.zetas == {}
+
+    def test_each_table_is_filled_by_its_one_reader(self):
+        from kgamma import functions as fn
+
+        pt, ppt = fn.EvalPoint(2.5, 0.7), fn.EvalPoint(2.5, 0.7, 1.9)
+        # table -> a call of its reader, and the tables that call fills; every
+        # reader but G's own reaches zeta_H through `hurwitz_zeta`
+        readers = {
+            "zetas": (lambda: kernels.hurwitz_zeta(3.0, 0.5), {"zetas"}),
+            "gammas": (lambda: (fn.k_gamma(pt), fn.pk_gamma(ppt)), {"gammas"}),
+            "derivatives": (lambda: (fn.k_gamma_deriv(3, pt),
+                                     fn.gamma_derivatives((1, 2), ppt)),
+                            {"derivatives", "zetas"}),
+            "polygammas": (lambda: fn.k_polygamma(3, pt), {"polygammas", "zetas"}),
+            "magnitudes": (lambda: fn.k_polygamma_magnitude_fractional(2.5, pt),
+                           {"magnitudes", "zetas"}),
+        }
+        names = [f.name for f in dataclasses.fields(kernels.KernelCache)]
+        assert sorted(names) == sorted(readers)
+        for read, tables in readers.values():
+            with kernels.memoised() as cache:
+                read()
+            assert {name for name in names if getattr(cache, name)} == tables
 
 
 class TestMemoisedScope:

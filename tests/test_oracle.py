@@ -373,6 +373,14 @@ class TestLogVariable:
         assert res.converged
         assert res.value == pytest.approx(1e-6, rel=1e-10)
 
+    def test_value_below_the_absolute_floor_is_not_certified(self):
+        # pGamma_k(1) = p = 1e-300, at the absolute floor ABS_TOL: the walk
+        # returns 1.9e-309 with an estimate as large, which the floor alone
+        # once certified as converged
+        res = oracle.integrate_pk_gamma(EvalPoint(1.0, 1.0, 1e-300))
+        assert res.error_estimate > ORACLE_POLICY.rel_tol * abs(res.value)
+        assert not res.converged
+
     def test_panel_count_at_small_x(self):
         # the power-law endpoint t^(x-1) costs no panels beyond the walk
         res = oracle.integrate_k_gamma(EvalPoint(0.05, 1.0))
