@@ -38,9 +38,10 @@ deliver, raises `DomainError`.
 Inside a `kernels.memoised()` block, as in every `verify` sweep, values
 shared between calls are computed once, each into its own table of the
 block's `KernelCache` by the one function that reads it: G(x) per point
-by `_gamma`; the vector D_0..8 per point by `_derivative_vector`, read by
-every order, and once per sweep row by `gamma_derivatives`, which takes
-all the orders a Turán or midpoint check needs; psi_k^(m)(x) per
+by `_gamma`, which `_gamma_at` calls only for a value not yet there; the
+vector D_0..8 per point by `_derivative_vector`, read by every order, and
+once per sweep row by `_gamma_derivatives`, which takes all the orders a
+Turán or midpoint check needs; psi_k^(m)(x) per
 (m, x, k) by `k_polygamma`; |psi_k^(s)(x)| per (s, x, k) by
 `k_polygamma_magnitude_fractional`; and zeta_H(s, a) by
 `kernels.hurwitz_zeta`.  A call that raises stores nothing.  Outside a
@@ -73,7 +74,6 @@ __all__ = [
     "pk_zeta",
     "k_gamma_deriv",
     "pk_gamma_deriv",
-    "gamma_derivatives",
 ]
 
 
@@ -179,6 +179,14 @@ def _gamma(pt: EvalPoint) -> float:
     if value is None:
         value = cache.gammas[key] = _gamma_value(pt)
     return value
+
+
+def _gamma_at(x: float, k: float, p: float | None) -> float:
+    # G at (x, k, p) for a caller without a point: one is built, checked
+    # and passed to `_gamma` only when the block's table lacks the value
+    cache = kernels.active_cache()
+    value = None if cache is None else cache.gammas.get((x, k, p))
+    return _gamma(EvalPoint(x, k, p)) if value is None else value
 
 
 def k_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
@@ -339,9 +347,7 @@ def pk_gamma_deriv(
     return _derivative(n, pt)
 
 
-def gamma_derivatives(
-    orders: tuple[int, ...], pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
-) -> list[float]:
+def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
     """G^(n)(x) for each n of `orders`, a non-empty tuple, in order, with
     G = Gamma_k at a point without p and G = pGamma_k at one with p, n <= 8.
 
@@ -350,7 +356,6 @@ def gamma_derivatives(
     `pk_gamma_deriv` called order by order; the point's derivatives are
     read once for all of them.
     """
-    _check_policy(policy)
     for n in orders:
         kernels.check_deriv_order(n)
     derivs = _derivative_vector(max(orders), pt)

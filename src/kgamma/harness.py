@@ -39,7 +39,7 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, active_cache, memoised
+from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, memoised
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -182,18 +182,10 @@ def check_holder_zeta(
     for arg in (m + 1.0, n + 1.0, s + 1.0):
         if arg / k <= 1.0:
             raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
-    # pzeta_k is zeta_k for every p, and the point checks p
-    gamma_k = fn.k_gamma if p_param is None else fn.pk_gamma
+    # pzeta_k is zeta_k for every p; G is Gamma_k without p, pGamma_k with
+    # it, read from the block's table when a row of the sweep stored it
     zeta = lambda x: fn.k_zeta(x, k)
-    # G at a point already in the block's gamma table is read from it; any
-    # other is computed, and stored, by the public function
-    cache = active_cache()
-    gammas = {} if cache is None else cache.gammas
-
-    def gamma(x: float) -> float:
-        value = gammas.get((x, k, p_param))
-        return gamma_k(fn.EvalPoint(x, k, p_param)) if value is None else value
-
+    gamma = lambda x: fn._gamma_at(x, k, p_param)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     numerator = gamma(s + 1.0)
     denominator = gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
@@ -222,7 +214,7 @@ def check_turan_gamma_deriv(
     if not 1 <= n < GAMMA_DERIV_MAX_ORDER:  # reads order n + 1
         raise DomainError(
             f"Turán check requires 1 <= n <= {GAMMA_DERIV_MAX_ORDER - 1}")
-    g_lo, g_mid, g_hi = fn.gamma_derivatives((n - 1, n, n + 1), pt)
+    g_lo, g_mid, g_hi = fn._gamma_derivatives((n - 1, n, n + 1), pt)
     lhs = g_lo * g_hi
     rhs = g_mid * g_mid
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -249,7 +241,7 @@ def check_midpoint_gamma_deriv(
     if n % 2 or l % 2 or not (n >= l >= 0) or n + l > GAMMA_DERIV_MAX_ORDER:
         raise DomainError("midpoint check requires even n >= l >= 0 with "
                           f"n + l <= {GAMMA_DERIV_MAX_ORDER}")
-    g_lo, g_hi, g_mid = fn.gamma_derivatives((n - l, n + l, n), pt)
+    g_lo, g_hi, g_mid = fn._gamma_derivatives((n - l, n + l, n), pt)
     # halved first: finite D^0 and D^8 can sum past the largest double
     lhs = 0.5 * g_lo + 0.5 * g_hi
     rhs = g_mid

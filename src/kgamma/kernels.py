@@ -351,8 +351,8 @@ class KernelCache:
       `riemann_zeta(s)` is zeta_H(s, 1), and `polygamma` and
       `bell_sequence` read psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
     - `gammas`: Gamma_k / pGamma_k values per (x, k, p), with p None for
-      Gamma_k, filled by `functions._gamma`; `harness.check_holder_zeta`
-      reads it too, and builds a point only for a value not yet there;
+      Gamma_k, filled by `functions._gamma`, which `functions._gamma_at`
+      calls, building a point, only for a value not yet there;
     - `derivatives`: derivative vectors D_0..8 per (x, k, p), filled by
       `functions._derivative_vector`, which every derivative order reads;
     - `polygammas`: psi_k^(m)(x) per (m, x, k), filled by

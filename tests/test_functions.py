@@ -456,6 +456,25 @@ class TestDerivativeTables:
         assert set(cache.gammas) == {(pt.x, pt.k, pt.p) for pt in points + ppoints}
         assert (7.5, 0.01, None) not in cache.gammas
 
+    def test_gamma_at_reads_the_table_and_builds_a_missing_point(self):
+        # the bits or the error of k_gamma / pk_gamma at the point, outside
+        # a block and inside one, where a stored value is read without a
+        # point; a missing one is checked as a point, so a bad argument is
+        # refused and nothing is stored for it
+        cases = [(2.0, 0.5, None), (3.0, 1.3, 2.0), (7.5, 0.01, None),
+                 (-1.0, 0.5, None), (2.0, 0.5, math.nan)]
+
+        def public(x, k, p):
+            return (fn.k_gamma if p is None else fn.pk_gamma)(EvalPoint(x, k, p))
+
+        direct = [_outcome(lambda: public(*case)) for case in cases]
+        assert [_outcome(lambda: fn._gamma_at(*case)) for case in cases] == direct
+        with kernels.memoised() as cache:
+            for _ in range(2):  # the second pass reads the table
+                assert [_outcome(lambda: fn._gamma_at(*case))
+                        for case in cases] == direct
+        assert set(cache.gammas) == {(2.0, 0.5, None), (3.0, 1.3, 2.0)}
+
     def test_gamma_derivatives_match_the_order_by_order_calls(self):
         # the order triples the Turan and midpoint checks read, and refused
         # orders: the values, or the first error, of one call per order once
@@ -471,11 +490,11 @@ class TestDerivativeTables:
             return [_deriv(n, pt.x, pt.k, pt.p) for n in orders]
 
         direct = [_outcome(lambda: one_by_one(*case)) for case in cases]
-        assert [_outcome(lambda: fn.gamma_derivatives(*case))
+        assert [_outcome(lambda: fn._gamma_derivatives(*case))
                 for case in cases] == direct
         with kernels.memoised() as cache:
             for _ in range(2):  # the second pass reads the tables
-                assert [_outcome(lambda: fn.gamma_derivatives(*case))
+                assert [_outcome(lambda: fn._gamma_derivatives(*case))
                         for case in cases] == direct
         outcomes = {o[0] for o in direct if isinstance(o, tuple)}
         assert outcomes == {ComputationOverflowError, DomainError, UnsupportedOrderError}

@@ -396,9 +396,10 @@ class TestKernelCache:
         # reader but G's own reaches zeta_H through `hurwitz_zeta`
         readers = {
             "zetas": (lambda: kernels.hurwitz_zeta(3.0, 0.5), {"zetas"}),
-            "gammas": (lambda: (fn.k_gamma(pt), fn.pk_gamma(ppt)), {"gammas"}),
+            "gammas": (lambda: (fn.k_gamma(pt), fn.pk_gamma(ppt),
+                                fn._gamma_at(3.5, 0.7, None)), {"gammas"}),
             "derivatives": (lambda: (fn.k_gamma_deriv(3, pt),
-                                     fn.gamma_derivatives((1, 2), ppt)),
+                                     fn._gamma_derivatives((1, 2), ppt)),
                             {"derivatives", "zetas"}),
             "polygammas": (lambda: fn.k_polygamma(3, pt), {"polygammas", "zetas"}),
             "magnitudes": (lambda: fn.k_polygamma_magnitude_fractional(2.5, pt),
