@@ -243,30 +243,41 @@ def _run_metadata(args, grid: harness.GridSpec) -> dict:
     }
 
 
+def _column_texts(values: list, texts: dict) -> list[str]:
+    # One column's printed fields.  Equal keys can print differently, so a
+    # value is looked up by key only where that cannot happen: in a column
+    # of floats (None aside) each distinct nonzero float is repr'd once into
+    # `texts`, which every float column shares, and the zeros are printed
+    # one by one (0.0 == -0.0, and T7 writes -d); a column of ints or of
+    # strs prints each distinct value once.  A mixed column (2 == 2.0) goes
+    # value by value.
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if kinds == {float}:
+        distinct = set(values)
+        new = distinct.difference(texts)
+        new.discard(0.0)  # either zero
+        texts.update(zip(new, map(repr, new)))
+        if 0.0 in distinct:
+            return [texts[value] if value else _fmt(value) for value in values]
+        return list(map(texts.__getitem__, values))
+    if kinds == {int} or kinds == {str}:
+        return list(map({v: _fmt(v) for v in set(values)}.__getitem__, values))
+    return list(map(_fmt, values))
+
+
 def _render_csv(checks, metadata) -> str:
-    # Each distinct nonzero float is repr'd once per report: equal nonzero
-    # floats have the same bits, so the same repr.  Everything else goes to
-    # _fmt, because equal keys can print differently: 2 (m) and 2.0
-    # (holder_p), 0.0 and -0.0 (T7 writes -d).  No field ever needs
-    # quoting: ids and verdicts are fixed tokens, and a repr holds no
-    # comma, quote or line break.
-    texts: dict[float, str] = {}
-
-    def field(value) -> str:
-        if value.__class__ is not float or not value:
-            return _fmt(value)
-        text = texts.get(value)
-        if text is None:
-            text = texts[value] = repr(value)
-        return text
-
+    # Built a column at a time.  No field ever needs quoting: ids and
+    # verdicts are fixed tokens, and a repr holds no comma, quote or line
+    # break.
+    texts: dict = {None: ""}  # float -> repr for every float column; None
+    columns = [_column_texts(list(map(column, checks)), texts)
+               for column in map(operator.attrgetter, CSV_COLUMNS)]
     # timestamp lives only in this comment line; the body below is
     # byte-identical across runs with the same grid and tolerances
     lines = [f"# kgamma verify {metadata['artifact_version']} "
-             f"generated {metadata['timestamp']}", ",".join(CSV_COLUMNS)]
-    for check in checks:
-        lines.append(",".join(map(field, _row(check))))
-    lines.append("")
+             f"generated {metadata['timestamp']}", ",".join(CSV_COLUMNS),
+             *map(",".join, zip(*columns)), ""]
     return "\n".join(lines)
 
 
@@ -347,8 +358,8 @@ def crosscheck_families(
     positive and is the scale of its own discrepancy; an odd order crosses
     zero, so its scale is the Cauchy-Schwarz bound sqrt(D^(n-1) D^(n+1)) on
     |D^(n)|.  The closed-form orders 0 up to the even order at or above the
-    largest requested one are computed once per point, and order 0 shares
-    the value family's integral.
+    largest requested one are read once per point, from one Bell sequence,
+    and order 0 shares the value family's integral.
     """
     worst: dict[str, float] = {}
     uncertified: dict[str, float] = {}
@@ -366,11 +377,10 @@ def crosscheck_families(
         for k in grid.ks:
             for p in (None, *grid.p_params):
                 pt = fn.EvalPoint(x, k, p)
-                family, gamma, integral, deriv = (
-                    ("k_gamma", fn.k_gamma, oracle.integrate_k_gamma,
-                     fn.k_gamma_deriv) if p is None else
-                    ("pk_gamma", fn.pk_gamma, oracle.integrate_pk_gamma,
-                     fn.pk_gamma_deriv))
+                family, gamma, integral = (
+                    ("k_gamma", fn.k_gamma, oracle.integrate_k_gamma)
+                    if p is None else
+                    ("pk_gamma", fn.pk_gamma, oracle.integrate_pk_gamma))
                 value = gamma(pt)
                 quad = integral(pt, ORACLE_POLICY)
                 note(family, value, quad)
@@ -378,7 +388,7 @@ def crosscheck_families(
                     for m in grid.ms:
                         note("k_polygamma", abs(fn.k_polygamma(m, pt)),
                              oracle.integrate_k_polygamma(m, pt, ORACLE_POLICY))
-                closed = [deriv(j, pt) for j in range(top + 1)]
+                closed = fn._gamma_derivatives(tuple(range(top + 1)), pt)
                 for n in deriv_orders:
                     scale = None
                     if n % 2:

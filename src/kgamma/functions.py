@@ -44,7 +44,9 @@ once per sweep row by `_gamma_derivatives`, which takes all the orders a
 Turán or midpoint check needs; psi_k^(m)(x) per
 (m, x, k) by `k_polygamma`; |psi_k^(s)(x)| per (s, x, k) by
 `k_polygamma_magnitude_fractional`; and zeta_H(s, a) by
-`kernels.hurwitz_zeta`.  A call that raises stores nothing.  Outside a
+`kernels.hurwitz_zeta`, from which `_zeta_at` reads zeta_k(x) =
+zeta_H(x/k, 1), calling `k_zeta` only for a value not yet there.  A call
+that raises stores nothing.  Outside a
 block every value is computed afresh, and derivatives build B only up to
 the largest order asked for.
 """
@@ -272,6 +274,15 @@ def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float
     s = x / k
     # zeta(s) rounds to 1.0 from s = 54 on, as does an s beyond the double range
     return 1.0 if s == math.inf else kernels.riemann_zeta(s)
+
+
+def _zeta_at(x: float, k: float) -> float:
+    # zeta_k(x) = zeta_H(x/k, 1) for a sweep row: read from the block's
+    # zeta table, and only on a miss through `k_zeta`, its checks and
+    # messages; a k of 0 misses before it is divided by
+    cache = kernels.active_cache()
+    value = None if cache is None or not k else cache.zetas.get((x / k, 1.0))
+    return k_zeta(x, k) if value is None else value
 
 
 def pk_zeta(

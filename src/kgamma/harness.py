@@ -25,17 +25,18 @@ theorem does not take.
 points and the check that evaluates one.  `scan_grid` runs every check of
 a sweep inside one `kernels.memoised()` block, where each row reads what
 its point shares with other rows from the block's tables: a T2/T3 row its
-G values, a T4-T6 row its point's derivative vector, once for all its
-orders, and a T1/T7 row its polygamma values.  Every row is still the
-record of one call of its module-level check, which a profiler or test
-can wrap.
+zeta_k and G values, a T4-T6 row its point's derivative vector, once for
+all its orders, and a T1/T7 row its polygamma values.  A grid's
+`EvalPoint`s are built once and read by every theorem.  Every row is
+still the record of one call of its module-level check, which a profiler
+or test can wrap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 from . import functions as fn
@@ -183,8 +184,9 @@ def check_holder_zeta(
         if arg / k <= 1.0:
             raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
     # pzeta_k is zeta_k for every p; G is Gamma_k without p, pGamma_k with
-    # it, read from the block's table when a row of the sweep stored it
-    zeta = lambda x: fn.k_zeta(x, k)
+    # it; both read from the block's tables when a row of the sweep stored
+    # them
+    zeta = lambda x: fn._zeta_at(x, k)
     gamma = lambda x: fn._gamma_at(x, k, p_param)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     numerator = gamma(s + 1.0)
@@ -314,6 +316,17 @@ class GridSpec:
     def holder_pairs(self) -> tuple[HolderPair, ...]:
         return tuple(HolderPair.conjugate(p) for p in self.holder_ps)
 
+    @cached_property
+    def _points(self) -> tuple[fn.EvalPoint, ...]:
+        # the (x, k) points, built once per grid and read by every theorem
+        return tuple(fn.EvalPoint(x, k) for x in self.xs for k in self.ks)
+
+    @cached_property
+    def _pk_points(self) -> tuple[fn.EvalPoint, ...]:
+        # the (x, k, p) points, likewise
+        return tuple(fn.EvalPoint(x, k, p)
+                     for x in self.xs for k in self.ks for p in self.p_params)
+
 
 @dataclass
 class ScanSummary:
@@ -330,11 +343,8 @@ class ScanSummary:
 # the positional arguments of its check, up to the slack tolerance.
 
 
-def _eval_points(spec: GridSpec, pk: bool = False) -> Iterator[fn.EvalPoint]:
-    for x in spec.xs:
-        for k in spec.ks:
-            for p_param in (spec.p_params if pk else (None,)):
-                yield fn.EvalPoint(x, k, p_param)
+def _eval_points(spec: GridSpec, pk: bool = False) -> tuple[fn.EvalPoint, ...]:
+    return spec._pk_points if pk else spec._points
 
 
 def _holder_orders(spec: GridSpec, hp: HolderPair) -> Iterator[tuple[int, int, float]]:

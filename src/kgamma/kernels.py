@@ -6,7 +6,8 @@ Hurwitz sum is truncated at 2^-56 of its value (`HURWITZ_REL_TOL`), and no
 kernel takes a tolerance.  The same input gives bit-identical output, so
 inside a `memoised()` block each memoised function fills its own table of
 the block's `KernelCache`: here `hurwitz_zeta` the zeta table, which
-`riemann_zeta`, `polygamma` and `bell_sequence` reach through it.
+`riemann_zeta`, `polygamma` and `bell_sequence` reach through it, and
+`bell_sequence` the cumulant table, which every c at one y shares.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -289,6 +290,24 @@ def check_deriv_order(n: int) -> None:
         )
 
 
+def _polygammas(n_max: int, y: float) -> list[float]:
+    # [psi(y), psi'(y), ..., psi^(n_max - 1)(y)] at least, NaN where one
+    # overflows; inside a block the cumulant table's entry for y, which
+    # every c at y reads and no caller may change
+    cache = active_cache()
+    psis = None if cache is None else cache.cumulants.get(y)
+    if psis is None or len(psis) < n_max:
+        psis = []
+        for m in range(n_max):
+            try:
+                psis.append(_polygamma(m, y))
+            except OverflowError:
+                psis.append(math.nan)
+        if cache is not None:
+            cache.cumulants[y] = psis
+    return psis
+
+
 def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     """[B_0, ..., B_n_max]: complete Bell polynomials of the cumulants
     kappa_1 = log c + psi(y) and kappa_(i+1) = psi^(i)(y), for c > 0.
@@ -296,20 +315,18 @@ def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     B_(j+1) = sum_i C(j, i) B_(j-i) kappa_(i+1), summed in order of i.
     B_j depends on kappa_1..kappa_j alone, so a prefix equals the
     lower-order sequence exactly.  If psi^(i)(y) overflows, B_(i+1) and
-    every later entry are NaN.
+    every later entry are NaN.  Inside a `memoised()` block the psi^(i)(y)
+    are stored per y in the cumulant table, and every c at that y reads
+    them; a larger n_max computes them again, through the zeta table.
     """
     check_deriv_order(n_max)
     if n_max:
         _require_positive("y", y)
     log_c = math.log(c)
     kappas = []
-    for m in range(n_max):
-        try:
-            kappas.append(_polygamma(m, y))
-        except OverflowError:
-            kappas.append(math.nan)
-    if kappas:
-        kappas[0] = log_c + kappas[0]
+    if n_max:
+        psis = _polygammas(n_max, y)
+        kappas = [log_c + psis[0], *psis[1:n_max]]  # a copy: psis is shared
     bell = [1.0]
     for j in range(n_max):
         binomial = _BINOMIAL[j]
@@ -358,7 +375,10 @@ class KernelCache:
     - `polygammas`: psi_k^(m)(x) per (m, x, k), filled by
       `functions.k_polygamma`;
     - `magnitudes`: |psi_k^(s)(x)| per (s, x, k), filled by
-      `functions.k_polygamma_magnitude_fractional`.
+      `functions.k_polygamma_magnitude_fractional`;
+    - `cumulants`: [psi(y), psi'(y), ...] per y, up to the largest order
+      asked for at y and NaN where one overflows, filled by
+      `kernels.bell_sequence`, which adds ln c to the first entry of a copy.
     """
 
     zetas: dict = field(default_factory=dict)
@@ -366,6 +386,7 @@ class KernelCache:
     derivatives: dict = field(default_factory=dict)
     polygammas: dict = field(default_factory=dict)
     magnitudes: dict = field(default_factory=dict)
+    cumulants: dict = field(default_factory=dict)
 
 
 _ACTIVE_CACHE = contextvars.ContextVar("kgamma_kernel_cache", default=None)

@@ -12,6 +12,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgamma
 from kgamma import cli, harness, kernels
@@ -386,7 +388,39 @@ def _printed_fields(check):
     return {col: cli._fmt(getattr(check, col)) for col in cli.CSV_COLUMNS}
 
 
+_INTS = st.integers(-2, 2)
+#: per column kind, its values: None aside, ints, the floats equal to them,
+#: both zeros, nan, infinities and subnormals, or all of them mixed
+_FLOATS = st.one_of(
+    _INTS.map(float), st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310]))
+_COLUMN_VALUES = {"int": _INTS, "float": _FLOATS, "mixed": st.one_of(_INTS, _FLOATS)}
+
+
+@st.composite
+def _records(draw):
+    rows = draw(st.integers(0, 6))
+
+    def column(values):
+        return draw(st.lists(values, min_size=rows, max_size=rows))
+
+    ids = column(st.sampled_from(harness.THEOREM_IDS))
+    inputs = [column(st.one_of(st.none(), _COLUMN_VALUES[draw(st.sampled_from(
+        sorted(_COLUMN_VALUES)))])) for _ in cli.CSV_COLUMNS[1:-1]]
+    verdicts = column(st.sampled_from(("PASS", "FAIL")))
+    return [harness.InequalityCheck(*fields)
+            for fields in zip(ids, *inputs, verdicts)]
+
+
 class TestCsvRenderer:
+    @settings(max_examples=100, deadline=None)
+    @given(_records())
+    def test_matches_csv_writer_on_random_records(self, checks):
+        # equal keys that print differently, within a column and across
+        # the float columns' shared table
+        assert (cli._render_csv(checks, METADATA)
+                == _csv_writer_report(checks, METADATA))
+
     def test_matches_csv_writer(self):
         assert (cli._render_csv(TRICKY_CHECKS, METADATA)
                 == _csv_writer_report(TRICKY_CHECKS, METADATA))

@@ -475,6 +475,29 @@ class TestDerivativeTables:
                         for case in cases] == direct
         assert set(cache.gammas) == {(2.0, 0.5, None), (3.0, 1.3, 2.0)}
 
+    def test_zeta_at_reads_the_table_and_falls_back_to_k_zeta(self, monkeypatch):
+        # the bits or the error of k_zeta, outside a block and inside one,
+        # where a stored zeta_H(x/k, 1) is read without k_zeta; x/k = inf
+        # is 1.0, as in k_zeta, and a refused argument stores nothing
+        cases = [(4.0, 2.0), (3.0, 1.0), (6.5, 0.5), (3.0, 0.7), (2.0, 1e-320),
+                 (1.0, 1.0), (2.0, 0.0), (2.0, -1.0), (-3.0, 1.0), (math.nan, 1.0),
+                 (2.0, math.nan), (math.inf, 1.0), (2.0, math.inf)]
+        direct = [_outcome(lambda: fn.k_zeta(*case)) for case in cases]
+        assert direct[4] == repr(1.0)
+        assert {o[0] for o in direct if isinstance(o, tuple)} == {DomainError}
+        assert [_outcome(lambda: fn._zeta_at(*case)) for case in cases] == direct
+        k_zeta, fallbacks = fn.k_zeta, []
+        monkeypatch.setattr(fn, "k_zeta", lambda x, k: fallbacks.append((x, k))
+                            or k_zeta(x, k))
+        with kernels.memoised() as cache:
+            for _ in range(2):  # the second pass reads the table
+                fallbacks.clear()
+                assert [_outcome(lambda: fn._zeta_at(*case))
+                        for case in cases] == direct
+        # on the second pass only the values no table holds reach k_zeta
+        assert fallbacks == cases[4:]
+        assert set(cache.zetas) == {(x / k, 1.0) for x, k in cases[:4]}
+
     def test_gamma_derivatives_match_the_order_by_order_calls(self):
         # the order triples the Turan and midpoint checks read, and refused
         # orders: the values, or the first error, of one call per order once

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import random
 import re
+import struct
 import threading
 
 import mpmath as mp
@@ -347,6 +348,10 @@ class TestBellSequence:
         assert all(math.isfinite(b) for b in bell[:8]) and math.isnan(bell[8])
 
 
+def _bits(values: list) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 class TestKernelCache:
     """`hurwitz_zeta` fills the block's zeta table itself: same bits and
     errors as outside a block, one computation per (s, a)."""
@@ -388,6 +393,28 @@ class TestKernelCache:
                     assert str(cached.value) == str(direct.value)
             assert cache.zetas == {}
 
+    def test_bell_sequences_at_one_y_share_its_cumulants(self):
+        # several c at one y, outside a block and inside one, bit for bit;
+        # psi^(7)(1e-40) and psi^(1..7)(1e-300) overflow to NaN entries
+        ys = (2.5, 1e-40, 1e-300)
+        calls = [(n, y, c) for y in ys for c in (1.0, 0.5, 2.0, 1e-3, 7.0)
+                 for n in (kernels.GAMMA_DERIV_MAX_ORDER, 3)]
+        direct = [_bits(kernels.bell_sequence(*call)) for call in calls]
+        assert any(math.isnan(b) for b in kernels.bell_sequence(8, 1e-300, 2.0))
+        psis = {y: [kernels.polygamma(0, y)] for y in ys}
+        for y in ys:
+            for m in range(1, kernels.GAMMA_DERIV_MAX_ORDER):
+                try:
+                    psis[y].append(kernels.polygamma(m, y))
+                except OverflowError:
+                    psis[y].append(math.nan)
+        with kernels.memoised() as cache:
+            for _ in range(2):  # the second pass reads the table
+                assert [_bits(kernels.bell_sequence(*call)) for call in calls] == direct
+            # one entry per y, never moved by ln c
+            assert {y: _bits(v) for y, v in cache.cumulants.items()} == {
+                y: _bits(v) for y, v in psis.items()}
+
     def test_each_table_is_filled_by_its_one_reader(self):
         from kgamma import functions as fn
 
@@ -400,10 +427,12 @@ class TestKernelCache:
                                 fn._gamma_at(3.5, 0.7, None)), {"gammas"}),
             "derivatives": (lambda: (fn.k_gamma_deriv(3, pt),
                                      fn._gamma_derivatives((1, 2), ppt)),
-                            {"derivatives", "zetas"}),
+                            {"derivatives", "zetas", "cumulants"}),
             "polygammas": (lambda: fn.k_polygamma(3, pt), {"polygammas", "zetas"}),
             "magnitudes": (lambda: fn.k_polygamma_magnitude_fractional(2.5, pt),
                            {"magnitudes", "zetas"}),
+            "cumulants": (lambda: kernels.bell_sequence(3, 2.5, 1.9),
+                          {"cumulants", "zetas"}),
         }
         names = [f.name for f in dataclasses.fields(kernels.KernelCache)]
         assert sorted(names) == sorted(readers)
