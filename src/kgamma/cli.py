@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 mathematical FAIL, 2 usage error, 3 domain error,
 `eval oracle_*` on a result that did not converge, and `crosscheck` when a
 family is EXCEEDS (a converged oracle value disagrees by more than
 --threshold) or UNCERTIFIED (some oracle value did not converge).
-`verify` exits 1 if any check is FAIL; otherwise 3 if any grid point
-failed to evaluate (an `evaluation error` line on stderr); otherwise 0.
+`verify` exits 1 if any check is FAIL, and `crosscheck` if any family is
+not ok; otherwise 3 if any grid point failed to evaluate (an `evaluation
+error` line on stderr); otherwise 0.
 `verify` prints one summary line per selected theorem to stderr: its checks,
 its PASS and FAIL counts, its points not evaluated and, if it has rows, its
 least slack (a NaN first) `at` that row's input columns that are not empty.
@@ -345,12 +346,14 @@ _DERIV_ORDERS = range(5)  # compared by `crosscheck` unless --n is given
 
 def crosscheck_families(
     grid: harness.GridSpec, deriv_orders=_DERIV_ORDERS
-) -> tuple[dict, dict]:
+) -> tuple[dict, dict, list]:
     """Max relative discrepancy, closed form vs defining integral, per family.
 
-    Returns (certified, uncertified) maxima per family: the oracle runs
-    under `ORACLE_POLICY`, and a value that did not converge certifies
-    nothing, so its discrepancy goes to the uncertified maxima.
+    Returns (certified, uncertified) maxima per family and the errors: the
+    oracle runs under `ORACLE_POLICY`, and a value that did not converge
+    certifies nothing, so its discrepancy goes to the uncertified maxima.
+    A grid point with a comparison that raises adds none of its
+    comparisons, and one message, naming the point, to the errors.
 
     The point picks the family, as in `functions`: each (x, k) and each Bose
     integral is checked without p, the k family, then at each p of the grid.
@@ -363,51 +366,58 @@ def crosscheck_families(
     """
     worst: dict[str, float] = {}
     uncertified: dict[str, float] = {}
+    errors: list[str] = []
     top = max(n + n % 2 for n in deriv_orders)
 
-    def note(family: str, closed: float, quad: oracle.QuadratureResult,
-             scale: float | None = None) -> None:
-        if scale is None:
-            scale = abs(closed)
-        rel = abs(quad.value - closed) / max(scale, ABS_TOL)
-        table = worst if quad.converged else uncertified
-        table[family] = max(table.get(family, 0.0), rel)
+    def at_point(x, k):
+        # (family, closed, quad, scale) per comparison at (x, k) and its p
+        for p in (None, *grid.p_params):
+            pt = fn.EvalPoint(x, k, p)
+            family, gamma, integral = (
+                ("k_gamma", fn.k_gamma, oracle.integrate_k_gamma)
+                if p is None else
+                ("pk_gamma", fn.pk_gamma, oracle.integrate_pk_gamma))
+            value = gamma(pt)
+            quad = integral(pt, ORACLE_POLICY)
+            yield family, value, quad, None
+            if p is None:  # psi_k has no p-k variant
+                for m in grid.ms:
+                    yield ("k_polygamma", abs(fn.k_polygamma(m, pt)),
+                           oracle.integrate_k_polygamma(m, pt, ORACLE_POLICY), None)
+            closed = fn._gamma_derivatives(tuple(range(top + 1)), pt)
+            for n in deriv_orders:
+                scale = None
+                if n % 2:
+                    scale = (math.sqrt(abs(closed[n - 1]))
+                             * math.sqrt(abs(closed[n + 1])))
+                yield (family + "_deriv", closed[n], quad if n == 0 else
+                       oracle.integrate_k_gamma_deriv(n, pt, ORACLE_POLICY), scale)
 
-    for x in grid.xs:
-        for k in grid.ks:
-            for p in (None, *grid.p_params):
-                pt = fn.EvalPoint(x, k, p)
-                family, gamma, integral = (
-                    ("k_gamma", fn.k_gamma, oracle.integrate_k_gamma)
-                    if p is None else
-                    ("pk_gamma", fn.pk_gamma, oracle.integrate_pk_gamma))
-                value = gamma(pt)
-                quad = integral(pt, ORACLE_POLICY)
-                note(family, value, quad)
-                if p is None:  # psi_k has no p-k variant
-                    for m in grid.ms:
-                        note("k_polygamma", abs(fn.k_polygamma(m, pt)),
-                             oracle.integrate_k_polygamma(m, pt, ORACLE_POLICY))
-                closed = fn._gamma_derivatives(tuple(range(top + 1)), pt)
-                for n in deriv_orders:
-                    scale = None
-                    if n % 2:
-                        scale = (math.sqrt(abs(closed[n - 1]))
-                                 * math.sqrt(abs(closed[n + 1])))
-                    note(family + "_deriv", closed[n], quad if n == 0 else
-                         oracle.integrate_k_gamma_deriv(n, pt, ORACLE_POLICY), scale)
+    def bose(k, m):
+        for p in (None, *grid.p_params):
+            gamma = fn.k_gamma if p is None else fn.pk_gamma
+            # pzeta_k is zeta_k for every p; the kernel scale c is p or k
+            closed = fn.k_zeta(m + 1.0, k) * gamma(fn.EvalPoint(m + 1.0, k, p))
+            yield ("bose_k_zeta" if p is None else "bose_pk_zeta", closed,
+                   oracle.integrate_bose(m, k, k if p is None else p, ORACLE_POLICY),
+                   None)
 
-    for k in grid.ks:
-        for m in grid.ms:
-            if m - k <= -1.0:
-                continue
-            for p in (None, *grid.p_params):
-                gamma = fn.k_gamma if p is None else fn.pk_gamma
-                # pzeta_k is zeta_k for every p; the kernel scale c is p or k
-                closed = fn.k_zeta(m + 1.0, k) * gamma(fn.EvalPoint(m + 1.0, k, p))
-                note("bose_k_zeta" if p is None else "bose_pk_zeta", closed,
-                     oracle.integrate_bose(m, k, k if p is None else p, ORACLE_POLICY))
-    return worst, uncertified
+    points = [(f"x={x!r}, k={k!r}", at_point(x, k)) for x in grid.xs for k in grid.ks]
+    points += [(f"Bose m={m}, k={k!r}", bose(k, m))
+               for k in grid.ks for m in grid.ms if m - k > -1.0]
+    for name, comparisons in points:
+        try:
+            found = list(comparisons)
+        except (ArithmeticError, ValueError) as exc:
+            errors.append(f"{name}: {exc}")
+            continue
+        for family, closed, quad, scale in found:
+            if scale is None:
+                scale = abs(closed)
+            rel = abs(quad.value - closed) / max(scale, ABS_TOL)
+            table = worst if quad.converged else uncertified
+            table[family] = max(table.get(family, 0.0), rel)
+    return worst, uncertified, errors
 
 
 def cmd_crosscheck(args) -> int:
@@ -425,7 +435,7 @@ def cmd_crosscheck(args) -> int:
             )
     if any(not 1 <= m <= kernels.POLYGAMMA_MAX_ORDER for m in grid.ms):
         raise UsageError(f"--m orders must lie in 1..{kernels.POLYGAMMA_MAX_ORDER}")
-    worst, uncertified = crosscheck_families(grid, deriv_orders)
+    worst, uncertified, errors = crosscheck_families(grid, deriv_orders)
     ok = True
     for family in sorted(worst.keys() | uncertified.keys()):
         certified = worst.get(family, 0.0)
@@ -438,7 +448,11 @@ def cmd_crosscheck(args) -> int:
         value = max(certified, uncertified.get(family, 0.0))
         print(f"{family:16s} max_rel_discrepancy={_fmt(value)} {status}")
         ok = ok and status == "ok"
-    return EXIT_OK if ok else EXIT_FAIL
+    for message in errors:
+        print(f"evaluation error: {message}", file=sys.stderr)
+    if not ok:
+        return EXIT_FAIL
+    return EXIT_DOMAIN if errors else EXIT_OK
 
 
 def main(argv=None) -> int:

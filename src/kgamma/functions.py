@@ -25,9 +25,9 @@ and is the cross-check for every reduction here.
 
 The point picks the family: below the public functions one path serves
 both, reading G = Gamma_k at a point without p and G = pGamma_k at a point
-with p, and the caches key on (x, k, p).  The k-family functions
-(`k_gamma`, `k_gamma_deriv`) refuse a point that carries p with
-`DomainError` naming their p-k counterpart, instead of dropping the p.
+with p.  The k-family functions (`k_gamma`, `k_gamma_deriv`) refuse a point
+that carries p with `DomainError` naming their p-k counterpart, instead of
+dropping the p.
 
 Every value is accurate to the kernels' one contract, a Hurwitz remainder
 of at most 2^-56 of the value (`kernels.HURWITZ_REL_TOL`).  Each function
@@ -35,20 +35,11 @@ still takes an `AccuracyPolicy`, and checks it once: a rel_tol at or above
 2^-56 is met as it stands, and a smaller one, which double precision cannot
 deliver, raises `DomainError`.
 
-Inside a `kernels.memoised()` block, as in every `verify` sweep, values
-shared between calls are computed once, each into its own table of the
-block's `KernelCache` by the one function that reads it: G(x) per point
-by `_gamma`, which `_gamma_at` calls only for a value not yet there; the
-vector D_0..8 per point by `_derivative_vector`, read by every order, and
-once per sweep row by `_gamma_derivatives`, which takes all the orders a
-Turán or midpoint check needs; psi_k^(m)(x) per
-(m, x, k) by `k_polygamma`; |psi_k^(s)(x)| per (s, x, k) by
-`k_polygamma_magnitude_fractional`; and zeta_H(s, a) by
-`kernels.hurwitz_zeta`, from which `_zeta_at` reads zeta_k(x) =
-zeta_H(x/k, 1), calling `k_zeta` only for a value not yet there.  A call
-that raises stores nothing.  Outside a
-block every value is computed afresh, and derivatives build B only up to
-the largest order asked for.
+A `verify` sweep reads the values its rows share through private readers
+of floats wrapped in `kernels.memo` (`_zeta_at`, `_gamma_at`, `_psi_k_at`,
+`_magnitude_at`, `_all_derivatives`), so inside a `kernels.memoised()`
+block each is computed once.  The public functions keep no table; the
+derivatives read `_all_derivatives` inside a block.
 """
 
 from __future__ import annotations
@@ -148,12 +139,11 @@ def _check_policy(policy: AccuracyPolicy) -> None:
         )
 
 
-def _log_gamma(pt: EvalPoint) -> float:
-    # ln G(x): ln Gamma_k at a point without p, ln pGamma_k at one with p.
-    # Each family keeps its own rounding of the prefactor, (y - 1) ln k and
-    # y ln p - ln k; one y ln c - ln k would move the last bit of ln Gamma_k
-    y = pt.x / pt.k
-    k, p = pt.k, pt.p
+def _log_gamma(x: float, k: float, p: float | None) -> float:
+    # ln G(x): ln Gamma_k without p, ln pGamma_k with p.  Each family keeps
+    # its own rounding of the prefactor, (y - 1) ln k and y ln p - ln k;
+    # one y ln c - ln k would move the last bit of ln Gamma_k
+    y = x / k
     if y < _STIRLING_Y:
         log_scale = ((y - 1.0) * math.log(k) if p is None
                      else y * math.log(p) - math.log(k))
@@ -169,40 +159,28 @@ def _log_gamma(pt: EvalPoint) -> float:
 def _gamma_value(pt: EvalPoint) -> float:
     # G(x); str.format drops the p a Gamma_k message has no field for
     what = "Gamma_k({}; k={})" if pt.p is None else "pGamma_k({}; k={}, p={})"
-    return _exp_or_overflow(_log_gamma(pt), what, pt.x, pt.k, pt.p)
+    return _exp_or_overflow(_log_gamma(pt.x, pt.k, pt.p), what, pt.x, pt.k, pt.p)
 
 
-def _gamma(pt: EvalPoint) -> float:
-    cache = kernels.active_cache()
-    if cache is None:
-        return _gamma_value(pt)
-    key = (pt.x, pt.k, pt.p)
-    value = cache.gammas.get(key)
-    if value is None:
-        value = cache.gammas[key] = _gamma_value(pt)
-    return value
-
-
+@kernels.memo
 def _gamma_at(x: float, k: float, p: float | None) -> float:
-    # G at (x, k, p) for a caller without a point: one is built, checked
-    # and passed to `_gamma` only when the block's table lacks the value
-    cache = kernels.active_cache()
-    value = None if cache is None else cache.gammas.get((x, k, p))
-    return _gamma(EvalPoint(x, k, p)) if value is None else value
+    # G at (x, k, p) for a caller without a point; inside a block the point
+    # is built and checked only on a miss
+    return _gamma_value(EvalPoint(x, k, p))
 
 
 def k_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k), at a point without p."""
     pt.require_no_p("k_gamma", "pk_gamma")
     _check_policy(policy)
-    return _gamma(pt)
+    return _gamma_value(pt)
 
 
 def pk_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """pGamma_k(x) = p^(x/k) / k * Gamma(x/k)."""
     _check_policy(policy)
     pt.require_p()
-    return _gamma(pt)
+    return _gamma_value(pt)
 
 
 def k_polygamma(
@@ -213,6 +191,11 @@ def k_polygamma(
     m = 0 is excluded: the defining series diverges there and none of the
     verified inequalities needs it.
     """
+    return _psi_k(m, pt.x, pt.k, policy)
+
+
+def _psi_k(m: int, x: float, k: float,
+           policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"k_polygamma order must be an integer >= 1, got {m!r}")
     if m > kernels.POLYGAMMA_MAX_ORDER:
@@ -220,22 +203,13 @@ def k_polygamma(
             f"order {m} exceeds supported cap {kernels.POLYGAMMA_MAX_ORDER}"
         )
     _check_policy(policy)
-    # inside a block, read from or stored in the table; a raise stores nothing
-    cache = kernels.active_cache()
-    if cache is not None:
-        value = cache.polygammas.get((m, pt.x, pt.k))
-        if value is not None:
-            return value
     sign = 1.0 if m % 2 == 1 else -1.0
     try:
-        scale = math.factorial(m) * pt.k ** (-(m + 1.0))
+        scale = math.factorial(m) * k ** (-(m + 1.0))
     except OverflowError:  # k^-(m+1) beyond the double range
         scale = math.inf
-    value = sign * scale * kernels.hurwitz_zeta(m + 1.0, pt.x / pt.k)
-    value = _finite_or_overflow(value, "psi_k^({})({}; k={})", m, pt.x, pt.k)
-    if cache is not None:
-        cache.polygammas[(m, pt.x, pt.k)] = value
-    return value
+    value = sign * scale * kernels.hurwitz_zeta(m + 1.0, x / k)
+    return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, x, k)
 
 
 def k_polygamma_magnitude_fractional(
@@ -247,21 +221,24 @@ def k_polygamma_magnitude_fractional(
     require s to be an integer; it equals Gamma(s+1) k^-(s+1) zeta_H(s+1, x/k).
     For integer s this agrees with |k_polygamma(s, pt)|.
     """
+    return _magnitude(s, pt.x, pt.k, policy)
+
+
+def _magnitude(s: float, x: float, k: float,
+               policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
     _check_policy(policy)
-    cache = kernels.active_cache()
-    if cache is not None:
-        value = cache.magnitudes.get((s, pt.x, pt.k))
-        if value is not None:
-            return value
-    log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(pt.k)
-    scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, pt.k)
-    value = scale * kernels.hurwitz_zeta(s + 1.0, pt.x / pt.k)
-    value = _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, pt.x, pt.k)
-    if cache is not None:
-        cache.magnitudes[(s, pt.x, pt.k)] = value
-    return value
+    log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k)
+    scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, k)
+    value = scale * kernels.hurwitz_zeta(s + 1.0, x / k)
+    return _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, x, k)
+
+
+#: psi_k^(m)(x) and |psi_k^(s)(x)| for a sweep row, which the T1 and T7 rows
+#: of a point share
+_psi_k_at = kernels.memo(_psi_k)
+_magnitude_at = kernels.memo(_magnitude)
 
 
 def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
@@ -276,13 +253,10 @@ def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float
     return 1.0 if s == math.inf else kernels.riemann_zeta(s)
 
 
+@kernels.memo
 def _zeta_at(x: float, k: float) -> float:
-    # zeta_k(x) = zeta_H(x/k, 1) for a sweep row: read from the block's
-    # zeta table, and only on a miss through `k_zeta`, its checks and
-    # messages; a k of 0 misses before it is divided by
-    cache = kernels.active_cache()
-    value = None if cache is None or not k else cache.zetas.get((x / k, 1.0))
-    return k_zeta(x, k) if value is None else value
+    # zeta_k(x) for a sweep row, through `k_zeta` and its checks on a miss
+    return k_zeta(x, k)
 
 
 def pk_zeta(
@@ -299,44 +273,22 @@ def pk_zeta(
     return k_zeta(x, k, policy)
 
 
-def _derivatives(n_max: int, pt: EvalPoint) -> list[float | None]:
+def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[float | None]:
     # [D_0, ..., D_n_max] of G, None where D_j overflows: D_j = G k^-j B_j,
-    # with B_j the Bell polynomials at c = k, or c = p at a point with p
-    c = pt.k if pt.p is None else pt.p
-    log_value = _log_gamma(pt)
+    # with B_j the Bell polynomials at c = k, or c = p with p
+    log_value = _log_gamma(x, k, p)
     value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
     derivs = []
-    for j, b in enumerate(kernels.bell_sequence(n_max, pt.x / pt.k, c)):
-        d = value * (b * pt.k ** -float(j))
+    for j, b in enumerate(kernels.bell_sequence(n_max, x / k, k if p is None else p)):
+        d = value * (b * k ** -float(j))
         derivs.append(d if math.isfinite(d) else None)
     return derivs
 
 
-def _derivative_vector(n_max: int, pt: EvalPoint) -> list[float | None]:
-    # [D_0, ..., D_n_max] at least: the point's whole D_0..8 inside a block,
-    # built once and read by every order, and only up to n_max outside one
-    cache = kernels.active_cache()
-    if cache is None:
-        return _derivatives(n_max, pt)
-    key = (pt.x, pt.k, pt.p)
-    derivs = cache.derivatives.get(key)
-    if derivs is None:
-        derivs = cache.derivatives[key] = _derivatives(
-            kernels.GAMMA_DERIV_MAX_ORDER, pt)
-    return derivs
-
-
-def _derivative_overflow(n: int, pt: EvalPoint) -> ComputationOverflowError:
-    family = "Gamma_k" if pt.p is None else "pGamma_k"
-    return ComputationOverflowError(f"{family}^({n}) at {pt} overflows double precision")
-
-
-def _derivative(n: int, pt: EvalPoint) -> float:
-    kernels.check_deriv_order(n)
-    d = _derivative_vector(n, pt)[n]
-    if d is None:
-        raise _derivative_overflow(n, pt)
-    return d
+@kernels.memo
+def _all_derivatives(x: float, k: float, p: float | None) -> list[float | None]:
+    # the point's D_0..8, which every order of a sweep reads
+    return _derivatives(kernels.GAMMA_DERIV_MAX_ORDER, x, k, p)
 
 
 def k_gamma_deriv(
@@ -346,7 +298,7 @@ def k_gamma_deriv(
     point without p."""
     pt.require_no_p("k_gamma_deriv", "pk_gamma_deriv")
     _check_policy(policy)
-    return _derivative(n, pt)
+    return _gamma_derivatives((n,), pt)[0]
 
 
 def pk_gamma_deriv(
@@ -355,7 +307,7 @@ def pk_gamma_deriv(
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
     _check_policy(policy)
     pt.require_p()
-    return _derivative(n, pt)
+    return _gamma_derivatives((n,), pt)[0]
 
 
 def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
@@ -364,13 +316,21 @@ def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
 
     Every order is checked first.  The values, and the error the first
     order that overflows raises, are then those of `k_gamma_deriv` or
-    `pk_gamma_deriv` called order by order; the point's derivatives are
-    read once for all of them.
+    `pk_gamma_deriv` called order by order.  Inside a `kernels.memoised()`
+    block the point's whole D_0..8 is read once for every order; outside
+    one D is built only up to the largest order asked for.
     """
     for n in orders:
         kernels.check_deriv_order(n)
-    derivs = _derivative_vector(max(orders), pt)
-    values = [derivs[n] for n in orders]
-    if None in values:
-        raise _derivative_overflow(orders[values.index(None)], pt)
+    if kernels.active_cache() is None:
+        derivs = _derivatives(max(orders), pt.x, pt.k, pt.p)
+    else:
+        derivs = _all_derivatives(pt.x, pt.k, pt.p)
+    values = []
+    for n in orders:
+        if derivs[n] is None:
+            family = "Gamma_k" if pt.p is None else "pGamma_k"
+            raise ComputationOverflowError(
+                f"{family}^({n}) at {pt} overflows double precision")
+        values.append(derivs[n])
     return values

@@ -23,13 +23,10 @@ theorem does not take.
 
 `THEOREMS` is the table a sweep runs from: per theorem, its admissible grid
 points and the check that evaluates one.  `scan_grid` runs every check of
-a sweep inside one `kernels.memoised()` block, where each row reads what
-its point shares with other rows from the block's tables: a T2/T3 row its
-zeta_k and G values, a T4-T6 row its point's derivative vector, once for
-all its orders, and a T1/T7 row its polygamma values.  A grid's
-`EvalPoint`s are built once and read by every theorem.  Every row is
-still the record of one call of its module-level check, which a profiler
-or test can wrap.
+a sweep inside one `kernels.memoised()` block, and the checks read their
+values through the memoised readers of `functions`, so a value that rows
+share is computed once.  Every row is still the record of one call of its
+module-level check, which a profiler or test can wrap.
 """
 
 from __future__ import annotations
@@ -152,10 +149,10 @@ def check_holder_polygamma(
     # s >= 1 exactly for m, n >= 1; the sum can round below it (to
     # 0.9999999999999999 at p = 1.843), outside the fractional order's domain
     s = max(1.0, m / hp.p + n / hp.q)
-    a = abs(fn.k_polygamma(m, pt))
-    b = abs(fn.k_polygamma(n, pt))
+    a = abs(fn._psi_k_at(m, pt.x, pt.k))
+    b = abs(fn._psi_k_at(n, pt.x, pt.k))
     lhs = a ** (1.0 / hp.p) * b ** (1.0 / hp.q)
-    rhs = fn.k_polygamma_magnitude_fractional(s, pt)
+    rhs = fn._magnitude_at(s, pt.x, pt.k)
     # d(a^(1/p))/a = (1/p) a^(1/p - 1): relative errors divide by p, q
     margin = abs(lhs) * (_FUNC_REL / hp.p + _FUNC_REL / hp.q) + abs(rhs) * _FUNC_REL
     return _record("T1", lhs, rhs, margin, slack_tol, x=pt.x, k=pt.k, m=m, n=n,
@@ -183,9 +180,7 @@ def check_holder_zeta(
     for arg in (m + 1.0, n + 1.0, s + 1.0):
         if arg / k <= 1.0:
             raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
-    # pzeta_k is zeta_k for every p; G is Gamma_k without p, pGamma_k with
-    # it; both read from the block's tables when a row of the sweep stored
-    # them
+    # pzeta_k is zeta_k for every p; G is Gamma_k without p, pGamma_k with it
     zeta = lambda x: fn._zeta_at(x, k)
     gamma = lambda x: fn._gamma_at(x, k, p_param)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
@@ -269,8 +264,9 @@ def check_midpoint_polygamma(
     if not 2 <= n < POLYGAMMA_MAX_ORDER:  # reads order n + 1
         raise DomainError(
             f"polygamma midpoint check requires 2 <= n <= {POLYGAMMA_MAX_ORDER - 1}")
-    lhs = fn.k_polygamma(n, pt)
-    rhs = 0.5 * (fn.k_polygamma(n + 1, pt) + fn.k_polygamma(n - 1, pt))
+    x, k = pt.x, pt.k
+    lhs = fn._psi_k_at(n, x, k)
+    rhs = 0.5 * (fn._psi_k_at(n + 1, x, k) + fn._psi_k_at(n - 1, x, k))
     d = lhs - rhs
     margin = (abs(lhs) + abs(rhs)) * _FUNC_REL
     return _record("T7", lhs, rhs, margin, slack_tol, d if n % 2 == 1 else -d,
@@ -429,7 +425,7 @@ def scan_grid(
     points in lexicographic order.  Per-point evaluation errors are
     counted in the summary instead of aborting the sweep, and every selected
     theorem has a summary entry, with or without rows.  The sweep is one
-    `kernels.memoised()` block, whose cache is dropped when it returns.
+    `kernels.memoised()` block, whose tables are dropped when it returns.
     """
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:

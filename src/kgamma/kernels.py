@@ -4,10 +4,8 @@ Everything in the generalized-function layer reduces to these.  All kernels
 are pure functions of their arguments, accurate to one fixed contract: the
 Hurwitz sum is truncated at 2^-56 of its value (`HURWITZ_REL_TOL`), and no
 kernel takes a tolerance.  The same input gives bit-identical output, so
-inside a `memoised()` block each memoised function fills its own table of
-the block's `KernelCache`: here `hurwitz_zeta` the zeta table, which
-`riemann_zeta`, `polygamma` and `bell_sequence` reach through it, and
-`bell_sequence` the cumulant table, which every c at one y shares.
+inside a `memoised()` block a function wrapped in `memo` computes each of
+its arguments once; `hurwitz_zeta` keeps its own table the same way.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -26,9 +24,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .policy import ABS_TOL, ComputationOverflowError, DomainError, UnsupportedOrderError
 
@@ -41,7 +39,7 @@ __all__ = [
     "bell_sequence",
     "gamma_deriv_sequence",
     "check_deriv_order",
-    "KernelCache",
+    "memo",
     "memoised",
     "active_cache",
     "HURWITZ_REL_TOL",
@@ -101,6 +99,55 @@ _EM_STEPS = tuple(
     (b2j / math.factorial(2 * j), 2 * j - 1, 2 * j)
     for j, b2j in enumerate((*_BERNOULLI, _B16_ABS), start=1)
 )
+
+
+_TABLES = contextvars.ContextVar("kgamma_memo_tables", default=None)
+
+#: The tables of the innermost `memoised()` block of this context, or None.
+#: A new thread starts outside every block.
+active_cache = _TABLES.get
+
+
+def memo(compute):
+    """`compute`, memoised inside a `memoised()` block.
+
+    Inside a block each distinct tuple of positional arguments is computed
+    once, into the block's table for this function; a call that raises
+    stores nothing.  Outside every block `compute` is just called.  The
+    kernels are pure functions, so a stored value is the one a fresh call
+    returns, bit for bit; it is shared, and no caller may change it.
+    Arguments that compare equal share an entry (2 and 2.0 do), and
+    `compute` never returns None.
+    """
+    @functools.wraps(compute)
+    def read(*args):
+        tables = active_cache()
+        if tables is None:
+            return compute(*args)
+        table = tables.get(read)
+        value = None if table is None else table.get(args)
+        if value is None:
+            value = compute(*args)
+            tables.setdefault(read, {})[args] = value
+        return value
+
+    return read
+
+
+@contextlib.contextmanager
+def memoised():
+    """A block in which every `memo` function computes each value once.
+
+    Yields the block's new dict of tables, one per function that stored a
+    value, keyed by that function.  On exit, normal or by an exception, the
+    enclosing block's tables (or none) are active again.
+    """
+    tables = {}
+    token = _TABLES.set(tables)
+    try:
+        yield tables
+    finally:
+        _TABLES.reset(token)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -191,12 +238,14 @@ def hurwitz_zeta(s: float, a: float) -> float:
     function and its derivatives, Numer. Algorithms 2015).  The bound is
     checked once; a value it does not certify, or one that overflows,
     raises `ComputationOverflowError`.  Inside a `memoised()` block each
-    (s, a) is computed once, into the zeta table; a call that raises
-    stores nothing.
+    (s, a) is computed once, as under `memo`.
     """
-    cache = active_cache()
-    if cache is not None:
-        value = cache.zetas.get((s, a))
+    # checked inline, not through `memo`: most calls run outside a block,
+    # where a wrapper's extra frame is measurable
+    tables = active_cache()
+    if tables is not None:
+        zetas = tables.get(hurwitz_zeta)
+        value = None if zetas is None else zetas.get((s, a))
         if value is not None:
             return value
     if not (math.isfinite(s) and s > 1.0):
@@ -232,8 +281,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
             f"hurwitz_zeta({s}, {a}): the remainder bound after {n_terms} "
             f"terms exceeds 2^-56 of the value {value}"
         )
-    if cache is not None:
-        cache.zetas[(s, a)] = value
+    if tables is not None:
+        tables.setdefault(hurwitz_zeta, {})[(s, a)] = value
     return value
 
 
@@ -290,21 +339,16 @@ def check_deriv_order(n: int) -> None:
         )
 
 
+@memo
 def _polygammas(n_max: int, y: float) -> list[float]:
-    # [psi(y), psi'(y), ..., psi^(n_max - 1)(y)] at least, NaN where one
-    # overflows; inside a block the cumulant table's entry for y, which
-    # every c at y reads and no caller may change
-    cache = active_cache()
-    psis = None if cache is None else cache.cumulants.get(y)
-    if psis is None or len(psis) < n_max:
-        psis = []
-        for m in range(n_max):
-            try:
-                psis.append(_polygamma(m, y))
-            except OverflowError:
-                psis.append(math.nan)
-        if cache is not None:
-            cache.cumulants[y] = psis
+    # [psi(y), psi'(y), ..., psi^(n_max - 1)(y)], NaN where one overflows;
+    # inside a block shared by every c at y, so no caller may change it
+    psis = []
+    for m in range(n_max):
+        try:
+            psis.append(_polygamma(m, y))
+        except OverflowError:
+            psis.append(math.nan)
     return psis
 
 
@@ -315,9 +359,8 @@ def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     B_(j+1) = sum_i C(j, i) B_(j-i) kappa_(i+1), summed in order of i.
     B_j depends on kappa_1..kappa_j alone, so a prefix equals the
     lower-order sequence exactly.  If psi^(i)(y) overflows, B_(i+1) and
-    every later entry are NaN.  Inside a `memoised()` block the psi^(i)(y)
-    are stored per y in the cumulant table, and every c at that y reads
-    them; a larger n_max computes them again, through the zeta table.
+    every later entry are NaN.  Inside a `memoised()` block every c at
+    one (n_max, y) reads the same psi^(i)(y).
     """
     check_deriv_order(n_max)
     if n_max:
@@ -355,57 +398,3 @@ def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
             raise ComputationOverflowError(f"Gamma^({j})({y}) overflows double precision")
         derivs.append(d)
     return derivs
-
-
-@dataclass(slots=True)
-class KernelCache:
-    """The tables of one `memoised()` block.  Each is filled by the one
-    function that reads it, with the values it would compute outside a
-    block, bit for bit, since every kernel is a pure function of its
-    arguments:
-
-    - `zetas`: zeta_H(s, a) per (s, a), filled by `kernels.hurwitz_zeta`;
-      `riemann_zeta(s)` is zeta_H(s, 1), and `polygamma` and
-      `bell_sequence` read psi^(m)(y) = (-1)^(m+1) m! zeta_H(m+1, y);
-    - `gammas`: Gamma_k / pGamma_k values per (x, k, p), with p None for
-      Gamma_k, filled by `functions._gamma`, which `functions._gamma_at`
-      calls, building a point, only for a value not yet there;
-    - `derivatives`: derivative vectors D_0..8 per (x, k, p), filled by
-      `functions._derivative_vector`, which every derivative order reads;
-    - `polygammas`: psi_k^(m)(x) per (m, x, k), filled by
-      `functions.k_polygamma`;
-    - `magnitudes`: |psi_k^(s)(x)| per (s, x, k), filled by
-      `functions.k_polygamma_magnitude_fractional`;
-    - `cumulants`: [psi(y), psi'(y), ...] per y, up to the largest order
-      asked for at y and NaN where one overflows, filled by
-      `kernels.bell_sequence`, which adds ln c to the first entry of a copy.
-    """
-
-    zetas: dict = field(default_factory=dict)
-    gammas: dict = field(default_factory=dict)
-    derivatives: dict = field(default_factory=dict)
-    polygammas: dict = field(default_factory=dict)
-    magnitudes: dict = field(default_factory=dict)
-    cumulants: dict = field(default_factory=dict)
-
-
-_ACTIVE_CACHE = contextvars.ContextVar("kgamma_kernel_cache", default=None)
-
-#: The `KernelCache` of the innermost `memoised()` block of this context,
-#: or None.  A new thread starts outside every block.
-active_cache = _ACTIVE_CACHE.get
-
-
-@contextlib.contextmanager
-def memoised():
-    """A block in which kernel and closed-form values are computed once.
-
-    Yields the block's new `KernelCache`; on exit, normal or by an
-    exception, the enclosing block's cache (or none) is active again.
-    """
-    cache = KernelCache()
-    token = _ACTIVE_CACHE.set(cache)
-    try:
-        yield cache
-    finally:
-        _ACTIVE_CACHE.reset(token)

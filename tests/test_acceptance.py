@@ -63,10 +63,10 @@ def test_criterion_1_classical_reductions():
 
 def test_criterion_2_oracle_equivalence():
     start = time.time()
-    worst, uncertified = cli.crosscheck_families(STANDARD)
+    worst, uncertified, errors = cli.crosscheck_families(STANDARD)
     elapsed = time.time() - start
     worst_overall = max(worst.values())
-    ok = worst_overall <= 1e-8 and not uncertified and elapsed < 60.0
+    ok = worst_overall <= 1e-8 and not uncertified and not errors and elapsed < 60.0
     assert report(2, ok, f"oracle equivalence, worst family discrepancy "
                          f"{worst_overall:.3e}, {elapsed:.1f}s")
 

@@ -616,6 +616,21 @@ class TestCrosscheck:
         assert all(line.endswith(" ok") for line in out.strip().splitlines())
 
 
+    def test_point_that_overflows_is_an_evaluation_error(self, capsys):
+        # D^(6..8) of Gamma_k overflow at x = 170: that point adds no
+        # comparison and one error line, and the rest of the grid is reported
+        point = ["crosscheck", "--k", "1", "--n", "8", "--m", "1"]
+        _, alone, _ = run(point + ["--x", "2"], capsys)
+        code, out, err = run(point + ["--x", "2,170"], capsys)
+        assert code == 3
+        assert out == alone and len(out.splitlines()) == 7
+        assert err.splitlines() == [
+            "evaluation error: x=170.0, k=1.0: Gamma_k^(6) at EvalPoint(x=170.0, "
+            "k=1.0, p=None) overflows double precision"]
+        # a family that is not ok still exits 1, as in `verify`
+        code, out, err = run(point + ["--x", "2,170", "--threshold", "1e-30"], capsys)
+        assert code == 1 and "EXCEEDS" in out and err.count("evaluation error") == 1
+
     def test_nonconverged_oracle_is_uncertified(self, capsys):
         # at x = 2.5e-5 the oracle's walk down v = log t reaches |v| = 2^20
         # before the tail bound of the gamma integrals is met

@@ -405,7 +405,7 @@ class TestDerivativeTables:
 
     def test_one_zeta_call_per_distinct_argument(self, monkeypatch):
         computed = _zeta_computations(monkeypatch)
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             fn.k_polygamma(1, EvalPoint(1.0, 2.0))
             # every vector reads psi^(1..7)(0.5), whose zeta_H(2, 0.5)
             # k_polygamma already made
@@ -414,9 +414,9 @@ class TestDerivativeTables:
                 for p in (2.0, 3.0):
                     fn.pk_gamma_deriv(n, EvalPoint(1.0, 2.0, p))
         assert computed == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
-        assert set(cache.zetas) == set(computed)
+        assert set(tables[kernels.hurwitz_zeta]) == set(computed)
         # one derivative vector per (x, k, p): Gamma_k's and two pGamma_k's
-        assert len(cache.derivatives) == 3
+        assert len(tables[fn._all_derivatives]) == 3
 
     def test_one_zeta_table_for_every_reader(self, monkeypatch):
         # bell_sequence, k_polygamma, k_zeta and polygamma all reach
@@ -432,29 +432,25 @@ class TestDerivativeTables:
         ]
         direct = [call() for call in calls]
         computed = _zeta_computations(monkeypatch)
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             assert [call() for call in calls] == direct
         assert computed == [(2, 1.0), (3, 1.0), (4, 1.0)]
-        assert set(cache.zetas) == {(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)}
+        assert set(tables[kernels.hurwitz_zeta]) == {(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)}
 
     def test_gamma_table_is_bit_identical_and_keyed_per_family(self):
         points = [EvalPoint(x, k) for x in (2.0, 3.0, 7.5) for k in (0.5, 1.3)]
         ppoints = [EvalPoint(pt.x, pt.k, p) for pt in points for p in (0.7, 2.0)]
         direct = {pt: fn.k_gamma(pt) for pt in points}
         direct.update((ppt, fn.pk_gamma(ppt)) for ppt in ppoints)
-        big = EvalPoint(7.5, 0.01)
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the table
-                for pt in points:
-                    assert fn.k_gamma(pt) == direct[pt]
-                for ppt in ppoints:
-                    assert fn.pk_gamma(ppt) == direct[ppt]
+                for pt, value in direct.items():
+                    assert fn._gamma_at(pt.x, pt.k, pt.p) == value
             # an overflow is raised on every call, never stored
             for _ in range(2):
                 with pytest.raises(ComputationOverflowError):
-                    fn.k_gamma(big)
-        assert set(cache.gammas) == {(pt.x, pt.k, pt.p) for pt in points + ppoints}
-        assert (7.5, 0.01, None) not in cache.gammas
+                    fn._gamma_at(7.5, 0.01, None)
+        assert set(tables[fn._gamma_at]) == {(pt.x, pt.k, pt.p) for pt in direct}
 
     def test_gamma_at_reads_the_table_and_builds_a_missing_point(self):
         # the bits or the error of k_gamma / pk_gamma at the point, outside
@@ -469,16 +465,16 @@ class TestDerivativeTables:
 
         direct = [_outcome(lambda: public(*case)) for case in cases]
         assert [_outcome(lambda: fn._gamma_at(*case)) for case in cases] == direct
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the table
                 assert [_outcome(lambda: fn._gamma_at(*case))
                         for case in cases] == direct
-        assert set(cache.gammas) == {(2.0, 0.5, None), (3.0, 1.3, 2.0)}
+        assert set(tables[fn._gamma_at]) == {(2.0, 0.5, None), (3.0, 1.3, 2.0)}
 
     def test_zeta_at_reads_the_table_and_falls_back_to_k_zeta(self, monkeypatch):
         # the bits or the error of k_zeta, outside a block and inside one,
-        # where a stored zeta_H(x/k, 1) is read without k_zeta; x/k = inf
-        # is 1.0, as in k_zeta, and a refused argument stores nothing
+        # where a stored zeta_k(x) is read without k_zeta; x/k = inf is
+        # 1.0, as in k_zeta, and a refused argument stores nothing
         cases = [(4.0, 2.0), (3.0, 1.0), (6.5, 0.5), (3.0, 0.7), (2.0, 1e-320),
                  (1.0, 1.0), (2.0, 0.0), (2.0, -1.0), (-3.0, 1.0), (math.nan, 1.0),
                  (2.0, math.nan), (math.inf, 1.0), (2.0, math.inf)]
@@ -489,14 +485,14 @@ class TestDerivativeTables:
         k_zeta, fallbacks = fn.k_zeta, []
         monkeypatch.setattr(fn, "k_zeta", lambda x, k: fallbacks.append((x, k))
                             or k_zeta(x, k))
-        with kernels.memoised() as cache:
-            for _ in range(2):  # the second pass reads the table
+        with kernels.memoised() as tables:
+            for passed in (cases, cases[5:]):  # the second pass reads the table
                 fallbacks.clear()
                 assert [_outcome(lambda: fn._zeta_at(*case))
                         for case in cases] == direct
-        # on the second pass only the values no table holds reach k_zeta
-        assert fallbacks == cases[4:]
-        assert set(cache.zetas) == {(x / k, 1.0) for x, k in cases[:4]}
+                # only the values the table does not hold reach k_zeta
+                assert fallbacks == passed
+        assert set(tables[fn._zeta_at]) == set(cases[:5])
 
     def test_gamma_derivatives_match_the_order_by_order_calls(self):
         # the order triples the Turan and midpoint checks read, and refused
@@ -515,28 +511,33 @@ class TestDerivativeTables:
         direct = [_outcome(lambda: one_by_one(*case)) for case in cases]
         assert [_outcome(lambda: fn._gamma_derivatives(*case))
                 for case in cases] == direct
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the tables
                 assert [_outcome(lambda: fn._gamma_derivatives(*case))
                         for case in cases] == direct
         outcomes = {o[0] for o in direct if isinstance(o, tuple)}
         assert outcomes == {ComputationOverflowError, DomainError, UnsupportedOrderError}
         # one vector per point that some valid list reached
-        assert set(cache.derivatives) == {(pt.x, pt.k, pt.p) for _, pt in cases}
+        assert set(tables[fn._all_derivatives]) == {(pt.x, pt.k, pt.p) for _, pt in cases}
 
     def test_polygamma_tables_are_bit_identical_and_store_no_error(self):
         # psi_k^(m) per (m, x, k) and |psi_k^(s)| per (s, x, k): the bits
-        # outside a block, and every error raised again, never stored
+        # or the error of the public function, outside a block and inside
+        # one, where every error is raised again, never stored
         points = [EvalPoint(2.5, 0.7), EvalPoint(2.5, 0.7, 3.0), EvalPoint(0.05, 3.0),
                   EvalPoint(1e-26, 1e-23), EvalPoint(5e-24, 1e-23)]
         polygamma_calls = [(m, pt) for m in (0, 1, 2, 5, 11, 12, 13) for pt in points]
         magnitude_calls = [(s, pt) for s in (0.5, 1.0, 2.3, 11.0, 11.5, math.nan)
                            for pt in points]
-        calls = ([lambda m=m, pt=pt: fn.k_polygamma(m, pt) for m, pt in polygamma_calls]
-                 + [lambda s=s, pt=pt: fn.k_polygamma_magnitude_fractional(s, pt)
+        direct = ([_outcome(lambda: fn.k_polygamma(m, pt)) for m, pt in polygamma_calls]
+                  + [_outcome(lambda: fn.k_polygamma_magnitude_fractional(s, pt))
+                     for s, pt in magnitude_calls])
+        calls = ([lambda m=m, pt=pt: fn._psi_k_at(m, pt.x, pt.k)
+                  for m, pt in polygamma_calls]
+                 + [lambda s=s, pt=pt: fn._magnitude_at(s, pt.x, pt.k)
                     for s, pt in magnitude_calls])
-        direct = [_outcome(call) for call in calls]
-        with kernels.memoised() as cache:
+        assert [_outcome(call) for call in calls] == direct
+        with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the tables
                 assert [_outcome(call) for call in calls] == direct
         outcomes = {o[0] if isinstance(o, tuple) else float for o in direct}
@@ -544,15 +545,15 @@ class TestDerivativeTables:
                             UnsupportedOrderError}
         # p is no argument of psi_k: a point with p shares the entry without
         values = direct[:len(polygamma_calls)]
-        assert set(cache.polygammas) == {
+        assert set(tables[fn._psi_k_at]) == {
             (m, pt.x, pt.k) for (m, pt), value in zip(polygamma_calls, values)
             if not isinstance(value, tuple)}
         values = direct[len(polygamma_calls):]
-        assert set(cache.magnitudes) == {
+        assert set(tables[fn._magnitude_at]) == {
             (s, pt.x, pt.k) for (s, pt), value in zip(magnitude_calls, values)
             if not isinstance(value, tuple)}
-        assert all(isinstance(v, float) for v in cache.polygammas.values())
-        assert all(isinstance(v, float) for v in cache.magnitudes.values())
+        for table in (tables[fn._psi_k_at], tables[fn._magnitude_at]):
+            assert all(isinstance(v, float) for v in table.values())
 
 
 #: every public closed form, as a call on a policy
@@ -588,11 +589,11 @@ class TestPolicyFloor:
         policy = AccuracyPolicy(rel_tol=1e-17)
         with pytest.raises(DomainError, match="2\\^-56"):
             CLOSED_FORMS[name](policy)
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             with pytest.raises(DomainError, match="2\\^-56"):
                 CLOSED_FORMS[name](policy)
         # refused before any work: nothing was cached
-        assert cache.gammas == {} and cache.derivatives == {} and cache.zetas == {}
+        assert tables == {}
 
 
 class TestPointPicksTheFamily:

@@ -5,7 +5,6 @@ frozen from the brute-force series oracles defined at the top of this
 file; mpmath provides an additional arbitrary-precision cross-check.
 """
 
-import dataclasses
 import math
 import random
 import re
@@ -353,8 +352,9 @@ def _bits(values: list) -> bytes:
 
 
 class TestKernelCache:
-    """`hurwitz_zeta` fills the block's zeta table itself: same bits and
-    errors as outside a block, one computation per (s, a)."""
+    """`hurwitz_zeta` keeps its own table of the block, and `bell_sequence`
+    reads the `memo` table of `_polygammas`: same bits and errors as
+    outside a block, one computation per argument."""
 
     def test_values_identical_to_kernels(self):
         zetas = {(s, a): kernels.hurwitz_zeta(s, a)
@@ -363,7 +363,7 @@ class TestKernelCache:
         bells = {(n, c): kernels.bell_sequence(n, 2.5, c)
                  for c in (2.0, 0.5, 1.0)
                  for n in range(kernels.GAMMA_DERIV_MAX_ORDER + 1)}
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             for _ in range(2):  # the second pass is served from the table
                 for (s, a), value in zetas.items():
                     assert kernels.hurwitz_zeta(s, a) == value
@@ -371,9 +371,10 @@ class TestKernelCache:
                 # the Bell sequences read psi^(j)(2.5) from the zeta table
                 for (n, c), bell in bells.items():
                     assert kernels.bell_sequence(n, 2.5, c) == bell
-            assert set(cache.zetas) >= {(float(s), 2.5) for s in range(2, 9)}
+            stored = set(tables[kernels.hurwitz_zeta])
+            assert stored >= {(float(s), 2.5) for s in range(2, 9)}
             # riemann_zeta(s) is zeta_H(s, 1): one entry of the same table
-            assert set(cache.zetas) >= {*zetas, (3.0, 1.0)}
+            assert stored >= {*zetas, (3.0, 1.0)}
 
     def test_errors_match_kernels(self):
         for bad_call in (
@@ -386,19 +387,20 @@ class TestKernelCache:
         ):
             with pytest.raises(Exception) as direct:
                 bad_call()
-            with kernels.memoised() as cache:
+            with kernels.memoised() as tables:
                 for _ in range(2):  # raised again: the first call stored nothing
                     with pytest.raises(type(direct.value)) as cached:
                         bad_call()
                     assert str(cached.value) == str(direct.value)
-            assert cache.zetas == {}
+            assert tables == {}
 
     def test_bell_sequences_at_one_y_share_its_cumulants(self):
         # several c at one y, outside a block and inside one, bit for bit;
         # psi^(7)(1e-40) and psi^(1..7)(1e-300) overflow to NaN entries
         ys = (2.5, 1e-40, 1e-300)
+        orders = (kernels.GAMMA_DERIV_MAX_ORDER, 3)
         calls = [(n, y, c) for y in ys for c in (1.0, 0.5, 2.0, 1e-3, 7.0)
-                 for n in (kernels.GAMMA_DERIV_MAX_ORDER, 3)]
+                 for n in orders]
         direct = [_bits(kernels.bell_sequence(*call)) for call in calls]
         assert any(math.isnan(b) for b in kernels.bell_sequence(8, 1e-300, 2.0))
         psis = {y: [kernels.polygamma(0, y)] for y in ys}
@@ -408,42 +410,114 @@ class TestKernelCache:
                     psis[y].append(kernels.polygamma(m, y))
                 except OverflowError:
                     psis[y].append(math.nan)
-        with kernels.memoised() as cache:
+        with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the table
                 assert [_bits(kernels.bell_sequence(*call)) for call in calls] == direct
-            # one entry per y, never moved by ln c
-            assert {y: _bits(v) for y, v in cache.cumulants.items()} == {
-                y: _bits(v) for y, v in psis.items()}
+            # one entry per (n_max, y), never moved by ln c
+            assert {key: _bits(v) for key, v in tables[kernels._polygammas].items()} == {
+                (n, y): _bits(psis[y][:n]) for y in ys for n in orders}
 
     def test_each_table_is_filled_by_its_one_reader(self):
         from kgamma import functions as fn
 
         pt, ppt = fn.EvalPoint(2.5, 0.7), fn.EvalPoint(2.5, 0.7, 1.9)
-        # table -> a call of its reader, and the tables that call fills; every
-        # reader but G's own reaches zeta_H through `hurwitz_zeta`
-        readers = {
-            "zetas": (lambda: kernels.hurwitz_zeta(3.0, 0.5), {"zetas"}),
-            "gammas": (lambda: (fn.k_gamma(pt), fn.pk_gamma(ppt),
-                                fn._gamma_at(3.5, 0.7, None)), {"gammas"}),
-            "derivatives": (lambda: (fn.k_gamma_deriv(3, pt),
-                                     fn._gamma_derivatives((1, 2), ppt)),
-                            {"derivatives", "zetas", "cumulants"}),
-            "polygammas": (lambda: fn.k_polygamma(3, pt), {"polygammas", "zetas"}),
-            "magnitudes": (lambda: fn.k_polygamma_magnitude_fractional(2.5, pt),
-                           {"magnitudes", "zetas"}),
-            "cumulants": (lambda: kernels.bell_sequence(3, 2.5, 1.9),
-                          {"cumulants", "zetas"}),
-        }
-        names = [f.name for f in dataclasses.fields(kernels.KernelCache)]
-        assert sorted(names) == sorted(readers)
-        for read, tables in readers.values():
-            with kernels.memoised() as cache:
+        zetas, psis = kernels.hurwitz_zeta, kernels._polygammas
+        # a call, and the tables it fills; every reader but G's own reaches
+        # zeta_H through `hurwitz_zeta`
+        readers = [
+            (lambda: kernels.hurwitz_zeta(3.0, 0.5), {zetas}),
+            (lambda: kernels.bell_sequence(3, 2.5, 1.9), {psis, zetas}),
+            (lambda: fn._zeta_at(3.5, 0.7), {fn._zeta_at, zetas}),
+            (lambda: fn._gamma_at(3.5, 0.7, None), {fn._gamma_at}),
+            (lambda: (fn.k_gamma_deriv(3, pt), fn._gamma_derivatives((1, 2), ppt)),
+             {fn._all_derivatives, psis, zetas}),
+            (lambda: fn._psi_k_at(3, 2.5, 0.7), {fn._psi_k_at, zetas}),
+            (lambda: fn._magnitude_at(2.5, 2.5, 0.7), {fn._magnitude_at, zetas}),
+            # the public closed forms keep no table of their own
+            (lambda: (fn.k_gamma(pt), fn.pk_gamma(ppt)), set()),
+            (lambda: (fn.k_polygamma(3, pt),
+                      fn.k_polygamma_magnitude_fractional(2.5, pt)), {zetas}),
+        ]
+        # every `memo` function of the two modules has its reader above:
+        # the wrappers `memo` returns share one code object
+        memo_code = kernels.memo(abs).__code__
+        memos = {f for module in (kernels, fn) for f in vars(module).values()
+                 if getattr(f, "__code__", None) is memo_code}
+        assert memos == {fn._zeta_at, fn._gamma_at, fn._all_derivatives,
+                         fn._psi_k_at, fn._magnitude_at, psis}
+        for read, filled in readers:
+            with kernels.memoised() as tables:
                 read()
-            assert {name for name in names if getattr(cache, name)} == tables
+            assert set(tables) == filled and all(tables.values())
+
+
+class TestMemo:
+    """`kernels.memo` computes each argument tuple once inside a block."""
+
+    @staticmethod
+    def _counted():
+        calls = []
+
+        @kernels.memo
+        def square(x, y=1.0):
+            calls.append((x, y))
+            if x < 0:
+                raise DomainError(f"x must be >= 0, got {x!r}")
+            return [x * x * y]
+
+        return square, calls
+
+    def test_once_per_distinct_argument_tuple_inside_a_block(self):
+        square, calls = self._counted()
+        with kernels.memoised() as tables:
+            results = [square(x, y) for _ in range(3) for x, y in
+                       ((2.0, 1.0), (3.0, 1.0), (2.0, 2.0))]
+        assert calls == [(2.0, 1.0), (3.0, 1.0), (2.0, 2.0)]
+        assert results == [[4.0], [9.0], [8.0]] * 3
+        # the stored value is returned itself, not a copy
+        assert results[0] is results[3] is tables[square][(2.0, 1.0)]
+        assert set(tables) == {square}
+
+    def test_every_call_computes_outside_a_block(self):
+        square, calls = self._counted()
+        assert [square(2.0) for _ in range(3)] == [[4.0]] * 3
+        assert calls == [(2.0, 1.0)] * 3
+        assert square.__name__ == "square" and square.__wrapped__ is not square
+
+    def test_a_raise_leaves_no_entry(self):
+        square, calls = self._counted()
+        with kernels.memoised() as tables:
+            for _ in range(2):
+                with pytest.raises(DomainError, match="got -1.0"):
+                    square(-1.0)
+            assert tables == {}
+            square(2.0)
+            with pytest.raises(DomainError):
+                square(-1.0)
+        assert calls == [(-1.0, 1.0)] * 2 + [(2.0, 1.0), (-1.0, 1.0)]
+        assert tables == {square: {(2.0,): [4.0]}}
+
+    def test_nested_blocks_and_new_threads_start_empty(self):
+        square, calls = self._counted()
+        seen = []
+        with kernels.memoised() as outer:
+            square(2.0)
+            with kernels.memoised() as inner:
+                square(2.0)
+                assert inner == {square: {(2.0,): [4.0]}}
+            thread = threading.Thread(target=lambda: seen.append(
+                (kernels.active_cache(), square(2.0))))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            square(2.0)  # the outer table is active again
+        assert seen == [(None, [4.0])]
+        assert calls == [(2.0, 1.0)] * 3
+        assert outer == {square: {(2.0,): [4.0]}}
 
 
 class TestMemoisedScope:
-    """A cache is active exactly inside a `memoised()` block."""
+    """A block's tables are active exactly inside its `memoised()` block."""
 
     def test_none_outside_every_block(self):
         assert kernels.active_cache() is None
