@@ -5,7 +5,9 @@ are pure functions of their arguments, accurate to one fixed contract: the
 Hurwitz sum is truncated at 2^-56 of its value (`HURWITZ_REL_TOL`), and no
 kernel takes a tolerance.  The same input gives bit-identical output, so
 inside a `memoised()` block a function wrapped in `memo` computes each of
-its arguments once; `hurwitz_zeta` keeps its own table the same way.
+its arguments once; `hurwitz_zeta` keeps its own table the same way.  Its
+Euler-Maclaurin coefficients are precomputed for the integer orders of
+psi^(1..12); for any other order they are formed as they are summed.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -99,6 +101,13 @@ _EM_STEPS = tuple(
     (b2j / math.factorial(2 * j), 2 * j - 1, 2 * j)
     for j, b2j in enumerate((*_BERNOULLI, _B16_ABS), start=1)
 )
+_EM_CORRECTION_STEPS = _EM_STEPS[:-1]
+_K_FACTOR = _EM_STEPS[-1][0]
+
+# Below this s, `hurwitz_zeta` forms a fractional order's coefficients in
+# its correction loop; from it on it reads `_em_row`, which caps them once
+# K(s) overflows (at s about 3.5e20)
+_EM_ROW_S = 1e20
 
 
 _TABLES = contextvars.ContextVar("kgamma_memo_tables", default=None)
@@ -116,8 +125,10 @@ def memo(compute):
     stores nothing.  Outside every block `compute` is just called.  The
     kernels are pure functions, so a stored value is the one a fresh call
     returns, bit for bit; it is shared, and no caller may change it.
-    Arguments that compare equal share an entry (2 and 2.0 do), and
-    `compute` never returns None.
+    Arguments that compare equal share an entry: 2 and 2.0 do, so where
+    `compute` refuses 2.0, its caller refuses it before the read, as the
+    `harness` checks refuse an order that is not an int.  `compute` never
+    returns None.
     """
     @functools.wraps(compute)
     def read(*args):
@@ -237,8 +248,11 @@ def hurwitz_zeta(s: float, a: float) -> float:
     (Johansson, Rigorous high-precision computation of the Hurwitz zeta
     function and its derivatives, Numer. Algorithms 2015).  The bound is
     checked once; a value it does not certify, or one that overflows,
-    raises `ComputationOverflowError`.  Inside a `memoised()` block each
-    (s, a) is computed once, as under `memo`.
+    raises `ComputationOverflowError`.  The Euler-Maclaurin coefficients
+    are read from `_EM_ROWS` at the integer s of psi^(1..12) and formed as
+    they are summed at any other s, bit for bit as `_em_row` forms them.
+    Inside a `memoised()` block each (s, a) is computed once, as under
+    `memo`.
     """
     # checked inline, not through `memo`: most calls run outside a block,
     # where a wrapper's extra frame is measurable
@@ -250,9 +264,10 @@ def hurwitz_zeta(s: float, a: float) -> float:
             return value
     if not (math.isfinite(s) and s > 1.0):
         raise DomainError(f"hurwitz_zeta requires s > 1, got {s!r}")
-    _require_positive("a", a)
+    if not (type(a) is float and 0.0 < a <= _FLOAT_MAX):
+        # raises unless a is an int or a float subclass in range
+        _require_positive("a", a)
 
-    corrections, k_s = _EM_ROWS.get(s) or _em_row(s)
     try:
         n_terms = _direct_terms(s, a)
         head = 0.0
@@ -269,13 +284,26 @@ def hurwitz_zeta(s: float, a: float) -> float:
     m_power = big_m ** (-s - 1.0)
     m_squared = big_m * big_m
     correction = 0.0
-    for coefficient in corrections:
-        correction += coefficient * m_power
-        m_power /= m_squared
+    row = _EM_ROWS.get(s)
+    if row is None and s < _EM_ROW_S:
+        # the coefficients of `_em_row`, each formed as it is summed, with
+        # the same operations in the same order
+        rising = s
+        for factor, low, high in _EM_CORRECTION_STEPS:
+            correction += factor * rising * m_power
+            m_power /= m_squared
+            rising *= (s + low) * (s + high)
+        k_s = _K_FACTOR * rising
+    else:
+        corrections, k_s = row or _em_row(s)
+        for coefficient in corrections:
+            correction += coefficient * m_power
+            m_power /= m_squared
 
     value = head + tail + correction
-    # k_s is finite (`_em_row`), so the bound is never inf * 0; the floor
-    # keeps a subnormal value from failing on rounding alone
+    # k_s is finite (below `_EM_ROW_S`, or capped by `_em_row`), so the
+    # bound is never inf * 0; the floor keeps a subnormal value from
+    # failing on rounding alone
     if not k_s * m_power <= HURWITZ_REL_TOL * value + ABS_TOL < math.inf:
         raise ComputationOverflowError(
             f"hurwitz_zeta({s}, {a}): the remainder bound after {n_terms} "
@@ -368,7 +396,9 @@ def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     log_c = math.log(c)
     kappas = []
     if n_max:
-        psis = _polygammas(n_max, y)
+        # outside a block `memo` would only add a frame
+        read = _polygammas.__wrapped__ if active_cache() is None else _polygammas
+        psis = read(n_max, y)
         kappas = [log_c + psis[0], *psis[1:n_max]]  # a copy: psis is shared
     bell = [1.0]
     for j in range(n_max):

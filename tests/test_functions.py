@@ -494,6 +494,37 @@ class TestDerivativeTables:
                 assert fallbacks == passed
         assert set(tables[fn._zeta_at]) == set(cases[:5])
 
+    def test_one_order_read_is_the_batch_read(self):
+        # `k_gamma_deriv`/`pk_gamma_deriv` read their one order without the
+        # general `_gamma_derivatives`: the same bits, or the same error,
+        # outside a block and from the table inside one
+        orders = (*range(kernels.GAMMA_DERIV_MAX_ORDER + 1), 9, -1, 2.0)
+        calls = [(n, pt) for ppt in TABLE_POINTS
+                 for pt in (EvalPoint(ppt.x, ppt.k), ppt) for n in orders]
+        batch = [_outcome(lambda: fn._gamma_derivatives((n,), pt)[0])
+                 for n, pt in calls]
+        assert [_outcome(lambda: _deriv(n, pt.x, pt.k, pt.p))
+                for n, pt in calls] == batch
+        with kernels.memoised():
+            for _ in range(2):  # the second pass reads the tables
+                assert [_outcome(lambda: _deriv(n, pt.x, pt.k, pt.p))
+                        for n, pt in calls] == batch
+                assert [_outcome(lambda: fn._gamma_derivatives((n,), pt)[0])
+                        for n, pt in calls] == batch
+        # keyed by repr(n), since 2 and 2.0 are one dict key
+        outcome = {(repr(n), pt): o for (n, pt), o in zip(calls, batch)}
+        overflow = "^(6) at EvalPoint(x=170.0, k=1.0, p={}) overflows double precision"
+        assert outcome["6", EvalPoint(170.0, 1.0)] == (
+            ComputationOverflowError, "Gamma_k" + overflow.format(None))
+        assert outcome["6", EvalPoint(170.0, 1.0, 1.0)] == (
+            ComputationOverflowError, "pGamma_k" + overflow.format(1.0))
+        for pt in (EvalPoint(1.0, 1.0), EvalPoint(1.0, 1.0, 2.0)):
+            assert outcome["9", pt] == (
+                UnsupportedOrderError, "derivative order 9 exceeds supported cap 8")
+            for n in ("-1", "2.0"):
+                assert outcome[n, pt] == (DomainError, "derivative order must be "
+                                          f"a non-negative integer, got {n}")
+
     def test_gamma_derivatives_match_the_order_by_order_calls(self):
         # the order triples the Turan and midpoint checks read, and refused
         # orders: the values, or the first error, of one call per order once

@@ -9,15 +9,21 @@ import math
 import random
 import re
 import struct
+import sys
 import threading
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgamma import kernels
-from kgamma.policy import ComputationOverflowError, DomainError, UnsupportedOrderError
+from kgamma.policy import (
+    ABS_TOL,
+    ComputationOverflowError,
+    DomainError,
+    UnsupportedOrderError,
+)
 
 EULER_GAMMA = 0.5772156649015329
 mp.mp.dps = 40
@@ -32,6 +38,69 @@ def brute_zeta(s: float, terms: int = 200_000) -> float:
 def brute_hurwitz(s: float, a: float, terms: int = 200_000) -> float:
     head = sum((n + a) ** (-s) for n in range(terms - 1, -1, -1))
     return head + (terms + a) ** (1 - s) / (s - 1)
+
+
+def row_hurwitz(s: float, a: float) -> float:
+    """`hurwitz_zeta` outside a block, with its Euler-Maclaurin coefficients
+    read from the whole `_em_row(s)` row, built before the correction loop
+    runs, at every s: the reference of the loop that forms them in turn."""
+    corrections, k_s = kernels._EM_ROWS.get(s) or kernels._em_row(s)
+    try:
+        n_terms = kernels._direct_terms(s, a)
+        head = 0.0
+        for n in range(n_terms - 1, -1, -1):
+            head += (n + a) ** (-s)
+    except OverflowError:
+        raise ComputationOverflowError(
+            f"hurwitz_zeta({s}, {a}) overflows double precision") from None
+    big_m = n_terms + a
+    tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
+    m_power = big_m ** (-s - 1.0)
+    m_squared = big_m * big_m
+    correction = 0.0
+    for coefficient in corrections:
+        correction += coefficient * m_power
+        m_power /= m_squared
+    value = head + tail + correction
+    if not k_s * m_power <= kernels.HURWITZ_REL_TOL * value + ABS_TOL < math.inf:
+        raise ComputationOverflowError(
+            f"hurwitz_zeta({s}, {a}): the remainder bound after {n_terms} "
+            f"terms exceeds 2^-56 of the value {value}")
+    return value
+
+
+#: ln a^-s at the ends of the double range: the largest double, the
+#: smallest normal, and where a^-s rounds to 0
+_RANGE_LOGS = (math.log(sys.float_info.max), math.log(sys.float_info.min), -745.13)
+
+
+@st.composite
+def hurwitz_arguments(draw):
+    """(s, a): s fractional in (1, 40], or up to 1e25 on both sides of
+    `_EM_ROW_S` and of the overflow of K(s) near 3.55e20; a log-uniform on
+    [1e-3, 1e3], or within a few ulps of where a^-s leaves the double range."""
+    s = draw(st.one_of(
+        st.floats(min_value=1.0, max_value=40.0, exclude_min=True).filter(
+            lambda s: not s.is_integer()),
+        st.floats(min_value=math.log10(40.0), max_value=25.0).map(lambda e: 10.0**e),
+        st.sampled_from((math.nextafter(1e20, 0.0), 1e20, 3.550703192779521e20,
+                         3.5507031927795214e20, 1e25)),
+    ))
+    if draw(st.booleans()):
+        return s, 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    # below s = 1.05 the underflow edge is beyond the double range itself
+    a = math.exp(min(-draw(st.sampled_from(_RANGE_LOGS)) / s, 709.0))
+    steps = draw(st.integers(min_value=-4, max_value=4))
+    for _ in range(abs(steps)):
+        a = math.nextafter(a, math.inf if steps > 0 else 0.0)
+    return s, a
+
+
+def _bits_or_error(call):
+    try:
+        return call().hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestLogGamma:
@@ -177,6 +246,19 @@ class TestHurwitzZeta:
     def test_matches_mpmath(self, s, a):
         ref = float(mp.zeta(mp.mpf(s), mp.mpf(a)))
         assert kernels.hurwitz_zeta(s, a) == pytest.approx(ref, rel=1e-11)
+
+    @given(hurwitz_arguments())
+    # about 1 (s, a) in 3,000 moves its last bit when the correction sum
+    # rounds once differently, (factor * (rising * m_power)) for one: these
+    # three do
+    @example((2.320480111801099, 55.29331596288501))
+    @example((20.300473586589675, 147.50004100882884))
+    @example((35.560632309218526, 75.4089811017187))
+    @settings(max_examples=1000, deadline=None)
+    def test_coefficients_formed_in_the_loop_are_the_row_bit_for_bit(self, args):
+        # the same float bits, or the same error type and message
+        assert _bits_or_error(lambda: kernels.hurwitz_zeta(*args)) == _bits_or_error(
+            lambda: row_hurwitz(*args))
 
     def test_brute_series(self):
         assert kernels.hurwitz_zeta(2.5, 0.8) == pytest.approx(
