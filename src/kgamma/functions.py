@@ -298,7 +298,7 @@ def k_gamma_deriv(
     point without p."""
     pt.require_no_p("k_gamma_deriv", "pk_gamma_deriv")
     _check_policy(policy)
-    return _gamma_derivative(n, pt)
+    return _gamma_derivatives((n,), pt)[0]
 
 
 def pk_gamma_deriv(
@@ -307,26 +307,7 @@ def pk_gamma_deriv(
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
     _check_policy(policy)
     pt.require_p()
-    return _gamma_derivative(n, pt)
-
-
-def _gamma_derivative(n: int, pt: EvalPoint) -> float:
-    # `_gamma_derivatives((n,), pt)[0]`, read without the general path's
-    # tuple and loops: the same value or error, bit for bit
-    kernels.check_deriv_order(n)
-    if kernels.active_cache() is None:
-        value = _derivatives(n, pt.x, pt.k, pt.p)[n]
-    else:
-        value = _all_derivatives(pt.x, pt.k, pt.p)[n]
-    if value is None:
-        raise _overflow_error(n, pt)
-    return value
-
-
-def _overflow_error(n: int, pt: EvalPoint) -> ComputationOverflowError:
-    family = "Gamma_k" if pt.p is None else "pGamma_k"
-    return ComputationOverflowError(
-        f"{family}^({n}) at {pt} overflows double precision")
+    return _gamma_derivatives((n,), pt)[0]
 
 
 def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
@@ -348,6 +329,8 @@ def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
     values = []
     for n in orders:
         if derivs[n] is None:
-            raise _overflow_error(n, pt)
+            family = "Gamma_k" if pt.p is None else "pGamma_k"
+            raise ComputationOverflowError(
+                f"{family}^({n}) at {pt} overflows double precision")
         values.append(derivs[n])
     return values

@@ -131,13 +131,15 @@ def _record(
                            lhs, rhs, slack, margin, verdict)
 
 
-def _order_type_error(*orders) -> DomainError:
-    """The error for the first of `orders` that is not an int.  Each check
-    refuses such an order before any `kernels.memo` table is read: a table
-    keys 2 and 2.0 alike, so a float order would read an int order's value
-    inside a `memoised()` block and raise outside one."""
-    bad = next(order for order in orders if not isinstance(order, int))
-    return DomainError(f"orders must be integers, got {bad!r}")
+def _require_int_orders(*orders) -> None:
+    """Refuse the first of `orders` that is not an int.  A check calls this
+    before any `kernels.memo` table is read: a table keys 2 and 2.0 alike,
+    so a float order would read an int order's value inside a `memoised()`
+    block and raise outside one.  The derivative checks need no call:
+    `fn._gamma_derivatives` refuses every order that is not an int first."""
+    for order in orders:
+        if not isinstance(order, int):
+            raise DomainError(f"orders must be integers, got {order!r}")
 
 
 def check_holder_polygamma(
@@ -153,8 +155,7 @@ def check_holder_polygamma(
     undefined over the reals for even orders, and the underlying Hölder
     argument is about the positive integrals.
     """
-    if not (isinstance(m, int) and isinstance(n, int)):
-        raise _order_type_error(m, n)
+    _require_int_orders(m, n)
     if m < 1 or n < 1:
         raise DomainError("orders m, n must be >= 1")
     # s >= 1 exactly for m, n >= 1; the sum can round below it (to
@@ -185,8 +186,7 @@ def check_holder_zeta(
     with s = m/p + n/q, all functions replaced by their p-k variants when
     p_param is given.
     """
-    if not (isinstance(m, int) and isinstance(n, int)):
-        raise _order_type_error(m, n)
+    _require_int_orders(m, n)
     if m < 1 or n < 1:
         raise DomainError("orders m, n must be >= 1")
     s = m / hp.p + n / hp.q
@@ -221,8 +221,6 @@ def check_turan_gamma_deriv(
     1 <= n <= 7 is accepted so that the reversal can be reported.  A point
     that carries p checks pGamma_k instead (T4PK).
     """
-    if not isinstance(n, int):
-        raise _order_type_error(n)
     if not 1 <= n < GAMMA_DERIV_MAX_ORDER:  # reads order n + 1
         raise DomainError(
             f"Turán check requires 1 <= n <= {GAMMA_DERIV_MAX_ORDER - 1}")
@@ -250,8 +248,6 @@ def check_midpoint_gamma_deriv(
     by monotonicity of exp and would overflow immediately if asserted
     directly.  A point that carries p checks pGamma_k instead (T6).
     """
-    if not (isinstance(n, int) and isinstance(l, int)):
-        raise _order_type_error(n, l)
     if n % 2 or l % 2 or not (n >= l >= 0) or n + l > GAMMA_DERIV_MAX_ORDER:
         raise DomainError("midpoint check requires even n >= l >= 0 with "
                           f"n + l <= {GAMMA_DERIV_MAX_ORDER}")
@@ -278,8 +274,7 @@ def check_midpoint_polygamma(
     rhs have opposite signs, the slack is |lhs| + |rhs|, and every row is
     PASS by the sign pattern alone.
     """
-    if not isinstance(n, int):
-        raise _order_type_error(n)
+    _require_int_orders(n)
     if not 2 <= n < POLYGAMMA_MAX_ORDER:  # reads order n + 1
         raise DomainError(
             f"polygamma midpoint check requires 2 <= n <= {POLYGAMMA_MAX_ORDER - 1}")

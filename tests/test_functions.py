@@ -495,9 +495,9 @@ class TestDerivativeTables:
         assert set(tables[fn._zeta_at]) == set(cases[:5])
 
     def test_one_order_read_is_the_batch_read(self):
-        # `k_gamma_deriv`/`pk_gamma_deriv` read their one order without the
-        # general `_gamma_derivatives`: the same bits, or the same error,
-        # outside a block and from the table inside one
+        # `k_gamma_deriv`/`pk_gamma_deriv` give the bits, or the error, of
+        # the batch read of their one order, outside a block and from the
+        # table inside one
         orders = (*range(kernels.GAMMA_DERIV_MAX_ORDER + 1), 9, -1, 2.0)
         calls = [(n, pt) for ppt in TABLE_POINTS
                  for pt in (EvalPoint(ppt.x, ppt.k), ppt) for n in orders]

@@ -432,22 +432,26 @@ class TestScanCache:
                 "p=None) overflow double precision") in summary.errors
         assert all(c.slack == c.slack for c in checks)
 
-    @pytest.mark.parametrize("check, orders, float_orders", [
-        (harness.check_midpoint_polygamma, (2,), (2.0,)),
-        (harness.check_holder_polygamma, (2, 2), (2, 2.0)),
-        (harness.check_holder_zeta, (1, 3), (1.0, 3)),
-        (harness.check_turan_gamma_deriv, (3,), (3.0,)),
-        (harness.check_midpoint_gamma_deriv, (2, 2), (2, 2.0)),
+    @pytest.mark.parametrize("check, orders, float_orders, message", [
+        (harness.check_midpoint_polygamma, (2,), (2.0,),
+         "orders must be integers, got 2.0"),
+        (harness.check_holder_polygamma, (2, 2), (2, 2.0),
+         "orders must be integers, got 2.0"),
+        (harness.check_holder_zeta, (1, 3), (1.0, 3),
+         "orders must be integers, got 1.0"),
+        # the derivative checks refuse the first of the orders they read
+        (harness.check_turan_gamma_deriv, (3,), (3.0,),
+         "derivative order must be a non-negative integer, got 2.0"),
+        (harness.check_midpoint_gamma_deriv, (2, 2), (2, 2.0),
+         "derivative order must be a non-negative integer, got 0.0"),
     ])
     def test_float_order_is_refused_in_and_out_of_a_block(self, check, orders,
-                                                          float_orders):
+                                                          float_orders, message):
         # a `memo` table keys 2 and 2.0 alike: the check refuses the float
         # before any table is read, also after the int orders filled it
         hp = HolderPair.conjugate(2.0)
         rest = {harness.check_holder_polygamma: (hp, EvalPoint(1.0, 1.0)),
                 harness.check_holder_zeta: (hp, 1.0)}.get(check, (EvalPoint(1.0, 1.0),))
-        message = "orders must be integers, got {!r}".format(
-            *(n for n in float_orders if isinstance(n, float)))
         with pytest.raises(DomainError) as outside:
             check(*float_orders, *rest)
         assert str(outside.value) == message
