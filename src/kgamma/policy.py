@@ -24,9 +24,9 @@ class ComputationOverflowError(OverflowError):
 
 
 #: Absolute floor under relative tolerances where a value can be at or near
-#: zero: the Hurwitz remainder check, the oracle's refinement target and a
-#: relative discrepancy's denominator.  It certifies no oracle value, which
-#: converges relative to the integral's mass alone.
+#: zero: the Hurwitz remainder check and a relative discrepancy's
+#: denominator.  It certifies no oracle value, which converges relative to
+#: the integral's mass alone.
 ABS_TOL = 1e-300
 
 
@@ -35,8 +35,10 @@ class AccuracyPolicy:
     """Tolerance and work budget of the quadrature oracle.
 
     rel_tol, finite and positive, applies to final values;
-    max_subdivisions, an integer >= 1, bounds the panel count of the
-    adaptive quadrature.  The closed forms in `functions` take
+    max_subdivisions, an integer >= 1, is the oracle's budget of integrand
+    nodes: a halving of the step that would take the count past it is not
+    made, and `QuadratureResult.subdivisions_used` counts the nodes
+    evaluated.  The closed forms in `functions` take
     a policy too but compute to one fixed 2^-56 truncation: they accept any
     rel_tol at or above it and refuse a smaller one.
     """

@@ -112,9 +112,9 @@ class TestEval:
         assert err.startswith("domain error: bose integral requires k > 0 and c > 0")
 
     def test_oracle_below_the_absolute_floor_is_not_converged(self, capsys):
-        # pGamma_k(1) = p = 1e-300; the oracle returns 1.9e-309, uncertified
+        # pGamma_k(1) = p = 1e-320, a subnormal that holds about 11 bits
         code, out, _ = run(["eval", "oracle_pk_gamma", "--x", "1", "--k", "1",
-                            "--p", "1e-300"], capsys)
+                            "--p", "1e-320"], capsys)
         assert code == 1
         assert out.split()[2] == "converged=False"
 
@@ -632,10 +632,11 @@ class TestCrosscheck:
         assert code == 1 and "EXCEEDS" in out and err.count("evaluation error") == 1
 
     def test_nonconverged_oracle_is_uncertified(self, capsys):
-        # at x = 2.5e-5 the oracle's walk down v = log t reaches |v| = 2^20
-        # before the tail bound of the gamma integrals is met
-        point = ["crosscheck", "--x", "2.5e-5", "--k", "1", "--p-param", "1",
-                 "--m", "1"]
+        # at x = 1e-6 the tail e^(x v) of the gamma integrals reaches past
+        # the end of the oracle's walk down v = log t; at m = 2 the other
+        # three families have a nonzero discrepancy
+        point = ["crosscheck", "--x", "1e-6", "--k", "1", "--p-param", "1",
+                 "--m", "2"]
         code, out, _ = run(point, capsys)
         assert code == 1
         statuses = {line.split()[0]: line.split()[2] for line in out.splitlines()}
@@ -652,10 +653,10 @@ class TestCrosscheck:
                             else "EXCEEDS" for family in statuses}
 
     def test_oracle_below_the_absolute_floor_blames_no_closed_form(self, capsys):
-        # the oracle's pGamma_k(1) at p = 1e-300 is off by 1 - 2e-9 relative
-        # and not converged: UNCERTIFIED, never EXCEEDS of the closed form
+        # the oracle's pGamma_k(1) at p = 1e-320 is subnormal and not
+        # converged: UNCERTIFIED, never EXCEEDS of the closed form
         code, out, _ = run(["crosscheck", "--x", "1", "--k", "1", "--p-param",
-                            "1e-300", "--m", "2", "--n", "0"], capsys)
+                            "1e-320", "--m", "2", "--n", "0"], capsys)
         assert code == 1
         statuses = {line.split()[0]: line.split()[2] for line in out.splitlines()}
         assert statuses["pk_gamma"] == statuses["pk_gamma_deriv"] == "UNCERTIFIED"
