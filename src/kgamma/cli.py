@@ -361,8 +361,8 @@ def crosscheck_families(
     positive and is the scale of its own discrepancy; an odd order crosses
     zero, so its scale is the Cauchy-Schwarz bound sqrt(D^(n-1) D^(n+1)) on
     |D^(n)|.  The closed-form orders 0 up to the even order at or above the
-    largest requested one are read once per point, from one Bell sequence,
-    and order 0 shares the value family's integral.
+    largest requested one are read once per point, from one Bell sequence;
+    D^(0) is the value, and its one integral serves the value and order 0.
     """
     worst: dict[str, float] = {}
     uncertified: dict[str, float] = {}
@@ -373,34 +373,28 @@ def crosscheck_families(
         # (family, closed, quad, scale) per comparison at (x, k) and its p
         for p in (None, *grid.p_params):
             pt = fn.EvalPoint(x, k, p)
-            family, gamma, integral = (
-                ("k_gamma", fn.k_gamma, oracle.integrate_k_gamma)
-                if p is None else
-                ("pk_gamma", fn.pk_gamma, oracle.integrate_pk_gamma))
-            value = gamma(pt)
-            quad = integral(pt, ORACLE_POLICY)
-            yield family, value, quad, None
+            family = "k_gamma" if p is None else "pk_gamma"
+            closed = fn._gamma_derivatives(tuple(range(top + 1)), pt)
+            value_quad = oracle.integrate_k_gamma_deriv(0, pt, ORACLE_POLICY)
+            yield family, closed[0], value_quad, abs(closed[0])
             if p is None:  # psi_k has no p-k variant
                 for m in grid.ms:
-                    yield ("k_polygamma", abs(fn.k_polygamma(m, pt)),
-                           oracle.integrate_k_polygamma(m, pt, ORACLE_POLICY), None)
-            closed = fn._gamma_derivatives(tuple(range(top + 1)), pt)
+                    value = abs(fn.k_polygamma(m, pt))
+                    yield ("k_polygamma", value,
+                           oracle.integrate_k_polygamma(m, pt, ORACLE_POLICY), value)
             for n in deriv_orders:
-                scale = None
-                if n % 2:
-                    scale = (math.sqrt(abs(closed[n - 1]))
-                             * math.sqrt(abs(closed[n + 1])))
-                yield (family + "_deriv", closed[n], quad if n == 0 else
+                scale = (math.sqrt(abs(closed[n - 1])) * math.sqrt(abs(closed[n + 1]))
+                         if n % 2 else abs(closed[n]))
+                yield (family + "_deriv", closed[n], value_quad if n == 0 else
                        oracle.integrate_k_gamma_deriv(n, pt, ORACLE_POLICY), scale)
 
     def bose(k, m):
         for p in (None, *grid.p_params):
-            gamma = fn.k_gamma if p is None else fn.pk_gamma
             # pzeta_k is zeta_k for every p; the kernel scale c is p or k
-            closed = fn.k_zeta(m + 1.0, k) * gamma(fn.EvalPoint(m + 1.0, k, p))
+            closed = fn.k_zeta(m + 1.0, k) * fn._gamma_at(m + 1.0, k, p)
             yield ("bose_k_zeta" if p is None else "bose_pk_zeta", closed,
                    oracle.integrate_bose(m, k, k if p is None else p, ORACLE_POLICY),
-                   None)
+                   abs(closed))
 
     points = [(f"x={x!r}, k={k!r}", at_point(x, k)) for x in grid.xs for k in grid.ks]
     points += [(f"Bose m={m}, k={k!r}", bose(k, m))
@@ -412,8 +406,6 @@ def crosscheck_families(
             errors.append(f"{name}: {exc}")
             continue
         for family, closed, quad, scale in found:
-            if scale is None:
-                scale = abs(closed)
             rel = abs(quad.value - closed) / max(scale, ABS_TOL)
             table = worst if quad.converged else uncertified
             table[family] = max(table.get(family, 0.0), rel)

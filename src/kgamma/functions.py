@@ -30,10 +30,11 @@ that carries p with `DomainError` naming their p-k counterpart, instead of
 dropping the p.
 
 Every value is accurate to the kernels' one contract, a Hurwitz remainder
-of at most 2^-56 of the value (`kernels.HURWITZ_REL_TOL`).  Each function
-still takes an `AccuracyPolicy`, and checks it once: a rel_tol at or above
-2^-56 is met as it stands, and a smaller one, which double precision cannot
-deliver, raises `DomainError`.
+of at most 2^-56 of the value (`kernels.HURWITZ_REL_TOL`).  Each public
+function still takes an `AccuracyPolicy`, and checks it once, before any
+table is read: a rel_tol at or above 2^-56 is met as it stands, and a
+smaller one, which double precision cannot deliver, raises `DomainError`.
+The private readers below take no policy.
 
 A `verify` sweep reads the values its rows share through private readers
 of floats wrapped in `kernels.memo` (`_zeta_at`, `_gamma_at`, `_psi_k_at`,
@@ -45,7 +46,6 @@ derivatives read `_all_derivatives` inside a block.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import kernels
@@ -100,9 +100,6 @@ class EvalPoint:
             )
 
 
-#: Largest log value whose exp is finite in double precision.
-_LOG_MAX = math.log(sys.float_info.max)
-
 #: From this y = x/k on, ln Gamma_k and ln pGamma_k are summed from
 #: Stirling's series.  At small k (or p), (y - 1) ln k and ln Gamma(y) are
 #: far larger than their sum, and lgamma's rounding alone cost 1e-12
@@ -113,7 +110,7 @@ _STIRLING_Y = 100.0
 def _exp_or_overflow(log_value: float, what: str, *what_args) -> float:
     # checked before exp, which would raise a bare OverflowError; `what` is
     # formatted with `what_args` only on failure, off the common path
-    if not log_value <= _LOG_MAX:
+    if not log_value <= kernels.LOG_MAX:
         raise ComputationOverflowError(
             f"{what.format(*what_args)} overflows double precision"
         )
@@ -191,18 +188,17 @@ def k_polygamma(
     m = 0 is excluded: the defining series diverges there and none of the
     verified inequalities needs it.
     """
-    return _psi_k(m, pt.x, pt.k, policy)
+    _check_policy(policy)
+    return _psi_k(m, pt.x, pt.k)
 
 
-def _psi_k(m: int, x: float, k: float,
-           policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def _psi_k(m: int, x: float, k: float) -> float:
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"k_polygamma order must be an integer >= 1, got {m!r}")
     if m > kernels.POLYGAMMA_MAX_ORDER:
         raise UnsupportedOrderError(
             f"order {m} exceeds supported cap {kernels.POLYGAMMA_MAX_ORDER}"
         )
-    _check_policy(policy)
     sign = 1.0 if m % 2 == 1 else -1.0
     try:
         scale = math.factorial(m) * k ** (-(m + 1.0))
@@ -221,14 +217,13 @@ def k_polygamma_magnitude_fractional(
     require s to be an integer; it equals Gamma(s+1) k^-(s+1) zeta_H(s+1, x/k).
     For integer s this agrees with |k_polygamma(s, pt)|.
     """
-    return _magnitude(s, pt.x, pt.k, policy)
+    _check_policy(policy)
+    return _magnitude(s, pt.x, pt.k)
 
 
-def _magnitude(s: float, x: float, k: float,
-               policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def _magnitude(s: float, x: float, k: float) -> float:
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
-    _check_policy(policy)
     log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k)
     scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, k)
     value = scale * kernels.hurwitz_zeta(s + 1.0, x / k)
@@ -277,7 +272,7 @@ def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[float 
     # [D_0, ..., D_n_max] of G, None where D_j overflows: D_j = G k^-j B_j,
     # with B_j the Bell polynomials at c = k, or c = p with p
     log_value = _log_gamma(x, k, p)
-    value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
+    value = math.exp(log_value) if log_value <= kernels.LOG_MAX else math.inf
     derivs = []
     for j, b in enumerate(kernels.bell_sequence(n_max, x / k, k if p is None else p)):
         d = value * (b * k ** -float(j))

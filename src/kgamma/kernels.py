@@ -45,6 +45,7 @@ __all__ = [
     "memoised",
     "active_cache",
     "HURWITZ_REL_TOL",
+    "LOG_MAX",
     "POLYGAMMA_MAX_ORDER",
     "GAMMA_DERIV_MAX_ORDER",
 ]
@@ -71,10 +72,10 @@ _BINOMIAL = tuple(
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Largest y with Gamma(y) finite in double precision.
-_LGAMMA_OVERFLOW = 709.78
-
 _FLOAT_MAX = sys.float_info.max
+
+#: Largest log value whose exp is finite in double precision.
+LOG_MAX = math.log(_FLOAT_MAX)
 
 #: Relative truncation of `hurwitz_zeta`: its remainder bound is at most
 #: this fraction of the value, so every closed form built on it is accurate
@@ -103,11 +104,6 @@ _EM_STEPS = tuple(
 )
 _EM_CORRECTION_STEPS = _EM_STEPS[:-1]
 _K_FACTOR = _EM_STEPS[-1][0]
-
-# Below this s, `hurwitz_zeta` forms a fractional order's coefficients in
-# its correction loop; from it on it reads `_em_row`, which caps them once
-# K(s) overflows (at s about 3.5e20)
-_EM_ROW_S = 1e20
 
 
 _TABLES = contextvars.ContextVar("kgamma_memo_tables", default=None)
@@ -250,7 +246,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
     checked once; a value it does not certify, or one that overflows,
     raises `ComputationOverflowError`.  The Euler-Maclaurin coefficients
     are read from `_EM_ROWS` at the integer s of psi^(1..12) and formed as
-    they are summed at any other s, bit for bit as `_em_row` forms them.
+    they are summed at any other s, bit for bit as `_em_row` forms them;
+    where M^(-s-1) underflows to 0 they are not formed.
     Inside a `memoised()` block each (s, a) is computed once, as under
     `memo`.
     """
@@ -274,7 +271,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
         for n in range(n_terms - 1, -1, -1):  # small terms first
             head += (n + a) ** (-s)
     except OverflowError:
-        # a^-s beyond the double range (a < 1), or s ln a beyond it (a > 1)
+        # a^-s beyond the double range (a < 1)
         raise ComputationOverflowError(
             f"hurwitz_zeta({s}, {a}) overflows double precision"
         ) from None
@@ -282,29 +279,30 @@ def hurwitz_zeta(s: float, a: float) -> float:
     big_m = n_terms + a
     tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
     m_power = big_m ** (-s - 1.0)
-    m_squared = big_m * big_m
-    correction = 0.0
-    row = _EM_ROWS.get(s)
-    if row is None and s < _EM_ROW_S:
-        # the coefficients of `_em_row`, each formed as it is summed, with
-        # the same operations in the same order
-        rising = s
-        for factor, low, high in _EM_CORRECTION_STEPS:
-            correction += factor * rising * m_power
-            m_power /= m_squared
-            rising *= (s + low) * (s + high)
-        k_s = _K_FACTOR * rising
-    else:
-        corrections, k_s = row or _em_row(s)
-        for coefficient in corrections:
-            correction += coefficient * m_power
-            m_power /= m_squared
+    correction = bound = 0.0
+    if m_power:
+        # else every correction and the bound are 0, while K(s) may be inf
+        m_squared = big_m * big_m
+        row = _EM_ROWS.get(s)
+        if row is None:
+            # the coefficients of `_em_row`, each formed as it is summed,
+            # with the same operations in the same order
+            rising = s
+            for factor, low, high in _EM_CORRECTION_STEPS:
+                correction += factor * rising * m_power
+                m_power /= m_squared
+                rising *= (s + low) * (s + high)
+            k_s = _K_FACTOR * rising
+        else:
+            corrections, k_s = row
+            for coefficient in corrections:
+                correction += coefficient * m_power
+                m_power /= m_squared
+        bound = k_s * m_power
 
     value = head + tail + correction
-    # k_s is finite (below `_EM_ROW_S`, or capped by `_em_row`), so the
-    # bound is never inf * 0; the floor keeps a subnormal value from
-    # failing on rounding alone
-    if not k_s * m_power <= HURWITZ_REL_TOL * value + ABS_TOL < math.inf:
+    # the floor keeps a subnormal value from failing on rounding alone
+    if not bound <= HURWITZ_REL_TOL * value + ABS_TOL < math.inf:
         raise ComputationOverflowError(
             f"hurwitz_zeta({s}, {a}): the remainder bound after {n_terms} "
             f"terms exceeds 2^-56 of the value {value}"
@@ -339,16 +337,17 @@ def _log_k(s: float) -> float:
 
 
 def _direct_terms(s: float, a: float) -> int:
-    """Smallest N >= 1 with K(s) (N + a)^(-s-15) <= 2^-56 a^-s."""
+    """Smallest N >= 1 with K(s) (N + a)^(-s-15) <= 2^-56 a^-s.
+
+    That is ln(1 + N/a) >= d = (ln K(s) + 56 ln 2 - 15 ln a)/(s + 15), so
+    N = a (e^d - 1), formed with expm1: the s ln a on both sides cancels
+    before it is rounded, and d stays finite at every s.
+    """
     log_k = _LOG_K.get(s)
     if log_k is None:
         log_k = _log_k(s)
-    exponent = (log_k + s * math.log(a) + _LOG_INV_REL_TOL) / (s + 15.0)
-    if exponent == math.inf:
-        # s ln a overflowed (s ~ 1e308, a > 1): every term a^-s underflows
-        # to 0, and the remainder check certifies the sum after one
-        return 1
-    return max(1, math.ceil(math.exp(exponent) - a))
+    d = (log_k + _LOG_INV_REL_TOL - 15.0 * math.log(a)) / (s + 15.0)
+    return max(1, math.ceil(a * math.expm1(d)))
 
 
 # The integer exponents of psi^(1..12): their rows and ln K(s), formed once
@@ -418,7 +417,7 @@ def gamma_deriv_sequence(n_max: int, y: float) -> list[float]:
     """
     bell = bell_sequence(n_max, y, 1.0)
     lg = log_gamma(y)
-    if lg > _LGAMMA_OVERFLOW:
+    if lg > LOG_MAX:
         raise ComputationOverflowError(f"Gamma({y}) overflows double precision")
     gamma = math.exp(lg)
     derivs = []

@@ -33,7 +33,10 @@ roundoff of the node values and the edge terms of the truncated tails.  It
 is converged when both tails were met and the estimate is within the
 relative tolerance of the integral of |g|: |value| unless g changes sign,
 as log^n t does at odd n, where |value| can be far below the integrand's
-scale.  An integral beyond double range raises `ComputationOverflowError`.
+scale.  Refinement also stops, unconverged, once the tolerance times that
+integral is below the subnormal charge of the nodes summed, which more
+nodes only raise.  An integral beyond double range raises
+`ComputationOverflowError`.
 """
 
 from __future__ import annotations
@@ -144,11 +147,15 @@ def _integrate(
             # the mass alone, and with the subnormal charge: a mass too small
             # to hold rel_tol of itself certifies nothing, nor does a zero
             # mass (every term underflowed)
+            charge = math.ldexp(len(terms) + span, -1075)
             estimate = (max(changes[-2:]) + roundoff * mass + s * h * edge
-                        + math.ldexp(len(terms) + span, -1075))
+                        + charge)
             converged = tails_met and estimate <= policy.rel_tol * mass
             count = round((hi - lo) / h)
-            if (converged or (not tails_met and estimate < math.inf)
+            # unmet tails, or a charge above rel_tol of the mass, which more
+            # nodes only raise, end the refinement once the estimate is finite
+            hopeless = not tails_met or policy.rel_tol * mass < charge
+            if (converged or (hopeless and estimate < math.inf)
                     or len(terms) + count > policy.max_subdivisions):
                 break
             previous = value

@@ -147,6 +147,10 @@ GRID_40X20_STDERR_SHA256 = (
     "a2448fa580e2abb4cb63bda3c4ba7c9aca9ae21d8873dc3e60d852eddb905093"
 )
 
+#: SHA-256 of the stdout of `crosscheck --x 0.1,1,5 --k 0.5,1,2`: seven
+#: family lines, every discrepancy to the last digit
+CROSSCHECK_SHA256 = "0708545d9842bb8b8829df35f896490708bc4897b6a7531ffe738b2efb554b5f"
+
 
 class TestEvalLargeOrder:
     def test_k_zeta_far_above_the_em_coefficient_range(self, capsys):
@@ -527,6 +531,15 @@ class TestCrosscheck:
         code, _, err = run(["crosscheck", "--k", "0,1"], capsys)
         assert code == 2
 
+    def test_golden(self, capsys):
+        # pins every discrepancy: a change that moves a closed value or an
+        # integral must update this digest and say which families moved
+        code, out, err = run(["crosscheck", "--x", "0.1,1,5", "--k", "0.5,1,2"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == CROSSCHECK_SHA256
+        assert len(out.splitlines()) == 7
+
     @staticmethod
     def _families(out):
         return dict(line.split()[:2] for line in out.strip().splitlines())
@@ -553,11 +566,14 @@ class TestCrosscheck:
             return original(n, pt, policy)
 
         monkeypatch.setattr(cli.oracle, "integrate_k_gamma_deriv", counting)
+        for name in ("integrate_k_gamma", "integrate_pk_gamma"):
+            monkeypatch.delattr(cli.oracle, name)
         code, _, _ = run(["crosscheck", "--x", "1,2", "--k", "1", "--p-param", "3",
                           "--m", "1"], capsys)
         assert code == 0
-        # orders 1..4 once per point and family, order 0 never
-        assert calls == {(n, p): 2 for n in range(1, 5) for p in (None, 3.0)}
+        # orders 0..4 once per point and family: the value family reads the
+        # order-0 integral, and no integral of its own
+        assert calls == {(n, p): 2 for n in range(5) for p in (None, 3.0)}
 
     @pytest.mark.parametrize("orders", ["9", "0,9", "-1"])
     def test_orders_outside_cap_are_usage_errors(self, capsys, orders):

@@ -208,6 +208,12 @@ class TestFractionalMagnitude:
         with pytest.raises(DomainError):
             fn.k_polygamma_magnitude_fractional(0.5, EvalPoint(1.0, 1.0))
 
+    def test_large_order_at_a_large_argument(self):
+        # s = 1e17 at x/k = e * 1e23: the scale Gamma(s+1) k^-(s+1) is
+        # finite, zeta_H(s+1, x/k) is 0.0 after one term, and so is the value
+        pt = EvalPoint(1e40, 1e17 / math.e)
+        assert fn.k_polygamma_magnitude_fractional(1e17, pt) == 0.0
+
     @pytest.mark.parametrize("s", [11.0, 11.5])
     def test_overflow_is_typed(self, s):
         # the scale Gamma(s+1) k^-(s+1) is finite, its product with zeta_H is not

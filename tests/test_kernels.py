@@ -77,7 +77,7 @@ _RANGE_LOGS = (math.log(sys.float_info.max), math.log(sys.float_info.min), -745.
 @st.composite
 def hurwitz_arguments(draw):
     """(s, a): s fractional in (1, 40], or up to 1e25 on both sides of
-    `_EM_ROW_S` and of the overflow of K(s) near 3.55e20; a log-uniform on
+    1e20 and of the overflow of K(s) near 3.55e20; a log-uniform on
     [1e-3, 1e3], or within a few ulps of where a^-s leaves the double range."""
     s = draw(st.one_of(
         st.floats(min_value=1.0, max_value=40.0, exclude_min=True).filter(
@@ -342,6 +342,39 @@ class TestDirectTerms:
             if n > 1:
                 assert self.bound_ratio(s, a, n - 1) > 1 - 1e-9
 
+    def test_least_count_at_large_order(self):
+        # from s ~ 1e15 on, E = (ln K + s ln a + 56 ln 2)/(s + 15) rounds to
+        # ln a, and a count formed as e^E - a would cancel: to 2.6e10 at
+        # (1e18, 1e25) and 1.3e8 at (1e17 + 1, 2.72e23), where one term is
+        # enough.  Checked in the log form ln(1 + N/a), at 60 digits.
+        def log_ratio(s, a, n):
+            # ln of the remainder bound at n direct terms over 2^-56 a^-s
+            with mp.workdps(60):
+                s, a = mp.mpf(s), mp.mpf(a)
+                log_k = mp.log(mp.mpf(3617) / 510 / mp.factorial(16) * mp.rf(s, 15))
+                return (log_k + 56 * mp.log(2) - 15 * mp.log(n + a)
+                        - s * mp.log1p(n / a))
+
+        assert kernels._direct_terms(1e18, 1e25) == 1
+        assert kernels._direct_terms(1e17 + 1, 2.72e23) == 1
+        rng = random.Random(1015)
+        cases = [(10.0 ** rng.uniform(1.6, 25.0), 10.0 ** rng.uniform(-3.0, 30.0))
+                 for _ in range(200)]
+        for s, a in cases + [(60.0, 0.5)]:
+            n = kernels._direct_terms(s, a)
+            assert n >= 1
+            assert log_ratio(s, a, n) <= 1e-9
+            if n > 1:
+                assert log_ratio(s, a, n - 1) > -1e-9
+
+    def test_count_at_the_largest_argument(self):
+        # a = the largest double: zeta_H(s, a) ~ a^(1-s)/(s-1) is 0.0 from
+        # s = 3 on, which the sum returns after one term; from s ~ 4e17 on,
+        # a count formed from e^E, as above, would overflow
+        for s in (3.0, 1e18, 1e20, 1e300):
+            assert kernels._direct_terms(s, sys.float_info.max) == 1
+            assert kernels.hurwitz_zeta(s, sys.float_info.max) == 0.0
+
     def test_at_most_twelve_terms(self):
         ss = [1.0 + 39.0 * i / 200 for i in range(1, 201)] + [1.0 + 1e-9, 1.001]
         aas = [10.0 ** (-3.0 + 6.0 * j / 300) for j in range(301)]
@@ -391,6 +424,12 @@ class TestGammaDerivSequence:
     def test_overflow_fails_loudly(self):
         with pytest.raises(OverflowError):
             kernels.gamma_deriv_sequence(1, 200.0)
+
+    def test_largest_finite_gamma(self):
+        # ln Gamma(171.624) = 709.7808 is below ln(max double) = 709.7827:
+        # Gamma is 1.794e308, finite, and no overflow is raised
+        assert kernels.gamma_deriv_sequence(0, 171.624) == [
+            pytest.approx(float(mp.gamma(171.624)), rel=1e-13)]
 
     @pytest.mark.parametrize("y", [0.05, 0.7, 1.0, 3.2, 17.5, 150.0])
     def test_prefix_stable(self, y):

@@ -492,6 +492,19 @@ class TestLogVariable:
         assert res.value == pytest.approx(1e-300, rel=1e-13)
         assert_honest(res, mp_deriv(0, 1.0, 1.0, 1e-300))
 
+    def test_subnormal_mass_stops_refining(self):
+        # at p = 1e-320, rel_tol of the mass is below the subnormal charge
+        # of the nodes from the first level on, and more nodes only raise
+        # the charge: the rule stops once its estimate is finite, at 41
+        # nodes
+        res = oracle.integrate_pk_gamma(EvalPoint(1.0, 1.0, 1e-320))
+        assert not res.converged and res.subdivisions_used <= 41
+        assert res.error_estimate >= abs(res.value - 1e-320)
+        # a mass that underflowed to 0 everywhere stops as soon
+        res = oracle.integrate_bose(1.0, 0.5, 1e-200)
+        assert (res.value, res.converged) == (0.0, False)
+        assert res.subdivisions_used <= 41
+
     def test_panel_count_at_small_x(self):
         # the power-law endpoint t^(x-1) costs a longer walk, and no finer
         # step: 225 nodes, against 129 at x = 1
