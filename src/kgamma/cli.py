@@ -361,13 +361,16 @@ def crosscheck_families(
     positive and is the scale of its own discrepancy; an odd order crosses
     zero, so its scale is the Cauchy-Schwarz bound sqrt(D^(n-1) D^(n+1)) on
     |D^(n)|.  The closed-form orders 0 up to the even order at or above the
-    largest requested one are read once per point, from one Bell sequence;
-    D^(0) is the value, and its one integral serves the value and order 0.
+    largest requested one are read once per point, from one Bell sequence.
+    The integrals of order 0, which is the value, and of the requested
+    orders are one `oracle.integrate_k_gamma_derivs` call per point and
+    family, on one node set.
     """
     worst: dict[str, float] = {}
     uncertified: dict[str, float] = {}
     errors: list[str] = []
     top = max(n + n % 2 for n in deriv_orders)
+    quad_orders = sorted({0, *deriv_orders})
 
     def at_point(x, k):
         # (family, closed, quad, scale) per comparison at (x, k) and its p
@@ -375,8 +378,9 @@ def crosscheck_families(
             pt = fn.EvalPoint(x, k, p)
             family = "k_gamma" if p is None else "pk_gamma"
             closed = fn._gamma_derivatives(tuple(range(top + 1)), pt)
-            value_quad = oracle.integrate_k_gamma_deriv(0, pt, ORACLE_POLICY)
-            yield family, closed[0], value_quad, abs(closed[0])
+            quad = dict(zip(quad_orders, oracle.integrate_k_gamma_derivs(
+                quad_orders, pt, ORACLE_POLICY)))
+            yield family, closed[0], quad[0], abs(closed[0])
             if p is None:  # psi_k has no p-k variant
                 for m in grid.ms:
                     value = abs(fn.k_polygamma(m, pt))
@@ -385,8 +389,7 @@ def crosscheck_families(
             for n in deriv_orders:
                 scale = (math.sqrt(abs(closed[n - 1])) * math.sqrt(abs(closed[n + 1]))
                          if n % 2 else abs(closed[n]))
-                yield (family + "_deriv", closed[n], value_quad if n == 0 else
-                       oracle.integrate_k_gamma_deriv(n, pt, ORACLE_POLICY), scale)
+                yield family + "_deriv", closed[n], quad[n], scale
 
     def bose(k, m):
         for p in (None, *grid.p_params):

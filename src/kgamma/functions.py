@@ -238,11 +238,15 @@ _magnitude_at = kernels.memo(_magnitude)
 
 def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """zeta_k(x) = zeta(x/k), for x/k > 1."""
+    _check_policy(policy)
+    return _zeta(x, k)
+
+
+def _zeta(x: float, k: float) -> float:
     if not (math.isfinite(k) and k > 0):
         raise DomainError(f"k must be a finite positive real, got {k!r}")
     if not (math.isfinite(x) and x / k > 1.0):
         raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
-    _check_policy(policy)
     s = x / k
     # zeta(s) rounds to 1.0 from s = 54 on, as does an s beyond the double range
     return 1.0 if s == math.inf else kernels.riemann_zeta(s)
@@ -250,8 +254,8 @@ def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float
 
 @kernels.memo
 def _zeta_at(x: float, k: float) -> float:
-    # zeta_k(x) for a sweep row, through `k_zeta` and its checks on a miss
-    return k_zeta(x, k)
+    # zeta_k(x) for a sweep row, with the domain checks of `k_zeta` on a miss
+    return _zeta(x, k)
 
 
 def pk_zeta(
@@ -263,9 +267,10 @@ def pk_zeta(
     cancels against pGamma_k, leaving zeta(x/k) for every p.  The oracle
     module validates this independence against the actual integral.
     """
+    _check_policy(policy)
     if not (math.isfinite(p) and p > 0):
         raise DomainError(f"p must be a finite positive real, got {p!r}")
-    return k_zeta(x, k, policy)
+    return _zeta(x, k)
 
 
 def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[float | None]:

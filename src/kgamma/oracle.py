@@ -28,15 +28,27 @@ are below 1e-20 of the largest; a side not met by |tau| = 16 leaves the
 result unconverged.  The step is then halved, reusing every node, until
 three consecutive levels agree.
 
+The derivative integrals of one point share their weight
+e^(x v - e^(k v) / c), and with it the centre and the width, so one rule
+integrates g(v) v^n for several orders n on one node set: each node's g is
+evaluated once, and an order costs one product per node.  The walk goes on
+until every order has met its tails, the widest order's (v^n moves mass
+outwards), and each order sums only the nodes between its own ends and is
+judged on its own: its level changes, edge terms and integral of |g v^n|.
+Each keeps the result of the first level at which it stops, the result a
+rule for that order alone returns, except that `subdivisions_used` counts
+the shared nodes.
+
 The error estimate adds to the larger of the last two level changes the
 roundoff of the node values and the edge terms of the truncated tails.  It
 is converged when both tails were met and the estimate is within the
-relative tolerance of the integral of |g|: |value| unless g changes sign,
-as log^n t does at odd n, where |value| can be far below the integrand's
-scale.  Refinement also stops, unconverged, once the tolerance times that
-integral is below the subnormal charge of the nodes summed, which more
-nodes only raise.  An integral beyond double range raises
-`ComputationOverflowError`.
+relative tolerance of the integral of |g v^n|.  Every integrand here is
+g >= 0, so at even n that integral is |value|; at odd n, where v^n changes
+sign, |value| can be far below the integrand's scale and the integral of
+|g v^n| is summed apart.  Refinement also stops, unconverged, once the
+tolerance times that integral is below the subnormal charge of the nodes
+summed, which more nodes only raise.  An integral beyond double range
+raises `ComputationOverflowError`.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import kernels
 from .functions import EvalPoint
@@ -62,6 +74,7 @@ __all__ = [
     "integrate_k_polygamma",
     "integrate_bose",
     "integrate_k_gamma_deriv",
+    "integrate_k_gamma_derivs",
 ]
 
 
@@ -96,74 +109,140 @@ def _ratio(u: float) -> float:
     return u / -math.expm1(-u) if u else 1.0
 
 
-def _integrate(
-    g: Callable[[float], float], v0: float, s: float, size: float,
-    policy: AccuracyPolicy,
-) -> QuadratureResult:
-    """Integral over v in (-inf, inf) of g(v) = t f(t), t = e^v, which peaks
-    near v0 with width about s.
+class _Order:
+    """One order n of a shared rule: its own terms, ends and level changes.
 
-    The trapezoid rule in tau, v = v0 + s (tau + 1 - e^-tau): a node's term
-    is g(v) (1 + e^-tau), and a level's value is s h times the sum of its
-    terms.  `size` bounds the terms that g's exponent sums near v0: each is
-    rounded, so g's values carry about `size` ulps of their own, which the
-    roundoff charge adds to the sum's 50.  `subdivisions_used` counts the
-    nodes; `policy.max_subdivisions` bounds every level after the walk.
+    `ends` holds the last tau of its walk to the right, then to the left.
     """
 
-    def term(tau: float) -> float:
-        e = math.exp(-tau)
-        return g(v0 + s * (tau + 1.0 - e)) * (1.0 + e)
+    __slots__ = ("n", "terms", "largest", "ends", "edge", "tails_met", "span",
+                 "previous", "changes", "result")
 
-    h, previous, changes = _H0, None, [math.inf, math.inf]
+    def __init__(self, n: int, w: float, v: float, d: float) -> None:
+        self.n, self.terms = n, [w * v**n * d]
+        self.largest, self.tails_met = abs(self.terms[0]), True
+        self.ends, self.edge = [], 0.0
+        self.previous, self.changes, self.result = None, [math.inf, math.inf], None
+
+    def walk(self, side: list, node: Callable, step: float) -> None:
+        """Walk out from tau = 0 at `step` until two consecutive terms are
+        negligible, or to |tau| = 16, over the nodes (g, v, 1 + e^-tau) of
+        `side`, which every order shares, evaluating those not yet there."""
+        n, terms, largest = self.n, self.terms, self.largest
+        tau, quiet, i, known = 0.0, 0, 0, len(side)
+        while quiet < 2 and abs(tau) < _TAU_MAX:
+            tau += step
+            if i == known:
+                side.append(node(tau))
+                known += 1
+            w, v, d = side[i]
+            i += 1
+            term = w * v**n * d if n else w * d  # v^0 = 1 exactly
+            terms.append(term)
+            last = abs(term)
+            largest = max(largest, last)
+            quiet = quiet + 1 if last <= _NEGLIGIBLE * largest else 0
+        self.largest = largest
+        self.tails_met = self.tails_met and quiet == 2
+        self.ends.append(tau)
+        self.edge += last
+
+    def extend(self, nodes: list) -> None:
+        """The terms of this order's midpoints, `nodes`, of the next level."""
+        n = self.n
+        if n:
+            self.terms += [w * v**n * d for w, v, d in nodes]
+        else:  # v^0 = 1 exactly
+            self.terms += [w * d for w, v, d in nodes]
+
+    def settle(self, sh: float, h: float, roundoff: float, nodes: int,
+               policy: AccuracyPolicy) -> bool:
+        """Judge the level of step h, whose node weight is sh = s h; keep its
+        result and return True if this order stops there."""
+        value = sh * math.fsum(self.terms)
+        if self.n % 2:  # v^n changes sign: the integral of |g v^n| apart
+            mass = sh * math.fsum(map(abs, self.terms))
+        else:  # g >= 0, so every term is, and that integral is |value|
+            mass = abs(value)
+        if not math.isfinite(mass):
+            raise OverflowError  # a term or the sum of |terms| overflowed
+        if self.previous is not None:
+            self.changes.append(abs(value - self.previous))
+        # two level changes, as one can vanish by accident; relative to the
+        # mass alone, and with the subnormal charge: a mass too small to hold
+        # rel_tol of itself certifies nothing, nor does a zero mass (every
+        # term underflowed)
+        charge = math.ldexp(len(self.terms) + self.span, -1075)
+        estimate = max(self.changes[-2:]) + roundoff * mass + sh * self.edge + charge
+        converged = self.tails_met and estimate <= policy.rel_tol * mass
+        hi, lo = self.ends
+        # unmet tails, or a charge above rel_tol of the mass, which more nodes
+        # only raise, end the refinement once the estimate is finite
+        hopeless = not self.tails_met or policy.rel_tol * mass < charge
+        if (converged or (hopeless and estimate < math.inf)
+                or len(self.terms) + round((hi - lo) / h) > policy.max_subdivisions):
+            self.result = QuadratureResult(value, estimate, nodes, converged)
+            return True
+        self.previous = value
+        return False
+
+
+def _integrate(
+    g: Callable[[float], float], v0: float, s: float, size: float,
+    policy: AccuracyPolicy, orders: tuple[int, ...] = (0,),
+) -> list[QuadratureResult]:
+    """Integrals over v in (-inf, inf) of g(v) v^n, one per n of `orders`,
+    where g(v) = t f(t) >= 0, t = e^v, peaks near v0 with width about s.
+
+    The trapezoid rule in tau, v = v0 + s (tau + 1 - e^-tau), on one node
+    set: a node's term for order n is g(v) v^n (1 + e^-tau), and a level's
+    value is s h times the sum of an order's terms.  Each order walks out
+    to its own tails, over nodes the widest order's walk evaluates once,
+    and sums only the nodes between its own ends.  Its result is the one a
+    call for that order alone returns, except `subdivisions_used`: the
+    shared nodes evaluated when the order stopped.  `size` bounds the terms
+    that g's exponent sums near v0: each is rounded, so g's values carry
+    about `size` ulps of their own, which the roundoff charge adds to the
+    sum's 50.  `policy.max_subdivisions` bounds every level of an order
+    after the walk.
+    """
+
+    def node(tau: float) -> tuple[float, float, float]:
+        e = math.exp(-tau)
+        v = v0 + s * (tau + 1.0 - e)
+        return g(v), v, 1.0 + e
+
+    h = _H0
     try:
-        terms = [term(0.0)]
-        largest, ends, edge, tails_met = abs(terms[0]), [], 0.0, True
+        parts = [_Order(n, *node(0.0)) for n in orders]
+        nodes = 1
         for step in (h, -h):
-            tau, quiet = 0.0, 0
-            while quiet < 2 and abs(tau) < _TAU_MAX:
-                tau += step
-                terms.append(term(tau))
-                last = abs(terms[-1])
-                largest = max(largest, last)
-                quiet = quiet + 1 if last <= _NEGLIGIBLE * largest else 0
-            tails_met = tails_met and quiet == 2
-            ends.append(tau)
-            edge += last
-        hi, lo = ends
+            side = []
+            for part in parts:
+                part.walk(side, node, step)
+            nodes += len(side)
         # each term is rounded twice, in g and in the product, and each
         # rounding can lose half the smallest subnormal; the first is scaled
         # by the node's weight s h (1 + e^-tau), whose sum is about this span
-        span = s * (hi - lo + math.exp(-lo) - math.exp(-hi))
+        for part in parts:
+            hi, lo = part.ends
+            part.span = s * (hi - lo + math.exp(-lo) - math.exp(-hi))
         roundoff = (_SUM_ULPS + size) * sys.float_info.epsilon
-        while True:
-            mass = s * h * math.fsum(map(abs, terms))
-            if not math.isfinite(mass):
-                raise OverflowError  # a term or the sum of |terms| overflowed
-            value = s * h * math.fsum(terms)
-            if previous is not None:
-                changes.append(abs(value - previous))
-            # two level changes, as one can vanish by accident; relative to
-            # the mass alone, and with the subnormal charge: a mass too small
-            # to hold rel_tol of itself certifies nothing, nor does a zero
-            # mass (every term underflowed)
-            charge = math.ldexp(len(terms) + span, -1075)
-            estimate = (max(changes[-2:]) + roundoff * mass + s * h * edge
-                        + charge)
-            converged = tails_met and estimate <= policy.rel_tol * mass
-            count = round((hi - lo) / h)
-            # unmet tails, or a charge above rel_tol of the mass, which more
-            # nodes only raise, end the refinement once the estimate is finite
-            hopeless = not tails_met or policy.rel_tol * mass < charge
-            if (converged or (hopeless and estimate < math.inf)
-                    or len(terms) + count > policy.max_subdivisions):
-                break
-            previous = value
-            terms += [term(lo + (j + 0.5) * h) for j in range(count)]
+        pending = parts
+        while pending := [part for part in pending
+                          if not part.settle(s * h, h, roundoff, nodes, policy)]:
+            # the midpoints between the widest ends; each order takes its own
+            lo = min(part.ends[1] for part in pending)
+            hi = max(part.ends[0] for part in pending)
+            new = [node(lo + (j + 0.5) * h) for j in range(round((hi - lo) / h))]
+            nodes += len(new)
+            for part in pending:
+                first = round((part.ends[1] - lo) / h)
+                part.extend(new[first:first + round((part.ends[0] - part.ends[1]) / h)])
             h *= 0.5
     except OverflowError as exc:
         raise ComputationOverflowError("integral overflows double precision") from exc
-    return QuadratureResult(value, estimate, len(terms), converged)
+    return [part.result for part in parts]
 
 
 def _peak(x: float, k: float, log_c: float) -> tuple[float, float, float]:
@@ -179,18 +258,18 @@ def _peak(x: float, k: float, log_c: float) -> tuple[float, float, float]:
             abs(x * v0) + abs(log_c) + x / k * (1.0 + abs(k * v0) + abs(log_c)))
 
 
-def _gamma_integral(
-    n: int, pt: EvalPoint, c: float, policy: AccuracyPolicy
-) -> QuadratureResult:
-    """int_0^inf t^(x-1) e^(-t^k / c) log^n t dt: in v = log t, the integral
-    of e^(x v - e^(k v) / c) v^n."""
+def _gamma_integrals(
+    orders: tuple[int, ...], pt: EvalPoint, c: float, policy: AccuracyPolicy
+) -> list[QuadratureResult]:
+    """int_0^inf t^(x-1) e^(-t^k / c) log^n t dt for each n of `orders`: in
+    v = log t, the integrals of e^(x v - e^(k v) / c) v^n."""
     x, k, log_c = pt.x, pt.k, math.log(c)
 
     def g(v: float) -> float:
         w = k * v - log_c  # log(t^k / c)
-        return math.exp(x * v - math.exp(w)) * v**n if w < _LOG_CAP else 0.0
+        return math.exp(x * v - math.exp(w)) if w < _LOG_CAP else 0.0
 
-    return _integrate(g, *_peak(x, k, log_c), policy)
+    return _integrate(g, *_peak(x, k, log_c), policy, orders)
 
 
 def integrate_k_gamma(
@@ -198,14 +277,14 @@ def integrate_k_gamma(
 ) -> QuadratureResult:
     """int_0^inf t^(x-1) e^(-t^k / k) dt, at a point without p."""
     pt.require_no_p("integrate_k_gamma", "integrate_pk_gamma")
-    return _gamma_integral(0, pt, pt.k, policy)
+    return _gamma_integrals((0,), pt, pt.k, policy)[0]
 
 
 def integrate_pk_gamma(
     pt: EvalPoint, policy: AccuracyPolicy = ORACLE_POLICY
 ) -> QuadratureResult:
     """int_0^inf t^(x-1) e^(-t^k / p) dt."""
-    return _gamma_integral(0, pt, pt.require_p(), policy)
+    return _gamma_integrals((0,), pt, pt.require_p(), policy)[0]
 
 
 def integrate_k_polygamma(
@@ -230,7 +309,7 @@ def integrate_k_polygamma(
 
     # up to the constant -log_k, the exponent m v - x e^v is that of _peak
     # with x -> m, k -> 1 and c -> 1 / x: it peaks at ln(m / x), width m^-1/2
-    return _integrate(g, *_peak(float(m), 1.0, -math.log(pt.x)), policy)
+    return _integrate(g, *_peak(float(m), 1.0, -math.log(pt.x)), policy)[0]
 
 
 def integrate_bose(
@@ -263,7 +342,7 @@ def integrate_bose(
         u = math.exp(w)
         return math.exp(sigma * v + log_c - u) * _ratio(u)
 
-    return _integrate(g, *_peak(sigma, k, log_c), policy)
+    return _integrate(g, *_peak(sigma, k, log_c), policy)[0]
 
 
 def integrate_k_gamma_deriv(
@@ -276,6 +355,21 @@ def integrate_k_gamma_deriv(
     sign at v = 0 for odd n.  An order outside 0..8 is refused by
     `kernels.check_deriv_order`, an argument check that evaluates no kernel.
     """
-    kernels.check_deriv_order(n)
-    c = pt.k if pt.p is None else pt.p
-    return _gamma_integral(n, pt, c, policy)
+    return integrate_k_gamma_derivs((n,), pt, policy)[0]
+
+
+def integrate_k_gamma_derivs(
+    orders: Iterable[int], pt: EvalPoint, policy: AccuracyPolicy = ORACLE_POLICY
+) -> list[QuadratureResult]:
+    """`integrate_k_gamma_deriv(n, pt, policy)` for each n of `orders`, in
+    order, on one node set.
+
+    Every order is checked before any node is evaluated.  Each result is
+    that of the order's own call, except that `subdivisions_used` counts
+    the shared nodes; an overflow at any order raises
+    `ComputationOverflowError` for the call.
+    """
+    orders = tuple(orders)
+    for n in orders:
+        kernels.check_deriv_order(n)
+    return _gamma_integrals(orders, pt, pt.k if pt.p is None else pt.p, policy)

@@ -36,9 +36,10 @@ class AccuracyPolicy:
 
     rel_tol, finite and positive, applies to final values;
     max_subdivisions, an integer >= 1, is the oracle's budget of integrand
-    nodes: a halving of the step that would take the count past it is not
-    made, and `QuadratureResult.subdivisions_used` counts the nodes
-    evaluated.  The closed forms in `functions` take
+    nodes per order: a halving of the step that would take an order's own
+    nodes past it is not made for that order, and
+    `QuadratureResult.subdivisions_used` counts the nodes evaluated, which
+    the orders of one derivative call share.  The closed forms in `functions` take
     a policy too but compute to one fixed 2^-56 truncation: they accept any
     rel_tol at or above it and refuse a smaller one.
     """

@@ -557,23 +557,37 @@ class TestCrosscheck:
         others = set(first) - {"k_gamma_deriv", "pk_gamma_deriv"}
         assert all(first[f] == all_orders[f] for f in others)
 
-    def test_order_zero_reuses_the_value_integral(self, capsys, monkeypatch):
+    def _count_integrals(self, monkeypatch):
         calls = Counter()
-        original = cli.oracle.integrate_k_gamma_deriv
+        original = cli.oracle.integrate_k_gamma_derivs
 
-        def counting(n, pt, policy):
-            calls[n, pt.p] += 1
-            return original(n, pt, policy)
+        def counting(orders, pt, policy):
+            calls[tuple(orders), pt.p] += 1
+            return original(orders, pt, policy)
 
-        monkeypatch.setattr(cli.oracle, "integrate_k_gamma_deriv", counting)
-        for name in ("integrate_k_gamma", "integrate_pk_gamma"):
+        monkeypatch.setattr(cli.oracle, "integrate_k_gamma_derivs", counting)
+        for name in ("integrate_k_gamma", "integrate_pk_gamma",
+                     "integrate_k_gamma_deriv"):
             monkeypatch.delattr(cli.oracle, name)
+        return calls
+
+    def test_order_zero_reuses_the_value_integral(self, capsys, monkeypatch):
+        calls = self._count_integrals(monkeypatch)
         code, _, _ = run(["crosscheck", "--x", "1,2", "--k", "1", "--p-param", "3",
                           "--m", "1"], capsys)
         assert code == 0
-        # orders 0..4 once per point and family: the value family reads the
-        # order-0 integral, and no integral of its own
-        assert calls == {(n, p): 2 for n in range(5) for p in (None, 3.0)}
+        # orders 0..4 on one node set, once per point and family: the value
+        # family reads the order-0 integral, and no integral of its own
+        assert calls == {(tuple(range(5)), p): 2 for p in (None, 3.0)}
+
+    def test_integral_orders_follow_n(self, capsys, monkeypatch):
+        # --n 1 asks the oracle for the value's order 0 and order 1 only,
+        # although the closed forms read up to order 2 for the scale of D^(1)
+        calls = self._count_integrals(monkeypatch)
+        code, _, _ = run(["crosscheck", "--x", "1,2", "--k", "1", "--p-param", "3",
+                          "--m", "1", "--n", "1"], capsys)
+        assert code == 0
+        assert calls == {((0, 1), p): 2 for p in (None, 3.0)}
 
     @pytest.mark.parametrize("orders", ["9", "0,9", "-1"])
     def test_orders_outside_cap_are_usage_errors(self, capsys, orders):

@@ -479,8 +479,10 @@ class TestDerivativeTables:
 
     def test_zeta_at_reads_the_table_and_falls_back_to_k_zeta(self, monkeypatch):
         # the bits or the error of k_zeta, outside a block and inside one,
-        # where a stored zeta_k(x) is read without k_zeta; x/k = inf is
-        # 1.0, as in k_zeta, and a refused argument stores nothing
+        # where a stored zeta_k(x) is read without computing it; x/k = inf
+        # is 1.0, as in k_zeta, and a refused argument stores nothing.  A
+        # miss is computed with k_zeta's domain checks, and without its
+        # policy check
         cases = [(4.0, 2.0), (3.0, 1.0), (6.5, 0.5), (3.0, 0.7), (2.0, 1e-320),
                  (1.0, 1.0), (2.0, 0.0), (2.0, -1.0), (-3.0, 1.0), (math.nan, 1.0),
                  (2.0, math.nan), (math.inf, 1.0), (2.0, math.inf)]
@@ -488,15 +490,16 @@ class TestDerivativeTables:
         assert direct[4] == repr(1.0)
         assert {o[0] for o in direct if isinstance(o, tuple)} == {DomainError}
         assert [_outcome(lambda: fn._zeta_at(*case)) for case in cases] == direct
-        k_zeta, fallbacks = fn.k_zeta, []
-        monkeypatch.setattr(fn, "k_zeta", lambda x, k: fallbacks.append((x, k))
-                            or k_zeta(x, k))
+        zeta, fallbacks = fn._zeta, []
+        monkeypatch.setattr(fn, "_zeta", lambda x, k: fallbacks.append((x, k))
+                            or zeta(x, k))
+        monkeypatch.setattr(fn, "_check_policy", None)
         with kernels.memoised() as tables:
             for passed in (cases, cases[5:]):  # the second pass reads the table
                 fallbacks.clear()
                 assert [_outcome(lambda: fn._zeta_at(*case))
                         for case in cases] == direct
-                # only the values the table does not hold reach k_zeta
+                # only the values the table does not hold are computed
                 assert fallbacks == passed
         assert set(tables[fn._zeta_at]) == set(cases[:5])
 
@@ -631,6 +634,24 @@ class TestPolicyFloor:
                 CLOSED_FORMS[name](policy)
         # refused before any work: nothing was cached
         assert tables == {}
+
+    @pytest.mark.parametrize("call", [
+        lambda pol: fn.k_zeta(0.5, 0.7, pol),
+        lambda pol: fn.k_zeta(2.5, -0.7, pol),
+        lambda pol: fn.pk_zeta(2.5, 0.7, -1.9, pol),
+        lambda pol: fn.pk_zeta(0.5, 0.7, 1.9, pol),
+        lambda pol: fn.k_polygamma(0, EvalPoint(2.5, 0.7), pol),
+        lambda pol: fn.k_polygamma_magnitude_fractional(0.5, EvalPoint(2.5, 0.7), pol),
+        lambda pol: fn.pk_gamma(EvalPoint(2.5, 0.7), pol),
+        lambda pol: fn.pk_gamma_deriv(9, EvalPoint(2.5, 0.7, 1.9), pol),
+    ])
+    def test_policy_is_checked_before_the_arguments(self, call):
+        # each of these arguments is refused too, but the policy first
+        with pytest.raises(DomainError, match="2\\^-56"):
+            call(AccuracyPolicy(rel_tol=1e-17))
+        with pytest.raises(DomainError) as refused:
+            call(AccuracyPolicy())
+        assert "2^-56" not in str(refused.value)
 
 
 class TestPointPicksTheFamily:

@@ -289,6 +289,22 @@ def mp_crossing_p(n, y):
         return float(mp.exp(u - mp.psi(0, y)))
 
 
+def mp_derivs(n_max, x, k, c):
+    """D^(0..n_max) of c^(x/k) Gamma(x/k) / k at 50 digits, as
+    G k^-n B_n(kappa_1, ..., kappa_n) with kappa_1 = ln c + psi(x/k) and
+    kappa_j = psi^(j-1)(x/k): `mp_deriv` for every order at once, without
+    its numerical differentiation."""
+    with mp.workdps(50):
+        y = mp.mpf(x) / k
+        kappa = [mp.log(c) + mp.psi(0, y)] + [mp.psi(j, y) for j in range(1, n_max)]
+        bell = [mp.mpf(1)]
+        for j in range(n_max):
+            bell.append(mp.fsum(mp.binomial(j, i) * kappa[i] * bell[j - i]
+                                for i in range(j + 1)))
+        value = mp.mpf(c) ** y * mp.gamma(y) / k
+        return [value * b / mp.mpf(k) ** n for n, b in enumerate(bell)]
+
+
 def log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
@@ -431,18 +447,20 @@ class TestLogVariable:
         assert_honest(res, mp_deriv(3, x, k, p))
 
     def test_panel_error_estimate_is_scale_invariant(self):
-        # powers of two scale every node value exactly, and with them the
-        # value and the estimate; the walk and the levels are the same
+        # powers of two scale every node value exactly, and with them each
+        # order's value and estimate; the walk and the levels are the same
         def g(v):
-            return math.exp(-v * v) * v**2
+            return math.exp(-v * v)
 
-        base = oracle._integrate(g, 0.0, 1.0, 0.0, ORACLE_POLICY)
-        assert base.converged
+        orders = (0, 1, 2)
+        bases = oracle._integrate(g, 0.0, 1.0, 0.0, ORACLE_POLICY, orders)
+        assert all(base.converged for base in bases)
         for scale in (2.0**-100, 2.0**100):
-            res = oracle._integrate(lambda v: scale * g(v), 0.0, 1.0, 0.0, ORACLE_POLICY)
-            assert res == oracle.QuadratureResult(
+            results = oracle._integrate(lambda v: scale * g(v), 0.0, 1.0, 0.0,
+                                        ORACLE_POLICY, orders)
+            assert results == [oracle.QuadratureResult(
                 scale * base.value, scale * base.error_estimate,
-                base.subdivisions_used, True)
+                base.subdivisions_used, True) for base in bases]
 
     @pytest.mark.parametrize("x", [2.5e-5, 0.001, 0.01])
     @pytest.mark.parametrize("with_p", [False, True])
@@ -510,6 +528,81 @@ class TestLogVariable:
         # step: 225 nodes, against 129 at x = 1
         res = oracle.integrate_k_gamma(EvalPoint(0.05, 1.0))
         assert res.converged and res.subdivisions_used <= 225
+
+
+class TestSharedNodeSet:
+    """`integrate_k_gamma_derivs` against each order's own call and against
+    50-digit references, over the domains of `TestLogVariable`."""
+
+    @staticmethod
+    def check(orders, x, k, p):
+        pt = EvalPoint(x, k, p)
+        singles = []
+        for n in orders:
+            try:
+                singles.append(oracle.integrate_k_gamma_deriv(n, pt))
+            except ComputationOverflowError:
+                # an overflow at one order is an overflow of the call
+                with pytest.raises(ComputationOverflowError):
+                    oracle.integrate_k_gamma_derivs(orders, pt)
+                return
+        shared = oracle.integrate_k_gamma_derivs(orders, pt)
+        assert len(shared) == len(orders)
+        want = mp_derivs(max(orders), x, k, k if p is None else p)
+        for n, res, single in zip(orders, shared, singles):
+            # each order sums its own nodes of the shared set: its own
+            # call's result to the bit, and so well within either estimate
+            assert (res.value, res.error_estimate, res.converged) == (
+                single.value, single.error_estimate, single.converged), n
+            assert_honest(res, want[n])
+
+    @given(
+        x=log_uniform(1e-3, 50.0),
+        k=log_uniform(0.01, 20.0),
+        p=log_uniform(1e-3, 1e3),
+        with_p=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_all_orders_in_one_call(self, x, k, p, with_p):
+        self.check(tuple(range(9)), x, k, p if with_p else None)
+
+    @given(
+        orders=st.lists(st.integers(min_value=0, max_value=8), min_size=1,
+                        max_size=9, unique=True).map(tuple),
+        x=log_uniform(1e-3, 50.0),
+        k=log_uniform(0.01, 20.0),
+        p=log_uniform(1e-3, 1e3),
+        with_p=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_subset_of_orders(self, orders, x, k, p, with_p):
+        self.check(orders, x, k, p if with_p else None)
+
+    def test_overflow_at_one_order_is_an_overflow_of_the_call(self):
+        # Gamma_k(18; 0.05) is 9.4e295 and its first derivative 5.4e297,
+        # while the eighth is beyond double range
+        pt = EvalPoint(18.0, 0.05)
+        assert oracle.integrate_k_gamma_derivs((0, 1), pt)[0].converged
+        with pytest.raises(ComputationOverflowError):
+            oracle.integrate_k_gamma_derivs((0, 1, 8), pt)
+
+    def test_every_order_is_checked_first(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_integrate", None)  # no node is evaluated
+        with pytest.raises(UnsupportedOrderError):
+            oracle.integrate_k_gamma_derivs((0, 9), EvalPoint(1.0, 1.0))
+        with pytest.raises(DomainError):
+            oracle.integrate_k_gamma_derivs((1, -1), EvalPoint(1.0, 1.0))
+
+    def test_shared_nodes_are_counted(self):
+        # each order stops at its own level, and counts the nodes the call
+        # had evaluated by then: never fewer than its own call's
+        pt = EvalPoint(0.5, 0.7, 2.0)
+        shared = oracle.integrate_k_gamma_derivs(range(9), pt)
+        singles = [oracle.integrate_k_gamma_deriv(n, pt) for n in range(9)]
+        assert all(a.subdivisions_used >= b.subdivisions_used
+                   for a, b in zip(shared, singles))
+        assert max(a.subdivisions_used for a in shared) < sum(
+            b.subdivisions_used for b in singles)
 
 
 class TestOverflow:
