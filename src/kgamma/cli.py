@@ -421,15 +421,15 @@ def cmd_crosscheck(args) -> int:
             f"--threshold must be finite and positive, got {args.threshold!r}"
         )
     grid = _grid_from_args(args)
-    deriv_orders = _DERIV_ORDERS
-    if args.n is not None:
-        deriv_orders = grid.ns
-        if any(n > kernels.GAMMA_DERIV_MAX_ORDER for n in deriv_orders):
-            raise UsageError(
-                f"--n orders must lie in 0..{kernels.GAMMA_DERIV_MAX_ORDER}"
-            )
-    if any(not 1 <= m <= kernels.POLYGAMMA_MAX_ORDER for m in grid.ms):
-        raise UsageError(f"--m orders must lie in 1..{kernels.POLYGAMMA_MAX_ORDER}")
+    deriv_orders = grid.ns if args.n is not None else _DERIV_ORDERS
+    # refused before any integral, as usage errors
+    try:
+        for n in deriv_orders:
+            kernels.check_order(n, 0, kernels.GAMMA_DERIV_MAX_ORDER, "--n")
+        for m in grid.ms:
+            kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "--m")
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
     worst, uncertified, errors = crosscheck_families(grid, deriv_orders)
     ok = True
     for family in sorted(worst.keys() | uncertified.keys()):

@@ -54,7 +54,6 @@ from .policy import (
     AccuracyPolicy,
     ComputationOverflowError,
     DomainError,
-    UnsupportedOrderError,
 )
 
 __all__ = [
@@ -193,12 +192,7 @@ def k_polygamma(
 
 
 def _psi_k(m: int, x: float, k: float) -> float:
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"k_polygamma order must be an integer >= 1, got {m!r}")
-    if m > kernels.POLYGAMMA_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"order {m} exceeds supported cap {kernels.POLYGAMMA_MAX_ORDER}"
-        )
+    kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "k_polygamma")
     sign = 1.0 if m % 2 == 1 else -1.0
     try:
         scale = math.factorial(m) * k ** (-(m + 1.0))

@@ -37,7 +37,7 @@ from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, memoised
+from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_order, memoised
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -131,17 +131,6 @@ def _record(
                            lhs, rhs, slack, margin, verdict)
 
 
-def _require_int_orders(*orders) -> None:
-    """Refuse the first of `orders` that is not an int.  A check calls this
-    before any `kernels.memo` table is read: a table keys 2 and 2.0 alike,
-    so a float order would read an int order's value inside a `memoised()`
-    block and raise outside one.  The derivative checks need no call:
-    `fn._gamma_derivatives` refuses every order that is not an int first."""
-    for order in orders:
-        if not isinstance(order, int):
-            raise DomainError(f"orders must be integers, got {order!r}")
-
-
 def check_holder_polygamma(
     m: int,
     n: int,
@@ -155,9 +144,8 @@ def check_holder_polygamma(
     undefined over the reals for even orders, and the underlying Hölder
     argument is about the positive integrals.
     """
-    _require_int_orders(m, n)
-    if m < 1 or n < 1:
-        raise DomainError("orders m, n must be >= 1")
+    check_order(m, 1, None, "Hölder")
+    check_order(n, 1, None, "Hölder")
     # s >= 1 exactly for m, n >= 1; the sum can round below it (to
     # 0.9999999999999999 at p = 1.843), outside the fractional order's domain
     s = max(1.0, m / hp.p + n / hp.q)
@@ -184,15 +172,13 @@ def check_holder_zeta(
     lhs = zeta_k(m+1)^(1/p) zeta_k(n+1)^(1/q)
     rhs = Gamma_k(s+1) / (Gamma_k(m+1)^(1/p) Gamma_k(n+1)^(1/q)) * zeta_k(s+1)
     with s = m/p + n/q, all functions replaced by their p-k variants when
-    p_param is given.
+    p_param is given.  zeta_k(m+1) and zeta_k(n+1) are read first, so a
+    point outside x/k > 1 is refused before any gamma value is read:
+    s + 1 lies between m + 1 and n + 1.
     """
-    _require_int_orders(m, n)
-    if m < 1 or n < 1:
-        raise DomainError("orders m, n must be >= 1")
+    check_order(m, 1, None, "Hölder")
+    check_order(n, 1, None, "Hölder")
     s = m / hp.p + n / hp.q
-    for arg in (m + 1.0, n + 1.0, s + 1.0):
-        if arg / k <= 1.0:
-            raise DomainError(f"zeta argument {arg}/{k} must exceed 1")
     # pzeta_k is zeta_k for every p; G is Gamma_k without p, pGamma_k with it
     zeta = lambda x: fn._zeta_at(x, k)
     gamma = lambda x: fn._gamma_at(x, k, p_param)
@@ -221,9 +207,7 @@ def check_turan_gamma_deriv(
     1 <= n <= 7 is accepted so that the reversal can be reported.  A point
     that carries p checks pGamma_k instead (T4PK).
     """
-    if not 1 <= n < GAMMA_DERIV_MAX_ORDER:  # reads order n + 1
-        raise DomainError(
-            f"Turán check requires 1 <= n <= {GAMMA_DERIV_MAX_ORDER - 1}")
+    check_order(n, 1, GAMMA_DERIV_MAX_ORDER - 1, "Turán")  # reads order n + 1
     g_lo, g_mid, g_hi = fn._gamma_derivatives((n - 1, n, n + 1), pt)
     lhs = g_lo * g_hi
     rhs = g_mid * g_mid
@@ -248,7 +232,8 @@ def check_midpoint_gamma_deriv(
     by monotonicity of exp and would overflow immediately if asserted
     directly.  A point that carries p checks pGamma_k instead (T6).
     """
-    if n % 2 or l % 2 or not (n >= l >= 0) or n + l > GAMMA_DERIV_MAX_ORDER:
+    check_order(l, 0, None, "midpoint")  # n: by the derivative reader below
+    if n % 2 or l % 2 or not n >= l or n + l > GAMMA_DERIV_MAX_ORDER:
         raise DomainError("midpoint check requires even n >= l >= 0 with "
                           f"n + l <= {GAMMA_DERIV_MAX_ORDER}")
     g_lo, g_hi, g_mid = fn._gamma_derivatives((n - l, n + l, n), pt)
@@ -274,10 +259,7 @@ def check_midpoint_polygamma(
     rhs have opposite signs, the slack is |lhs| + |rhs|, and every row is
     PASS by the sign pattern alone.
     """
-    _require_int_orders(n)
-    if not 2 <= n < POLYGAMMA_MAX_ORDER:  # reads order n + 1
-        raise DomainError(
-            f"polygamma midpoint check requires 2 <= n <= {POLYGAMMA_MAX_ORDER - 1}")
+    check_order(n, 2, POLYGAMMA_MAX_ORDER - 1, "polygamma midpoint")  # reads n + 1
     x, k = pt.x, pt.k
     lhs = fn._psi_k_at(n, x, k)
     rhs = 0.5 * (fn._psi_k_at(n + 1, x, k) + fn._psi_k_at(n - 1, x, k))
@@ -320,8 +302,8 @@ class GridSpec:
             raise DomainError("Hölder exponents must exceed 1")
         # each exponent needs a conjugate q > 1: p = 1e300 rounds q to 1.0
         self.holder_pairs()
-        if any(not isinstance(v, int) or v < 0 for v in self.ms + self.ns + self.ls):
-            raise DomainError("orders must be non-negative integers")
+        for order in self.ms + self.ns + self.ls:
+            check_order(order, 0, None, "grid")
 
     def holder_pairs(self) -> tuple[HolderPair, ...]:
         return tuple(HolderPair.conjugate(p) for p in self.holder_ps)

@@ -40,6 +40,7 @@ __all__ = [
     "hurwitz_zeta",
     "bell_sequence",
     "gamma_deriv_sequence",
+    "check_order",
     "check_deriv_order",
     "memo",
     "memoised",
@@ -122,9 +123,9 @@ def memo(compute):
     kernels are pure functions, so a stored value is the one a fresh call
     returns, bit for bit; it is shared, and no caller may change it.
     Arguments that compare equal share an entry: 2 and 2.0 do, so where
-    `compute` refuses 2.0, its caller refuses it before the read, as the
-    `harness` checks refuse an order that is not an int.  `compute` never
-    returns None.
+    `compute` refuses 2.0, its caller refuses it before the read, as every
+    caller of `check_order` refuses an order that is not an int.  `compute`
+    never returns None.
     """
     @functools.wraps(compute)
     def read(*args):
@@ -155,6 +156,25 @@ def memoised():
         yield tables
     finally:
         _TABLES.reset(token)
+
+
+def check_order(order: int, least: int, cap: int | None, what: str) -> None:
+    """Refuse an order outside least..cap, or one that is not exactly an int.
+
+    The one rule for every order of the package: a derivative, polygamma
+    or theorem order.  A bool, a float or a numpy integer is refused with
+    `DomainError`, as is an int below `least`: a `memo` table keys 2 and
+    2.0, and True and 1, alike, so an order that is not an int would read
+    an int order's value inside a `memoised()` block and raise outside
+    one.  Every caller checks its orders before it reads a table.  An int
+    above `cap` raises `UnsupportedOrderError`; a cap of None is no cap.
+    The messages name the order `what`.
+    """
+    if type(order) is not int or order < least:
+        bound = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise DomainError(f"{what} order must be {bound}, got {order!r}")
+    if cap is not None and order > cap:
+        raise UnsupportedOrderError(f"{what} order {order} exceeds supported cap {cap}")
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -207,12 +227,7 @@ def polygamma(m: int, y: float) -> float:
 
     m = 0 is digamma; for m >= 1 the value is (-1)^(m+1) m! zeta_H(m+1, y).
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"polygamma order must be a non-negative integer, got {m!r}")
-    if m > POLYGAMMA_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"polygamma order {m} exceeds supported cap {POLYGAMMA_MAX_ORDER}"
-        )
+    check_order(m, 0, POLYGAMMA_MAX_ORDER, "polygamma")
     _require_positive("y", y)
     return _polygamma(m, y)
 
@@ -320,11 +335,6 @@ def _em_row(s: float) -> tuple:
     for coefficient, low, high in _EM_STEPS:
         row.append(coefficient * rising)
         rising *= (s + low) * (s + high)
-    if row[-1] == math.inf:
-        # s above about 3e20.  Wherever zeta_H(s, a) is finite, M^(-s-1)
-        # then underflows to 0, and capped products keep inf * 0 = NaN out
-        # of the sum and the bound
-        row = [math.copysign(min(abs(c), _FLOAT_MAX), c) for c in row]
     return tuple(row[:-1]), row[-1]
 
 
@@ -358,12 +368,7 @@ _LOG_K = {s: _log_k(s) for s in _EM_ROWS}
 
 def check_deriv_order(n: int) -> None:
     """Refuse a derivative order outside 0..GAMMA_DERIV_MAX_ORDER."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {n!r}")
-    if n > GAMMA_DERIV_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"derivative order {n} exceeds supported cap {GAMMA_DERIV_MAX_ORDER}"
-        )
+    check_order(n, 0, GAMMA_DERIV_MAX_ORDER, "derivative")
 
 
 @memo

@@ -5,7 +5,7 @@ definitions with a double-exponential trapezoid rule, so the closed-form
 reductions in `functions` can be cross-validated against a route that
 shares none of their arithmetic.  This module deliberately evaluates none
 of the scalar kernels, since independence is the whole point; it shares
-only their derivative-order check.
+only their order rule, `kernels.check_order`, which evaluates nothing.
 
 Log-variable scheme: an integral of f over t in (0, inf) is taken as the
 integral of g(v) = t f(t), t = e^v, over the whole line.  Each integrand
@@ -296,8 +296,7 @@ def integrate_k_polygamma(
     the integrand is e^(m v - x t) / k * u / (1 - e^-u), whose ratio tends
     to 1 as t -> 0, leaving the tail e^(m v) / k.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"polygamma integral requires integer m >= 1, got {m!r}")
+    kernels.check_order(m, 1, None, "polygamma integral")
     x_k, log_k = pt.x / pt.k, math.log(pt.k)
 
     def g(v: float) -> float:
@@ -353,7 +352,7 @@ def integrate_k_gamma_deriv(
     This is D^(n) of pGamma_k, or of Gamma_k at a point without p.  In
     v = log t the integrand is e^(x v - e^(k v) / c) v^n, which changes
     sign at v = 0 for odd n.  An order outside 0..8 is refused by
-    `kernels.check_deriv_order`, an argument check that evaluates no kernel.
+    `kernels.check_deriv_order`, the order rule that evaluates no kernel.
     """
     return integrate_k_gamma_derivs((n,), pt, policy)[0]
 

@@ -44,7 +44,7 @@ class TestEval:
 
     @pytest.mark.parametrize("argv, message", [
         (["k_gamma_deriv", "--n", "9"], "derivative order 9 exceeds supported cap 8"),
-        (["k_polygamma", "--m", "13"], "order 13 exceeds supported cap 12"),
+        (["k_polygamma", "--m", "13"], "k_polygamma order 13 exceeds supported cap 12"),
         (["oracle_k_gamma_deriv", "--n", "9"],
          "derivative order 9 exceeds supported cap 8"),
     ])
@@ -594,7 +594,12 @@ class TestCrosscheck:
         code, _, err = run(["crosscheck", "--x", "1", "--k", "1", "--n", orders],
                            capsys)
         assert code == 2
-        assert "usage error" in err
+        # the order rule's message; -1 is refused by the grid first
+        assert err == "usage error: " + {
+            "9": "--n order 9 exceeds supported cap 8",
+            "0,9": "--n order 9 exceeds supported cap 8",
+            "-1": "grid order must be a non-negative integer, got -1",
+        }[orders] + "\n"
 
     def test_odd_order_zero_crossing_is_ok(self, capsys):
         # the third derivative of pGamma_k is -2.4e-4 here, against a scale
@@ -626,6 +631,7 @@ class TestCrosscheck:
                              capsys)
         assert code == 2
         assert out == "" and "usage error" in err and "--m" in err
+        assert err == "usage error: --m order 13 exceeds supported cap 12\n"
 
     @pytest.mark.parametrize("orders", ["0", "0,1"])
     def test_polygamma_order_zero_is_a_usage_error(self, capsys, orders):
@@ -634,6 +640,7 @@ class TestCrosscheck:
                              capsys)
         assert code == 2
         assert out == "" and "usage error" in err and "--m" in err
+        assert err == "usage error: --m order must be an integer >= 1, got 0\n"
 
     def test_bose_underflow_near_zero(self, capsys):
         # t^k / c underflows to 0 near t = 0 for k close to 2

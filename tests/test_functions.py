@@ -1,5 +1,6 @@
 """Tests of the generalized k- and p-k-family closed forms."""
 
+import contextlib
 import math
 import re
 
@@ -178,6 +179,12 @@ class TestKPolygamma:
             fn.k_polygamma(0, EvalPoint(1.0, 1.0))
         with pytest.raises(UnsupportedOrderError):
             fn.k_polygamma(13, EvalPoint(1.0, 1.0))
+        for m in (True, False):
+            for block in (contextlib.nullcontext, kernels.memoised):
+                with block(), pytest.raises(DomainError) as refused:
+                    fn.k_polygamma(m, EvalPoint(1.0, 1.0))
+                assert str(refused.value) == (
+                    f"k_polygamma order must be an integer >= 1, got {m}")
 
 
 class TestFractionalMagnitude:
@@ -507,7 +514,7 @@ class TestDerivativeTables:
         # `k_gamma_deriv`/`pk_gamma_deriv` give the bits, or the error, of
         # the batch read of their one order, outside a block and from the
         # table inside one
-        orders = (*range(kernels.GAMMA_DERIV_MAX_ORDER + 1), 9, -1, 2.0)
+        orders = (*range(kernels.GAMMA_DERIV_MAX_ORDER + 1), 9, -1, 2.0, True, False)
         calls = [(n, pt) for ppt in TABLE_POINTS
                  for pt in (EvalPoint(ppt.x, ppt.k), ppt) for n in orders]
         batch = [_outcome(lambda: fn._gamma_derivatives((n,), pt)[0])
@@ -520,7 +527,7 @@ class TestDerivativeTables:
                         for n, pt in calls] == batch
                 assert [_outcome(lambda: fn._gamma_derivatives((n,), pt)[0])
                         for n, pt in calls] == batch
-        # keyed by repr(n), since 2 and 2.0 are one dict key
+        # keyed by repr(n), since 2 and 2.0, and 1 and True, are one dict key
         outcome = {(repr(n), pt): o for (n, pt), o in zip(calls, batch)}
         overflow = "^(6) at EvalPoint(x=170.0, k=1.0, p={}) overflows double precision"
         assert outcome["6", EvalPoint(170.0, 1.0)] == (
@@ -530,7 +537,7 @@ class TestDerivativeTables:
         for pt in (EvalPoint(1.0, 1.0), EvalPoint(1.0, 1.0, 2.0)):
             assert outcome["9", pt] == (
                 UnsupportedOrderError, "derivative order 9 exceeds supported cap 8")
-            for n in ("-1", "2.0"):
+            for n in ("-1", "2.0", "True", "False"):
                 assert outcome[n, pt] == (DomainError, "derivative order must be "
                                           f"a non-negative integer, got {n}")
 

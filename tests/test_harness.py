@@ -1,5 +1,6 @@
 """Inequality-harness tests: slack values, verdicts, grid sweeps."""
 
+import contextlib
 import math
 
 import pytest
@@ -66,7 +67,8 @@ class TestHolderPolygamma:
 
     @pytest.mark.parametrize("m, n", [(0, 1), (1, 0)])
     def test_domain(self, m, n):
-        with pytest.raises(DomainError, match="orders m, n must be >= 1"):
+        with pytest.raises(DomainError,
+                           match="^Hölder order must be an integer >= 1, got 0$"):
             harness.check_holder_polygamma(m, n, HolderPair(2.0, 2.0),
                                            EvalPoint(1.0, 1.0))
 
@@ -108,10 +110,13 @@ class TestHolderZeta:
 
     def test_domain(self):
         hp = HolderPair(2.0, 2.0)
-        with pytest.raises(DomainError):
-            harness.check_holder_zeta(1, 1, hp, 3.0)  # zeta argument 2/3 <= 1
+        # zeta argument 2/3 <= 1: refused by zeta_k before any gamma read
+        with pytest.raises(DomainError) as refused:
+            harness.check_holder_zeta(1, 1, hp, 3.0)
+        assert str(refused.value) == "k_zeta requires x/k > 1, got x=2.0, k=3.0"
         for m, n in ((0, 1), (1, 0)):
-            with pytest.raises(DomainError, match="orders m, n must be >= 1"):
+            with pytest.raises(DomainError,
+                               match="^Hölder order must be an integer >= 1, got 0$"):
                 harness.check_holder_zeta(m, n, hp, 1.0)
 
     def test_underflowed_gamma_ratio_is_an_evaluation_error(self):
@@ -346,6 +351,14 @@ class TestScanGrid:
             GridSpec(ks=(0.0, 1.0))
         with pytest.raises(DomainError):
             GridSpec(holder_ps=(1.0,))
+        # an order that is not exactly an int, a bool included
+        for axes, order in (({"ns": (True,)}, "True"), ({"ms": (1, 2.0)}, "2.0"),
+                            ({"ls": (False, 2)}, "False"), ({"ns": (-1,)}, "-1")):
+            for block in (contextlib.nullcontext, kernels.memoised):
+                with block(), pytest.raises(DomainError) as refused:
+                    GridSpec(**axes)
+                assert str(refused.value) == (
+                    f"grid order must be a non-negative integer, got {order}")
 
     def test_integrality_filter(self):
         spec = GridSpec(xs=(1.0,), ks=(1.0,), ms=(1, 2), ns=(1, 2),
@@ -434,21 +447,35 @@ class TestScanCache:
 
     @pytest.mark.parametrize("check, orders, float_orders, message", [
         (harness.check_midpoint_polygamma, (2,), (2.0,),
-         "orders must be integers, got 2.0"),
+         "polygamma midpoint order must be an integer >= 2, got 2.0"),
         (harness.check_holder_polygamma, (2, 2), (2, 2.0),
-         "orders must be integers, got 2.0"),
+         "Hölder order must be an integer >= 1, got 2.0"),
         (harness.check_holder_zeta, (1, 3), (1.0, 3),
-         "orders must be integers, got 1.0"),
-        # the derivative checks refuse the first of the orders they read
+         "Hölder order must be an integer >= 1, got 1.0"),
         (harness.check_turan_gamma_deriv, (3,), (3.0,),
-         "derivative order must be a non-negative integer, got 2.0"),
+         "Turán order must be an integer >= 1, got 3.0"),
         (harness.check_midpoint_gamma_deriv, (2, 2), (2, 2.0),
-         "derivative order must be a non-negative integer, got 0.0"),
+         "midpoint order must be a non-negative integer, got 2.0"),
+        # a bool is not an order either, though True == 1 and False == 0
+        (harness.check_midpoint_polygamma, (2,), (True,),
+         "polygamma midpoint order must be an integer >= 2, got True"),
+        (harness.check_holder_polygamma, (1, 2), (True, 2),
+         "Hölder order must be an integer >= 1, got True"),
+        (harness.check_holder_zeta, (1, 3), (True, 3),
+         "Hölder order must be an integer >= 1, got True"),
+        (harness.check_turan_gamma_deriv, (1,), (True,),
+         "Turán order must be an integer >= 1, got True"),
+        (harness.check_midpoint_gamma_deriv, (2, 0), (2, False),
+         "midpoint order must be a non-negative integer, got False"),
+        # n is refused by the derivative reader, which checks every order first
+        (harness.check_midpoint_gamma_deriv, (0, 0), (False, 0),
+         "derivative order must be a non-negative integer, got False"),
     ])
     def test_float_order_is_refused_in_and_out_of_a_block(self, check, orders,
                                                           float_orders, message):
-        # a `memo` table keys 2 and 2.0 alike: the check refuses the float
-        # before any table is read, also after the int orders filled it
+        # a `memo` table keys 2 and 2.0, and 1 and True, alike: the check
+        # refuses the float or bool before any table is read, also after the
+        # int orders filled it
         hp = HolderPair.conjugate(2.0)
         rest = {harness.check_holder_polygamma: (hp, EvalPoint(1.0, 1.0)),
                 harness.check_holder_zeta: (hp, 1.0)}.get(check, (EvalPoint(1.0, 1.0),))

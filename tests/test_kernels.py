@@ -5,6 +5,7 @@ frozen from the brute-force series oracles defined at the top of this
 file; mpmath provides an additional arbitrary-precision cross-check.
 """
 
+import contextlib
 import math
 import random
 import re
@@ -43,7 +44,9 @@ def brute_hurwitz(s: float, a: float, terms: int = 200_000) -> float:
 def row_hurwitz(s: float, a: float) -> float:
     """`hurwitz_zeta` outside a block, with its Euler-Maclaurin coefficients
     read from the whole `_em_row(s)` row, built before the correction loop
-    runs, at every s: the reference of the loop that forms them in turn."""
+    runs, at every s: the reference of the loop that forms them in turn.
+    Like `hurwitz_zeta`, it forms no correction and no bound where M^(-s-1)
+    underflows to 0."""
     corrections, k_s = kernels._EM_ROWS.get(s) or kernels._em_row(s)
     try:
         n_terms = kernels._direct_terms(s, a)
@@ -56,13 +59,15 @@ def row_hurwitz(s: float, a: float) -> float:
     big_m = n_terms + a
     tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
     m_power = big_m ** (-s - 1.0)
-    m_squared = big_m * big_m
-    correction = 0.0
-    for coefficient in corrections:
-        correction += coefficient * m_power
-        m_power /= m_squared
+    correction = bound = 0.0
+    if m_power:  # as in `hurwitz_zeta`: above s ~ 3.55e20 K(s) is inf
+        m_squared = big_m * big_m
+        for coefficient in corrections:
+            correction += coefficient * m_power
+            m_power /= m_squared
+        bound = k_s * m_power
     value = head + tail + correction
-    if not k_s * m_power <= kernels.HURWITZ_REL_TOL * value + ABS_TOL < math.inf:
+    if not bound <= kernels.HURWITZ_REL_TOL * value + ABS_TOL < math.inf:
         raise ComputationOverflowError(
             f"hurwitz_zeta({s}, {a}): the remainder bound after {n_terms} "
             f"terms exceeds 2^-56 of the value {value}")
@@ -182,6 +187,13 @@ class TestPolygamma:
             kernels.polygamma(1, -1.0)
         with pytest.raises(DomainError):
             kernels.polygamma(-1, 1.0)
+        # True == 1, but a bool is not an order: no psi'(1) comes back
+        for m in (True, False, 1.0):
+            for block in (contextlib.nullcontext, kernels.memoised):
+                with block(), pytest.raises(DomainError) as refused:
+                    kernels.polygamma(m, 1.0)
+                assert str(refused.value) == (
+                    f"polygamma order must be a non-negative integer, got {m!r}")
 
 
 class TestRiemannZeta:
@@ -420,6 +432,14 @@ class TestGammaDerivSequence:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             kernels.gamma_deriv_sequence(9, 1.0)
+        for n in (True, False):
+            for block in (contextlib.nullcontext, kernels.memoised):
+                for refuse in (kernels.check_deriv_order,
+                               lambda n: kernels.gamma_deriv_sequence(n, 1.0)):
+                    with block(), pytest.raises(DomainError) as refused:
+                        refuse(n)
+                    assert str(refused.value) == (
+                        f"derivative order must be a non-negative integer, got {n}")
 
     def test_overflow_fails_loudly(self):
         with pytest.raises(OverflowError):

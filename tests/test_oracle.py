@@ -1,6 +1,7 @@
 """Quadrature-oracle tests: defining integrals vs known values and the
 closed-form module (which carries its own independent accuracy contract)."""
 
+import contextlib
 import inspect
 import math
 
@@ -84,6 +85,12 @@ class TestPolygammaIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             oracle.integrate_k_polygamma(0, EvalPoint(1.0, 1.0))
+        for m in (True, False, 2.0):
+            for block in (contextlib.nullcontext, kernels.memoised):
+                with block(), pytest.raises(DomainError) as refused:
+                    oracle.integrate_k_polygamma(m, EvalPoint(1.0, 1.0))
+                assert str(refused.value) == (
+                    f"polygamma integral order must be an integer >= 1, got {m}")
 
 
 class TestBoseIntegral:
@@ -149,6 +156,7 @@ class TestDerivIntegral:
 
     @pytest.mark.parametrize("n, error", [
         (-1, DomainError), (1.5, DomainError), (9, UnsupportedOrderError),
+        (True, DomainError), (False, DomainError),
     ])
     def test_order_outside_0_to_8_is_refused(self, n, error):
         with pytest.raises(error, match="derivative order"):
@@ -221,14 +229,14 @@ class TestOracleContracts:
 
     def test_no_kernel_is_evaluated(self, monkeypatch):
         # the oracle is a second route only while it shares none of the
-        # closed forms' arithmetic: with every kernel but the order check
+        # closed forms' arithmetic: with every kernel but the order rule
         # raising, all five integrals still return
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle evaluated a kernel")
 
         for name, attr in vars(kernels).items():
             if (inspect.isfunction(attr) and attr.__module__ == kernels.__name__
-                    and name != "check_deriv_order"):
+                    and name not in ("check_order", "check_deriv_order")):
                 monkeypatch.setattr(kernels, name, refuse)
         with pytest.raises(AssertionError, match="evaluated a kernel"):
             fn.k_gamma(EvalPoint(1.5, 0.8))
