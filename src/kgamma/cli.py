@@ -11,10 +11,12 @@ error` line on stderr); otherwise 0.
 `verify` prints one summary line per selected theorem to stderr: its checks,
 its PASS and FAIL counts, its points not evaluated and, if it has rows, its
 least slack (a NaN first) `at` that row's input columns that are not empty.
-`eval` refuses --p (exit 2) for a function that takes no p.  Only the
-`eval oracle_*` functions take --rel-tol, their quadrature tolerance; a
-closed form, accurate to one fixed 2^-56 Hurwitz truncation, refuses it
-(exit 2).
+An `eval` function takes exactly its flags; argparse refuses any other
+(exit 2): --p where the function takes no p, and --rel-tol, the quadrature
+tolerance of the oracle_* functions, for a closed form, accurate to one
+fixed 2^-56 Hurwitz truncation.  `verify --default-grid` takes no grid
+axis flag (exit 2), and `crosscheck` compares the derivative orders 0..4
+of its grid unless --n gives others.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import time
 
 from . import __version__, harness, kernels, oracle
 from . import functions as fn
-from .policy import ABS_TOL, ORACLE_POLICY, DomainError
+from .policy import ABS_TOL, ORACLE_POLICY, AccuracyPolicy, DomainError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,27 +111,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("function", choices=tuple(_EVAL))
-    p_eval.add_argument("--x", type=float)
-    p_eval.add_argument("--k", type=float)
-    p_eval.add_argument("--p", type=float)
-    p_eval.add_argument("--m", type=int)
-    p_eval.add_argument("--n", type=int)
-    p_eval.add_argument("--s", type=float, help="order for oracle_bose")
-    p_eval.add_argument("--c", type=float, help="kernel scale for oracle_bose")
-    p_eval.add_argument("--rel-tol", type=float, help="oracle_* tolerance")
+    about = ("evaluate one function at one point; only oracle_* take --rel-tol, "
+             "as a closed form has one fixed 2^-56 accuracy")
+    p_eval = sub.add_parser("eval", help=about, description=about)
+    functions = p_eval.add_subparsers(dest="function", required=True)
+    for name, (flags, _) in _EVAL.items():
+        counterpart = name.replace("k_", "pk_", 1)
+        p_function = functions.add_parser(name, description=(
+            f"takes no p; use {counterpart} for the p-k family"
+            if counterpart != name and counterpart in _EVAL else None))
+        if name.startswith("oracle_"):
+            flags += " [rel-tol]"
+        for flag in flags.split():
+            option = flag.strip("[]")
+            p_function.add_argument("--" + option, required=option == flag,
+                                    type=int if option in ("m", "n") else float)
 
-    p_verify = sub.add_parser("verify", help="run an inequality sweep")
+    # the grid axes both sweeps take
+    axes = argparse.ArgumentParser(add_help=False)
+    for flag in ("--x", "--k", "--p-param", "--m", "--n"):
+        axes.add_argument(flag)
+
+    p_verify = sub.add_parser("verify", parents=[axes], help="run an inequality sweep")
     p_verify.add_argument("--theorems", default=None,
                           help="comma list from " + ",".join(harness.THEOREM_IDS))
     p_verify.add_argument("--default-grid", action="store_true",
                           help="use the standard verification grid")
-    p_verify.add_argument("--x", default=None)
-    p_verify.add_argument("--k", default=None)
-    p_verify.add_argument("--p-param", default=None)
-    p_verify.add_argument("--m", default=None)
-    p_verify.add_argument("--n", default=None)
     p_verify.add_argument("--l", default=None)
     p_verify.add_argument("--holder-p", default=None)
     p_verify.add_argument("--slack-tol", type=float,
@@ -137,14 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--output", default=None)
 
-    p_cross = sub.add_parser(
-        "crosscheck", help="closed forms vs the quadrature oracle"
-    )
-    p_cross.add_argument("--x", default=None)
-    p_cross.add_argument("--k", default=None)
-    p_cross.add_argument("--p-param", default=None)
-    p_cross.add_argument("--m", default=None)
-    p_cross.add_argument("--n", default=None)
+    p_cross = sub.add_parser("crosscheck", parents=[axes],
+                             help="closed forms vs the quadrature oracle")
     p_cross.add_argument("--threshold", type=float, default=1e-8)
     return parser
 
@@ -154,14 +155,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _point(args) -> fn.EvalPoint:
-    return fn.EvalPoint(args.x, args.k, args.p)
+    return fn.EvalPoint(args.x, args.k, getattr(args, "p", None))
 
 
-#: eval function -> (flags, evaluate).  Every flag is required but a
-#: bracketed one, which may be left out: oracle_k_gamma_deriv takes the p-k
-#: family exactly when --p is given.  A function whose flags leave out p
-#: refuses --p.  A closed form is evaluate(args); an oracle_* entry is
-#: evaluate(args, policy) and returns a QuadratureResult.
+def _policy(args) -> AccuracyPolicy:
+    if args.rel_tol is None:
+        return ORACLE_POLICY
+    if not 0 < args.rel_tol < math.inf:
+        raise UsageError(f"--rel-tol must be finite and positive, got {args.rel_tol!r}")
+    return dataclasses.replace(ORACLE_POLICY, rel_tol=args.rel_tol)
+
+
+#: eval function -> (flags, evaluate), one subcommand each.  It takes exactly
+#: these flags, and an oracle_* one --rel-tol too; a bracketed flag may be
+#: left out: oracle_k_gamma_deriv takes the p-k family exactly when --p is
+#: given.  `evaluate(args)` returns a closed value or a QuadratureResult.
 _EVAL = {
     "k_gamma": ("x k", lambda a: fn.k_gamma(_point(a))),
     "pk_gamma": ("x k p", lambda a: fn.pk_gamma(_point(a))),
@@ -170,43 +178,24 @@ _EVAL = {
     "pk_zeta": ("x k p", lambda a: fn.pk_zeta(a.x, a.k, a.p)),
     "k_gamma_deriv": ("n x k", lambda a: fn.k_gamma_deriv(a.n, _point(a))),
     "pk_gamma_deriv": ("n x k p", lambda a: fn.pk_gamma_deriv(a.n, _point(a))),
-    "oracle_k_gamma": ("x k", lambda a, pol: oracle.integrate_k_gamma(
-        _point(a), pol)),
-    "oracle_pk_gamma": ("x k p", lambda a, pol: oracle.integrate_pk_gamma(
-        _point(a), pol)),
-    "oracle_k_polygamma": ("m x k", lambda a, pol: oracle.integrate_k_polygamma(
-        a.m, _point(a), pol)),
-    "oracle_bose": ("s k c", lambda a, pol: oracle.integrate_bose(a.s, a.k, a.c, pol)),
-    "oracle_k_gamma_deriv": ("n x k [p]", lambda a, pol: (
-        oracle.integrate_k_gamma_deriv(a.n, _point(a), pol))),
+    "oracle_k_gamma": ("x k", lambda a: oracle.integrate_k_gamma(
+        _point(a), _policy(a))),
+    "oracle_pk_gamma": ("x k p", lambda a: oracle.integrate_pk_gamma(
+        _point(a), _policy(a))),
+    "oracle_k_polygamma": ("m x k", lambda a: oracle.integrate_k_polygamma(
+        a.m, _point(a), _policy(a))),
+    "oracle_bose": ("s k c", lambda a: oracle.integrate_bose(
+        a.s, a.k, a.c, _policy(a))),
+    "oracle_k_gamma_deriv": ("n x k [p]", lambda a: oracle.integrate_k_gamma_deriv(
+        a.n, _point(a), _policy(a))),
 }
 
 
 def cmd_eval(args) -> int:
-    is_oracle = args.function.startswith("oracle_")
-    if args.rel_tol is not None and not is_oracle:
-        raise UsageError(f"function {args.function} does not take --rel-tol: "
-                         "closed forms have one fixed 2^-56 accuracy")
-    if args.rel_tol is not None and not 0 < args.rel_tol < math.inf:
-        raise UsageError(f"--rel-tol must be finite and positive, got {args.rel_tol!r}")
-    flags, evaluate = _EVAL[args.function]
-    names = flags.split()
-    for name in names:
-        if not name.startswith("[") and getattr(args, name) is None:
-            raise UsageError(f"function {args.function} requires --{name}")
-    if args.p is not None and not ("p" in names or "[p]" in names):
-        counterpart = args.function.replace("k_", "pk_", 1)
-        hint = ""
-        if counterpart != args.function and counterpart in _EVAL:
-            hint = f"; use {counterpart}"
-        raise UsageError(f"function {args.function} does not take --p{hint}")
-    if not is_oracle:
-        print(_fmt(evaluate(args)))
+    result = _EVAL[args.function][1](args)
+    if not isinstance(result, oracle.QuadratureResult):
+        print(_fmt(result))
         return EXIT_OK
-    policy = ORACLE_POLICY
-    if args.rel_tol is not None:
-        policy = dataclasses.replace(policy, rel_tol=args.rel_tol)
-    result = evaluate(args, policy)
     print(f"{_fmt(result.value)} error_estimate={_fmt(result.error_estimate)} "
           f"converged={result.converged}")
     return EXIT_OK if result.converged else EXIT_FAIL
@@ -220,15 +209,15 @@ _GRID_AXES = {"x": "xs", "k": "ks", "p_param": "p_params", "m": "ms", "n": "ns",
               "l": "ls", "holder_p": "holder_ps"}
 
 
-def _grid_from_args(args) -> harness.GridSpec:
-    base = harness.GridSpec()
-    if getattr(args, "default_grid", False):
-        return base
-    kwargs = {}
-    for dest, name in _GRID_AXES.items():
-        text = getattr(args, dest, None)  # crosscheck has no --l, --holder-p
-        if text is not None:
-            kwargs[name] = parse_grid_axis(text, integer=dest in ("m", "n", "l"))
+def _grid_from_args(args, base: harness.GridSpec) -> harness.GridSpec:
+    """`base` with each axis that a flag gives; --default-grid takes none."""
+    given = {dest: text for dest in _GRID_AXES  # crosscheck has no --l, --holder-p
+             if (text := getattr(args, dest, None)) is not None}
+    if given and getattr(args, "default_grid", False):
+        raise UsageError("--default-grid takes no grid axis, got "
+                         + ", ".join("--" + dest.replace("_", "-") for dest in given))
+    kwargs = {_GRID_AXES[dest]: parse_grid_axis(text, integer=dest in ("m", "n", "l"))
+              for dest, text in given.items()}
     try:
         return dataclasses.replace(base, **kwargs)
     except DomainError as exc:
@@ -307,7 +296,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"--slack-tol must be finite and non-negative, got {args.slack_tol!r}"
         )
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, harness.GridSpec())
     checks, summary = harness.scan_grid(grid, theorems, args.slack_tol)
 
     metadata = _run_metadata(args, grid)
@@ -341,12 +330,7 @@ def cmd_verify(args) -> int:
 # crosscheck
 
 
-_DERIV_ORDERS = range(5)  # compared by `crosscheck` unless --n is given
-
-
-def crosscheck_families(
-    grid: harness.GridSpec, deriv_orders=_DERIV_ORDERS
-) -> tuple[dict, dict, list]:
+def crosscheck_families(grid: harness.GridSpec) -> tuple[dict, dict, list]:
     """Max relative discrepancy, closed form vs defining integral, per family.
 
     Returns (certified, uncertified) maxima per family and the errors: the
@@ -357,7 +341,7 @@ def crosscheck_families(
 
     The point picks the family, as in `functions`: each (x, k) and each Bose
     integral is checked without p, the k family, then at each p of the grid.
-    Derivatives are compared at `deriv_orders`.  An even order D^(n) is
+    Derivatives are compared at the orders `grid.ns`.  An even order D^(n) is
     positive and is the scale of its own discrepancy; an odd order crosses
     zero, so its scale is the Cauchy-Schwarz bound sqrt(D^(n-1) D^(n+1)) on
     |D^(n)|.  The closed-form orders 0 up to the even order at or above the
@@ -369,8 +353,8 @@ def crosscheck_families(
     worst: dict[str, float] = {}
     uncertified: dict[str, float] = {}
     errors: list[str] = []
-    top = max(n + n % 2 for n in deriv_orders)
-    quad_orders = sorted({0, *deriv_orders})
+    top = max(n + n % 2 for n in grid.ns)
+    quad_orders = sorted({0, *grid.ns})
 
     def at_point(x, k):
         # (family, closed, quad, scale) per comparison at (x, k) and its p
@@ -386,7 +370,7 @@ def crosscheck_families(
                     value = abs(fn.k_polygamma(m, pt))
                     yield ("k_polygamma", value,
                            oracle.integrate_k_polygamma(m, pt, ORACLE_POLICY), value)
-            for n in deriv_orders:
+            for n in grid.ns:
                 scale = (math.sqrt(abs(closed[n - 1])) * math.sqrt(abs(closed[n + 1]))
                          if n % 2 else abs(closed[n]))
                 yield family + "_deriv", closed[n], quad[n], scale
@@ -420,17 +404,17 @@ def cmd_crosscheck(args) -> int:
         raise UsageError(
             f"--threshold must be finite and positive, got {args.threshold!r}"
         )
-    grid = _grid_from_args(args)
-    deriv_orders = grid.ns if args.n is not None else _DERIV_ORDERS
+    # without --n, the derivative orders 0..4
+    grid = _grid_from_args(args, harness.GridSpec(ns=tuple(range(5))))
     # refused before any integral, as usage errors
     try:
-        for n in deriv_orders:
+        for n in grid.ns:
             kernels.check_order(n, 0, kernels.GAMMA_DERIV_MAX_ORDER, "--n")
         for m in grid.ms:
             kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "--m")
     except DomainError as exc:
         raise UsageError(str(exc)) from None
-    worst, uncertified, errors = crosscheck_families(grid, deriv_orders)
+    worst, uncertified, errors = crosscheck_families(grid)
     ok = True
     for family in sorted(worst.keys() | uncertified.keys()):
         certified = worst.get(family, 0.0)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -24,6 +25,14 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(argv, capsys):
+    # argparse exits itself: 2 on an input its parser refuses, 0 after --help
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 class TestEval:
@@ -64,9 +73,10 @@ class TestEval:
         assert exc.value.code == 2
 
     def test_missing_argument(self, capsys):
-        code, _, err = run(["eval", "k_gamma", "--x", "1"], capsys)
-        assert code == 2
-        assert "--k" in err
+        code, out, err = refused(["eval", "k_gamma", "--x", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "kgamma eval k_gamma: error: the following arguments are required: --k\n")
 
     @pytest.mark.parametrize("argv, counterpart", [
         (["k_gamma", "--x", "3", "--k", "1"], "pk_gamma"),
@@ -79,10 +89,13 @@ class TestEval:
     ])
     def test_p_is_refused_by_a_function_without_p(self, capsys, argv, counterpart):
         # k_gamma at x = 3, k = 1 is 2; with p = 2 the p-k value is 16
-        code, out, err = run(["eval", *argv, "--p", "2"], capsys)
-        assert code == 2 and out == ""
-        hint = f"; use {counterpart}" if counterpart else ""
-        assert err == f"usage error: function {argv[0]} does not take --p{hint}\n"
+        code, out, err = refused(["eval", *argv, "--p", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("kgamma: error: unrecognized arguments: --p 2\n")
+        # the p-k counterpart is named in the function's help
+        _, out, _ = refused(["eval", argv[0], "--help"], capsys)
+        hint = f"use {counterpart} for the p-k family"
+        assert (hint in " ".join(out.split())) == (counterpart is not None)
 
     def test_p_switches_oracle_k_gamma_deriv_to_the_p_k_family(self, capsys):
         point = ["eval", "oracle_k_gamma_deriv", "--n", "0", "--x", "3", "--k", "1"]
@@ -127,6 +140,54 @@ class TestEval:
         assert float(out.split()[0]) == pytest.approx(
             math.sqrt(math.pi / 2.0), rel=1e-8
         )
+
+
+#: every `eval` function and the flags it takes; --p of oracle_k_gamma_deriv
+#: is the one that may be left out
+EVAL_FLAGS = {
+    "k_gamma": "x k", "pk_gamma": "x k p", "k_polygamma": "m x k",
+    "k_zeta": "x k", "pk_zeta": "x k p", "k_gamma_deriv": "n x k",
+    "pk_gamma_deriv": "n x k p", "oracle_k_gamma": "x k rel-tol",
+    "oracle_pk_gamma": "x k p rel-tol", "oracle_k_polygamma": "m x k rel-tol",
+    "oracle_bose": "s k c rel-tol", "oracle_k_gamma_deriv": "n x k p rel-tol",
+}
+#: a value for each flag that any `eval` function takes
+EVAL_VALUES = {"x": "3", "k": "1", "p": "2", "m": "1", "n": "1", "s": "1", "c": "1",
+               "rel-tol": "1e-9"}
+
+
+class TestEvalFlags:
+    """Each `eval` function is a subcommand that takes exactly its flags."""
+
+    COUNTERPARTS = {"k_gamma": "pk_gamma", "k_zeta": "pk_zeta",
+                    "k_gamma_deriv": "pk_gamma_deriv",
+                    "oracle_k_gamma": "oracle_pk_gamma"}
+
+    @staticmethod
+    def argv(function):
+        return ["eval", function, *(item for flag in EVAL_FLAGS[function].split()
+                                    for item in (f"--{flag}", EVAL_VALUES[flag]))]
+
+    @pytest.mark.parametrize("function, flag", [
+        (function, flag) for function, flags in EVAL_FLAGS.items()
+        for flag in EVAL_VALUES if flag not in flags.split()
+    ])
+    def test_any_other_flag_is_refused(self, capsys, function, flag):
+        code, out, err = run(self.argv(function), capsys)
+        assert (code, err) == (0, "") and out
+        code, out, err = refused(self.argv(function) + [f"--{flag}", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"kgamma: error: unrecognized arguments: --{flag} 1\n")
+
+    @pytest.mark.parametrize("function", sorted(EVAL_FLAGS))
+    def test_help_lists_exactly_its_flags(self, capsys, function):
+        assert set(EVAL_FLAGS) == set(cli._EVAL)
+        code, out, _ = refused(["eval", function, "--help"], capsys)
+        assert code == 0
+        flags = {f"--{flag}" for flag in EVAL_FLAGS[function].split()}
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *flags}
+        hint = f"takes no p; use {self.COUNTERPARTS.get(function)} for the p-k family"
+        assert (hint in " ".join(out.split())) == (function in self.COUNTERPARTS)
 
 
 #: SHA-256 of the `verify --default-grid` CSV body (all but the timestamp line)
@@ -264,6 +325,18 @@ class TestVerify:
         assert all(r["theorem_id"] == "T5" for r in records)
         assert json.loads(json.dumps(payload)) == payload
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--x", "1"), ("--k", "1"), ("--p-param", "1"), ("--m", "1"), ("--n", "1"),
+        ("--l", "0"), ("--holder-p", "2"),
+    ])
+    def test_default_grid_takes_no_axis_flag(self, capsys, tmp_path, flag, value):
+        report = tmp_path / "report.csv"
+        code, out, err = run(["verify", "--default-grid", flag, value,
+                              "--output", str(report)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --default-grid takes no grid axis, got {flag}\n"
+        assert not report.exists()
+
     def test_unknown_theorem(self, capsys):
         code, _, err = run(["verify", "--theorems", "T9"], capsys)
         assert code == 2
@@ -298,8 +371,8 @@ class TestVerify:
 
 
 class TestRelTol:
-    """Only `eval oracle_*` takes --rel-tol; a closed form refuses it as a
-    usage error, and `verify` and `crosscheck` do not know the flag."""
+    """Only `eval oracle_*` takes --rel-tol; a closed form, `verify` and
+    `crosscheck` do not know the flag."""
 
     POINT = {
         "eval": ["eval", "k_gamma", "--x", "1", "--k", "1"],
@@ -324,7 +397,7 @@ class TestRelTol:
     def test_non_positive_is_usage_error(self, capsys, command, value):
         code, err = self.exit_code(self.POINT[command] + ["--rel-tol", value], capsys)
         assert code == 2
-        if command in self.SWEEPS:
+        if command != "eval_oracle":
             # refused as an unknown flag, before its value is looked at
             assert f"unrecognized arguments: --rel-tol {value}" in err
         else:
@@ -332,10 +405,10 @@ class TestRelTol:
 
     @pytest.mark.parametrize("command", ["eval", "eval_oracle"])
     def test_positive_is_accepted(self, capsys, command):
-        code, _, err = run(self.POINT[command] + ["--rel-tol", "1e-9"], capsys)
+        code, err = self.exit_code(self.POINT[command] + ["--rel-tol", "1e-9"], capsys)
         if command == "eval":  # a closed form takes no tolerance
             assert code == 2
-            assert "usage error: function k_gamma does not take --rel-tol" in err
+            assert err.endswith("kgamma: error: unrecognized arguments: --rel-tol 1e-9\n")
         else:
             assert code == 0
 
@@ -346,9 +419,12 @@ class TestRelTol:
         assert "unrecognized arguments: --rel-tol 1e-9" in err
 
     def test_closed_form_refuses_a_finer_value(self, capsys):
-        code, out, err = run(self.POINT["eval"] + ["--rel-tol", "1e-17"], capsys)
-        assert code == 2 and out == ""
-        assert "usage error" in err and "2^-56" in err
+        code, out, err = refused(self.POINT["eval"] + ["--rel-tol", "1e-17"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("kgamma: error: unrecognized arguments: --rel-tol 1e-17\n")
+        # the reason is in the help
+        code, out, _ = refused(["eval", "--help"], capsys)
+        assert code == 0 and "2^-56" in out
 
 
 def _check(theorem_id, inputs, lhs, rhs, slack, margin, verdict="PASS"):
@@ -589,6 +665,15 @@ class TestCrosscheck:
         assert code == 0
         assert calls == {((0, 1), p): 2 for p in (None, 3.0)}
 
+    def test_library_orders_are_the_grid_ns(self, monkeypatch):
+        calls = self._count_integrals(monkeypatch)
+        grid = harness.GridSpec(xs=(1.0,), ks=(1.0,), ns=(0, 3))
+        worst, uncertified, errors = cli.crosscheck_families(grid)
+        assert (uncertified, errors) == ({}, [])
+        assert {"k_gamma_deriv", "pk_gamma_deriv"} <= set(worst)
+        # one integral call per point and family, at the grid's orders
+        assert calls == {((0, 3), p): 1 for p in (None, *grid.p_params)}
+
     @pytest.mark.parametrize("orders", ["9", "0,9", "-1"])
     def test_orders_outside_cap_are_usage_errors(self, capsys, orders):
         code, _, err = run(["crosscheck", "--x", "1", "--k", "1", "--n", orders],
@@ -732,7 +817,7 @@ class TestParserReuse:
          "--n", "1"],
         ["verify", "--theorems", "T4K,T7", "--x", "1,2", "--k", "1", "--n", "1,2",
          "--format", "json"],
-        ["eval", "k_gamma", "--x", "1"],
+        ["eval", "oracle_k_gamma", "--x", "1", "--k", "1", "--rel-tol", "0"],
     )
 
     def test_repeated_calls_match_a_fresh_parser(self, capsys, monkeypatch):
