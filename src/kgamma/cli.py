@@ -16,7 +16,8 @@ An `eval` function takes exactly its flags; argparse refuses any other
 tolerance of the oracle_* functions, for a closed form, accurate to one
 fixed 2^-56 Hurwitz truncation.  `verify --default-grid` takes no grid
 axis flag (exit 2), and `crosscheck` compares the derivative orders 0..4
-of its grid unless --n gives others.
+of its grid unless --n gives others.  A flag is never abbreviated (`--p` is
+not --p-param), and an order axis takes exact integers: else exit 2.
 """
 
 from __future__ import annotations
@@ -91,12 +92,10 @@ def parse_grid_axis(text: str, integer: bool = False) -> tuple:
         if not values:
             raise UsageError(f"empty grid axis {text!r}")
     if integer:
-        out = []
         for v in values:
-            if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9):
+            if not v.is_integer():  # nor nan or inf
                 raise UsageError(f"axis requires integers, got {v}")
-            out.append(int(round(v)))
-        return tuple(out)
+        return tuple(map(int, values))
     return tuple(values)
 
 
@@ -104,7 +103,7 @@ def parse_grid_axis(text: str, integer: bool = False) -> tuple:
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use and kept: parsing does not change the parser
     parser = argparse.ArgumentParser(
-        prog="kgamma",
+        prog="kgamma", allow_abbrev=False,
         description="Generalized gamma/polygamma/zeta functions and "
                     "inequality verification sweeps.",
     )
@@ -113,11 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     about = ("evaluate one function at one point; only oracle_* take --rel-tol, "
              "as a closed form has one fixed 2^-56 accuracy")
-    p_eval = sub.add_parser("eval", help=about, description=about)
+    p_eval = sub.add_parser("eval", help=about, description=about, allow_abbrev=False)
     functions = p_eval.add_subparsers(dest="function", required=True)
     for name, (flags, _) in _EVAL.items():
         counterpart = name.replace("k_", "pk_", 1)
-        p_function = functions.add_parser(name, description=(
+        p_function = functions.add_parser(name, allow_abbrev=False, description=(
             f"takes no p; use {counterpart} for the p-k family"
             if counterpart != name and counterpart in _EVAL else None))
         if name.startswith("oracle_"):
@@ -128,11 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                     type=int if option in ("m", "n") else float)
 
     # the grid axes both sweeps take
-    axes = argparse.ArgumentParser(add_help=False)
+    axes = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     for flag in ("--x", "--k", "--p-param", "--m", "--n"):
         axes.add_argument(flag)
 
-    p_verify = sub.add_parser("verify", parents=[axes], help="run an inequality sweep")
+    p_verify = sub.add_parser("verify", parents=[axes], allow_abbrev=False,
+                              help="run an inequality sweep")
     p_verify.add_argument("--theorems", default=None,
                           help="comma list from " + ",".join(harness.THEOREM_IDS))
     p_verify.add_argument("--default-grid", action="store_true",
@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--output", default=None)
 
-    p_cross = sub.add_parser("crosscheck", parents=[axes],
+    p_cross = sub.add_parser("crosscheck", parents=[axes], allow_abbrev=False,
                              help="closed forms vs the quadrature oracle")
     p_cross.add_argument("--threshold", type=float, default=1e-8)
     return parser
@@ -378,7 +378,8 @@ def crosscheck_families(grid: harness.GridSpec) -> tuple[dict, dict, list]:
     def bose(k, m):
         for p in (None, *grid.p_params):
             # pzeta_k is zeta_k for every p; the kernel scale c is p or k
-            closed = fn.k_zeta(m + 1.0, k) * fn._gamma_at(m + 1.0, k, p)
+            pt = fn.EvalPoint(m + 1.0, k, p)
+            closed = fn.k_zeta(m + 1.0, k) * fn._gamma_value(pt)
             yield ("bose_k_zeta" if p is None else "bose_pk_zeta", closed,
                    oracle.integrate_bose(m, k, k if p is None else p, ORACLE_POLICY),
                    abs(closed))

@@ -37,10 +37,10 @@ smaller one, which double precision cannot deliver, raises `DomainError`.
 The private readers below take no policy.
 
 A `verify` sweep reads the values its rows share through private readers
-of floats wrapped in `kernels.memo` (`_zeta_at`, `_gamma_at`, `_psi_k_at`,
-`_magnitude_at`, `_all_derivatives`), so inside a `kernels.memoised()`
-block each is computed once.  The public functions keep no table; the
-derivatives read `_all_derivatives` inside a block.
+of floats wrapped in `kernels.memo` (`_zeta_at`, `_gamma_at` of Gamma_k
+alone, `_psi_k_at`, `_magnitude_at`, `_all_derivatives`), so inside a
+`kernels.memoised()` block each is computed once.  The public functions
+keep no table; the derivatives read `_all_derivatives` inside a block.
 """
 
 from __future__ import annotations
@@ -159,10 +159,10 @@ def _gamma_value(pt: EvalPoint) -> float:
 
 
 @kernels.memo
-def _gamma_at(x: float, k: float, p: float | None) -> float:
-    # G at (x, k, p) for a caller without a point; inside a block the point
-    # is built and checked only on a miss
-    return _gamma_value(EvalPoint(x, k, p))
+def _gamma_at(x: float, k: float) -> float:
+    # Gamma_k at (x, k) for a caller without a point; inside a block the
+    # point is built and checked only on a miss
+    return _gamma_value(EvalPoint(x, k))
 
 
 def k_gamma(pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:

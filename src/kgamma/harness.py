@@ -171,24 +171,26 @@ def check_holder_zeta(
 
     lhs = zeta_k(m+1)^(1/p) zeta_k(n+1)^(1/q)
     rhs = Gamma_k(s+1) / (Gamma_k(m+1)^(1/p) Gamma_k(n+1)^(1/q)) * zeta_k(s+1)
-    with s = m/p + n/q, all functions replaced by their p-k variants when
-    p_param is given.  zeta_k(m+1) and zeta_k(n+1) are read first, so a
-    point outside x/k > 1 is refused before any gamma value is read:
-    s + 1 lies between m + 1 and n + 1.
+    with s = m/p + n/q.  T3 (p_param given) reads Gamma_k as T2 does, since
+    pGamma_k(x) = (p_param/k)^(x/k) Gamma_k(x) and s + 1 = (m+1)/p + (n+1)/q
+    cancel that factor from the ratio, and pzeta_k = zeta_k.  zeta_k(m+1)
+    and zeta_k(n+1) are read first, so a point outside x/k > 1 is refused
+    before any gamma value is read: s + 1 lies between m + 1 and n + 1.
     """
     check_order(m, 1, None, "Hölder")
     check_order(n, 1, None, "Hölder")
+    if p_param is not None and not (math.isfinite(p_param) and p_param > 0):
+        raise DomainError(f"p must be a finite positive real, got {p_param!r}")
     s = m / hp.p + n / hp.q
-    # pzeta_k is zeta_k for every p; G is Gamma_k without p, pGamma_k with it
     zeta = lambda x: fn._zeta_at(x, k)
-    gamma = lambda x: fn._gamma_at(x, k, p_param)
+    gamma = lambda x: fn._gamma_at(x, k)
     lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
     numerator = gamma(s + 1.0)
     denominator = gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
     if not denominator > 0.0:  # a bare ZeroDivisionError names no point
         raise ComputationOverflowError(
-            f"gamma ratio denominator of orders m={m}, n={n} at k={k}, "
-            f"p={p_param} underflows to 0 in double precision")
+            f"gamma ratio denominator of orders m={m}, n={n} at k={k} "
+            "underflows to 0 in double precision")
     rhs = numerator / denominator * zeta(s + 1.0)
     # lhs carries two damped factors, rhs four factors
     margin = abs(lhs) * _FUNC_REL + 4.0 * abs(rhs) * _FUNC_REL
@@ -339,21 +341,17 @@ def _eval_points(spec: GridSpec, pk: bool = False) -> tuple[fn.EvalPoint, ...]:
     return spec._pk_points if pk else spec._points
 
 
-def _holder_orders(spec: GridSpec, hp: HolderPair) -> Iterator[tuple[int, int, float]]:
-    """(m, n, s = m/p + n/q) with m, n >= 1 and s integral: the Hölder
-    hypothesis of T1-T3."""
-    for m in spec.ms:
-        for n in spec.ns:
-            s = m / hp.p + n / hp.q
-            if m >= 1 and n >= 1 and abs(s - round(s)) <= 1e-9:
-                yield m, n, s
-
-
 def _holder_triples(spec: GridSpec) -> list[tuple[HolderPair, int, int, float]]:
-    """(hp, m, n, s) for each Hölder pair and its `_holder_orders`, built
-    once per theorem of a sweep rather than at every point."""
-    return [(hp, m, n, s) for hp in spec.holder_pairs()
-            for m, n, s in _holder_orders(spec, hp)]
+    """(hp, m, n, s = m/p + n/q) with m, n >= 1 and s integral, the Hölder
+    hypothesis of T1-T3; built once per theorem of a sweep, not per point."""
+    triples = []
+    for hp in spec.holder_pairs():
+        for m in spec.ms:
+            for n in spec.ns:
+                s = m / hp.p + n / hp.q
+                if m >= 1 and n >= 1 and abs(s - round(s)) <= 1e-9:
+                    triples.append((hp, m, n, s))
+    return triples
 
 
 def _holder_polygamma_points(spec: GridSpec) -> Iterator[tuple]:

@@ -191,21 +191,21 @@ class TestEvalFlags:
 
 
 #: SHA-256 of the `verify --default-grid` CSV body (all but the timestamp line)
-DEFAULT_GRID_SHA256 = "34d6d26f3ec04734fd1a55cde5d3b57eeb16d882dddcf97ce29741be3dce9b4e"
+DEFAULT_GRID_SHA256 = "38035513bf191b70283e9a60b8a66266c8bec53af1f810e01d21d888365b8a8c"
 #: SHA-256 of the `verify --default-grid --format json` report without its
 #: timestamp line
 DEFAULT_GRID_JSON_SHA256 = (
-    "071a6c78076e0f2459cdb09b9840bd44094436c8037ed92d2036beb7c3407d3a"
+    "160ae3f19754f9b7700845cc32ac89b651871557ff769ef0b75523fa9fc6fe1c"
 )
 
 #: A 40 x 20 sweep of every theorem down to k = 0.01, where Gamma_k and the
 #: high derivative orders overflow: SHA-256 of its CSV body and of its
-#: stderr, eight summary lines and 1,380 evaluation errors
+#: stderr, eight summary lines and 1,300 evaluation errors
 GRID_40X20 = ["verify", "--x", "0.5:10:40", "--k", "0.01:3:20",
               "--theorems", "T1,T2,T3,T4K,T4PK,T5,T6,T7"]
-GRID_40X20_SHA256 = "2a58da84637f217584f34a5c6b578915073f6233b04dd859050a1507ef6a71cf"
+GRID_40X20_SHA256 = "c2475c5f09e559b7f9098710527c40a3cf790fa86ff957e2cfd8ad74bce80429"
 GRID_40X20_STDERR_SHA256 = (
-    "a2448fa580e2abb4cb63bda3c4ba7c9aca9ae21d8873dc3e60d852eddb905093"
+    "4f5586fe08d956d49733591a989e4b5b0e2b515802a096567d4e8f20ce277341"
 )
 
 #: SHA-256 of the stdout of `crosscheck --x 0.1,1,5 --k 0.5,1,2`: seven
@@ -295,7 +295,7 @@ class TestVerify:
         assert hashlib.sha256(body.encode()).hexdigest() == GRID_40X20_SHA256
         assert hashlib.sha256(err.encode()).hexdigest() == GRID_40X20_STDERR_SHA256
         assert sum(line.startswith("evaluation error: ")
-                   for line in err.splitlines()) == 1380
+                   for line in err.splitlines()) == 1300
         assert code == 1
 
     def test_t1_default_grid_passes(self, capsys, tmp_path):
@@ -808,6 +808,27 @@ class TestCacheScope:
         assert kernels.active_cache() is None
 
 
+class TestNoAbbreviation:
+    """A flag is taken only as spelled in full: a prefix of one is an
+    unrecognized argument, at every level of the parser."""
+
+    @pytest.mark.parametrize("argv, prefix", [
+        # once the p of T4PK, read as --p-param
+        (["verify", "--theorems", "T4PK", "--x", "1", "--k", "1", "--n", "1"],
+         ["--p", "7"]),
+        (["verify", "--theorems", "T4K", "--x", "1", "--k", "1"], ["--default"]),
+        # once --threshold
+        (["crosscheck", "--x", "1", "--k", "1"], ["--t", "1e-30"]),
+        (["eval", "oracle_k_gamma", "--x", "1", "--k", "1"], ["--rel", "1e-8"]),
+        ([], ["--vers"]),
+    ])
+    def test_a_prefix_is_refused(self, capsys, argv, prefix):
+        code, out, err = refused(argv + prefix, capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "kgamma: error: unrecognized arguments: " + " ".join(prefix))
+
+
 class TestParserReuse:
     ARGVS = (
         ["verify", "--theorems", "T4K,T7", "--x", "1,2", "--k", "1", "--n", "1,2",
@@ -886,33 +907,35 @@ class TestVerifyOverflow:
             assert record["verdict"] == "PASS"
 
     def test_underflowed_gamma_ratio_names_the_point(self, capsys):
-        # pGamma_k underflows to 0 in the denominator of T3's gamma ratio
+        # Gamma_k(2; k=1e-4) underflows to 0 in the denominator of T2's
+        # gamma ratio
         code, out, err = run(
-            ["verify", "--theorems", "T3", "--k", "0.5", "--p-param", "1e-200",
-             "--m", "2,4", "--n", "2,4", "--holder-p", "2"],
+            ["verify", "--theorems", "T2", "--k", "1e-4", "--m", "1", "--n", "1",
+             "--holder-p", "2"],
             capsys,
         )
         assert code == 3
         assert out.splitlines()[2:] == []
-        errors = err.splitlines()[1:]
-        assert len(errors) == 4 and "division by zero" not in err
-        assert errors[1] == (
-            "evaluation error: T3: gamma ratio denominator of orders m=2, n=4 "
-            "at k=0.5, p=1e-200 underflows to 0 in double precision")
+        assert err.splitlines() == [
+            "T2: 0 checks, 0 pass, 0 fail, 1 not evaluated",
+            "evaluation error: T2: gamma ratio denominator of orders m=1, n=1 "
+            "at k=0.0001 underflows to 0 in double precision",
+        ]
 
     def test_theorem_with_rows_counts_its_unevaluated_points(self, capsys):
-        # pGamma_k overflows at k = 0.01 for 80 T3 points; the other 80 at
-        # k = 0.5 are rows, and T3's one summary line counts both
-        code, _, err = run(["verify", "--theorems", "T3", "--k", "0.01,0.5"], capsys)
-        assert code == 3
+        # Gamma_k and its derivatives overflow at x = 10, k = 0.01 for the 4
+        # T4K orders; the other 36 points are rows, and T4K's one summary
+        # line counts both
+        code, _, err = run(["verify", "--theorems", "T4K", "--k", "0.01,0.5"], capsys)
+        assert code == 1  # the even-n Turán reversal at k = 0.5
         lines = err.splitlines()
         assert lines[0].startswith(
-            "T3: 80 checks, 80 pass, 0 fail, 80 not evaluated, "
-            "min slack "
+            "T4K: 36 checks, 32 pass, 4 fail, 4 not evaluated, min slack "
         )
-        assert len(lines) == 1 + 80
-        assert all(line.startswith("evaluation error: T3: pGamma_k(")
-                   for line in lines[1:])
+        assert lines[1:] == [
+            f"evaluation error: T4K: Gamma_k^({n}) at EvalPoint(x=10.0, k=0.01, "
+            "p=None) overflows double precision" for n in range(4)
+        ]
 
 
 class TestGridValues:
@@ -928,6 +951,7 @@ class TestGridValues:
         ("--l", "nan"),
         ("--m", "1e400"),  # parses as inf
         ("--n", "inf"),
+        ("--n", "2.0000000001"),  # once rounded to 2
     ])
     def test_value_without_a_point_is_usage_error(self, capsys, flag, value):
         code, out, err = run(self.T1 + [flag, value], capsys)
@@ -976,8 +1000,13 @@ class TestGridParsing:
 
     def test_integer_axis(self):
         assert cli.parse_grid_axis("1,2,4", integer=True) == (1, 2, 4)
-        with pytest.raises(cli.UsageError):
-            cli.parse_grid_axis("1.5", integer=True)
+        assert cli.parse_grid_axis("2.0", integer=True) == (2,)
+        assert cli.parse_grid_axis("3:5:3", integer=True) == (3, 4, 5)
+        # only an exact integer: one within 1e-9 of 2 was once taken as 2
+        for text in ("1.5", "2.0000000001"):
+            with pytest.raises(cli.UsageError) as refused:
+                cli.parse_grid_axis(text, integer=True)
+            assert str(refused.value) == f"axis requires integers, got {text}"
 
     def test_bad_spec(self):
         with pytest.raises(cli.UsageError):

@@ -451,38 +451,33 @@ class TestDerivativeTables:
         assert set(tables[kernels.hurwitz_zeta]) == {(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)}
 
     def test_gamma_table_is_bit_identical_and_keyed_per_family(self):
+        # the table holds the one family a sweep reads this way, Gamma_k,
+        # keyed by (x, k); pGamma_k has no reader of its own
         points = [EvalPoint(x, k) for x in (2.0, 3.0, 7.5) for k in (0.5, 1.3)]
-        ppoints = [EvalPoint(pt.x, pt.k, p) for pt in points for p in (0.7, 2.0)]
         direct = {pt: fn.k_gamma(pt) for pt in points}
-        direct.update((ppt, fn.pk_gamma(ppt)) for ppt in ppoints)
         with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the table
                 for pt, value in direct.items():
-                    assert fn._gamma_at(pt.x, pt.k, pt.p) == value
+                    assert fn._gamma_at(pt.x, pt.k) == value
             # an overflow is raised on every call, never stored
             for _ in range(2):
                 with pytest.raises(ComputationOverflowError):
-                    fn._gamma_at(7.5, 0.01, None)
-        assert set(tables[fn._gamma_at]) == {(pt.x, pt.k, pt.p) for pt in direct}
+                    fn._gamma_at(7.5, 0.01)
+        assert set(tables[fn._gamma_at]) == {(pt.x, pt.k) for pt in direct}
 
     def test_gamma_at_reads_the_table_and_builds_a_missing_point(self):
-        # the bits or the error of k_gamma / pk_gamma at the point, outside
-        # a block and inside one, where a stored value is read without a
-        # point; a missing one is checked as a point, so a bad argument is
-        # refused and nothing is stored for it
-        cases = [(2.0, 0.5, None), (3.0, 1.3, 2.0), (7.5, 0.01, None),
-                 (-1.0, 0.5, None), (2.0, 0.5, math.nan)]
-
-        def public(x, k, p):
-            return (fn.k_gamma if p is None else fn.pk_gamma)(EvalPoint(x, k, p))
-
-        direct = [_outcome(lambda: public(*case)) for case in cases]
+        # the bits or the error of k_gamma at the point, outside a block and
+        # inside one, where a stored value is read without a point; a
+        # missing one is checked as a point, so a bad argument is refused
+        # and nothing is stored for it
+        cases = [(2.0, 0.5), (3.0, 1.3), (7.5, 0.01), (-1.0, 0.5), (2.0, math.nan)]
+        direct = [_outcome(lambda: fn.k_gamma(EvalPoint(*case))) for case in cases]
         assert [_outcome(lambda: fn._gamma_at(*case)) for case in cases] == direct
         with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the table
                 assert [_outcome(lambda: fn._gamma_at(*case))
                         for case in cases] == direct
-        assert set(tables[fn._gamma_at]) == {(2.0, 0.5, None), (3.0, 1.3, 2.0)}
+        assert set(tables[fn._gamma_at]) == {(2.0, 0.5), (3.0, 1.3)}
 
     def test_zeta_at_reads_the_table_and_falls_back_to_k_zeta(self, monkeypatch):
         # the bits or the error of k_zeta, outside a block and inside one,

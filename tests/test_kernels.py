@@ -569,7 +569,7 @@ class TestKernelCache:
             (lambda: kernels.hurwitz_zeta(3.0, 0.5), {zetas}),
             (lambda: kernels.bell_sequence(3, 2.5, 1.9), {psis, zetas}),
             (lambda: fn._zeta_at(3.5, 0.7), {fn._zeta_at, zetas}),
-            (lambda: fn._gamma_at(3.5, 0.7, None), {fn._gamma_at}),
+            (lambda: fn._gamma_at(3.5, 0.7), {fn._gamma_at}),
             (lambda: (fn.k_gamma_deriv(3, pt), fn._gamma_derivatives((1, 2), ppt)),
              {fn._all_derivatives, psis, zetas}),
             (lambda: fn._psi_k_at(3, 2.5, 0.7), {fn._psi_k_at, zetas}),
