@@ -191,14 +191,43 @@ def k_polygamma(
     return _psi_k(m, pt.x, pt.k)
 
 
+#: From this y = x/k on, zeta_H(m+1, y) is y^-m / m to double precision at
+#: every polygamma order: the next Euler-Maclaurin term is m / (2 y) of it,
+#: at most 12 / 2^65.
+_PSI_K_LEADING_Y = 2.0**64
+
+
 def _psi_k(m: int, x: float, k: float) -> float:
     kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "k_polygamma")
     sign = 1.0 if m % 2 == 1 else -1.0
     try:
         scale = math.factorial(m) * k ** (-(m + 1.0))
     except OverflowError:  # k^-(m+1) beyond the double range
-        scale = math.inf
+        return sign * _psi_k_beyond_range(m, x, k)
     value = sign * scale * kernels.hurwitz_zeta(m + 1.0, x / k)
+    return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, x, k)
+
+
+def _psi_k_beyond_range(m: int, x: float, k: float) -> float:
+    # |psi_k^(m)(x)| where the scale m! k^-(m+1) overflows before zeta_H
+    # brings the product back: k = f 2^e with f in [1/2, 1), and the power of
+    # two is applied last, exactly, so a value in range keeps the accuracy of
+    # the plain product.  From y = 2^64 on, where zeta_H(m+1, y) itself can
+    # underflow, its leading term gives (m-1)! x^-m / k, with x = g 2^d.
+    f, e = math.frexp(k)
+    y = x / k
+    if y < _PSI_K_LEADING_Y:
+        head = math.factorial(m) * f ** (-(m + 1.0)) * kernels.hurwitz_zeta(m + 1.0, y)
+        exponent = -(m + 1) * e
+    else:
+        g, d = math.frexp(x)
+        head = math.factorial(m - 1) * g ** (-float(m)) / f
+        exponent = -m * d - e
+    try:
+        value = math.ldexp(head, exponent)
+    except OverflowError:
+        value = math.inf
+    # the head itself is inf where zeta_H is near the largest double
     return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, x, k)
 
 

@@ -26,7 +26,7 @@ the tail e^(sigma v) decay double-exponentially in tau as well.  The nodes
 walk out from tau = 0 at step 1/2 until two consecutive terms on each side
 are below 1e-20 of the largest; a side not met by |tau| = 16 leaves the
 result unconverged.  The step is then halved, reusing every node, until
-three consecutive levels agree.
+a level's change certifies it (below).
 
 The derivative integrals of one point share their weight
 e^(x v - e^(k v) / c), and with it the centre and the width, so one rule
@@ -39,10 +39,16 @@ Each keeps the result of the first level at which it stops, the result a
 rule for that order alone returns, except that `subdivisions_used` counts
 the shared nodes.
 
-The error estimate adds to the larger of the last two level changes the
-roundoff of the node values and the edge terms of the truncated tails.  It
-is converged when both tails were met and the estimate is within the
-relative tolerance of the integral of |g v^n|.  Every integrand here is
+Each halving of a converging double-exponential rule roughly squares its
+error (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005), so once a level
+change is within the square root of the relative tolerance of the
+integral of |g v^n|, the next change is about the error of the level
+before it.  A level is converged when both tails were met, the change
+before its own is within that square root, and its own change plus the
+roundoff of the node values and the edge terms of the truncated tails is
+within the relative tolerance; that sum is its error estimate.  Two
+changes are still required, as one can vanish by accident.  Otherwise the
+estimate takes the larger of the last two changes.  Every integrand here is
 g >= 0, so at even n that integral is |value|; at odd n, where v^n changes
 sign, |value| can be far below the integrand's scale and the integral of
 |g v^n| is summed apart.  Refinement also stops, unconverged, once the
@@ -168,13 +174,19 @@ class _Order:
             raise OverflowError  # a term or the sum of |terms| overflowed
         if self.previous is not None:
             self.changes.append(abs(value - self.previous))
-        # two level changes, as one can vanish by accident; relative to the
-        # mass alone, and with the subnormal charge: a mass too small to hold
-        # rel_tol of itself certifies nothing, nor does a zero mass (every
-        # term underflowed)
+        # a halving about squares the error of a converging rule: once the
+        # change before this level's is within sqrt(rel_tol) of the mass, this
+        # level's change is about the error of the level before, and bounds
+        # its own.  Two changes are still required, as one can vanish by
+        # accident.  Relative to the mass alone, and with the subnormal
+        # charge: a mass too small to hold rel_tol of itself certifies
+        # nothing, nor does a zero mass (every term underflowed)
+        before, last = self.changes[-2:]
         charge = math.ldexp(len(self.terms) + self.span, -1075)
-        estimate = max(self.changes[-2:]) + roundoff * mass + sh * self.edge + charge
-        converged = self.tails_met and estimate <= policy.rel_tol * mass
+        charges = roundoff * mass + sh * self.edge + charge
+        converged = (self.tails_met and last + charges <= policy.rel_tol * mass
+                     and before <= math.sqrt(policy.rel_tol) * mass)
+        estimate = (last if converged else max(before, last)) + charges
         hi, lo = self.ends
         # unmet tails, or a charge above rel_tol of the mass, which more nodes
         # only raise, end the refinement once the estimate is finite

@@ -210,7 +210,7 @@ GRID_40X20_STDERR_SHA256 = (
 
 #: SHA-256 of the stdout of `crosscheck --x 0.1,1,5 --k 0.5,1,2`: seven
 #: family lines, every discrepancy to the last digit
-CROSSCHECK_SHA256 = "0708545d9842bb8b8829df35f896490708bc4897b6a7531ffe738b2efb554b5f"
+CROSSCHECK_SHA256 = "923f9c8eb4b0d0df50ce5ddd69fa5c7410dda5bdc082b6c13429af145e0b1f60"
 
 
 class TestEvalLargeOrder:

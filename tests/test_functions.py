@@ -155,12 +155,28 @@ class TestKPolygamma:
     @pytest.mark.parametrize("m, x, k", [
         (12, 5e-24, 1e-23),  # finite scale, the product is -inf
         (11, 1e-26, 1e-23),  # finite scale, the product is +inf
-        (12, 1.0, 1e-30),  # k^-13 overflows, and zeta_H(13, 1e30) underflows
+        (12, 1e-25, 1e-30),  # k^-13 overflows, and so does the product
+        (1, 1.0, 1e-310),  # k^-2 overflows, and so does x^-1 / k
+        (12, 1e-123, 1e-100),  # k^-13 overflows, and so does the rest of the product
     ])
     def test_overflow_is_typed(self, m, x, k):
         with pytest.raises(ComputationOverflowError,
                            match=re.escape(f"psi_k^({m})({x}; k={k}) overflows")):
             fn.k_polygamma(m, EvalPoint(x, k))
+
+    @pytest.mark.parametrize("m, x, k", [
+        (3, 1.0, 1e-120),  # 2e120: zeta_H(4, 1e120) underflows, as k^-4 overflows
+        (12, 1.0, 1e-30),  # -4.0e37: zeta_H(13, 1e30) underflows
+        (12, 1e-7, 1e-25),  # -4.0e116: zeta_H(13, 1e18) is 8.3e-218
+        (2, 1e10, 1e-300),  # -1e280: x/k overflows
+    ])
+    def test_value_in_range_beyond_the_scale(self, m, x, k):
+        # the scale m! k^-(m+1) overflows before zeta_H brings it back
+        with mp.workdps(50):
+            want = (-1) ** (m + 1) * mp.factorial(m) * mp.mpf(k) ** -(m + 1) * (
+                mp.zeta(m + 1, mp.mpf(x) / mp.mpf(k)))
+        assert fn.k_polygamma(m, EvalPoint(x, k)) == pytest.approx(float(want),
+                                                                   rel=1e-15)
 
     @pytest.mark.parametrize("m, x, k", [
         (12, 6e-23, 1e-23),  # -4.3e297

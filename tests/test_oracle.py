@@ -334,9 +334,9 @@ def assert_honest(res, want):
 
 
 class TestLogVariable:
-    # node counts: at most 913 for the gamma family (n = 8, x = 1e-3,
-    # k = 20, p = 1) and 305 / 369 for psi_k / Bose over the corners of these
-    # domains; 881 / 305 / 369 over 20,000 / 3,000 / 3,000 random points
+    # node counts: at most 457 for the gamma family (n = 4, x = 1e-3,
+    # k = 20) and 161 / 185 for psi_k / Bose over the corners of these
+    # domains; 441 / 161 / 185 over 20,000 / 3,333 / 3,333 random points
 
     @given(
         x=log_uniform(1e-3, 50.0),
@@ -355,7 +355,7 @@ class TestLogVariable:
             # the integrand peaks beyond double range
             assert abs(want) > 1e300
             return
-        assert res.subdivisions_used < 1000
+        assert res.subdivisions_used < 500
         assert_honest(res, want)
 
     @given(
@@ -366,7 +366,7 @@ class TestLogVariable:
     @settings(max_examples=100, deadline=None)
     def test_polygamma_converged_within_ten_error_estimates(self, m, x, k):
         res = oracle.integrate_k_polygamma(m, EvalPoint(x, k))
-        assert res.converged and res.subdivisions_used < 400
+        assert res.converged and res.subdivisions_used < 200
         assert_honest(res, mp_polygamma_integral(m, x, k))
 
     @given(
@@ -386,7 +386,7 @@ class TestLogVariable:
         except ComputationOverflowError:
             assert abs(want) > 1e300
             return
-        assert res.subdivisions_used < 400
+        assert res.subdivisions_used < 200
         assert_honest(res, want)
 
     @given(
@@ -450,7 +450,7 @@ class TestLogVariable:
         # would spend the whole budget; it takes the nodes of the point above
         x, k, p = 1.0597793777835383, 1.0978725227110262, 3.0727313410050314
         res = oracle.integrate_k_gamma_deriv(3, EvalPoint(x, k, p))
-        assert res.converged and res.subdivisions_used <= 145
+        assert res.converged and res.subdivisions_used <= 73
         assert abs(res.value) < 1e-12 and res.error_estimate < 1e-12
         assert_honest(res, mp_deriv(3, x, k, p))
 
@@ -469,6 +469,30 @@ class TestLogVariable:
             assert results == [oracle.QuadratureResult(
                 scale * base.value, scale * base.error_estimate,
                 base.subdivisions_used, True) for base in bases]
+
+    @pytest.mark.parametrize("gap, certified", [
+        (1e-5, True), (4e-5, False), (0.5, False)])
+    def test_a_vanished_change_needs_the_one_before_it(self, gap, certified):
+        # node terms by tau: a at 0, b / 4 at the 4 midpoints of step 1/2 and
+        # (a + b) / 8 at the 8 of step 1/4, 0 elsewhere.  The levels of steps
+        # 1/2, 1/4 and 1/8 are a / 2, (a + b) / 4 and (a + b) / 4 again: the
+        # last change vanishes, and the one before it, (b - a) / 4, is about
+        # gap / 2 of the mass.  The level is certified only if that is within
+        # sqrt(rel_tol) = 1e-5; a budget of 32 nodes ends the rule there.
+        a, b = 1.0, 1.0 + gap
+        terms = {0.0: a, **{tau: b / 4 for tau in (-0.75, -0.25, 0.25, 0.75)},
+                 **{(j + 0.5) / 4: (a + b) / 8 for j in range(-4, 4)}}
+        # the node of tau is v = tau + 1 - e^-tau, with the weight 1 + e^-tau
+        g_at = {tau + 1.0 - math.exp(-tau): term / (1.0 + math.exp(-tau))
+                for tau, term in terms.items()}
+        policy = AccuracyPolicy(rel_tol=1e-10, max_subdivisions=32)
+        res, = oracle._integrate(lambda v: g_at.get(v, 0.0), 0.0, 1.0, 0.0, policy)
+        assert res.subdivisions_used == 17 and res.converged is certified
+        assert res.value == pytest.approx((a + b) / 4, rel=1e-15)
+        if certified:
+            assert res.error_estimate <= 1e-10 * res.value
+        else:
+            assert res.error_estimate >= (b - a) / 4
 
     @pytest.mark.parametrize("x", [2.5e-5, 0.001, 0.01])
     @pytest.mark.parametrize("with_p", [False, True])
@@ -533,9 +557,9 @@ class TestLogVariable:
 
     def test_panel_count_at_small_x(self):
         # the power-law endpoint t^(x-1) costs a longer walk, and no finer
-        # step: 225 nodes, against 129 at x = 1
+        # step: 113 nodes, against 65 at x = 1
         res = oracle.integrate_k_gamma(EvalPoint(0.05, 1.0))
-        assert res.converged and res.subdivisions_used <= 225
+        assert res.converged and res.subdivisions_used <= 113
 
 
 class TestSharedNodeSet:
@@ -611,6 +635,34 @@ class TestSharedNodeSet:
                    for a, b in zip(shared, singles))
         assert max(a.subdivisions_used for a in shared) < sum(
             b.subdivisions_used for b in singles)
+
+
+class TestCrosscheckDomain:
+    """The integrals of a `crosscheck` point against 50-digit references,
+    over the domain of the benchmark's `crosscheck` points: each converges
+    to within one error estimate, where `assert_honest` allows ten."""
+
+    @staticmethod
+    def check(res, want):
+        assert res.converged and abs(mp.mpf(res.value) - want) <= res.error_estimate, res
+
+    @given(
+        x=log_uniform(0.05, 10.0),
+        k=st.floats(min_value=0.5, max_value=1.99),
+        p=st.floats(min_value=0.5, max_value=5.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_within_one_error_estimate(self, x, k, p):
+        for c in (None, p):
+            pt = EvalPoint(x, k, c)
+            want = mp_derivs(4, x, k, k if c is None else c)
+            for n, res in enumerate(oracle.integrate_k_gamma_derivs(range(5), pt)):
+                self.check(res, want[n])
+        for m in (1, 2):
+            self.check(oracle.integrate_k_polygamma(m, EvalPoint(x, k)),
+                       mp_polygamma_integral(m, x, k))
+            for c in (k, p):
+                self.check(oracle.integrate_bose(m, k, c), mp_bose(m, k, c))
 
 
 class TestOverflow:
