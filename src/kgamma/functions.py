@@ -199,26 +199,18 @@ _PSI_K_LEADING_Y = 2.0**64
 
 def _psi_k(m: int, x: float, k: float) -> float:
     kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "k_polygamma")
-    sign = 1.0 if m % 2 == 1 else -1.0
-    try:
-        scale = math.factorial(m) * k ** (-(m + 1.0))
-    except OverflowError:  # k^-(m+1) beyond the double range
-        return sign * _psi_k_beyond_range(m, x, k)
-    value = sign * scale * kernels.hurwitz_zeta(m + 1.0, x / k)
-    return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, x, k)
-
-
-def _psi_k_beyond_range(m: int, x: float, k: float) -> float:
-    # |psi_k^(m)(x)| where the scale m! k^-(m+1) overflows before zeta_H
-    # brings the product back: k = f 2^e with f in [1/2, 1), and the power of
-    # two is applied last, exactly, so a value in range keeps the accuracy of
-    # the plain product.  From y = 2^64 on, where zeta_H(m+1, y) itself can
+    # m! k^-(m+1) zeta_H(m+1, y) with k = f 2^e and zeta_H = z 2^c, f and z
+    # in [1/2, 1): the head m! f^-(m+1) z is below 2^42 and the one power of
+    # two is applied last, exactly, so the value is right however far
+    # k^-(m+1) lies outside the double range, and past zeta_H only ldexp
+    # can overflow.  From y = 2^64 on, where zeta_H(m+1, y) itself can
     # underflow, its leading term gives (m-1)! x^-m / k, with x = g 2^d.
     f, e = math.frexp(k)
     y = x / k
     if y < _PSI_K_LEADING_Y:
-        head = math.factorial(m) * f ** (-(m + 1.0)) * kernels.hurwitz_zeta(m + 1.0, y)
-        exponent = -(m + 1) * e
+        z, c = math.frexp(kernels.hurwitz_zeta(m + 1.0, y))
+        head = math.factorial(m) * f ** (-(m + 1.0)) * z
+        exponent = c - (m + 1) * e
     else:
         g, d = math.frexp(x)
         head = math.factorial(m - 1) * g ** (-float(m)) / f
@@ -226,9 +218,9 @@ def _psi_k_beyond_range(m: int, x: float, k: float) -> float:
     try:
         value = math.ldexp(head, exponent)
     except OverflowError:
-        value = math.inf
-    # the head itself is inf where zeta_H is near the largest double
-    return _finite_or_overflow(value, "psi_k^({})({}; k={})", m, x, k)
+        raise ComputationOverflowError(
+            f"psi_k^({m})({x}; k={k}) overflows double precision") from None
+    return value if m % 2 == 1 else -value
 
 
 def k_polygamma_magnitude_fractional(
@@ -297,13 +289,16 @@ def pk_zeta(
 
 
 def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[float | None]:
-    # [D_0, ..., D_n_max] of G, None where D_j overflows: D_j = G k^-j B_j,
-    # with B_j the Bell polynomials at c = k, or c = p with p
+    # [D_0, ..., D_n_max] of G, None where D_j or its k^-j overflows:
+    # D_j = G k^-j B_j, with B_j the Bell polynomials at c = k, or c = p with p
     log_value = _log_gamma(x, k, p)
     value = math.exp(log_value) if log_value <= kernels.LOG_MAX else math.inf
     derivs = []
     for j, b in enumerate(kernels.bell_sequence(n_max, x / k, k if p is None else p)):
-        d = value * (b * k ** -float(j))
+        try:
+            d = value * (b * k ** -float(j))
+        except OverflowError:  # k^-j beyond the double range
+            d = math.inf
         derivs.append(d if math.isfinite(d) else None)
     return derivs
 

@@ -1058,6 +1058,26 @@ class TestOverflowIsAnEvaluationError:
         assert err == ("overflow: psi_k^(12)(5e-24; k=1e-23) overflows "
                        "double precision\n")
 
+    def test_eval_k_gamma_deriv_whose_k_power_overflows(self, capsys):
+        # k^-8 at k = 1e-40 is beyond the double range
+        code, out, err = run(["eval", "k_gamma_deriv", "--n", "8", "--x", "1e-38",
+                              "--k", "1e-40"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("overflow: Gamma_k^(8) at EvalPoint(x=1e-38, k=1e-40, "
+                       "p=None) overflows double precision\n")
+
+    def test_verify_t4k_names_the_point_whose_k_power_overflows(self, capsys):
+        # T4K at n = 7 reads D^(6..8), and k^-8 overflows
+        code, out, err = run(["verify", "--theorems", "T4K", "--x", "1e-38",
+                              "--k", "1e-40", "--n", "7"], capsys)
+        assert code == 3
+        assert len(out.splitlines()) == 2  # the header lines only
+        assert err.splitlines() == [
+            "T4K: 0 checks, 0 pass, 0 fail, 1 not evaluated",
+            "evaluation error: T4K: Gamma_k^(8) at EvalPoint(x=1e-38, k=1e-40, "
+            "p=None) overflows double precision",
+        ]
+
 
 #: Runs `verify --default-grid` and one `crosscheck` with numpy, scipy and
 #: mpmath unimportable, and prints what they returned as JSON.

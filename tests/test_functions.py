@@ -6,7 +6,7 @@ import re
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgamma import functions as fn
@@ -33,6 +33,24 @@ def mp_k_gamma(x, k):
 
 def mp_pk_gamma(x, k, p):
     return mp.mpf(p) ** (mp.mpf(x) / k) / k * mp.gamma(mp.mpf(x) / k)
+
+
+def mp_psi_k(m, x, k):
+    """psi_k^(m)(x) = (-1)^(m+1) m! k^-(m+1) zeta_H(m+1, x/k) in 80 digits;
+    at 40 or 50, mpmath's zeta(13, a) is itself off by up to 1.8e-13 for
+    a in the thousands."""
+    with mp.workdps(80):
+        x, k = mp.mpf(x), mp.mpf(k)
+        return (-1) ** (m + 1) * mp.factorial(m) * k ** -(m + 1) * mp.zeta(m + 1, x / k)
+
+
+def psi_k_bound(m):
+    """The relative error `k_polygamma` may have at order m.  zeta_H's
+    remainder is 2^-56 of it; y = x/k and, from y = 2^53 on, M = N + y in
+    its tail are rounded once each, and zeta_H(m+1, y) moves by at most m+1
+    times either rounding; its sum, the pow of k's mantissa and the two
+    products add a few units of 2^-53 more."""
+    return 2.0**-56 + (2 * (m + 1) + 4) * 2.0**-53
 
 
 class TestEvalPoint:
@@ -169,14 +187,15 @@ class TestKPolygamma:
         (12, 1.0, 1e-30),  # -4.0e37: zeta_H(13, 1e30) underflows
         (12, 1e-7, 1e-25),  # -4.0e116: zeta_H(13, 1e18) is 8.3e-218
         (2, 1e10, 1e-300),  # -1e280: x/k overflows
+        (1, 1e150, 1e170),  # 1e-300: k^-2 underflows to 0
+        (12, 1e24, 1e24),  # -4.8e-304: k^-13 is subnormal
+        (12, 1e10, 1e-20),  # -4.0e-93: zeta_H(13, 1e30) underflows to 0
     ])
     def test_value_in_range_beyond_the_scale(self, m, x, k):
-        # the scale m! k^-(m+1) overflows before zeta_H brings it back
-        with mp.workdps(50):
-            want = (-1) ** (m + 1) * mp.factorial(m) * mp.mpf(k) ** -(m + 1) * (
-                mp.zeta(m + 1, mp.mpf(x) / mp.mpf(k)))
-        assert fn.k_polygamma(m, EvalPoint(x, k)) == pytest.approx(float(want),
-                                                                   rel=1e-15)
+        # a factor of the closed form is beyond the double range, the value
+        # is not
+        assert fn.k_polygamma(m, EvalPoint(x, k)) == pytest.approx(
+            float(mp_psi_k(m, x, k)), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("m, x, k", [
         (12, 6e-23, 1e-23),  # -4.3e297
@@ -185,10 +204,35 @@ class TestKPolygamma:
         (4, 2.5, 0.5),
     ])
     def test_finite_values_are_the_plain_product(self, m, x, k):
-        # a finite value is the closed form bit for bit, to the range's edge
-        value = (-1.0) ** (m + 1) * math.factorial(m) * k ** (-(m + 1.0)) * (
-            kernels.hurwitz_zeta(m + 1.0, x / k))
-        assert fn.k_polygamma(m, EvalPoint(x, k)) == value
+        # a finite value is the closed form's product, to the range's edge
+        want = mp_psi_k(m, x, k)
+        assert abs(fn.k_polygamma(m, EvalPoint(x, k)) - want) <= (
+            psi_k_bound(m) * abs(want))
+
+    @given(
+        m=st.integers(min_value=1, max_value=kernels.POLYGAMMA_MAX_ORDER),
+        log_k=st.floats(min_value=-300.0, max_value=300.0),
+        log_y=st.none() | st.floats(min_value=-30.0, max_value=40.0),
+        log_x=st.floats(min_value=-300.0, max_value=300.0),
+    )
+    @example(m=1, log_k=170.0, log_y=None, log_x=150.0)
+    @example(m=12, log_k=24.0, log_y=None, log_x=24.0)
+    @example(m=12, log_k=-20.0, log_y=None, log_x=10.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mpmath_across_the_double_range(self, m, log_k, log_y, log_x):
+        # x = k 10^log_y where log_y is drawn, else x = 10^log_x.  A value is
+        # never silently wrong: it is within the error model of the closed
+        # form, plus the subnormal spacing below the normal range.  A refusal
+        # is loud, not wrong, and is not checked here.
+        k = 10.0**log_k
+        x = 10.0**log_x if log_y is None else k * 10.0**log_y
+        assume(0.0 < x < math.inf)
+        try:
+            got = fn.k_polygamma(m, EvalPoint(x, k))
+        except (ComputationOverflowError, DomainError):
+            return
+        want = mp_psi_k(m, x, k)
+        assert abs(got - want) <= psi_k_bound(m) * abs(want) + 2.0**-1074
 
     def test_order_bounds(self):
         with pytest.raises(DomainError):
@@ -355,6 +399,14 @@ class TestDerivatives:
             assert max(abs(ref[0]), abs(ref[n])) > 1e300
             return
         assert abs(got - ref[n]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [None, 1.0])
+    def test_overflowed_k_power_is_typed(self, p):
+        # k^-8 at k = 1e-40 is beyond the double range; k^-7 is not
+        family = "Gamma_k" if p is None else "pGamma_k"
+        with pytest.raises(ComputationOverflowError, match=re.escape(
+                f"{family}^(8) at {EvalPoint(1e-38, 1e-40, p)} overflows")):
+            _deriv(8, 1e-38, 1e-40, p)
 
     def test_underflow_is_a_value_not_an_overflow(self):
         # Gamma_k(1) at k = 0.001 is 1e-433: both it and its derivative are 0
