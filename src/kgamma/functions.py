@@ -205,14 +205,25 @@ def _psi_k(m: int, x: float, k: float) -> float:
     # k^-(m+1) lies outside the double range, and past zeta_H only ldexp
     # can overflow.  From y = 2^64 on, where zeta_H(m+1, y) itself can
     # underflow, its leading term gives (m-1)! x^-m / k, with x = g 2^d.
+    # Where y^-(m+1) is beyond the double range, or y underflowed to 0, it
+    # is the whole of zeta_H(m+1, y) = y^-(m+1) + zeta_H(m+1, y+1), whose
+    # second term is at most zeta(2): the value is m! x^-(m+1).
     f, e = math.frexp(k)
+    g, d = math.frexp(x)
     y = x / k
     if y < _PSI_K_LEADING_Y:
-        z, c = math.frexp(kernels.hurwitz_zeta(m + 1.0, y))
-        head = math.factorial(m) * f ** (-(m + 1.0)) * z
-        exponent = c - (m + 1) * e
+        try:
+            zeta = kernels.hurwitz_zeta(m + 1.0, y) if y else math.inf
+        except ComputationOverflowError:
+            zeta = math.inf
+        if zeta < math.inf:
+            z, c = math.frexp(zeta)
+            head = math.factorial(m) * f ** (-(m + 1.0)) * z
+            exponent = c - (m + 1) * e
+        else:
+            head = math.factorial(m) * g ** (-(m + 1.0))
+            exponent = -(m + 1) * d
     else:
-        g, d = math.frexp(x)
         head = math.factorial(m - 1) * g ** (-float(m)) / f
         exponent = -m * d - e
     try:

@@ -28,6 +28,17 @@ are below 1e-20 of the largest; a side not met by |tau| = 16 leaves the
 result unconverged.  The step is then halved, reusing every node, until
 a level's change certifies it (below).
 
+The nodes depend on tau alone, not on the integrand, so each offset
+tau + 1 - e^-tau and weight 1 + e^-tau is computed once per process and
+kept in tables, as is usual for the rule (Bailey, Jeyabalan and Li,
+Exp. Math. 14, 2005): the walk's 32 nodes a side in `_SIDES`, and the
+midpoints of a step h over (-16, 16) in `_MIDPOINTS`, built when a level of
+that step is first summed, for every h whose table holds at most 4,096
+nodes (h down to 2^-7, 8,128 nodes in all).  A finer level builds only the
+midpoints it sums, with the same builder, so no policy grows the tables.
+Every tau is a dyadic number of at most 53 bits, so a tabled node is bit
+for bit the one computed in place, and the tables change no result.
+
 The derivative integrals of one point share their weight
 e^(x v - e^(k v) / c), and with it the centre and the width, so one rule
 integrates g(v) v^n for several orders n on one node set: each node's g is
@@ -92,12 +103,13 @@ class QuadratureResult:
     converged: bool
 
 
-#: The walk's step in tau, and its end: v - v0 = -s (e^16 + 15), about
-#: -8.9e6 s, meets a tail e^(sigma v) for sigma down to about 6e-6 / s, and
-#: v - v0 = 16 s a kernel factor exp(-e^(k v) / c) for x / k down to about
-#: 6e-6 (s = 1 / k there).
+#: The walk's step in tau, its nodes on each side and its end: v - v0 =
+#: -s (e^16 + 15), about -8.9e6 s, meets a tail e^(sigma v) for sigma down to
+#: about 6e-6 / s, and v - v0 = 16 s a kernel factor exp(-e^(k v) / c) for
+#: x / k down to about 6e-6 (s = 1 / k there).
 _H0 = 0.5
-_TAU_MAX = 16.0
+_WALK = 32
+_TAU_MAX = _H0 * _WALK
 
 #: A node term below this fraction of the largest one is negligible.
 _NEGLIGIBLE = 1e-20
@@ -110,70 +122,116 @@ _SUM_ULPS = 50.0
 _LOG_CAP = 709.0
 
 
-def _ratio(u: float) -> float:
-    """u / (1 - e^-u), continued by its limit 1 at u = 0."""
-    return u / -math.expm1(-u) if u else 1.0
+def _nodes(taus: Iterable[float]) -> list[tuple[float, float]]:
+    """(tau + 1 - e^-tau, 1 + e^-tau) at each tau of `taus`: a node's v - v0
+    in units of s, and its weight in units of s h."""
+    return [(tau + 1.0 - (e := math.exp(-tau)), 1.0 + e) for tau in taus]
+
+
+#: The node at tau = 0, and the walk's nodes at tau = j step, j = 1..32
+_CENTRE = _nodes([0.0])[0]
+_SIDES = {step: _nodes([step * j for j in range(1, _WALK + 1)])
+          for step in (_H0, -_H0)}
+
+#: The midpoint nodes of each step h, at tau = -16 + (j + 1/2) h over
+#: (-16, 16), for the h whose table has at most this many entries: seven
+#: steps, 8,128 entries in all.  Filled as the steps are first summed.
+_TABLE_CAP = 2**12
+_MIDPOINTS: dict[float, list[tuple[float, float]]] = {}
+
+
+def _midpoints(h: float, lo: float, count: int) -> list[tuple[float, float]]:
+    """The nodes at tau = lo + (j + 1/2) h, j < count, for a lo in
+    [-16, 16] that is a multiple of h.  Every such tau is a dyadic number
+    of at most 53 bits, so it is -16 + (j' + 1/2) h exactly, and so are its
+    nodes, whichever table they are read from."""
+    first = round((lo + _TAU_MAX) / h)
+    size = round(2.0 * _TAU_MAX / h)
+    if size > _TABLE_CAP:
+        return _nodes([-_TAU_MAX + (j + 0.5) * h for j in range(first, first + count)])
+    table = _MIDPOINTS.get(h)
+    if table is None:
+        table = _MIDPOINTS[h] = _nodes([-_TAU_MAX + (j + 0.5) * h for j in range(size)])
+    return table[first:first + count]
 
 
 class _Order:
     """One order n of a shared rule: its own terms, ends and level changes.
 
-    `ends` holds the last tau of its walk to the right, then to the left.
+    `ends` holds the last tau of its walk to the right, then to the left;
+    `sizes` the |term| of each term at odd n, where the integral of |g v^n|
+    is summed apart; `before` and `last` the last two level changes.
     """
 
-    __slots__ = ("n", "terms", "largest", "ends", "edge", "tails_met", "span",
-                 "previous", "changes", "result")
+    __slots__ = ("n", "terms", "sizes", "largest", "ends", "edge", "tails_met",
+                 "span", "previous", "before", "last", "result")
 
     def __init__(self, n: int, w: float, v: float, d: float) -> None:
         self.n, self.terms = n, [w * v**n * d]
         self.largest, self.tails_met = abs(self.terms[0]), True
+        self.sizes = [self.largest] if n % 2 else None
         self.ends, self.edge = [], 0.0
-        self.previous, self.changes, self.result = None, [math.inf, math.inf], None
+        self.previous, self.before, self.last, self.result = None, math.inf, math.inf, None
 
-    def walk(self, side: list, node: Callable, step: float) -> None:
+    def walk(self, side: list, step: float, g: Callable[[float], float],
+             v0: float, s: float) -> None:
         """Walk out from tau = 0 at `step` until two consecutive terms are
         negligible, or to |tau| = 16, over the nodes (g, v, 1 + e^-tau) of
-        `side`, which every order shares, evaluating those not yet there."""
-        n, terms, largest = self.n, self.terms, self.largest
-        tau, quiet, i, known = 0.0, 0, 0, len(side)
-        while quiet < 2 and abs(tau) < _TAU_MAX:
-            tau += step
+        `side`, which every order shares, evaluating those not yet there
+        from the table `_SIDES[step]`."""
+        n, append, sizes, largest = self.n, self.terms.append, self.sizes, self.largest
+        table = _SIDES[step]
+        floor = _NEGLIGIBLE * largest
+        quiet = i = 0
+        known = len(side)
+        while quiet < 2 and i < _WALK:
             if i == known:
-                side.append(node(tau))
+                a, d = table[i]
+                v = v0 + s * a
+                side.append((g(v), v, d))
                 known += 1
             w, v, d = side[i]
             i += 1
             term = w * v**n * d if n else w * d  # v^0 = 1 exactly
-            terms.append(term)
+            append(term)
             last = abs(term)
-            largest = max(largest, last)
-            quiet = quiet + 1 if last <= _NEGLIGIBLE * largest else 0
+            if sizes is not None:
+                sizes.append(last)
+            if last > largest:
+                largest = last
+                floor = _NEGLIGIBLE * largest
+            quiet = quiet + 1 if last <= floor else 0
         self.largest = largest
         self.tails_met = self.tails_met and quiet == 2
-        self.ends.append(tau)
+        self.ends.append(step * i)
         self.edge += last
 
     def extend(self, nodes: list) -> None:
         """The terms of this order's midpoints, `nodes`, of the next level."""
         n = self.n
         if n:
-            self.terms += [w * v**n * d for w, v, d in nodes]
+            new = [w * v**n * d for w, v, d in nodes]
+            if self.sizes is not None:
+                self.sizes += map(abs, new)
+            self.terms += new
         else:  # v^0 = 1 exactly
             self.terms += [w * d for w, v, d in nodes]
 
-    def settle(self, sh: float, h: float, roundoff: float, nodes: int,
-               policy: AccuracyPolicy) -> bool:
+    def settle(self, sh: float, h: float, nodes: int, roundoff: float,
+               tol: float, root_tol: float, budget: int) -> bool:
         """Judge the level of step h, whose node weight is sh = s h; keep its
-        result and return True if this order stops there."""
+        result and return True if this order stops there.  `tol` is the
+        policy's rel_tol, `root_tol` its square root, and `budget` its
+        max_subdivisions."""
         value = sh * math.fsum(self.terms)
-        if self.n % 2:  # v^n changes sign: the integral of |g v^n| apart
-            mass = sh * math.fsum(map(abs, self.terms))
+        if self.sizes is not None:  # v^n changes sign: the integral of |g v^n| apart
+            mass = sh * math.fsum(self.sizes)
         else:  # g >= 0, so every term is, and that integral is |value|
             mass = abs(value)
         if not math.isfinite(mass):
             raise OverflowError  # a term or the sum of |terms| overflowed
         if self.previous is not None:
-            self.changes.append(abs(value - self.previous))
+            self.before, self.last = self.last, abs(value - self.previous)
         # a halving about squares the error of a converging rule: once the
         # change before this level's is within sqrt(rel_tol) of the mass, this
         # level's change is about the error of the level before, and bounds
@@ -181,18 +239,18 @@ class _Order:
         # accident.  Relative to the mass alone, and with the subnormal
         # charge: a mass too small to hold rel_tol of itself certifies
         # nothing, nor does a zero mass (every term underflowed)
-        before, last = self.changes[-2:]
+        before, last = self.before, self.last
         charge = math.ldexp(len(self.terms) + self.span, -1075)
         charges = roundoff * mass + sh * self.edge + charge
-        converged = (self.tails_met and last + charges <= policy.rel_tol * mass
-                     and before <= math.sqrt(policy.rel_tol) * mass)
+        converged = (self.tails_met and last + charges <= tol * mass
+                     and before <= root_tol * mass)
         estimate = (last if converged else max(before, last)) + charges
         hi, lo = self.ends
         # unmet tails, or a charge above rel_tol of the mass, which more nodes
         # only raise, end the refinement once the estimate is finite
-        hopeless = not self.tails_met or policy.rel_tol * mass < charge
+        hopeless = not self.tails_met or tol * mass < charge
         if (converged or (hopeless and estimate < math.inf)
-                or len(self.terms) + round((hi - lo) / h) > policy.max_subdivisions):
+                or len(self.terms) + round((hi - lo) / h) > budget):
             self.result = QuadratureResult(value, estimate, nodes, converged)
             return True
         self.previous = value
@@ -218,20 +276,19 @@ def _integrate(
     sum's 50.  `policy.max_subdivisions` bounds every level of an order
     after the walk.
     """
-
-    def node(tau: float) -> tuple[float, float, float]:
-        e = math.exp(-tau)
-        v = v0 + s * (tau + 1.0 - e)
-        return g(v), v, 1.0 + e
-
     h = _H0
+    tol, budget = policy.rel_tol, policy.max_subdivisions
+    root_tol = math.sqrt(tol)
     try:
-        parts = [_Order(n, *node(0.0)) for n in orders]
+        a, d = _CENTRE
+        v = v0 + s * a
+        w = g(v)
+        parts = [_Order(n, w, v, d) for n in orders]
         nodes = 1
         for step in (h, -h):
             side = []
             for part in parts:
-                part.walk(side, node, step)
+                part.walk(side, step, g, v0, s)
             nodes += len(side)
         # each term is rounded twice, in g and in the product, and each
         # rounding can lose half the smallest subnormal; the first is scaled
@@ -241,12 +298,13 @@ def _integrate(
             part.span = s * (hi - lo + math.exp(-lo) - math.exp(-hi))
         roundoff = (_SUM_ULPS + size) * sys.float_info.epsilon
         pending = parts
-        while pending := [part for part in pending
-                          if not part.settle(s * h, h, roundoff, nodes, policy)]:
+        while pending := [part for part in pending if not part.settle(
+                s * h, h, nodes, roundoff, tol, root_tol, budget)]:
             # the midpoints between the widest ends; each order takes its own
             lo = min(part.ends[1] for part in pending)
             hi = max(part.ends[0] for part in pending)
-            new = [node(lo + (j + 0.5) * h) for j in range(round((hi - lo) / h))]
+            new = [(g(v := v0 + s * a), v, d)
+                   for a, d in _midpoints(h, lo, round((hi - lo) / h))]
             nodes += len(new)
             for part in pending:
                 first = round((part.ends[1] - lo) / h)
@@ -315,8 +373,8 @@ def integrate_k_polygamma(
         w = v + log_k  # log(k t)
         if w >= _LOG_CAP:
             return 0.0
-        u = math.exp(w)
-        return math.exp(m * v - x_k * u - log_k) * _ratio(u)
+        u = math.exp(w)  # u / (1 - e^-u) tends to 1 as u -> 0
+        return math.exp(m * v - x_k * u - log_k) * (u / -math.expm1(-u) if u else 1.0)
 
     # up to the constant -log_k, the exponent m v - x e^v is that of _peak
     # with x -> m, k -> 1 and c -> 1 / x: it peaks at ln(m / x), width m^-1/2
@@ -350,8 +408,8 @@ def integrate_bose(
         w = k * v - log_c  # log(t^k / c)
         if w >= _LOG_CAP:
             return 0.0
-        u = math.exp(w)
-        return math.exp(sigma * v + log_c - u) * _ratio(u)
+        u = math.exp(w)  # u / (1 - e^-u) tends to 1 as u -> 0
+        return math.exp(sigma * v + log_c - u) * (u / -math.expm1(-u) if u else 1.0)
 
     return _integrate(g, *_peak(sigma, k, log_c), policy)[0]
 

@@ -176,6 +176,7 @@ class TestKPolygamma:
         (12, 1e-25, 1e-30),  # k^-13 overflows, and so does the product
         (1, 1.0, 1e-310),  # k^-2 overflows, and so does x^-1 / k
         (12, 1e-123, 1e-100),  # k^-13 overflows, and so does the rest of the product
+        (1, 1e-300, 1e300),  # x/k underflows to 0, and x^-2 overflows
     ])
     def test_overflow_is_typed(self, m, x, k):
         with pytest.raises(ComputationOverflowError,
@@ -190,12 +191,24 @@ class TestKPolygamma:
         (1, 1e150, 1e170),  # 1e-300: k^-2 underflows to 0
         (12, 1e24, 1e24),  # -4.8e-304: k^-13 is subnormal
         (12, 1e10, 1e-20),  # -4.0e-93: zeta_H(13, 1e30) underflows to 0
+        (12, 1.0, 1e25),  # -12!: zeta_H(13, 1e-25) overflows
+        (1, 1e145, 1e300),  # 1e-290: zeta_H(2, 1e-155) overflows
+        (1, 1e-30, 1e300),  # 1e60: x/k underflows to 0
     ])
     def test_value_in_range_beyond_the_scale(self, m, x, k):
         # a factor of the closed form is beyond the double range, the value
         # is not
         assert fn.k_polygamma(m, EvalPoint(x, k)) == pytest.approx(
             float(mp_psi_k(m, x, k)), rel=1e-15, abs=0.0)
+
+    def test_leading_term_where_zeta_h_is_beyond_range(self):
+        # y^-(m+1) alone is zeta_H(m+1, y) there: m! x^-(m+1), to the bit of
+        # 60-digit mpmath
+        assert fn.k_polygamma(12, EvalPoint(1.0, 1e25)) == -479001600.0
+        assert fn.k_polygamma(1, EvalPoint(1e145, 1e300)) == 1e-290
+        assert fn.k_polygamma(1, EvalPoint(1e-30, 1e300)) == 9.999999999999998e+59
+        with kernels.memoised():
+            assert fn._psi_k_at(1, 1e-30, 1e300) == 9.999999999999998e+59
 
     @pytest.mark.parametrize("m, x, k", [
         (12, 6e-23, 1e-23),  # -4.3e297
@@ -212,12 +225,14 @@ class TestKPolygamma:
     @given(
         m=st.integers(min_value=1, max_value=kernels.POLYGAMMA_MAX_ORDER),
         log_k=st.floats(min_value=-300.0, max_value=300.0),
-        log_y=st.none() | st.floats(min_value=-30.0, max_value=40.0),
+        log_y=st.none() | st.floats(min_value=-340.0, max_value=40.0),
         log_x=st.floats(min_value=-300.0, max_value=300.0),
     )
     @example(m=1, log_k=170.0, log_y=None, log_x=150.0)
     @example(m=12, log_k=24.0, log_y=None, log_x=24.0)
     @example(m=12, log_k=-20.0, log_y=None, log_x=10.0)
+    @example(m=1, log_k=300.0, log_y=None, log_x=-30.0)
+    @example(m=12, log_k=25.0, log_y=None, log_x=0.0)
     @settings(max_examples=300, deadline=None)
     def test_matches_mpmath_across_the_double_range(self, m, log_k, log_y, log_x):
         # x = k 10^log_y where log_y is drawn, else x = 10^log_x.  A value is

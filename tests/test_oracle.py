@@ -2,6 +2,7 @@
 closed-form module (which carries its own independent accuracy contract)."""
 
 import contextlib
+import hashlib
 import inspect
 import math
 
@@ -690,3 +691,107 @@ class TestOverflow:
         res = oracle.integrate_k_gamma(pt)
         assert res.converged
         assert res.value == pytest.approx(fn.k_gamma(pt), rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the oracle's bits: a digest of fixed calls, and its node tables
+
+
+def golden_calls():
+    """The oracle calls whose every field the golden digest covers: every
+    integral of `crosscheck --x 0.1,1,5 --k 0.5,1,2 --p-param 0.5,2 --n 0..8
+    --m 1,2,3`, the small-x points where the tail e^(x v) is longest, a p
+    and a c deep in the subnormal range, a tight node budget, and a kinked
+    integrand refined past the cached levels."""
+    orders = tuple(range(9))
+    for x in (0.1, 1.0, 5.0):
+        for k in (0.5, 1.0, 2.0):
+            for p in (None, 0.5, 2.0):
+                pt = EvalPoint(x, k, p)
+                yield from oracle.integrate_k_gamma_derivs(orders, pt)
+                yield (oracle.integrate_k_gamma(pt) if p is None
+                       else oracle.integrate_pk_gamma(pt))
+            for m in (1, 2, 3):
+                yield oracle.integrate_k_polygamma(m, EvalPoint(x, k))
+    for k in (0.5, 1.0, 2.0):
+        for m in (1, 2, 3):
+            if m - k > -1.0:  # integrable at 0, as crosscheck requires
+                for c in (k, 0.5, 2.0):
+                    yield oracle.integrate_bose(m, k, c)
+    for x in (0.001, 0.01):
+        for k in (0.5, 1.0):
+            for p in (None, 1.0):
+                yield from oracle.integrate_k_gamma_derivs(orders, EvalPoint(x, k, p))
+        yield oracle.integrate_k_polygamma(1, EvalPoint(x, 1.0))
+    yield oracle.integrate_pk_gamma(EvalPoint(1.0, 1.0, 1e-320))
+    yield oracle.integrate_bose(1.0, 0.5, 1e-200)
+    yield from oracle.integrate_k_gamma_derivs(
+        orders, EvalPoint(0.3, 0.7, 2.0), AccuracyPolicy(1e-14, 300))
+    # a kink at v = 0.3 slows convergence to h^2: levels past the tabled ones
+    yield from oracle._integrate(kinked, 0.1, 0.7, 3.0, AccuracyPolicy(1e-15, 2**15),
+                                 (0, 1, 2, 3))
+
+
+def kinked(v):
+    return math.exp(-abs(v - 0.3) - v * v)
+
+
+class TestBitIdentity:
+    def test_golden_digest(self):
+        # the digest of the oracle before its nodes were tabled: a change of
+        # any bit of any field of any call changes it.  Taken with glibc's
+        # libm, whose exp and expm1 the integrands call
+        lines = "\n".join(
+            repr((res.value, res.error_estimate, res.subdivisions_used, res.converged))
+            for res in golden_calls())
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "9e51d6ee37bfe96b3dd623af74fbfeb3ff04eeccb344d937d2905cff0e95f1c4")
+
+    def test_golden_overflow(self):
+        with pytest.raises(ComputationOverflowError,
+                           match="^integral overflows double precision$"):
+            oracle.integrate_k_gamma_deriv(4, EvalPoint(10.0, 0.05, 2.0))
+
+
+class TestNodeTables:
+    """Every tabled node is the one the map gives at its tau, bit for bit,
+    and no policy grows the tables past their cap."""
+
+    @staticmethod
+    def inline(tau):
+        e = math.exp(-tau)
+        return tau + 1.0 - e, 1.0 + e
+
+    def test_side_nodes(self):
+        assert sorted(oracle._SIDES) == [-0.5, 0.5]
+        for step, table in oracle._SIDES.items():
+            assert len(table) == 32
+            for j, node in enumerate(table, 1):
+                assert node == self.inline(step * j)
+        assert oracle._CENTRE == self.inline(0.0)
+
+    def test_cached_midpoint_nodes(self):
+        list(golden_calls())  # fills the tables of every cached level
+        assert sorted(oracle._MIDPOINTS) == [2.0**-j for j in range(7, 0, -1)]
+        for h, table in oracle._MIDPOINTS.items():
+            assert len(table) == round(32 / h) <= oracle._TABLE_CAP
+            for j, node in enumerate(table):
+                assert node == self.inline(-16.0 + (j + 0.5) * h)
+
+    @pytest.mark.parametrize("depth", [1, 4, 7, 8, 13])
+    def test_midpoint_slices(self, depth):
+        # cached levels are sliced from their table, finer ones built alone:
+        # the same nodes either way
+        h = 2.0**-depth
+        for lo in (-16.0, -3.5, 0.0, 12.5):
+            count = min(round((16.0 - lo) / h), 300)
+            nodes = oracle._midpoints(h, lo, count)
+            assert nodes == [self.inline(lo + (j + 0.5) * h) for j in range(count)]
+
+    def test_deep_call_keeps_the_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MIDPOINTS", {})
+        res = oracle._integrate(kinked, 0.1, 0.7, 3.0, AccuracyPolicy(1e-15, 2**15))[0]
+        # levels down to h = 2^-10 evaluated, the last three beyond the cap
+        assert res.subdivisions_used > 4 * oracle._TABLE_CAP
+        assert max(map(len, oracle._MIDPOINTS.values())) == oracle._TABLE_CAP
+        assert min(oracle._MIDPOINTS) == 2.0**-7
