@@ -23,6 +23,16 @@ expansion of e^(x ln c / k) Gamma(x/k), whose alternating terms grow like
 The quadrature oracle module evaluates the defining integrals independently
 and is the cross-check for every reduction here.
 
+One range rule serves every closed form.  A factor that is a normal double
+(e^(ln G), the magnitude's e^(ln scale), k^-n) is used as it stands, so
+every value in range keeps its bits; only a factor that is not one is split
+into a head in [1/2, 1) times 2^c (`_split_exp`, `math.frexp`).  The heads
+are multiplied, and the one power of two is applied last by `math.ldexp`
+(`_ldexp`): a value past the double range raises
+`ComputationOverflowError`, and one below it is 0.0 or subnormal, however
+far the factors lie outside the range.  A log beyond +-2^20, which no
+factor brings back, is decided by its sign, and a NaN log is an overflow.
+
 The point picks the family: below the public functions one path serves
 both, reading G = Gamma_k at a point without p and G = pGamma_k at a point
 with p.  The k-family functions (`k_gamma`, `k_gamma_deriv`) refuse a point
@@ -46,6 +56,7 @@ keep no table; the derivatives read `_all_derivatives` inside a block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import kernels
@@ -71,19 +82,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """Argument x > 0 with scale parameter k > 0 and optional p > 0."""
+    """Argument x > 0 with scale parameter k > 0 and optional p > 0, each
+    a finite positive real (`kernels.require_positive`), kept as a float."""
 
     x: float
     k: float
     p: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("x", "k"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a finite positive real, got {v!r}")
-        if self.p is not None and not (math.isfinite(self.p) and self.p > 0):
-            raise DomainError(f"p must be a finite positive real, got {self.p!r}")
+        # kept as floats, so a numpy scalar is computed in double precision
+        for name in ("x", "k") if self.p is None else ("x", "k", "p"):
+            value = getattr(self, name)
+            real = kernels.require_positive(name, value)
+            if real is not value:
+                object.__setattr__(self, name, real)
 
     def require_p(self) -> float:
         if self.p is None:
@@ -105,25 +117,53 @@ class EvalPoint:
 #: relative at k = 0.01, x = 6.8.
 _STIRLING_Y = 100.0
 
+#: The least normal double: a value at or above it keeps all 53 bits.
+_TINY = sys.float_info.min
 
-def _exp_or_overflow(log_value: float, what: str, *what_args) -> float:
-    # checked before exp, which would raise a bare OverflowError; `what` is
-    # formatted with `what_args` only on failure, off the common path
-    if not log_value <= kernels.LOG_MAX:
-        raise ComputationOverflowError(
-            f"{what.format(*what_args)} overflows double precision"
-        )
-    return math.exp(log_value)
+#: Past this |log|, e^log is beyond the double range by more than any
+#: other factor of a closed form (at most about 2^10000 for D^(8)) can
+#: bring back: `_split_exp` decides it by its sign.  Below it c ln 2 is
+#: exact, since |c| < 2^21 and _LN2_HI has 32 bits.
+_LOG_SIGN_ONLY = 2.0**20
+
+# ln 2 in two parts, as fdlibm splits it
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = 1.90821492927058770002e-10
 
 
-def _finite_or_overflow(value: float, what: str, *what_args) -> float:
-    # a scale that overflowed is inf, and inf times a zeta value that
-    # underflowed to 0 is NaN: both are overflow, never a silent result
-    if not math.isfinite(value):
-        raise ComputationOverflowError(
-            f"{what.format(*what_args)} overflows double precision"
-        )
-    return value
+def _split_exp(log_value: float) -> tuple[float, int]:
+    """e^log_value as (h, c), h in [1/2, 1), e^log_value = h 2^c.
+
+    Where e^log_value is a normal double, (h, c) is its `frexp`, bit for
+    bit; elsewhere h is e^(log_value - c ln 2) to about an ulp, so the value
+    carries the log's own rounding, |log_value| units of 2^-53.  A NaN log
+    is split as one past +2^20.
+    """
+    if log_value <= kernels.LOG_MAX:
+        value = math.exp(log_value)
+        if value >= _TINY:
+            return math.frexp(value)
+    if not abs(log_value) < _LOG_SIGN_ONLY:
+        log_value = -_LOG_SIGN_ONLY if log_value < 0.0 else _LOG_SIGN_ONLY
+    c = round(log_value / _LN2_HI)
+    head, shift = math.frexp(math.exp(log_value - c * _LN2_HI - c * _LN2_LO))
+    return head, c + shift
+
+
+def _ldexp(head: float, exponent: int, what: str, *what_args) -> float:
+    """head 2^exponent, the one power of two of a closed form, applied last.
+
+    A value past the double range, or a head that is inf or NaN, raises the
+    typed overflow; `what` is formatted with `what_args` only then.
+    """
+    try:
+        value = math.ldexp(head, exponent)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise ComputationOverflowError(
+        f"{what.format(*what_args)} overflows double precision")
 
 
 def _check_policy(policy: AccuracyPolicy) -> None:
@@ -138,8 +178,12 @@ def _check_policy(policy: AccuracyPolicy) -> None:
 def _log_gamma(x: float, k: float, p: float | None) -> float:
     # ln G(x): ln Gamma_k without p, ln pGamma_k with p.  Each family keeps
     # its own rounding of the prefactor, (y - 1) ln k and y ln p - ln k;
-    # one y ln c - ln k would move the last bit of ln Gamma_k
+    # one y ln c - ln k would move the last bit of ln Gamma_k.  Both are
+    # -ln x + y (ln c - gamma) + O(y^2), which is -ln x where y is subnormal
+    # or 0, and where lgamma(y) has lost y's digits or is undefined
     y = x / k
+    if y < _TINY:
+        return -math.log(x)
     if y < _STIRLING_Y:
         log_scale = ((y - 1.0) * math.log(k) if p is None
                      else y * math.log(p) - math.log(k))
@@ -153,9 +197,15 @@ def _log_gamma(x: float, k: float, p: float | None) -> float:
 
 
 def _gamma_value(pt: EvalPoint) -> float:
-    # G(x); str.format drops the p a Gamma_k message has no field for
+    # G(x): e^(ln G) where that is a normal double, else through the rule;
+    # str.format drops the p a Gamma_k message has no field for
+    log_value = _log_gamma(pt.x, pt.k, pt.p)
+    if log_value <= kernels.LOG_MAX:
+        value = math.exp(log_value)
+        if value >= _TINY:
+            return value
     what = "Gamma_k({}; k={})" if pt.p is None else "pGamma_k({}; k={}, p={})"
-    return _exp_or_overflow(_log_gamma(pt.x, pt.k, pt.p), what, pt.x, pt.k, pt.p)
+    return _ldexp(*_split_exp(log_value), what, pt.x, pt.k, pt.p)
 
 
 @kernels.memo
@@ -191,9 +241,9 @@ def k_polygamma(
     return _psi_k(m, pt.x, pt.k)
 
 
-#: From this y = x/k on, zeta_H(m+1, y) is y^-m / m to double precision at
-#: every polygamma order: the next Euler-Maclaurin term is m / (2 y) of it,
-#: at most 12 / 2^65.
+#: From this y = x/k on, zeta_H(s+1, y) is y^-s / s: the next
+#: Euler-Maclaurin term is s / (2 y) of it, at most 12 / 2^65 at every
+#: polygamma order, and below the rounding of the magnitude's log at any s.
 _PSI_K_LEADING_Y = 2.0**64
 
 
@@ -202,36 +252,39 @@ def _psi_k(m: int, x: float, k: float) -> float:
     # m! k^-(m+1) zeta_H(m+1, y) with k = f 2^e and zeta_H = z 2^c, f and z
     # in [1/2, 1): the head m! f^-(m+1) z is below 2^42 and the one power of
     # two is applied last, exactly, so the value is right however far
-    # k^-(m+1) lies outside the double range, and past zeta_H only ldexp
-    # can overflow.  From y = 2^64 on, where zeta_H(m+1, y) itself can
-    # underflow, its leading term gives (m-1)! x^-m / k, with x = g 2^d.
-    # Where y^-(m+1) is beyond the double range, or y underflowed to 0, it
-    # is the whole of zeta_H(m+1, y) = y^-(m+1) + zeta_H(m+1, y+1), whose
-    # second term is at most zeta(2): the value is m! x^-(m+1).
+    # k^-(m+1) lies outside the double range.  The regimes are those of
+    # `_magnitude`, with x = g 2^d: from y = 2^64 on (m-1)! x^-m / k, and
+    # m! x^-(m+1) where zeta_H(m+1, y) overflows or y underflowed to 0.
     f, e = math.frexp(k)
     g, d = math.frexp(x)
     y = x / k
-    if y < _PSI_K_LEADING_Y:
-        try:
-            zeta = kernels.hurwitz_zeta(m + 1.0, y) if y else math.inf
-        except ComputationOverflowError:
-            zeta = math.inf
-        if zeta < math.inf:
+    if y >= _PSI_K_LEADING_Y:
+        head = math.factorial(m - 1) * g ** (-float(m)) / f
+        exponent = -m * d - e
+    else:
+        zeta = _hurwitz_or_none(m + 1.0, y)
+        if zeta is None:
+            head = math.factorial(m) * g ** (-(m + 1.0))
+            exponent = -(m + 1) * d
+        else:
             z, c = math.frexp(zeta)
             head = math.factorial(m) * f ** (-(m + 1.0)) * z
             exponent = c - (m + 1) * e
-        else:
-            head = math.factorial(m) * g ** (-(m + 1.0))
-            exponent = -(m + 1) * d
-    else:
-        head = math.factorial(m - 1) * g ** (-float(m)) / f
-        exponent = -m * d - e
-    try:
-        value = math.ldexp(head, exponent)
-    except OverflowError:
-        raise ComputationOverflowError(
-            f"psi_k^({m})({x}; k={k}) overflows double precision") from None
+    value = _ldexp(head, exponent, "psi_k^({})({}; k={})", m, x, k)
     return value if m % 2 == 1 else -value
+
+
+def _hurwitz_or_none(s: float, y: float) -> float | None:
+    # zeta_H(s, y), or None where it overflows or y underflowed to 0.  There
+    # y^-s is beyond the double range and is the whole of
+    # zeta_H(s, y) = y^-s + zeta_H(s, y + 1), whose second term is at most
+    # zeta(2)
+    if not y:
+        return None
+    try:
+        return kernels.hurwitz_zeta(s, y)
+    except ComputationOverflowError:
+        return None
 
 
 def k_polygamma_magnitude_fractional(
@@ -248,12 +301,33 @@ def k_polygamma_magnitude_fractional(
 
 
 def _magnitude(s: float, x: float, k: float) -> float:
+    # Gamma(s+1) k^-(s+1) zeta_H(s+1, y): the scale and zeta_H are split and
+    # their one power of two is applied last.  From y = 2^64 on zeta_H is
+    # y^-s / s, whose next term is s / (2 y) <= s 2^-65 of it; where that
+    # is past the double range, the value Gamma(s) x^-s / k is read from one
+    # log.  Where zeta_H overflows, or y underflowed to 0, it is y^-(s+1):
+    # the value is Gamma(s+1) x^-(s+1).  Each log that may lie past every
+    # double is one log, so two of them never cancel after `_split_exp`.
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
-    log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k)
-    scale = _exp_or_overflow(log_scale, "psi_k^({}) scale at k={}", s, k)
-    value = scale * kernels.hurwitz_zeta(s + 1.0, x / k)
-    return _finite_or_overflow(value, "|psi_k^({})({}; k={})|", s, x, k)
+    what = "|psi_k^({})({}; k={})|"
+    y = x / k
+    if y >= _PSI_K_LEADING_Y:
+        # at the order s + 1.0 - 1.0 that the scale's s + 1.0 is rounded to
+        order = s + 1.0 - 1.0
+        zeta = y ** -order / order
+        if not zeta >= _TINY:
+            head, exponent = _split_exp(kernels.log_gamma(s) - s * math.log(x))
+            f, e = math.frexp(k)
+            return _ldexp(head / f, exponent - e, what, s, x, k)
+    else:
+        zeta = _hurwitz_or_none(s + 1.0, y)
+        if zeta is None:
+            log_value = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(x)
+            return _ldexp(*_split_exp(log_value), what, s, x, k)
+    head, exponent = _split_exp(kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k))
+    z, c = math.frexp(zeta)
+    return _ldexp(head * z, exponent + c, what, s, x, k)
 
 
 #: psi_k^(m)(x) and |psi_k^(s)(x)| for a sweep row, which the T1 and T7 rows
@@ -269,8 +343,7 @@ def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float
 
 
 def _zeta(x: float, k: float) -> float:
-    if not (math.isfinite(k) and k > 0):
-        raise DomainError(f"k must be a finite positive real, got {k!r}")
+    k = kernels.require_positive("k", k)
     if not (math.isfinite(x) and x / k > 1.0):
         raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
     s = x / k
@@ -294,28 +367,38 @@ def pk_zeta(
     module validates this independence against the actual integral.
     """
     _check_policy(policy)
-    if not (math.isfinite(p) and p > 0):
-        raise DomainError(f"p must be a finite positive real, got {p!r}")
+    kernels.require_positive("p", p)
     return _zeta(x, k)
 
 
-def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[float | None]:
-    # [D_0, ..., D_n_max] of G, None where D_j or its k^-j overflows:
-    # D_j = G k^-j B_j, with B_j the Bell polynomials at c = k, or c = p with p
-    log_value = _log_gamma(x, k, p)
-    value = math.exp(log_value) if log_value <= kernels.LOG_MAX else math.inf
+def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[tuple]:
+    # [D_0, ..., D_n_max] of G as pairs (h, c), D_j = h 2^c: D_j = G k^-j B_j,
+    # with B_j the Bell polynomials at c = k, or c = p with p.  G and B_j are
+    # split by frexp, and k^-j is pow's where it is certainly a normal double,
+    # else f^-j 2^(-je) with k = f 2^e.  Every head is then a product of
+    # normal doubles, rounded as G k^-j B_j is wherever that is a normal
+    # double.  `bell_sequence` refuses y = 0 at every order, as psi(y) is
+    # undefined there
+    bells = kernels.bell_sequence(n_max, x / k, k if p is None else p)
+    g, exponent = _split_exp(_log_gamma(x, k, p))
+    f, e = math.frexp(k)
+    # k^-j lies in (2^-je, 2^(j - je)]: up to this j, times a head in
+    # [1/2, 1), it is a normal double
+    top = 1020 // e if e > 0 else 1023 // (1 - e)
     derivs = []
-    for j, b in enumerate(kernels.bell_sequence(n_max, x / k, k if p is None else p)):
-        try:
-            d = value * (b * k ** -float(j))
-        except OverflowError:  # k^-j beyond the double range
-            d = math.inf
-        derivs.append(d if math.isfinite(d) else None)
+    for j, b in enumerate(bells):
+        b, c = math.frexp(b)
+        if j <= top:
+            b *= k ** -float(j)
+        else:
+            b *= f ** -float(j)
+            c -= j * e
+        derivs.append((g * b, exponent + c))
     return derivs
 
 
 @kernels.memo
-def _all_derivatives(x: float, k: float, p: float | None) -> list[float | None]:
+def _all_derivatives(x: float, k: float, p: float | None) -> list[tuple]:
     # the point's D_0..8, which every order of a sweep reads
     return _derivatives(kernels.GAMMA_DERIV_MAX_ORDER, x, k, p)
 
@@ -355,11 +438,9 @@ def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
         derivs = _derivatives(max(orders), pt.x, pt.k, pt.p)
     else:
         derivs = _all_derivatives(pt.x, pt.k, pt.p)
+    what = "Gamma_k^({}) at {}" if pt.p is None else "pGamma_k^({}) at {}"
     values = []
     for n in orders:
-        if derivs[n] is None:
-            family = "Gamma_k" if pt.p is None else "pGamma_k"
-            raise ComputationOverflowError(
-                f"{family}^({n}) at {pt} overflows double precision")
-        values.append(derivs[n])
+        head, exponent = derivs[n]
+        values.append(_ldexp(head, exponent, what, n, pt))
     return values

@@ -37,7 +37,8 @@ from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_order, memoised
+from .kernels import (GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_order, memoised,
+                      require_positive)
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -179,8 +180,8 @@ def check_holder_zeta(
     """
     check_order(m, 1, None, "Hölder")
     check_order(n, 1, None, "Hölder")
-    if p_param is not None and not (math.isfinite(p_param) and p_param > 0):
-        raise DomainError(f"p must be a finite positive real, got {p_param!r}")
+    if p_param is not None:
+        require_positive("p", p_param)
     s = m / hp.p + n / hp.q
     zeta = lambda x: fn._zeta_at(x, k)
     gamma = lambda x: fn._gamma_at(x, k)

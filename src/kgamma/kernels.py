@@ -28,6 +28,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import numbers
 import sys
 
 from .policy import ABS_TOL, ComputationOverflowError, DomainError, UnsupportedOrderError
@@ -42,6 +43,7 @@ __all__ = [
     "gamma_deriv_sequence",
     "check_order",
     "check_deriv_order",
+    "require_positive",
     "memo",
     "memoised",
     "active_cache",
@@ -177,9 +179,27 @@ def check_order(order: int, least: int, cap: int | None, what: str) -> None:
         raise UnsupportedOrderError(f"{what} order {order} exceeds supported cap {cap}")
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+def require_positive(name: str, value: float) -> float:
+    """`value` as a float, if it is a finite positive real number.
+
+    The one rule for every positive parameter of the package: x, k and p
+    of a point, the k of a zeta and every kernel argument.  An int, a bool
+    or a numpy scalar is accepted and converted, so it is computed in
+    double precision; anything else, NaN, an infinity or a number past the
+    largest double raises `DomainError` naming `name`.
+    """
+    if type(value) is float:
+        real = value
+    elif isinstance(value, numbers.Real):
+        try:
+            real = float(value)
+        except OverflowError:  # an int past the largest double
+            real = math.inf
+    else:
+        real = math.nan
+    if 0.0 < real <= _FLOAT_MAX:
+        return real
+    raise DomainError(f"{name} must be a finite positive real, got {value!r}")
 
 
 def log_gamma(y: float) -> float:
@@ -188,15 +208,14 @@ def log_gamma(y: float) -> float:
     Backed by the platform lgamma, which is accurate to a few ulp on
     [1e-3, 1e3].
     """
-    _require_positive("y", y)
-    return math.lgamma(y)
+    return math.lgamma(require_positive("y", y))
 
 
 def stirling_series(y: float) -> float:
     """ln Gamma(y) - (y - 1/2) ln y + y, for y >= 10: ln(2 pi)/2 plus the
     Bernoulli terms through B_14; the first omitted one is below 3e-17.
     """
-    _require_positive("y", y)
+    y = require_positive("y", y)
     inv2 = 1.0 / (y * y)
     series = 0.0
     power = 1.0 / y
@@ -228,8 +247,7 @@ def polygamma(m: int, y: float) -> float:
     m = 0 is digamma; for m >= 1 the value is (-1)^(m+1) m! zeta_H(m+1, y).
     """
     check_order(m, 0, POLYGAMMA_MAX_ORDER, "polygamma")
-    _require_positive("y", y)
-    return _polygamma(m, y)
+    return _polygamma(m, require_positive("y", y))
 
 
 def _polygamma(m: int, y: float) -> float:
@@ -277,8 +295,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
     if not (math.isfinite(s) and s > 1.0):
         raise DomainError(f"hurwitz_zeta requires s > 1, got {s!r}")
     if not (type(a) is float and 0.0 < a <= _FLOAT_MAX):
-        # raises unless a is an int or a float subclass in range
-        _require_positive("a", a)
+        # raises unless a is a real number in range
+        a = require_positive("a", a)
 
     try:
         n_terms = _direct_terms(s, a)
@@ -391,12 +409,12 @@ def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     B_(j+1) = sum_i C(j, i) B_(j-i) kappa_(i+1), summed in order of i.
     B_j depends on kappa_1..kappa_j alone, so a prefix equals the
     lower-order sequence exactly.  If psi^(i)(y) overflows, B_(i+1) and
-    every later entry are NaN.  Inside a `memoised()` block every c at
-    one (n_max, y) reads the same psi^(i)(y).
+    every later entry are NaN.  A y that is not a finite positive real is
+    refused at every n_max, 0 included.  Inside a `memoised()` block every
+    c at one (n_max, y) reads the same psi^(i)(y).
     """
     check_deriv_order(n_max)
-    if n_max:
-        _require_positive("y", y)
+    y = require_positive("y", y)
     log_c = math.log(c)
     kappas = []
     if n_max:

@@ -5,7 +5,9 @@ definitions with a double-exponential trapezoid rule, so the closed-form
 reductions in `functions` can be cross-validated against a route that
 shares none of their arithmetic.  This module deliberately evaluates none
 of the scalar kernels, since independence is the whole point; it shares
-only their order rule, `kernels.check_order`, which evaluates nothing.
+only their order rule, `kernels.check_order`, and, through `EvalPoint`,
+their positive-real rule, `kernels.require_positive`: both evaluate
+nothing.
 
 Log-variable scheme: an integral of f over t in (0, inf) is taken as the
 integral of g(v) = t f(t), t = e^v, over the whole line.  Each integrand

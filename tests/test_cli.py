@@ -1059,23 +1059,29 @@ class TestOverflowIsAnEvaluationError:
                        "double precision\n")
 
     def test_eval_k_gamma_deriv_whose_k_power_overflows(self, capsys):
-        # k^-8 at k = 1e-40 is beyond the double range
+        # k^-8 at k = 1e-40 is beyond the double range, but Gamma_k^(8) is
+        # about 3.2e-3469: an underflow is the value 0.0, exit 0.  With
+        # p = 1 the derivative itself overflows: exit 3
         code, out, err = run(["eval", "k_gamma_deriv", "--n", "8", "--x", "1e-38",
                               "--k", "1e-40"], capsys)
+        assert (code, out, err) == (0, "0.0\n", "")
+        code, out, err = run(["eval", "pk_gamma_deriv", "--n", "8", "--x", "1e-38",
+                              "--k", "1e-40", "--p", "1"], capsys)
         assert (code, out) == (3, "")
-        assert err == ("overflow: Gamma_k^(8) at EvalPoint(x=1e-38, k=1e-40, "
-                       "p=None) overflows double precision\n")
+        assert err == ("overflow: pGamma_k^(8) at EvalPoint(x=1e-38, k=1e-40, "
+                       "p=1.0) overflows double precision\n")
 
     def test_verify_t4k_names_the_point_whose_k_power_overflows(self, capsys):
-        # T4K at n = 7 reads D^(6..8), and k^-8 overflows
+        # T4K at n = 7 reads D^(6..8), and k^-8 overflows, yet each of the
+        # three underflows: a row of zeros, exit 0
         code, out, err = run(["verify", "--theorems", "T4K", "--x", "1e-38",
                               "--k", "1e-40", "--n", "7"], capsys)
-        assert code == 3
-        assert len(out.splitlines()) == 2  # the header lines only
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "T4K,1e-38,1e-40,,,7,,,,0.0,0.0,0.0,0.0,PASS"]
         assert err.splitlines() == [
-            "T4K: 0 checks, 0 pass, 0 fail, 1 not evaluated",
-            "evaluation error: T4K: Gamma_k^(8) at EvalPoint(x=1e-38, k=1e-40, "
-            "p=None) overflows double precision",
+            "T4K: 1 checks, 1 pass, 0 fail, 0 not evaluated, min slack 0.0 at "
+            "{'x': 1e-38, 'k': 1e-40, 'n': 7}",
         ]
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import re
+import sys
 
 import mpmath as mp
 import pytest
@@ -417,10 +418,15 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("p", [None, 1.0])
     def test_overflowed_k_power_is_typed(self, p):
-        # k^-8 at k = 1e-40 is beyond the double range; k^-7 is not
-        family = "Gamma_k" if p is None else "pGamma_k"
+        # k^-8 at k = 1e-40 is beyond the double range; k^-7 is not.  With
+        # p = 1 the derivative is too: a typed overflow.  Gamma_k(1e-38) is
+        # about 1e-3840 there, and Gamma_k^(8) about 3.2e-3469 underflows:
+        # 0.0, since the one power of two is applied last
+        if p is None:
+            assert _deriv(8, 1e-38, 1e-40, p) == 0.0
+            return
         with pytest.raises(ComputationOverflowError, match=re.escape(
-                f"{family}^(8) at {EvalPoint(1e-38, 1e-40, p)} overflows")):
+                f"pGamma_k^(8) at {EvalPoint(1e-38, 1e-40, p)} overflows")):
             _deriv(8, 1e-38, 1e-40, p)
 
     def test_underflow_is_a_value_not_an_overflow(self):
@@ -749,3 +755,268 @@ class TestPointPicksTheFamily:
     def test_k_family_refuses_p(self, call, counterpart):
         with pytest.raises(DomainError, match=f"got p=2.0; {counterpart} is"):
             call(EvalPoint(1.0, 1.0, 2.0))
+
+
+# --------------------------------------------------------------------------
+# one range rule: a factor that is a normal double is used as it stands,
+# any other is split into a head times 2^c, and the one power of two is
+# applied last
+
+
+def mp_log_gamma(x, k, p):
+    """ln Gamma_k (p None) or ln pGamma_k, in the working precision."""
+    x, k = mp.mpf(x), mp.mpf(k)
+    y = x / k
+    prefactor = (y - 1) * mp.log(k) if p is None else y * mp.log(p) - mp.log(k)
+    return prefactor + mp.loggamma(y)
+
+
+def mp_bell_deriv(n, x, k, p):
+    """D^(n) = G k^-n B_n(kappa) in 50 digits, at any distance from the
+    double range; the Bell form is exact, so this is the derivative."""
+    with mp.workdps(50):
+        x, k = mp.mpf(x), mp.mpf(k)
+        y = x / k
+        c = k if p is None else mp.mpf(p)
+        kappas = [mp.log(c) + mp.psi(0, y)] + [mp.psi(j, y) for j in range(1, n)]
+        bell = [mp.mpf(1)]
+        for j in range(n):
+            bell.append(sum(mp.binomial(j, i) * bell[j - i] * kappas[i]
+                            for i in range(j + 1)))
+        return mp.exp(mp_log_gamma(x, k, p)) * k ** -n * bell[n]
+
+
+def mp_magnitude(s, x, k):
+    with mp.workdps(50):
+        s, x, k = mp.mpf(s), mp.mpf(x), mp.mpf(k)
+        return mp.gamma(s + 1) * k ** -(s + 1) * mp.zeta(s + 1, x / k)
+
+
+def _within_log_ulps(got, want, log_value):
+    # a value read from a log L is accurate to about |L| units of 2^-52
+    return abs(got - want) <= (abs(float(log_value)) + 16) * 2.0**-52 * abs(want)
+
+
+class TestOneRangeRule:
+    @pytest.mark.parametrize("n, x, k, p", [
+        (8, 1.05e-34, 1e-35, None),  # 5.06e-32; Gamma_k is 1e-327, subnormal
+        (8, 1.03e-34, 1e-35, None),  # 3.2e-25; Gamma_k underflows to 0
+        (8, 9.4e-38, 1e-38, None),  # 1.7e5; B_8 k^-8 overflows
+        (5, 170.0, 1.0, None),  # 1.52e308: G B_5 f^-5 would overflow
+        (3, 1e-30, 1e20, 1e-30),  # G is 1e-2e21 past the range, D^(3) is not
+    ])
+    def test_derivative_beyond_the_scale_is_the_mpmath_value(self, n, x, k, p):
+        want = mp_bell_deriv(n, x, k, p)
+        assert _within_log_ulps(_deriv(n, x, k, p), want, mp_log_gamma(x, k, p))
+
+    @pytest.mark.parametrize("x, k", [(1e-36, 1e-38), (1e-38, 1e-40)])
+    def test_derivative_that_underflows_is_zero(self, x, k):
+        # about 2e-3287 and 3.2e-3469: below the range, so 0.0, not an overflow
+        assert mp_bell_deriv(8, x, k, None) < mp.mpf(2) ** -1075
+        assert fn.k_gamma_deriv(8, EvalPoint(x, k)) == 0.0
+
+    @pytest.mark.parametrize("x, k, p", [
+        (1e-30, 1e300, None),  # y underflows to 0: 1e30
+        (3e-22, 1e300, None),  # y is subnormal: lgamma(y) was 0.46% off
+        (1e-15, 1e300, None),  # and 1.5e-9 off here
+        (1e-30, 1e300, 2.0),
+        (5e-324, 1e10, None),  # 2e323 overflows
+    ])
+    def test_gamma_at_a_subnormal_ratio_is_one_over_x(self, x, k, p):
+        # ln G = -ln x + y (ln c - gamma) + O(y^2), which is -ln x there
+        want = mp.exp(mp_log_gamma(x, k, p))
+        pt = EvalPoint(x, k, p)
+        call = fn.k_gamma if p is None else fn.pk_gamma
+        if want > sys.float_info.max:
+            with pytest.raises(ComputationOverflowError, match="overflows"):
+                call(pt)
+            return
+        assert _within_log_ulps(call(pt), want, mp.log(want))
+
+    def test_derivatives_at_a_zero_ratio_stay_refused(self):
+        # psi(y) is undefined at y = 0: every order, inside a block or not
+        for block in (contextlib.nullcontext, kernels.memoised):
+            for n in (0, 1, 8):
+                with block(), pytest.raises(DomainError, match="got 0.0"):
+                    fn.k_gamma_deriv(n, EvalPoint(1e-30, 1e300))
+
+    @pytest.mark.parametrize("s, x, k", [
+        (3.0, 1.0, 1e-120),  # 2e120: the scale 3! k^-4 overflowed
+        (3.5, 1.0, 1e-120),  # 3.3234e120
+        (3.0, 1e100, 1e-10),  # 2e-290: zeta_H(4, 1e110) underflowed to 0
+        (2.5, 1e-80, 1e220),  # zeta_H(3.5, 1e-300) overflows: Gamma(3.5) x^-3.5
+        (1.5, 1e-30, 1e300),  # y underflows to 0
+        (1.0, 1e150, 1e170),  # 1e-300: the scale's k^-2 underflows
+    ])
+    def test_magnitude_beyond_the_scale_is_the_mpmath_value(self, s, x, k):
+        want = mp_magnitude(s, x, k)
+        got = fn.k_polygamma_magnitude_fractional(s, EvalPoint(x, k))
+        assert _within_log_ulps(got, want, mp.log(want))
+        if s == 3.0:
+            # the integer order agrees with psi_k^(3)
+            assert got == pytest.approx(fn.k_polygamma(3, EvalPoint(x, k)), rel=1e-12)
+
+    def test_magnitude_past_the_range_is_typed(self):
+        with pytest.raises(ComputationOverflowError,
+                           match=re.escape("|psi_k^(2.5)(1e-300; k=1.0)| overflows")):
+            fn.k_polygamma_magnitude_fractional(2.5, EvalPoint(1e-300, 1.0))
+
+    @pytest.mark.parametrize("log_value, want", [
+        (1.5e28, None), (-1.5e28, 0.0), (math.inf, None), (-math.inf, 0.0),
+        (math.nan, None), (2.0**20, None), (-(2.0**20), 0.0),
+        (-745.0, 5e-324), (709.0, math.exp(709.0)), (-700.0, math.exp(-700.0)),
+    ])
+    def test_a_log_past_every_double_is_decided_by_its_sign(self, log_value, want):
+        # never a bare OverflowError from round(inf), and never 0.0 for an
+        # overflow; a NaN log (x/k = inf) is an overflow
+        head, exponent = fn._split_exp(log_value)
+        assert 0.5 <= head < 1.0
+        if want is None:
+            with pytest.raises(ComputationOverflowError, match="^G overflows"):
+                fn._ldexp(head, exponent, "G")
+        else:
+            assert fn._ldexp(head, exponent, "G") == want
+
+    def test_huge_log_gamma_is_a_typed_overflow(self):
+        # ln G is about +1.5e28: ln G - c ln 2 keeps no digits there
+        pt = EvalPoint(3.689642851336771, 7.597848024645953e-29)
+        with pytest.raises(ComputationOverflowError, match=re.escape(
+                "Gamma_k(3.689642851336771; k=7.597848024645953e-29) overflows")):
+            fn.k_gamma(pt)
+
+
+def _parent_log_gamma(x, k, p):
+    # ln G as the closed forms summed it before the range rule, at a normal y
+    y = x / k
+    if y < 100.0:
+        prefactor = (y - 1.0) * math.log(k) if p is None else y * math.log(p) - math.log(k)
+        return prefactor + math.lgamma(y)
+    head = ((y - 1.0) * math.log(k * y) + 0.5 * math.log(y) if p is None
+            else y * math.log(p * y) - 0.5 * math.log(y) - math.log(k))
+    return head - y + kernels.stirling_series(y)
+
+
+def _normal(value):
+    return sys.float_info.min <= abs(value) <= sys.float_info.max
+
+
+class TestInRangeBitsAreKept:
+    """Where the plain formulas give a normal double, the range rule returns
+    that double bit for bit."""
+
+    @given(
+        log_x=st.floats(min_value=-300.0, max_value=300.0),
+        log_k=st.floats(min_value=-300.0, max_value=300.0),
+        log_p=st.none() | st.floats(min_value=-300.0, max_value=300.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gamma(self, log_x, log_k, log_p):
+        x, k = 10.0**log_x, 10.0**log_k
+        p = None if log_p is None else 10.0**log_p
+        assume(sys.float_info.min <= x / k < math.inf)
+        log_value = _parent_log_gamma(x, k, p)
+        assume(log_value <= kernels.LOG_MAX)
+        want = math.exp(log_value)
+        assume(_normal(want))
+        call = fn.k_gamma if p is None else fn.pk_gamma
+        assert call(EvalPoint(x, k, p)) == want
+
+    @given(
+        n=st.integers(min_value=0, max_value=kernels.GAMMA_DERIV_MAX_ORDER),
+        log_x=st.floats(min_value=-30.0, max_value=30.0),
+        log_k=st.floats(min_value=-30.0, max_value=30.0),
+        p=st.none() | st.floats(min_value=0.01, max_value=100.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_derivative(self, n, log_x, log_k, p):
+        # G k^-n B_n, with G, k^-n and the product normal doubles
+        x, k = 10.0**log_x, 10.0**log_k
+        log_value = _parent_log_gamma(x, k, p)
+        assume(log_value <= kernels.LOG_MAX)
+        gamma = math.exp(log_value)
+        bell = kernels.bell_sequence(n, x / k, k if p is None else p)[n]
+        want = gamma * (bell * k ** -float(n))
+        assume(_normal(gamma) and _normal(want))
+        assert _deriv(n, x, k, p) == want
+
+    @given(
+        m=st.integers(min_value=1, max_value=kernels.POLYGAMMA_MAX_ORDER),
+        log_x=st.floats(min_value=-300.0, max_value=300.0),
+        log_y=st.floats(min_value=-30.0, max_value=19.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_polygamma(self, m, log_x, log_y):
+        # m! k^-(m+1) zeta_H(m+1, y), k = f 2^e, as the product m! f^-(m+1)
+        # z 2^(c - (m+1) e) of the formula before the range rule
+        x = 10.0**log_x
+        k = x / 10.0**log_y
+        assume(0.0 < k < math.inf and x / k < 2.0**64)
+        try:
+            zeta = kernels.hurwitz_zeta(m + 1.0, x / k)
+        except ComputationOverflowError:
+            return
+        f, e = math.frexp(k)
+        z, c = math.frexp(zeta)
+        try:
+            want = math.ldexp(math.factorial(m) * f ** (-(m + 1.0)) * z, c - (m + 1) * e)
+        except OverflowError:
+            return
+        assume(_normal(want))
+        assert fn.k_polygamma(m, EvalPoint(x, k)) == (-1) ** (m + 1) * want
+
+    @given(
+        s=st.floats(min_value=1.0, max_value=12.5),
+        log_x=st.floats(min_value=-300.0, max_value=300.0),
+        log_y=st.floats(min_value=-30.0, max_value=19.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_magnitude(self, s, log_x, log_y):
+        # Gamma(s+1) k^-(s+1) zeta_H(s+1, y) at y < 2^64, with the scale and
+        # the product normal doubles
+        x = 10.0**log_x
+        k = x / 10.0**log_y
+        assume(0.0 < k < math.inf and x / k < 2.0**64)
+        log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k)
+        assume(log_scale <= kernels.LOG_MAX)
+        scale = math.exp(log_scale)
+        try:
+            want = scale * kernels.hurwitz_zeta(s + 1.0, x / k)
+        except ComputationOverflowError:
+            return
+        assume(_normal(scale) and _normal(want))
+        assert fn.k_polygamma_magnitude_fractional(s, EvalPoint(x, k)) == want
+
+
+class TestPositiveRealRule:
+    """One rule, `kernels.require_positive`, refuses every non-positive,
+    non-finite or non-real parameter with one message."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf,
+                                     10**400, "1.0", None, 1j])
+    def test_every_site_refuses_alike(self, bad):
+        message = re.escape(f"must be a finite positive real, got {bad!r}")
+        calls = [
+            ("x", lambda: EvalPoint(bad, 1.0)),
+            ("k", lambda: EvalPoint(1.0, bad)),
+            ("k", lambda: fn.k_zeta(2.0, bad)),
+            ("p", lambda: fn.pk_zeta(2.0, 1.0, bad)),
+            ("y", lambda: kernels.log_gamma(bad)),
+            ("a", lambda: kernels.hurwitz_zeta(2.0, bad)),
+        ]
+        if bad is not None:  # a point without p carries p = None
+            calls.append(("p", lambda: EvalPoint(1.0, 1.0, bad)))
+        for name, call in calls:
+            with pytest.raises(DomainError, match=f"^{name} {message}$"):
+                call()
+
+    def test_numpy_scalars_are_computed_in_double_precision(self):
+        np = pytest.importorskip("numpy")
+        x, k, p = np.float32(0.75), np.int64(2), np.float64(1.5)
+        pt = EvalPoint(x, k, p)
+        assert (type(pt.x), type(pt.k), type(pt.p)) == (float, float, float)
+        assert pt == EvalPoint(float(x), 2.0, 1.5)
+        assert fn.pk_gamma(pt) == fn.pk_gamma(EvalPoint(float(x), 2.0, 1.5))
+        assert fn.k_zeta(3.0, np.float32(0.5)) == fn.k_zeta(3.0, 0.5)
+        assert fn.pk_zeta(3.0, 0.5, np.float32(2.0)) == fn.k_zeta(3.0, 0.5)
+        assert kernels.hurwitz_zeta(2.0, np.float32(0.5)) == kernels.hurwitz_zeta(2.0, 0.5)
+        assert kernels.log_gamma(np.int64(3)) == math.lgamma(3.0)

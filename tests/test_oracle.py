@@ -230,14 +230,15 @@ class TestOracleContracts:
 
     def test_no_kernel_is_evaluated(self, monkeypatch):
         # the oracle is a second route only while it shares none of the
-        # closed forms' arithmetic: with every kernel but the order rule
-        # raising, all five integrals still return
+        # closed forms' arithmetic: with every kernel but the order and
+        # positive-real rules raising, all five integrals still return
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle evaluated a kernel")
 
         for name, attr in vars(kernels).items():
             if (inspect.isfunction(attr) and attr.__module__ == kernels.__name__
-                    and name not in ("check_order", "check_deriv_order")):
+                    and name not in ("check_order", "check_deriv_order",
+                                     "require_positive")):
                 monkeypatch.setattr(kernels, name, refuse)
         with pytest.raises(AssertionError, match="evaluated a kernel"):
             fn.k_gamma(EvalPoint(1.5, 0.8))
