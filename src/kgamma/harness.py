@@ -25,8 +25,12 @@ theorem does not take.
 points and the check that evaluates one.  `scan_grid` runs every check of
 a sweep inside one `kernels.memoised()` block, and the checks read their
 values through the memoised readers of `functions`, so a value that rows
-share is computed once.  Every row is still the record of one call of its
-module-level check, which a profiler or test can wrap.
+share is computed once.  A T2 row and its T3 twins read lhs, rhs and
+margin from one table entry per (m, n, P, Q, k), and each point's
+derivative table is built only to the largest order the sweep's rows read
+(D^(6) on the default grid), not to D^(8).  Every row is still the record
+of one call of its module-level check, which a profiler or test can wrap,
+and every value keeps the bits it has outside a block.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import (GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_order, memoised,
-                      require_positive)
+from .kernels import (GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_order, memo,
+                      memoised, require_positive)
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -83,6 +88,9 @@ class HolderPair:
             )
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
             raise DomainError(f"exponents are not conjugate: {self.p}, {self.q}")
+        # kept as floats, so an exponent prints alike in every row
+        for name in ("p", "q"):
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
 
     @classmethod
     def conjugate(cls, p: float) -> "HolderPair":
@@ -174,20 +182,32 @@ def check_holder_zeta(
     rhs = Gamma_k(s+1) / (Gamma_k(m+1)^(1/p) Gamma_k(n+1)^(1/q)) * zeta_k(s+1)
     with s = m/p + n/q.  T3 (p_param given) reads Gamma_k as T2 does, since
     pGamma_k(x) = (p_param/k)^(x/k) Gamma_k(x) and s + 1 = (m+1)/p + (n+1)/q
-    cancel that factor from the ratio, and pzeta_k = zeta_k.  zeta_k(m+1)
-    and zeta_k(n+1) are read first, so a point outside x/k > 1 is refused
-    before any gamma value is read: s + 1 lies between m + 1 and n + 1.
+    cancel that factor from the ratio, and pzeta_k = zeta_k: both read one
+    `kernels.memo` entry of lhs, rhs and margin per (m, n, p, q, k).  k and
+    p_param are recorded as floats.
     """
     check_order(m, 1, None, "Hölder")
     check_order(n, 1, None, "Hölder")
     if p_param is not None:
-        require_positive("p", p_param)
-    s = m / hp.p + n / hp.q
+        p_param = require_positive("p", p_param)
+    k = require_positive("k", k)
+    lhs, rhs, margin = _holder_zeta_sides(m, n, hp.p, hp.q, k)
+    return _record("T2" if p_param is None else "T3", lhs, rhs, margin, slack_tol,
+                   k=k, p_param=p_param, m=m, n=n, holder_p=hp.p, holder_q=hp.q)
+
+
+@memo
+def _holder_zeta_sides(m: int, n: int, p: float, q: float, k: float) -> tuple:
+    # (lhs, rhs, margin) of T2 and of every T3 row at (m, n, p, q, k).
+    # zeta_k(m+1) and zeta_k(n+1) are read first, so a point outside
+    # x/k > 1 is refused before any gamma value is read: s + 1 lies between
+    # m + 1 and n + 1
+    s = m / p + n / q
     zeta = lambda x: fn._zeta_at(x, k)
     gamma = lambda x: fn._gamma_at(x, k)
-    lhs = zeta(m + 1.0) ** (1.0 / hp.p) * zeta(n + 1.0) ** (1.0 / hp.q)
+    lhs = zeta(m + 1.0) ** (1.0 / p) * zeta(n + 1.0) ** (1.0 / q)
     numerator = gamma(s + 1.0)
-    denominator = gamma(m + 1.0) ** (1.0 / hp.p) * gamma(n + 1.0) ** (1.0 / hp.q)
+    denominator = gamma(m + 1.0) ** (1.0 / p) * gamma(n + 1.0) ** (1.0 / q)
     if not denominator > 0.0:  # a bare ZeroDivisionError names no point
         raise ComputationOverflowError(
             f"gamma ratio denominator of orders m={m}, n={n} at k={k} "
@@ -195,8 +215,7 @@ def check_holder_zeta(
     rhs = numerator / denominator * zeta(s + 1.0)
     # lhs carries two damped factors, rhs four factors
     margin = abs(lhs) * _FUNC_REL + 4.0 * abs(rhs) * _FUNC_REL
-    return _record("T2" if p_param is None else "T3", lhs, rhs, margin, slack_tol,
-                   k=k, p_param=p_param, m=m, n=n, holder_p=hp.p, holder_q=hp.q)
+    return lhs, rhs, margin
 
 
 def check_turan_gamma_deriv(
@@ -371,16 +390,25 @@ def _holder_zeta_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
                     yield m, n, hp, k, p_param
 
 
+def _turan_orders(spec: GridSpec) -> list[int]:
+    # the admissible n of T4K/T4PK, each of which reads D^(n + 1)
+    return [n for n in spec.ns if 1 <= n < GAMMA_DERIV_MAX_ORDER]
+
+
+def _midpoint_orders(spec: GridSpec) -> list[tuple[int, int]]:
+    # the admissible (n, l) of T5/T6, each of which reads D^(n + l)
+    return [(n, l) for n in spec.ns if n % 2 == 0 for l in spec.ls
+            if l % 2 == 0 and l <= n and n + l <= GAMMA_DERIV_MAX_ORDER]
+
+
 def _turan_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
-    return ((n, pt) for pt in _eval_points(spec, pk) for n in spec.ns
-            if 1 <= n < GAMMA_DERIV_MAX_ORDER)
+    orders = _turan_orders(spec)
+    return ((n, pt) for pt in _eval_points(spec, pk) for n in orders)
 
 
 def _midpoint_gamma_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
-    return ((n, l, pt) for pt in _eval_points(spec, pk)
-            for n in spec.ns if n % 2 == 0
-            for l in spec.ls
-            if l % 2 == 0 and l <= n and n + l <= GAMMA_DERIV_MAX_ORDER)
+    orders = _midpoint_orders(spec)
+    return ((n, l, pt) for pt in _eval_points(spec, pk) for n, l in orders)
 
 
 def _midpoint_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
@@ -409,6 +437,18 @@ THEOREMS = (
 THEOREM_IDS = tuple(theorem_id for theorem_id, _, _ in THEOREMS)
 
 
+def _top_derivative_order(spec: GridSpec, theorems: Sequence[str]) -> int:
+    """The largest Gamma_k or pGamma_k derivative order that the selected
+    theorems read on `spec`: D^(n + 1) at a T4K/T4PK order n, D^(n + l) at
+    a T5/T6 pair (n, l); 0 if none reads one."""
+    reads = [0]
+    if "T4K" in theorems or "T4PK" in theorems:
+        reads += [n + 1 for n in _turan_orders(spec)]
+    if "T5" in theorems or "T6" in theorems:
+        reads += [n + l for n, l in _midpoint_orders(spec)]
+    return max(reads)
+
+
 def scan_grid(
     spec: GridSpec,
     theorems: Sequence[str],
@@ -427,7 +467,9 @@ def scan_grid(
         raise DomainError(f"unknown theorem ids: {sorted(unknown)}")
     checks: list[InequalityCheck] = []
     summary = ScanSummary()
-    with memoised():
+    with memoised() as tables:
+        # each point's derivatives are built only as far as the rows read
+        fn._size_derivative_tables(tables, _top_derivative_order(spec, theorems))
         for theorem_id, points, evaluate in THEOREMS:
             if theorem_id not in theorems:
                 continue
@@ -438,9 +480,8 @@ def scan_grid(
                 except (ArithmeticError, ValueError) as exc:
                     summary.errors.append(f"{theorem_id}: {exc}")
             rows = checks[first:]
-            passed = sum(row.verdict == "PASS" for row in rows)
-            # a NaN slack sorts first; min keeps the earlier of equal keys
-            least = min(rows, key=lambda c: (c.slack == c.slack, c.slack), default=None)
+            passed = list(map(attrgetter("verdict"), rows)).count("PASS")
+            least = _least_row(rows)
             summary.per_theorem[theorem_id] = {
                 "count": len(rows), "PASS": passed, "FAIL": len(rows) - passed,
                 "not_evaluated": len(summary.errors) - errors,
@@ -448,3 +489,14 @@ def scan_grid(
                 "min_slack_at": None if least is None else _inputs_of(least),
             }
     return checks, summary
+
+
+def _least_row(rows: list[InequalityCheck]) -> InequalityCheck | None:
+    """The first row with a NaN slack, else the first with the least slack
+    (of -0.0 and 0.0, the earlier row); None if there are no rows."""
+    if not rows:
+        return None
+    slacks = list(map(attrgetter("slack"), rows))
+    nans = list(map(math.isnan, slacks))
+    # index finds the first row equal to the least slack, -0.0 == 0.0
+    return rows[nans.index(True) if True in nans else slacks.index(min(slacks))]

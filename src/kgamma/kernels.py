@@ -149,8 +149,10 @@ def memoised():
     """A block in which every `memo` function computes each value once.
 
     Yields the block's new dict of tables, one per function that stored a
-    value, keyed by that function.  On exit, normal or by an exception, the
-    enclosing block's tables (or none) are active again.
+    value, keyed by that function; a sweep also keeps there the order to
+    which its derivative tables are built (`functions._size_derivative_tables`).
+    On exit, normal or by an exception, the enclosing block's tables (or
+    none) are active again.
     """
     tables = {}
     token = _TABLES.set(tables)

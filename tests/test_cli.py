@@ -251,6 +251,20 @@ class TestVerify:
         code, _, err = run(["verify"], capsys)
         assert code == 2
 
+    def test_t7_orders_stop_below_the_polygamma_cap(self, capsys):
+        # T7 at n reads psi_k^(n + 1): n = 12 is no point of the grid (no
+        # row, no error, exit 0), and n = 11 is one, reading psi_k^(12)
+        code, out, err = run(["verify", "--theorems", "T7", "--x", "1", "--k", "1",
+                              "--n", "12"], capsys)
+        assert (code, len(out.splitlines())) == (0, 2)
+        assert err == "T7: 0 checks, 0 pass, 0 fail, 0 not evaluated\n"
+        code, out, _ = run(["verify", "--theorems", "T7", "--x", "1", "--k", "1",
+                            "--n", "11"], capsys)
+        row = dict(zip(cli.CSV_COLUMNS, out.splitlines()[2].split(",")))
+        pt = fn.EvalPoint(1.0, 1.0)
+        assert code == 0 and row["n"] == "11"
+        assert float(row["rhs"]) == 0.5 * (fn.k_polygamma(12, pt) + fn.k_polygamma(10, pt))
+
     def test_default_grid_deterministic(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -651,6 +651,27 @@ class TestDerivativeTables:
         # one vector per point that some valid list reached
         assert set(tables[fn._all_derivatives]) == {(pt.x, pt.k, pt.p) for _, pt in cases}
 
+    def test_a_read_past_the_block_order_builds_the_longer_table(self):
+        # a block sized to order 3 builds D_0..3 per point; a read of order
+        # 8 builds D_0..8 in its place, and every read, before and after,
+        # gives the bits or the error of the read outside a block
+        order_lists = ((0, 1, 3), (2,), (8, 2), (1, 3), (7,))
+        cases = [(orders, pt) for ppt in TABLE_POINTS
+                 for pt in (EvalPoint(ppt.x, ppt.k), ppt) for orders in order_lists]
+        direct = [_outcome(lambda: fn._gamma_derivatives(*case)) for case in cases]
+        with kernels.memoised() as tables:
+            fn._size_derivative_tables(tables, 3)
+            lengths = []
+            for case, expected in zip(cases, direct):
+                assert _outcome(lambda: fn._gamma_derivatives(*case)) == expected
+                _, pt = case
+                derivs = tables[fn._all_derivatives].get((pt.x, pt.k, pt.p))
+                lengths.append(None if derivs is None else len(derivs))
+        # at every point, 4 entries until the read of order 8, 9 from it on
+        per_point = [lengths[i:i + len(order_lists)]
+                     for i in range(0, len(lengths), len(order_lists))]
+        assert {tuple(row) for row in per_point} == {(4, 4, 9, 9, 9)}
+
     def test_polygamma_tables_are_bit_identical_and_store_no_error(self):
         # psi_k^(m) per (m, x, k) and |psi_k^(s)| per (s, x, k): the bits
         # or the error of the public function, outside a block and inside

@@ -23,10 +23,18 @@ class TestHolderPair:
         hp = HolderPair.conjugate(1.5)
         assert hp.q == pytest.approx(3.0, rel=1e-15)
 
-    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.0, 1.0), (0.5, -1.0)])
+    # an infinite p passes the conjugacy test with q = 1 + 1e-13, but it is
+    # no finite exponent
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.0, 1.0), (0.5, -1.0),
+                                     (math.inf, 1.0 + 1e-13)])
     def test_invariant(self, p, q):
         with pytest.raises(DomainError):
             HolderPair(p, q)
+
+    def test_exponents_are_floats(self):
+        hp = HolderPair(2, 2)
+        assert (repr(hp.p), repr(hp.q)) == ("2.0", "2.0")
+        assert repr(HolderPair.conjugate(3).p) == "3.0"
 
 
 class TestHolderPolygamma:
@@ -363,14 +371,24 @@ class TestScanGrid:
 
         monkeypatch.setattr(harness, "THEOREMS", (
             theorem("T1", [math.inf, math.inf]),
+            theorem("T2", [1.0, 0.0, -0.0, 2.0]),
+            theorem("T3", [-0.0, 0.0]),
+            theorem("T4K", [3.0, -2.0, 5.0, -2.0, -1.0]),
             theorem("T7", [1.0, math.nan, -5.0, math.nan]),
         ))
-        checks, summary = harness.scan_grid(GridSpec(), ("T1", "T7"))
-        assert len(checks) == 6
+        checks, summary = harness.scan_grid(GridSpec(), ("T1", "T2", "T3", "T4K", "T7"))
+        assert len(checks) == 17
         assert summary.per_theorem["T1"] == {
             "count": 2, "PASS": 2, "FAIL": 0, "not_evaluated": 0,
             "min_slack": math.inf, "min_slack_at": {"x": 1.0, "k": 1.0},
         }
+        # equal least slacks, -0.0 and 0.0 among them, go to the earlier row
+        least = {t: (repr(e["min_slack"]), e["min_slack_at"]["x"])
+                 for t, e in summary.per_theorem.items()}
+        assert least["T2"] == ("0.0", 2.0)
+        assert least["T3"] == ("-0.0", 1.0)
+        assert least["T4K"] == ("-2.0", 2.0)
+        assert summary.per_theorem["T4K"]["PASS"] == 2
         entry = summary.per_theorem["T7"]
         assert (entry["count"], entry["PASS"], entry["FAIL"]) == (4, 1, 3)
         # a NaN slack is the worst row, and the earlier of two
@@ -409,6 +427,97 @@ class TestScanGrid:
         assert {(c.m, c.n) for c in checks} == {
             (1, 1), (2, 2)
         }
+
+
+def _sweep_blocks(monkeypatch) -> list:
+    """The tables of every sweep block from here on, kept past the sweep."""
+    blocks = []
+    memoised = kernels.memoised
+
+    @contextlib.contextmanager
+    def recording():
+        with memoised() as tables:
+            blocks.append(tables)
+            yield tables
+
+    monkeypatch.setattr(harness, "memoised", recording)
+    return blocks
+
+
+class TestSharedValues:
+    """A sweep computes each value its rows share once, and each point's
+    derivatives only to the order its grid reads."""
+
+    def test_t2_and_t3_read_one_entry_of_the_sides(self, monkeypatch):
+        reads = []
+        zeta_at = fn._zeta_at
+        monkeypatch.setattr(fn, "_zeta_at", lambda x, k: reads.append((x, k))
+                            or zeta_at(x, k))
+        blocks = _sweep_blocks(monkeypatch)
+        spec = GridSpec()
+        checks, summary = harness.scan_grid(spec, ("T2", "T3"))
+        t2 = [c for c in checks if c.theorem_id == "T2"]
+        assert summary.errors == []
+        assert len(checks) == (1 + len(spec.p_params)) * len(t2)
+        # one computation per (m, n, P, Q, k), which reads zeta_k three times
+        assert len(reads) == 3 * len(t2)
+        assert set(blocks[0][harness._holder_zeta_sides]) == {
+            (c.m, c.n, c.holder_p, c.holder_q, c.k) for c in t2}
+
+    def test_a_failed_side_is_an_error_of_every_row(self):
+        # at k = 1e-4 every Gamma_k ratio underflows or overflows: the sides
+        # are stored for no point, and each T3 point reports T2's text
+        spec = GridSpec(ks=(1e-4,))
+        checks, summary = harness.scan_grid(spec, ("T2", "T3"))
+        t2 = [e.removeprefix("T2: ") for e in summary.errors if e.startswith("T2: ")]
+        t3 = [e.removeprefix("T3: ") for e in summary.errors if e.startswith("T3: ")]
+        assert checks == [] and len(t2) == len(harness._holder_triples(spec))
+        assert t3 == [e for _ in spec.p_params for e in t2]
+        assert ("gamma ratio denominator of orders m=1, n=1 at k=0.0001 underflows "
+                "to 0 in double precision") in t2
+
+    def test_default_grid_builds_derivatives_to_its_top_order(self, monkeypatch):
+        # T4 reads up to D^(5) and T5/T6 up to D^(6): no point's table
+        # reaches psi^(6)(y) or psi^(7)(y), so zeta_H(7, y) and zeta_H(8, y)
+        # are never computed at a point's y.  zeta_k(4; k = 0.5), a T2/T3
+        # value, is zeta_H(8, 1) and 1 = 0.5/0.5 is a y of the grid
+        blocks = _sweep_blocks(monkeypatch)
+        spec = GridSpec()
+        harness.scan_grid(spec, harness.THEOREM_IDS)
+        (tables,) = blocks
+        assert {len(d) for d in tables[fn._all_derivatives].values()} == {7}
+        ys = {x / k for x in spec.xs for k in spec.ks}
+        assert {(s, a) for s, a in tables[kernels.hurwitz_zeta]
+                if s in (7.0, 8.0) and a in ys} == {(8.0, 1.0)}
+
+    def test_top_order_eight_is_bit_identical(self, monkeypatch):
+        # n = 7 reads D^(8): the tables are built to it, and every row is the
+        # record of the check called outside a block
+        blocks = _sweep_blocks(monkeypatch)
+        spec = GridSpec(xs=(0.3, 1.0, 2.5, 170.0), ks=(0.7, 1.0), ns=(3, 7), ls=(0,))
+        checks, summary = harness.scan_grid(spec, harness.THEOREM_IDS)
+        direct_checks, direct_errors = _uncached_scan(spec)
+        assert [repr(c) for c in checks] == [repr(c) for c in direct_checks]
+        assert summary.errors == direct_errors
+        assert any(c.n == 7 for c in checks)
+        assert {len(d) for d in blocks[0][fn._all_derivatives].values()} == {9}
+
+    def test_grid_values_print_alike_in_every_row(self):
+        # int grid values are floats in every row that records them, as
+        # the CLI's own floats are
+        spec = GridSpec(xs=(3,), ks=(1,), p_params=(2,), ns=(2,), ls=(0,),
+                        holder_ps=(2,))
+        checks, _ = harness.scan_grid(spec, harness.THEOREM_IDS)
+        assert {c.theorem_id for c in checks} == set(harness.THEOREM_IDS)
+        for column in ("x", "k", "p_param", "holder_p", "holder_q"):
+            values = {getattr(c, column) for c in checks} - {None}
+            assert {type(v) for v in values} == {float}, column
+        text = cli._render_csv(checks, {"artifact_version": "test", "timestamp": "t"})
+        rows = [line.split(",") for line in text.splitlines()[2:]]
+        columns = dict(zip(cli.CSV_COLUMNS, zip(*rows)))
+        assert set(columns["k"]) == {"1.0"}
+        assert set(columns["p_param"]) == {"", "2.0"}
+        assert set(columns["holder_p"]) == set(columns["holder_q"]) == {"", "2.0"}
 
 
 def _direct_check(check, slack_tol=harness.DEFAULT_SLACK_TOL):

@@ -560,6 +560,7 @@ class TestKernelCache:
 
     def test_each_table_is_filled_by_its_one_reader(self):
         from kgamma import functions as fn
+        from kgamma import harness
 
         pt, ppt = fn.EvalPoint(2.5, 0.7), fn.EvalPoint(2.5, 0.7, 1.9)
         zetas, psis = kernels.hurwitz_zeta, kernels._polygammas
@@ -570,22 +571,27 @@ class TestKernelCache:
             (lambda: kernels.bell_sequence(3, 2.5, 1.9), {psis, zetas}),
             (lambda: fn._zeta_at(3.5, 0.7), {fn._zeta_at, zetas}),
             (lambda: fn._gamma_at(3.5, 0.7), {fn._gamma_at}),
+            # the one table not kept by `memo`: each point's D table
             (lambda: (fn.k_gamma_deriv(3, pt), fn._gamma_derivatives((1, 2), ppt)),
              {fn._all_derivatives, psis, zetas}),
             (lambda: fn._psi_k_at(3, 2.5, 0.7), {fn._psi_k_at, zetas}),
             (lambda: fn._magnitude_at(2.5, 2.5, 0.7), {fn._magnitude_at, zetas}),
+            # a T2 row and its T3 twin share one entry of both sides
+            (lambda: [harness.check_holder_zeta(1, 3, harness.HolderPair(2.0, 2.0),
+                                                0.7, p) for p in (None, 1.9)],
+             {harness._holder_zeta_sides, fn._zeta_at, fn._gamma_at, zetas}),
             # the public closed forms keep no table of their own
             (lambda: (fn.k_gamma(pt), fn.pk_gamma(ppt)), set()),
             (lambda: (fn.k_polygamma(3, pt),
                       fn.k_polygamma_magnitude_fractional(2.5, pt)), {zetas}),
         ]
-        # every `memo` function of the two modules has its reader above:
+        # every `memo` function of the three modules has its reader above:
         # the wrappers `memo` returns share one code object
         memo_code = kernels.memo(abs).__code__
-        memos = {f for module in (kernels, fn) for f in vars(module).values()
+        memos = {f for module in (kernels, fn, harness) for f in vars(module).values()
                  if getattr(f, "__code__", None) is memo_code}
-        assert memos == {fn._zeta_at, fn._gamma_at, fn._all_derivatives,
-                         fn._psi_k_at, fn._magnitude_at, psis}
+        assert memos == {fn._zeta_at, fn._gamma_at, fn._psi_k_at, fn._magnitude_at,
+                         psis, harness._holder_zeta_sides}
         for read, filled in readers:
             with kernels.memoised() as tables:
                 read()
