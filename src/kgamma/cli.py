@@ -357,7 +357,9 @@ def crosscheck_families(grid: harness.GridSpec) -> tuple[dict, dict, list]:
     quad_orders = sorted({0, *grid.ns})
 
     def at_point(x, k):
-        # (family, closed, quad, scale) per comparison at (x, k) and its p
+        # (family, closed, quad, scale) per comparison at (x, k) and its p;
+        # an order past 8 is one error per point, inside a block or not
+        kernels.check_deriv_order(top)
         for p in (None, *grid.p_params):
             pt = fn.EvalPoint(x, k, p)
             family = "k_gamma" if p is None else "pk_gamma"

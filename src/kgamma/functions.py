@@ -46,13 +46,12 @@ table is read: a rel_tol at or above 2^-56 is met as it stands, and a
 smaller one, which double precision cannot deliver, raises `DomainError`.
 The private readers below take no policy.
 
-A `verify` sweep reads the values its rows share through private readers
-of floats wrapped in `kernels.memo` (`_zeta_at`, `_gamma_at` of Gamma_k
-alone, `_psi_k_at`, `_magnitude_at`), so inside a `kernels.memoised()`
-block each is computed once.  The public functions keep no table; the
-derivatives read each point's D table of the block (`_all_derivatives`),
-built once to the block's derivative order: D_0..8, unless a sweep sized
-it to the largest order its rows read (`_size_derivative_tables`).
+A `verify` sweep reads every value its rows share as one `kernels.memo`
+entry: `_zeta_at`, `_gamma_at` (Gamma_k alone), `_psi_k_at`,
+`_magnitude_at`, and each point's derivatives D_0..8
+(`_derivative_table`), so inside a `kernels.memoised()` block each is
+computed once.  The public functions keep no table, and outside a block
+the derivatives are built only up to the largest order read.
 """
 
 from __future__ import annotations
@@ -399,26 +398,11 @@ def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[tuple]
     return derivs
 
 
-def _size_derivative_tables(tables: dict, order: int) -> None:
-    """Build each point's D table in the block `tables` to `order`: the
-    largest order its reads ask for.  A block left unsized builds D_0..8."""
-    tables[_size_derivative_tables] = order
-
-
-def _all_derivatives(tables: dict, top: int, x: float, k: float,
-                     p: float | None) -> list[tuple]:
-    # the point's D table in the block `tables`, keyed by (x, k, p), as
-    # `kernels.memo` keys it: built once to the block's order, and again to
-    # `top` by a read past it.  B_j depends on kappa_1..kappa_j alone, so
-    # every entry keeps its bits whatever the length
-    table = tables.get(_all_derivatives)
-    if table is None:
-        table = tables[_all_derivatives] = {}
-    derivs = table.get((x, k, p))
-    if derivs is None or len(derivs) <= top:
-        order = tables.get(_size_derivative_tables, kernels.GAMMA_DERIV_MAX_ORDER)
-        derivs = table[x, k, p] = _derivatives(max(order, top), x, k, p)
-    return derivs
+@kernels.memo
+def _derivative_table(x: float, k: float, p: float | None) -> list[tuple]:
+    # the point's D_0..8 in a sweep block.  B_j depends on kappa_1..kappa_j
+    # alone, so each entry has the bits of a shorter table's
+    return _derivatives(kernels.GAMMA_DERIV_MAX_ORDER, x, k, p)
 
 
 def k_gamma_deriv(
@@ -428,6 +412,7 @@ def k_gamma_deriv(
     point without p."""
     pt.require_no_p("k_gamma_deriv", "pk_gamma_deriv")
     _check_policy(policy)
+    kernels.check_deriv_order(n)
     return _gamma_derivatives((n,), pt)[0]
 
 
@@ -437,27 +422,24 @@ def pk_gamma_deriv(
     """pGamma_k^(n)(x): the n-th derivative of pGamma_k at x, n <= 8."""
     _check_policy(policy)
     pt.require_p()
+    kernels.check_deriv_order(n)
     return _gamma_derivatives((n,), pt)[0]
 
 
 def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
-    """G^(n)(x) for each n of `orders`, a non-empty tuple, in order, with
-    G = Gamma_k at a point without p and G = pGamma_k at one with p, n <= 8.
+    """G^(n)(x) for each n of `orders`, a non-empty tuple of orders in
+    0..8 that the caller has checked, with G = Gamma_k at a point without p
+    and G = pGamma_k at one with p.
 
-    Every order is checked first.  The values, and the error the first
-    order that overflows raises, are then those of `k_gamma_deriv` or
-    `pk_gamma_deriv` called order by order.  Inside a `kernels.memoised()`
-    block the point's D table is read once for every order; outside one D
-    is built only up to the largest order asked for.
+    The values, and the error the first order that overflows raises, are
+    those of `k_gamma_deriv` or `pk_gamma_deriv` called order by order.
+    Inside a `kernels.memoised()` block the point's D_0..8 are one `memo`
+    entry; outside one D is built only up to the largest order asked for.
     """
-    for n in orders:
-        kernels.check_deriv_order(n)
-    top = max(orders)
-    tables = kernels.active_cache()
-    if tables is None:
-        derivs = _derivatives(top, pt.x, pt.k, pt.p)
+    if kernels.active_cache() is None:
+        derivs = _derivatives(max(orders), pt.x, pt.k, pt.p)
     else:
-        derivs = _all_derivatives(tables, top, pt.x, pt.k, pt.p)
+        derivs = _derivative_table(pt.x, pt.k, pt.p)
     what = "Gamma_k^({}) at {}" if pt.p is None else "pGamma_k^({}) at {}"
     values = []
     for n in orders:

@@ -25,12 +25,12 @@ theorem does not take.
 points and the check that evaluates one.  `scan_grid` runs every check of
 a sweep inside one `kernels.memoised()` block, and the checks read their
 values through the memoised readers of `functions`, so a value that rows
-share is computed once.  A T2 row and its T3 twins read lhs, rhs and
-margin from one table entry per (m, n, P, Q, k), and each point's
-derivative table is built only to the largest order the sweep's rows read
-(D^(6) on the default grid), not to D^(8).  Every row is still the record
-of one call of its module-level check, which a profiler or test can wrap,
-and every value keeps the bits it has outside a block.
+share is one `kernels.memo` entry, computed once: a T2 row and its T3
+twins read lhs, rhs and margin from one entry per (m, n, P, Q, k), and
+the T4-T6 rows of a point read its derivatives D_0..8 from one entry.
+Every row is still the record of one call of its module-level check,
+which a profiler or test can wrap, and every value keeps the bits it has
+outside a block.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from operator import attrgetter
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .kernels import (GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_order, memo,
-                      memoised, require_positive)
+from .kernels import (GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_deriv_order,
+                      check_order, memo, memoised, require_positive)
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -254,10 +254,11 @@ def check_midpoint_gamma_deriv(
     by monotonicity of exp and would overflow immediately if asserted
     directly.  A point that carries p checks pGamma_k instead (T6).
     """
-    check_order(l, 0, None, "midpoint")  # n: by the derivative reader below
+    check_order(l, 0, None, "midpoint")
     if n % 2 or l % 2 or not n >= l or n + l > GAMMA_DERIV_MAX_ORDER:
         raise DomainError("midpoint check requires even n >= l >= 0 with "
                           f"n + l <= {GAMMA_DERIV_MAX_ORDER}")
+    check_deriv_order(n)  # a bool, float or numpy n can pass the test above
     g_lo, g_hi, g_mid = fn._gamma_derivatives((n - l, n + l, n), pt)
     # halved first: finite D^0 and D^8 can sum past the largest double
     lhs = 0.5 * g_lo + 0.5 * g_hi
@@ -390,25 +391,16 @@ def _holder_zeta_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
                     yield m, n, hp, k, p_param
 
 
-def _turan_orders(spec: GridSpec) -> list[int]:
-    # the admissible n of T4K/T4PK, each of which reads D^(n + 1)
-    return [n for n in spec.ns if 1 <= n < GAMMA_DERIV_MAX_ORDER]
-
-
-def _midpoint_orders(spec: GridSpec) -> list[tuple[int, int]]:
-    # the admissible (n, l) of T5/T6, each of which reads D^(n + l)
-    return [(n, l) for n in spec.ns if n % 2 == 0 for l in spec.ls
-            if l % 2 == 0 and l <= n and n + l <= GAMMA_DERIV_MAX_ORDER]
-
-
 def _turan_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
-    orders = _turan_orders(spec)
-    return ((n, pt) for pt in _eval_points(spec, pk) for n in orders)
+    return ((n, pt) for pt in _eval_points(spec, pk) for n in spec.ns
+            if 1 <= n < GAMMA_DERIV_MAX_ORDER)
 
 
 def _midpoint_gamma_points(spec: GridSpec, pk: bool) -> Iterator[tuple]:
-    orders = _midpoint_orders(spec)
-    return ((n, l, pt) for pt in _eval_points(spec, pk) for n, l in orders)
+    return ((n, l, pt) for pt in _eval_points(spec, pk)
+            for n in spec.ns if n % 2 == 0
+            for l in spec.ls
+            if l % 2 == 0 and l <= n and n + l <= GAMMA_DERIV_MAX_ORDER)
 
 
 def _midpoint_polygamma_points(spec: GridSpec) -> Iterator[tuple]:
@@ -437,18 +429,6 @@ THEOREMS = (
 THEOREM_IDS = tuple(theorem_id for theorem_id, _, _ in THEOREMS)
 
 
-def _top_derivative_order(spec: GridSpec, theorems: Sequence[str]) -> int:
-    """The largest Gamma_k or pGamma_k derivative order that the selected
-    theorems read on `spec`: D^(n + 1) at a T4K/T4PK order n, D^(n + l) at
-    a T5/T6 pair (n, l); 0 if none reads one."""
-    reads = [0]
-    if "T4K" in theorems or "T4PK" in theorems:
-        reads += [n + 1 for n in _turan_orders(spec)]
-    if "T5" in theorems or "T6" in theorems:
-        reads += [n + l for n, l in _midpoint_orders(spec)]
-    return max(reads)
-
-
 def scan_grid(
     spec: GridSpec,
     theorems: Sequence[str],
@@ -467,9 +447,7 @@ def scan_grid(
         raise DomainError(f"unknown theorem ids: {sorted(unknown)}")
     checks: list[InequalityCheck] = []
     summary = ScanSummary()
-    with memoised() as tables:
-        # each point's derivatives are built only as far as the rows read
-        fn._size_derivative_tables(tables, _top_derivative_order(spec, theorems))
+    with memoised():
         for theorem_id, points, evaluate in THEOREMS:
             if theorem_id not in theorems:
                 continue

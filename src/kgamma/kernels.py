@@ -149,10 +149,11 @@ def memoised():
     """A block in which every `memo` function computes each value once.
 
     Yields the block's new dict of tables, one per function that stored a
-    value, keyed by that function; a sweep also keeps there the order to
-    which its derivative tables are built (`functions._size_derivative_tables`).
-    On exit, normal or by an exception, the enclosing block's tables (or
-    none) are active again.
+    value, keyed by that function.  Every value a sweep shares is one
+    `memo` entry, a point's derivative table D_0..8 included
+    (`functions._derivative_table`), except zeta_H(s, a): `hurwitz_zeta`
+    keeps its own table in the block, keyed alike.  On exit, normal or by
+    an exception, the enclosing block's tables (or none) are active again.
     """
     tables = {}
     token = _TABLES.set(tables)
@@ -420,9 +421,7 @@ def bell_sequence(n_max: int, y: float, c: float) -> list[float]:
     log_c = math.log(c)
     kappas = []
     if n_max:
-        # outside a block `memo` would only add a frame
-        read = _polygammas.__wrapped__ if active_cache() is None else _polygammas
-        psis = read(n_max, y)
+        psis = _polygammas(n_max, y)
         kappas = [log_c + psis[0], *psis[1:n_max]]  # a copy: psis is shared
     bell = [1.0]
     for j in range(n_max):

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, output formats, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -687,6 +688,19 @@ class TestCrosscheck:
         assert {"k_gamma_deriv", "pk_gamma_deriv"} <= set(worst)
         # one integral call per point and family, at the grid's orders
         assert calls == {((0, 3), p): 1 for p in (None, *grid.p_params)}
+
+    def test_library_order_past_the_cap_is_one_error_per_point(self):
+        # the CLI refuses n = 9 first; a library call reports one error per
+        # (x, k) point, naming the order it reads, D^(10), and keeps its
+        # Bose comparisons, inside a block or not
+        grid = harness.GridSpec(xs=(1.0, 2.0), ks=(1.0,), p_params=(2.0,), ms=(1,),
+                                ns=(9,))
+        for block in (contextlib.nullcontext, kernels.memoised):
+            with block():
+                worst, _, errors = cli.crosscheck_families(grid)
+            assert errors == [f"x={x}, k=1.0: derivative order 10 exceeds supported cap 8"
+                              for x in (1.0, 2.0)]
+            assert set(worst) == {"bose_k_zeta", "bose_pk_zeta"}
 
     @pytest.mark.parametrize("orders", ["9", "0,9", "-1"])
     def test_orders_outside_cap_are_usage_errors(self, capsys, orders):

@@ -4,6 +4,7 @@ import contextlib
 import math
 import re
 import sys
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgamma import functions as fn
-from kgamma import kernels
+from kgamma import harness, kernels
 from kgamma.functions import EvalPoint
 from kgamma.policy import (
     AccuracyPolicy,
@@ -518,7 +519,7 @@ class TestDerivativeTables:
         assert computed == [(s, 0.5) for s in range(2, kernels.GAMMA_DERIV_MAX_ORDER + 1)]
         assert set(tables[kernels.hurwitz_zeta]) == set(computed)
         # one derivative vector per (x, k, p): Gamma_k's and two pGamma_k's
-        assert len(tables[fn._all_derivatives]) == 3
+        assert len(tables[fn._derivative_table]) == 3
 
     def test_one_zeta_table_for_every_reader(self, monkeypatch):
         # bell_sequence, k_polygamma, k_zeta and polygamma all reach
@@ -597,22 +598,27 @@ class TestDerivativeTables:
     def test_one_order_read_is_the_batch_read(self):
         # `k_gamma_deriv`/`pk_gamma_deriv` give the bits, or the error, of
         # the batch read of their one order, outside a block and from the
-        # table inside one
+        # point's table inside one.  They check the order themselves, so a
+        # refused order is refused with the same text once the table holds
+        # D_0..8: n = -1 never reads D_8, nor 2.0 D_2
         orders = (*range(kernels.GAMMA_DERIV_MAX_ORDER + 1), 9, -1, 2.0, True, False)
         calls = [(n, pt) for ppt in TABLE_POINTS
                  for pt in (EvalPoint(ppt.x, ppt.k), ppt) for n in orders]
-        batch = [_outcome(lambda: fn._gamma_derivatives((n,), pt)[0])
-                 for n, pt in calls]
-        assert [_outcome(lambda: _deriv(n, pt.x, pt.k, pt.p))
-                for n, pt in calls] == batch
-        with kernels.memoised():
-            for _ in range(2):  # the second pass reads the tables
+        direct = [_outcome(lambda: _deriv(n, pt.x, pt.k, pt.p)) for n, pt in calls]
+        checked = [(n, pt, o) for (n, pt), o in zip(calls, direct) if type(n) is int
+                   and 0 <= n <= kernels.GAMMA_DERIV_MAX_ORDER]
+        assert [_outcome(lambda: fn._gamma_derivatives((n,), pt)[0])
+                for n, pt, _ in checked] == [o for _, _, o in checked]
+        with kernels.memoised() as tables:
+            for _ in range(2):  # every refused order comes after order 0's read
                 assert [_outcome(lambda: _deriv(n, pt.x, pt.k, pt.p))
-                        for n, pt in calls] == batch
+                        for n, pt in calls] == direct
                 assert [_outcome(lambda: fn._gamma_derivatives((n,), pt)[0])
-                        for n, pt in calls] == batch
+                        for n, pt, _ in checked] == [o for _, _, o in checked]
+        assert {len(d) for d in tables[fn._derivative_table].values()} == {9}
+        assert set(tables[fn._derivative_table]) == {(pt.x, pt.k, pt.p) for _, pt in calls}
         # keyed by repr(n), since 2 and 2.0, and 1 and True, are one dict key
-        outcome = {(repr(n), pt): o for (n, pt), o in zip(calls, batch)}
+        outcome = {(repr(n), pt): o for (n, pt), o in zip(calls, direct)}
         overflow = "^(6) at EvalPoint(x=170.0, k=1.0, p={}) overflows double precision"
         assert outcome["6", EvalPoint(170.0, 1.0)] == (
             ComputationOverflowError, "Gamma_k" + overflow.format(None))
@@ -626,51 +632,31 @@ class TestDerivativeTables:
                                           f"a non-negative integer, got {n}")
 
     def test_gamma_derivatives_match_the_order_by_order_calls(self):
-        # the order triples the Turan and midpoint checks read, and refused
-        # orders: the values, or the first error, of one call per order once
-        # every order is checked, outside a block and from the table inside one
-        order_lists = ((0, 1, 2), (6, 7, 8), (2, 6, 4), (0, 8, 4), (8, 0),
-                       (9,), (1, -1), (3, 9, 8))
-        cases = [(orders, pt) for ppt in TABLE_POINTS
-                 for pt in (EvalPoint(ppt.x, ppt.k), ppt) for orders in order_lists]
-
-        def one_by_one(orders, pt):
-            for n in orders:
-                kernels.check_deriv_order(n)
-            return [_deriv(n, pt.x, pt.k, pt.p) for n in orders]
-
-        direct = [_outcome(lambda: one_by_one(*case)) for case in cases]
-        assert [_outcome(lambda: fn._gamma_derivatives(*case))
-                for case in cases] == direct
+        # the order triples the T4 and T5 checks read, in their order: the
+        # values, or the first error, of one public call per order, outside
+        # a block and from the point's table inside one; and every row or
+        # error of the checks themselves is the same inside a block
+        turan = [(n - 1, n, n + 1) for n in range(1, kernels.GAMMA_DERIV_MAX_ORDER)]
+        midpoint = [(n - l, n + l, n) for n in range(0, 9, 2) for l in range(0, n + 1, 2)
+                    if n + l <= kernels.GAMMA_DERIV_MAX_ORDER]
+        points = [pt for ppt in TABLE_POINTS for pt in (EvalPoint(ppt.x, ppt.k), ppt)]
+        cases = [(orders, pt) for pt in points for orders in turan + midpoint]
+        direct = [_outcome(lambda: [_deriv(n, pt.x, pt.k, pt.p) for n in orders])
+                  for orders, pt in cases]
+        checks = ([partial(harness.check_turan_gamma_deriv, n, pt)
+                   for pt in points for _, n, _ in turan]
+                  + [partial(harness.check_midpoint_gamma_deriv, n, (hi - lo) // 2, pt)
+                     for pt in points for lo, hi, n in midpoint])
+        rows = [_outcome(check) for check in checks]
+        assert [_outcome(lambda: fn._gamma_derivatives(*case)) for case in cases] == direct
         with kernels.memoised() as tables:
             for _ in range(2):  # the second pass reads the tables
                 assert [_outcome(lambda: fn._gamma_derivatives(*case))
                         for case in cases] == direct
-        outcomes = {o[0] for o in direct if isinstance(o, tuple)}
-        assert outcomes == {ComputationOverflowError, DomainError, UnsupportedOrderError}
-        # one vector per point that some valid list reached
-        assert set(tables[fn._all_derivatives]) == {(pt.x, pt.k, pt.p) for _, pt in cases}
-
-    def test_a_read_past_the_block_order_builds_the_longer_table(self):
-        # a block sized to order 3 builds D_0..3 per point; a read of order
-        # 8 builds D_0..8 in its place, and every read, before and after,
-        # gives the bits or the error of the read outside a block
-        order_lists = ((0, 1, 3), (2,), (8, 2), (1, 3), (7,))
-        cases = [(orders, pt) for ppt in TABLE_POINTS
-                 for pt in (EvalPoint(ppt.x, ppt.k), ppt) for orders in order_lists]
-        direct = [_outcome(lambda: fn._gamma_derivatives(*case)) for case in cases]
-        with kernels.memoised() as tables:
-            fn._size_derivative_tables(tables, 3)
-            lengths = []
-            for case, expected in zip(cases, direct):
-                assert _outcome(lambda: fn._gamma_derivatives(*case)) == expected
-                _, pt = case
-                derivs = tables[fn._all_derivatives].get((pt.x, pt.k, pt.p))
-                lengths.append(None if derivs is None else len(derivs))
-        # at every point, 4 entries until the read of order 8, 9 from it on
-        per_point = [lengths[i:i + len(order_lists)]
-                     for i in range(0, len(lengths), len(order_lists))]
-        assert {tuple(row) for row in per_point} == {(4, 4, 9, 9, 9)}
+                assert [_outcome(check) for check in checks] == rows
+        outcomes = {o[0] if isinstance(o, tuple) else float for o in direct + rows}
+        assert outcomes == {float, ComputationOverflowError}
+        assert set(tables[fn._derivative_table]) == {(pt.x, pt.k, pt.p) for pt in points}
 
     def test_polygamma_tables_are_bit_identical_and_store_no_error(self):
         # psi_k^(m) per (m, x, k) and |psi_k^(s)| per (s, x, k): the bits

@@ -445,8 +445,7 @@ def _sweep_blocks(monkeypatch) -> list:
 
 
 class TestSharedValues:
-    """A sweep computes each value its rows share once, and each point's
-    derivatives only to the order its grid reads."""
+    """A sweep computes each value its rows share once."""
 
     def test_t2_and_t3_read_one_entry_of_the_sides(self, monkeypatch):
         reads = []
@@ -476,31 +475,15 @@ class TestSharedValues:
         assert ("gamma ratio denominator of orders m=1, n=1 at k=0.0001 underflows "
                 "to 0 in double precision") in t2
 
-    def test_default_grid_builds_derivatives_to_its_top_order(self, monkeypatch):
-        # T4 reads up to D^(5) and T5/T6 up to D^(6): no point's table
-        # reaches psi^(6)(y) or psi^(7)(y), so zeta_H(7, y) and zeta_H(8, y)
-        # are never computed at a point's y.  zeta_k(4; k = 0.5), a T2/T3
-        # value, is zeta_H(8, 1) and 1 = 0.5/0.5 is a y of the grid
-        blocks = _sweep_blocks(monkeypatch)
-        spec = GridSpec()
-        harness.scan_grid(spec, harness.THEOREM_IDS)
-        (tables,) = blocks
-        assert {len(d) for d in tables[fn._all_derivatives].values()} == {7}
-        ys = {x / k for x in spec.xs for k in spec.ks}
-        assert {(s, a) for s, a in tables[kernels.hurwitz_zeta]
-                if s in (7.0, 8.0) and a in ys} == {(8.0, 1.0)}
-
-    def test_top_order_eight_is_bit_identical(self, monkeypatch):
-        # n = 7 reads D^(8): the tables are built to it, and every row is the
-        # record of the check called outside a block
-        blocks = _sweep_blocks(monkeypatch)
+    def test_top_order_eight_is_bit_identical(self):
+        # n = 7 reads D^(8): every row and error is that of the check called
+        # outside a block
         spec = GridSpec(xs=(0.3, 1.0, 2.5, 170.0), ks=(0.7, 1.0), ns=(3, 7), ls=(0,))
         checks, summary = harness.scan_grid(spec, harness.THEOREM_IDS)
         direct_checks, direct_errors = _uncached_scan(spec)
         assert [repr(c) for c in checks] == [repr(c) for c in direct_checks]
         assert summary.errors == direct_errors
         assert any(c.n == 7 for c in checks)
-        assert {len(d) for d in blocks[0][fn._all_derivatives].values()} == {9}
 
     def test_grid_values_print_alike_in_every_row(self):
         # int grid values are floats in every row that records them, as
@@ -617,9 +600,11 @@ class TestScanCache:
          "Turán order must be an integer >= 1, got True"),
         (harness.check_midpoint_gamma_deriv, (2, 0), (2, False),
          "midpoint order must be a non-negative integer, got False"),
-        # n is refused by the derivative reader, which checks every order first
+        # n passes the even/range test and is refused as a derivative order
         (harness.check_midpoint_gamma_deriv, (0, 0), (False, 0),
          "derivative order must be a non-negative integer, got False"),
+        (harness.check_midpoint_gamma_deriv, (2, 2), (2.0, 2),
+         "derivative order must be a non-negative integer, got 2.0"),
     ])
     def test_float_order_is_refused_in_and_out_of_a_block(self, check, orders,
                                                           float_orders, message):

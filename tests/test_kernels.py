@@ -571,9 +571,9 @@ class TestKernelCache:
             (lambda: kernels.bell_sequence(3, 2.5, 1.9), {psis, zetas}),
             (lambda: fn._zeta_at(3.5, 0.7), {fn._zeta_at, zetas}),
             (lambda: fn._gamma_at(3.5, 0.7), {fn._gamma_at}),
-            # the one table not kept by `memo`: each point's D table
+            # each point's D_0..8, shared by every order read at the point
             (lambda: (fn.k_gamma_deriv(3, pt), fn._gamma_derivatives((1, 2), ppt)),
-             {fn._all_derivatives, psis, zetas}),
+             {fn._derivative_table, psis, zetas}),
             (lambda: fn._psi_k_at(3, 2.5, 0.7), {fn._psi_k_at, zetas}),
             (lambda: fn._magnitude_at(2.5, 2.5, 0.7), {fn._magnitude_at, zetas}),
             # a T2 row and its T3 twin share one entry of both sides
@@ -585,13 +585,15 @@ class TestKernelCache:
             (lambda: (fn.k_polygamma(3, pt),
                       fn.k_polygamma_magnitude_fractional(2.5, pt)), {zetas}),
         ]
-        # every `memo` function of the three modules has its reader above:
-        # the wrappers `memo` returns share one code object
+        # every table above but zeta_H's is a `memo` table, and every `memo`
+        # function of the three modules has its reader above: the wrappers
+        # `memo` returns share one code object
         memo_code = kernels.memo(abs).__code__
         memos = {f for module in (kernels, fn, harness) for f in vars(module).values()
                  if getattr(f, "__code__", None) is memo_code}
         assert memos == {fn._zeta_at, fn._gamma_at, fn._psi_k_at, fn._magnitude_at,
-                         psis, harness._holder_zeta_sides}
+                         fn._derivative_table, psis, harness._holder_zeta_sides}
+        assert set().union(*(filled for _, filled in readers)) == memos | {zetas}
         for read, filled in readers:
             with kernels.memoised() as tables:
                 read()
