@@ -17,7 +17,8 @@ tolerance of the oracle_* functions, for a closed form, accurate to one
 fixed 2^-56 Hurwitz truncation.  `verify --default-grid` takes no grid
 axis flag (exit 2), and `crosscheck` compares the derivative orders 0..4
 of its grid unless --n gives others.  A flag is never abbreviated (`--p` is
-not --p-param), and an order axis takes exact integers: else exit 2.
+not --p-param), an order axis takes exact integers, and a range axis at
+most `MAX_AXIS_COUNT` values: else exit 2.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ class UsageError(Exception):
     pass
 
 
+#: The most values a `min:max:count` axis may ask for.  A count is refused
+#: before any value is built, so a mistyped one is a usage error and not a
+#: run that exhausts memory.  No documented grid has more than 40 values on
+#: an axis.
+MAX_AXIS_COUNT = 10**6
+
+
 def _fmt(value) -> str:
     # shortest round-trip representation: diff-able regression files
     if value is None:
@@ -74,6 +82,9 @@ def parse_grid_axis(text: str, integer: bool = False) -> tuple:
             raise UsageError(f"bad range spec {text!r}") from exc
         if count < 1 or hi < lo:
             raise UsageError(f"bad range spec {text!r}")
+        if count > MAX_AXIS_COUNT:
+            raise UsageError(f"range spec {text!r} asks for {count} values; "
+                             f"an axis takes at most {MAX_AXIS_COUNT}")
         if count == 1:
             values = [lo]
         elif len(parts) == 4:

@@ -50,8 +50,10 @@ A `verify` sweep reads every value its rows share as one `kernels.memo`
 entry: `_zeta_at`, `_gamma_at` (Gamma_k alone), `_psi_k_at`,
 `_magnitude_at`, and each point's derivatives D_0..8
 (`_derivative_table`), so inside a `kernels.memoised()` block each is
-computed once.  The public functions keep no table, and outside a block
-the derivatives are built only up to the largest order read.
+computed once.  The public functions keep no table.  Outside a block a
+point evaluation does only the work its value needs: D is formed for the
+orders read alone, and every value in range is returned from
+`math.ldexp` inline, with `_ldexp` called only to raise the overflow.
 """
 
 from __future__ import annotations
@@ -271,8 +273,15 @@ def _psi_k(m: int, x: float, k: float) -> float:
             z, c = math.frexp(zeta)
             head = math.factorial(m) * f ** (-(m + 1.0)) * z
             exponent = c - (m + 1) * e
-    value = _ldexp(head, exponent, "psi_k^({})({}; k={})", m, x, k)
-    return value if m % 2 == 1 else -value
+    if m % 2 == 0:
+        head = -head
+    # every head is finite: ldexp returns the value, 0.0 or subnormal below
+    # the double range, or raises OverflowError above it
+    try:
+        return math.ldexp(head, exponent)
+    except OverflowError:
+        pass
+    return _ldexp(head, exponent, "psi_k^({})({}; k={})", m, x, k)
 
 
 def _hurwitz_or_none(s: float, y: float) -> float | None:
@@ -311,24 +320,32 @@ def _magnitude(s: float, x: float, k: float) -> float:
     # double is one log, so two of them never cancel after `_split_exp`.
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
-    what = "|psi_k^({})({}; k={})|"
     y = x / k
     if y >= _PSI_K_LEADING_Y:
         # at the order s + 1.0 - 1.0 that the scale's s + 1.0 is rounded to
         order = s + 1.0 - 1.0
         zeta = y ** -order / order
-        if not zeta >= _TINY:
-            head, exponent = _split_exp(kernels.log_gamma(s) - s * math.log(x))
-            f, e = math.frexp(k)
-            return _ldexp(head / f, exponent - e, what, s, x, k)
     else:
         zeta = _hurwitz_or_none(s + 1.0, y)
-        if zeta is None:
-            log_value = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(x)
-            return _ldexp(*_split_exp(log_value), what, s, x, k)
-    head, exponent = _split_exp(kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k))
-    z, c = math.frexp(zeta)
-    return _ldexp(head * z, exponent + c, what, s, x, k)
+    if zeta is None:
+        head, exponent = _split_exp(kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(x))
+    elif y >= _PSI_K_LEADING_Y and not zeta >= _TINY:
+        head, exponent = _split_exp(kernels.log_gamma(s) - s * math.log(x))
+        f, e = math.frexp(k)
+        head /= f
+        exponent -= e
+    else:
+        head, exponent = _split_exp(kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k))
+        z, c = math.frexp(zeta)
+        head *= z
+        exponent += c
+    # every head is finite: ldexp returns the value, 0.0 or subnormal below
+    # the double range, or raises OverflowError above it
+    try:
+        return math.ldexp(head, exponent)
+    except OverflowError:
+        pass
+    return _ldexp(head, exponent, "|psi_k^({})({}; k={})|", s, x, k)
 
 
 #: psi_k^(m)(x) and |psi_k^(s)(x)| for a sweep row, which the T1 and T7 rows
@@ -372,29 +389,31 @@ def pk_zeta(
     return _zeta(x, k)
 
 
-def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[tuple]:
-    # [D_0, ..., D_n_max] of G as pairs (h, c), D_j = h 2^c: D_j = G k^-j B_j,
-    # with B_j the Bell polynomials at c = k, or c = p with p.  G and B_j are
-    # split by frexp, and k^-j is pow's where it is certainly a normal double,
-    # else f^-j 2^(-je) with k = f 2^e.  Every head is then a product of
-    # normal doubles, rounded as G k^-j B_j is wherever that is a normal
-    # double.  `bell_sequence` refuses y = 0 at every order, as psi(y) is
-    # undefined there
-    bells = kernels.bell_sequence(n_max, x / k, k if p is None else p)
+def _derivatives(orders: tuple[int, ...] | range, x: float, k: float,
+                 p: float | None) -> list[tuple | None]:
+    # D_n of G as a pair (h, c), D_n = h 2^c, at index n of the list for each
+    # n of `orders`, None at every other index up to the largest: D_n =
+    # G k^-n B_n, with B_n the Bell polynomials at c = k, or c = p with p.
+    # G and B_n are split by frexp, and k^-n is pow's where it is certainly
+    # a normal double, else f^-n 2^(-ne) with k = f 2^e.  Every head is then
+    # a product of normal doubles, rounded as G k^-n B_n is wherever that is
+    # a normal double.  `bell_sequence` refuses y = 0 at every order, as
+    # psi(y) is undefined there
+    bells = kernels.bell_sequence(max(orders), x / k, k if p is None else p)
     g, exponent = _split_exp(_log_gamma(x, k, p))
     f, e = math.frexp(k)
-    # k^-j lies in (2^-je, 2^(j - je)]: up to this j, times a head in
+    # k^-n lies in (2^-ne, 2^(n - ne)]: up to this n, times a head in
     # [1/2, 1), it is a normal double
     top = 1020 // e if e > 0 else 1023 // (1 - e)
-    derivs = []
-    for j, b in enumerate(bells):
-        b, c = math.frexp(b)
-        if j <= top:
-            b *= k ** -float(j)
+    derivs = [None] * len(bells)
+    for n in orders:
+        b, c = math.frexp(bells[n])
+        if n <= top:
+            b *= k ** -float(n)
         else:
-            b *= f ** -float(j)
-            c -= j * e
-        derivs.append((g * b, exponent + c))
+            b *= f ** -float(n)
+            c -= n * e
+        derivs[n] = (g * b, exponent + c)
     return derivs
 
 
@@ -402,7 +421,7 @@ def _derivatives(n_max: int, x: float, k: float, p: float | None) -> list[tuple]
 def _derivative_table(x: float, k: float, p: float | None) -> list[tuple]:
     # the point's D_0..8 in a sweep block.  B_j depends on kappa_1..kappa_j
     # alone, so each entry has the bits of a shorter table's
-    return _derivatives(kernels.GAMMA_DERIV_MAX_ORDER, x, k, p)
+    return _derivatives(range(kernels.GAMMA_DERIV_MAX_ORDER + 1), x, k, p)
 
 
 def k_gamma_deriv(
@@ -434,15 +453,24 @@ def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
     The values, and the error the first order that overflows raises, are
     those of `k_gamma_deriv` or `pk_gamma_deriv` called order by order.
     Inside a `kernels.memoised()` block the point's D_0..8 are one `memo`
-    entry; outside one D is built only up to the largest order asked for.
+    entry; outside one D is built for the orders read alone, from the Bell
+    polynomials up to the largest of them.
     """
     if kernels.active_cache() is None:
-        derivs = _derivatives(max(orders), pt.x, pt.k, pt.p)
+        derivs = _derivatives(orders, pt.x, pt.k, pt.p)
     else:
         derivs = _derivative_table(pt.x, pt.k, pt.p)
-    what = "Gamma_k^({}) at {}" if pt.p is None else "pGamma_k^({}) at {}"
     values = []
     for n in orders:
         head, exponent = derivs[n]
-        values.append(_ldexp(head, exponent, what, n, pt))
+        # a head may be inf or NaN (an overflowing psi^(j) or B_n), which
+        # ldexp returns as it is
+        try:
+            value = math.ldexp(head, exponent)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            what = "Gamma_k^({}) at {}" if pt.p is None else "pGamma_k^({}) at {}"
+            _ldexp(head, exponent, what, n, pt)  # raises the typed overflow
+        values.append(value)
     return values

@@ -7,7 +7,10 @@ kernel takes a tolerance.  The same input gives bit-identical output, so
 inside a `memoised()` block a function wrapped in `memo` computes each of
 its arguments once; `hurwitz_zeta` keeps its own table the same way.  Its
 Euler-Maclaurin coefficients are precomputed for the integer orders of
-psi^(1..12); for any other order they are formed as they are summed.
+psi^(1..12); for any other order they are formed on each call.  Its seven
+correction steps are written out, not looped: the Hurwitz sum is about
+half of the time of a point evaluation, and the loop's per-step overhead
+was about 3% of a call at an integer order and 10% at a fractional one.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -105,8 +108,7 @@ _EM_STEPS = tuple(
     (b2j / math.factorial(2 * j), 2 * j - 1, 2 * j)
     for j, b2j in enumerate((*_BERNOULLI, _B16_ABS), start=1)
 )
-_EM_CORRECTION_STEPS = _EM_STEPS[:-1]
-_K_FACTOR = _EM_STEPS[-1][0]
+_EM_FACTORS = tuple(factor for factor, _, _ in _EM_STEPS)
 
 
 _TABLES = contextvars.ContextVar("kgamma_memo_tables", default=None)
@@ -211,7 +213,10 @@ def log_gamma(y: float) -> float:
     Backed by the platform lgamma, which is accurate to a few ulp on
     [1e-3, 1e3].
     """
-    return math.lgamma(require_positive("y", y))
+    if not (type(y) is float and 0.0 < y <= _FLOAT_MAX):
+        # raises unless y is a real number in range
+        y = require_positive("y", y)
+    return math.lgamma(y)
 
 
 def stirling_series(y: float) -> float:
@@ -281,9 +286,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     function and its derivatives, Numer. Algorithms 2015).  The bound is
     checked once; a value it does not certify, or one that overflows,
     raises `ComputationOverflowError`.  The Euler-Maclaurin coefficients
-    are read from `_EM_ROWS` at the integer s of psi^(1..12) and formed as
-    they are summed at any other s, bit for bit as `_em_row` forms them;
-    where M^(-s-1) underflows to 0 they are not formed.
+    are read from `_EM_ROWS` at the integer s of psi^(1..12) and formed on
+    the call at any other s, bit for bit as `_em_row` forms them; where
+    M^(-s-1) underflows to 0 they are not formed.
     Inside a `memoised()` block each (s, a) is computed once, as under
     `memo`.
     """
@@ -321,19 +326,41 @@ def hurwitz_zeta(s: float, a: float) -> float:
         m_squared = big_m * big_m
         row = _EM_ROWS.get(s)
         if row is None:
-            # the coefficients of `_em_row`, each formed as it is summed,
-            # with the same operations in the same order
+            # the coefficients of `_em_row`, with the same operations in the
+            # same order
+            f1, f2, f3, f4, f5, f6, f7, f8 = _EM_FACTORS
             rising = s
-            for factor, low, high in _EM_CORRECTION_STEPS:
-                correction += factor * rising * m_power
-                m_power /= m_squared
-                rising *= (s + low) * (s + high)
-            k_s = _K_FACTOR * rising
+            c1 = f1 * rising
+            rising *= (s + 1.0) * (s + 2.0)
+            c2 = f2 * rising
+            rising *= (s + 3.0) * (s + 4.0)
+            c3 = f3 * rising
+            rising *= (s + 5.0) * (s + 6.0)
+            c4 = f4 * rising
+            rising *= (s + 7.0) * (s + 8.0)
+            c5 = f5 * rising
+            rising *= (s + 9.0) * (s + 10.0)
+            c6 = f6 * rising
+            rising *= (s + 11.0) * (s + 12.0)
+            c7 = f7 * rising
+            rising *= (s + 13.0) * (s + 14.0)
+            k_s = f8 * rising
         else:
-            corrections, k_s = row
-            for coefficient in corrections:
-                correction += coefficient * m_power
-                m_power /= m_squared
+            (c1, c2, c3, c4, c5, c6, c7), k_s = row
+        correction += c1 * m_power
+        m_power /= m_squared
+        correction += c2 * m_power
+        m_power /= m_squared
+        correction += c3 * m_power
+        m_power /= m_squared
+        correction += c4 * m_power
+        m_power /= m_squared
+        correction += c5 * m_power
+        m_power /= m_squared
+        correction += c6 * m_power
+        m_power /= m_squared
+        correction += c7 * m_power
+        m_power /= m_squared
         bound = k_s * m_power
 
     value = head + tail + correction

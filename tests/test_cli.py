@@ -1042,6 +1042,26 @@ class TestGridParsing:
         with pytest.raises(cli.UsageError):
             cli.parse_grid_axis("")
 
+    def test_count_past_the_cap_is_refused_before_any_value_is_built(
+            self, capsys, monkeypatch):
+        # 10^12 floats would exhaust memory: the refusal must come first
+        spec = "1:2:1000000000000"
+        with pytest.raises(cli.UsageError) as refused:
+            cli.parse_grid_axis(spec)
+        message = (f"range spec {spec!r} asks for 1000000000000 values; "
+                   f"an axis takes at most {cli.MAX_AXIS_COUNT}")
+        assert str(refused.value) == message
+        for argv in (["verify", "--theorems", "T1", "--x", spec, "--k", "1"],
+                     ["crosscheck", "--x", "1", "--k", spec + ":log"]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage error: range spec ")
+        # the cap itself is accepted, one more is not
+        monkeypatch.setattr(cli, "MAX_AXIS_COUNT", 3)
+        assert cli.parse_grid_axis("0:1:3") == (0.0, 0.5, 1.0)
+        with pytest.raises(cli.UsageError):
+            cli.parse_grid_axis("0:1:4", integer=True)
+
     def test_count_one_is_the_lower_end(self, capsys):
         assert cli.parse_grid_axis("1:5:1") == (1.0,)
         code, out, _ = run(["verify", "--theorems", "T7", "--x", "1:5:1",

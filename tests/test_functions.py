@@ -632,15 +632,17 @@ class TestDerivativeTables:
                                           f"a non-negative integer, got {n}")
 
     def test_gamma_derivatives_match_the_order_by_order_calls(self):
-        # the order triples the T4 and T5 checks read, in their order: the
-        # values, or the first error, of one public call per order, outside
-        # a block and from the point's table inside one; and every row or
-        # error of the checks themselves is the same inside a block
+        # the order triples the T4 and T5 checks read, in their order, and
+        # shuffled or repeated orders: the values, or the first error, of
+        # one public call per order, outside a block, where only the orders
+        # read are formed, and from the point's table inside one; and every
+        # row or error of the checks themselves is the same inside a block
         turan = [(n - 1, n, n + 1) for n in range(1, kernels.GAMMA_DERIV_MAX_ORDER)]
         midpoint = [(n - l, n + l, n) for n in range(0, 9, 2) for l in range(0, n + 1, 2)
                     if n + l <= kernels.GAMMA_DERIV_MAX_ORDER]
+        shuffled = [(6, 0, 6), (8, 3), (0, 8), (5, 2, 7, 1), (3, 3), (4,), (2, 5, 2)]
         points = [pt for ppt in TABLE_POINTS for pt in (EvalPoint(ppt.x, ppt.k), ppt)]
-        cases = [(orders, pt) for pt in points for orders in turan + midpoint]
+        cases = [(orders, pt) for pt in points for orders in turan + midpoint + shuffled]
         direct = [_outcome(lambda: [_deriv(n, pt.x, pt.k, pt.p) for n in orders])
                   for orders, pt in cases]
         checks = ([partial(harness.check_turan_gamma_deriv, n, pt)
@@ -657,6 +659,15 @@ class TestDerivativeTables:
         outcomes = {o[0] if isinstance(o, tuple) else float for o in direct + rows}
         assert outcomes == {float, ComputationOverflowError}
         assert set(tables[fn._derivative_table]) == {(pt.x, pt.k, pt.p) for pt in points}
+        # D^(6..8) overflow at x = 170, k = 1: the first order read names it
+        outcome = dict(zip(cases, direct))
+        overflow = "^({}) at EvalPoint(x=170.0, k=1.0, p={}) overflows double precision"
+        for orders, n in (((6, 0, 6), 6), ((8, 3), 8), ((0, 8), 8), ((5, 2, 7, 1), 7)):
+            assert outcome[orders, EvalPoint(170.0, 1.0)] == (
+                ComputationOverflowError, "Gamma_k" + overflow.format(n, None))
+            assert outcome[orders, EvalPoint(170.0, 1.0, 1.0)] == (
+                ComputationOverflowError, "pGamma_k" + overflow.format(n, 1.0))
+        assert not isinstance(outcome[(2, 5, 2), EvalPoint(170.0, 1.0)], tuple)
 
     def test_polygamma_tables_are_bit_identical_and_store_no_error(self):
         # psi_k^(m) per (m, x, k) and |psi_k^(s)| per (s, x, k): the bits

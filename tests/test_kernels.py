@@ -259,6 +259,27 @@ class TestHurwitzZeta:
         ref = float(mp.zeta(mp.mpf(s), mp.mpf(a)))
         assert kernels.hurwitz_zeta(s, a) == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("m", range(1, kernels.POLYGAMMA_MAX_ORDER + 1))
+    @pytest.mark.parametrize("exponent", [float, int])
+    def test_tabled_orders_are_the_row_bit_for_bit(self, m, exponent):
+        # the integer s = m + 1 of psi^(m), as the float of `_EM_ROWS` and as
+        # the int that `_polygamma` passes: the same float bits, or the same
+        # error type and message, at a log-uniform a and within a few ulps
+        # of where a^-s leaves the double range
+        s = exponent(m + 1)
+        rng = random.Random(m)
+        args = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(40)]
+        for log in _RANGE_LOGS:
+            edge = math.exp(min(-log / s, 709.0))
+            for direction in (0.0, math.inf):
+                a = edge
+                for _ in range(4):
+                    a = math.nextafter(a, direction)
+                    args.append(a)
+            args.append(edge)
+        outcomes = [_bits_or_error(lambda: kernels.hurwitz_zeta(s, a)) for a in args]
+        assert outcomes == [_bits_or_error(lambda: row_hurwitz(s, a)) for a in args]
+
     @given(hurwitz_arguments())
     # about 1 (s, a) in 3,000 moves its last bit when the correction sum
     # rounds once differently, (factor * (rising * m_power)) for one: these
