@@ -17,8 +17,10 @@ tolerance of the oracle_* functions, for a closed form, accurate to one
 fixed 2^-56 Hurwitz truncation.  `verify --default-grid` takes no grid
 axis flag (exit 2), and `crosscheck` compares the derivative orders 0..4
 of its grid unless --n gives others.  A flag is never abbreviated (`--p` is
-not --p-param), an order axis takes exact integers, and a range axis at
-most `MAX_AXIS_COUNT` values: else exit 2.
+not --p-param), an order axis takes exact integers, a range axis at most
+`MAX_AXIS_COUNT` values, and a `verify` or `crosscheck` grid at most
+`MAX_GRID_POINTS` points, the product of the lengths of the axes the
+command takes: else exit 2.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ class UsageError(Exception):
 #: run that exhausts memory.  No documented grid has more than 40 values on
 #: an axis.
 MAX_AXIS_COUNT = 10**6
+
+#: The most points a `verify` or `crosscheck` grid may have: the product of
+#: the lengths of the axes the command takes, defaults included (the 40 x 20
+#: `verify` grid has 307,200).  A grid past it is refused before it is built.
+MAX_GRID_POINTS = 10**7
 
 
 def _fmt(value) -> str:
@@ -221,14 +228,21 @@ _GRID_AXES = {"x": "xs", "k": "ks", "p_param": "p_params", "m": "ms", "n": "ns",
 
 
 def _grid_from_args(args, base: harness.GridSpec) -> harness.GridSpec:
-    """`base` with each axis that a flag gives; --default-grid takes none."""
-    given = {dest: text for dest in _GRID_AXES  # crosscheck has no --l, --holder-p
-             if (text := getattr(args, dest, None)) is not None}
+    """`base` with each axis that a flag gives; --default-grid takes none,
+    and a grid takes at most `MAX_GRID_POINTS` points."""
+    # the axes this command takes: crosscheck has no --l, --holder-p
+    taken = [dest for dest in _GRID_AXES if hasattr(args, dest)]
+    given = {dest: text for dest in taken if (text := getattr(args, dest)) is not None}
     if given and getattr(args, "default_grid", False):
         raise UsageError("--default-grid takes no grid axis, got "
                          + ", ".join("--" + dest.replace("_", "-") for dest in given))
     kwargs = {_GRID_AXES[dest]: parse_grid_axis(text, integer=dest in ("m", "n", "l"))
               for dest, text in given.items()}
+    points = math.prod(len(kwargs.get(name, getattr(base, name)))
+                       for name in map(_GRID_AXES.get, taken))
+    if points > MAX_GRID_POINTS:
+        raise UsageError(f"the grid has {points} points; a grid takes at most "
+                         f"{MAX_GRID_POINTS}")
     try:
         return dataclasses.replace(base, **kwargs)
     except DomainError as exc:
@@ -359,7 +373,8 @@ def crosscheck_families(grid: harness.GridSpec) -> tuple[dict, dict, list]:
     largest requested one are read once per point, from one Bell sequence.
     The integrals of order 0, which is the value, and of the requested
     orders are one `oracle.integrate_k_gamma_derivs` call per point and
-    family, on one node set.
+    family, on one node set.  Both Bose families read one zeta_k(m + 1) per
+    (k, m).
     """
     worst: dict[str, float] = {}
     uncertified: dict[str, float] = {}
@@ -389,10 +404,10 @@ def crosscheck_families(grid: harness.GridSpec) -> tuple[dict, dict, list]:
                 yield family + "_deriv", closed[n], quad[n], scale
 
     def bose(k, m):
+        zeta = fn.k_zeta(m + 1.0, k)  # pzeta_k is zeta_k for every p
         for p in (None, *grid.p_params):
-            # pzeta_k is zeta_k for every p; the kernel scale c is p or k
-            pt = fn.EvalPoint(m + 1.0, k, p)
-            closed = fn.k_zeta(m + 1.0, k) * fn._gamma_value(pt)
+            # the kernel scale c is p or k
+            closed = zeta * fn._gamma_value(fn.EvalPoint(m + 1.0, k, p))
             yield ("bose_k_zeta" if p is None else "bose_pk_zeta", closed,
                    oracle.integrate_bose(m, k, k if p is None else p, ORACLE_POLICY),
                    abs(closed))
@@ -413,13 +428,17 @@ def crosscheck_families(grid: harness.GridSpec) -> tuple[dict, dict, list]:
     return worst, uncertified, errors
 
 
+#: The frozen grid every `crosscheck` call copies with its axes: the verify
+#: defaults, with the derivative orders 0..4.
+_CROSSCHECK_BASE = harness.GridSpec(ns=tuple(range(5)))
+
+
 def cmd_crosscheck(args) -> int:
     if not 0 < args.threshold < math.inf:
         raise UsageError(
             f"--threshold must be finite and positive, got {args.threshold!r}"
         )
-    # without --n, the derivative orders 0..4
-    grid = _grid_from_args(args, harness.GridSpec(ns=tuple(range(5))))
+    grid = _grid_from_args(args, _CROSSCHECK_BASE)
     # refused before any integral, as usage errors
     try:
         for n in grid.ns:

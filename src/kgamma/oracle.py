@@ -50,7 +50,9 @@ outwards), and each order sums only the nodes between its own ends and is
 judged on its own: its level changes, edge terms and integral of |g v^n|.
 Each keeps the result of the first level at which it stops, the result a
 rule for that order alone returns, except that `subdivisions_used` counts
-the shared nodes.
+the shared nodes.  A lone order keeps no shared nodes: it forms each term
+where it evaluates the node, over its own ends, so its `subdivisions_used`
+is the number of times g was evaluated.
 
 Each halving of a converging double-exponential rule roughly squares its
 error (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005), so once a level
@@ -175,24 +177,26 @@ class _Order:
         self.ends, self.edge = [], 0.0
         self.previous, self.before, self.last, self.result = None, math.inf, math.inf, None
 
-    def walk(self, side: list, step: float, g: Callable[[float], float],
-             v0: float, s: float) -> None:
+    def walk(self, side: list | None, step: float, g: Callable[[float], float],
+             v0: float, s: float) -> int:
         """Walk out from tau = 0 at `step` until two consecutive terms are
-        negligible, or to |tau| = 16, over the nodes (g, v, 1 + e^-tau) of
-        `side`, which every order shares, evaluating those not yet there
-        from the table `_SIDES[step]`."""
+        negligible, or to |tau| = 16, over the table `_SIDES[step]`, and
+        return the number of nodes evaluated.  A lone order evaluates each
+        node itself and keeps none; the orders of a shared rule read the
+        nodes (g, v, 1 + e^-tau) of `side`, appending those not yet there."""
         n, append, sizes, largest = self.n, self.terms.append, self.sizes, self.largest
         table = _SIDES[step]
         floor = _NEGLIGIBLE * largest
         quiet = i = 0
-        known = len(side)
+        known = 0 if side is None else len(side)
         while quiet < 2 and i < _WALK:
-            if i == known:
+            if i < known:
+                w, v, d = side[i]
+            else:
                 a, d = table[i]
-                v = v0 + s * a
-                side.append((g(v), v, d))
-                known += 1
-            w, v, d = side[i]
+                w = g(v := v0 + s * a)
+                if side is not None:
+                    side.append((w, v, d))
             i += 1
             term = w * v**n * d if n else w * d  # v^0 = 1 exactly
             append(term)
@@ -207,17 +211,13 @@ class _Order:
         self.tails_met = self.tails_met and quiet == 2
         self.ends.append(step * i)
         self.edge += last
+        return max(i - known, 0)
 
-    def extend(self, nodes: list) -> None:
-        """The terms of this order's midpoints, `nodes`, of the next level."""
-        n = self.n
-        if n:
-            new = [w * v**n * d for w, v, d in nodes]
-            if self.sizes is not None:
-                self.sizes += map(abs, new)
-            self.terms += new
-        else:  # v^0 = 1 exactly
-            self.terms += [w * d for w, v, d in nodes]
+    def extend(self, terms: list[float]) -> None:
+        """Add the terms of this order's midpoints of the next level."""
+        if self.sizes is not None:
+            self.sizes += map(abs, terms)
+        self.terms += terms
 
     def settle(self, sh: float, h: float, nodes: int, roundoff: float,
                tol: float, root_tol: float, budget: int) -> bool:
@@ -272,11 +272,12 @@ def _integrate(
     to its own tails, over nodes the widest order's walk evaluates once,
     and sums only the nodes between its own ends.  Its result is the one a
     call for that order alone returns, except `subdivisions_used`: the
-    shared nodes evaluated when the order stopped.  `size` bounds the terms
-    that g's exponent sums near v0: each is rounded, so g's values carry
-    about `size` ulps of their own, which the roundoff charge adds to the
-    sum's 50.  `policy.max_subdivisions` bounds every level of an order
-    after the walk.
+    shared nodes evaluated when the order stopped.  A lone order keeps no
+    shared nodes and forms each term as its node is evaluated.  `size`
+    bounds the terms that g's exponent sums near v0: each is rounded, so
+    g's values carry about `size` ulps of their own, which the roundoff
+    charge adds to the sum's 50.  `policy.max_subdivisions` bounds every
+    level of an order after the walk.
     """
     h = _H0
     tol, budget = policy.rel_tol, policy.max_subdivisions
@@ -287,11 +288,12 @@ def _integrate(
         w = g(v)
         parts = [_Order(n, w, v, d) for n in orders]
         nodes = 1
+        # a lone order keeps no shared nodes: it evaluates its own
+        lone = parts[0] if len(parts) == 1 else None
         for step in (h, -h):
-            side = []
+            side = None if lone else []
             for part in parts:
-                part.walk(side, step, g, v0, s)
-            nodes += len(side)
+                nodes += part.walk(side, step, g, v0, s)
         # each term is rounded twice, in g and in the product, and each
         # rounding can lose half the smallest subnormal; the first is scaled
         # by the node's weight s h (1 + e^-tau), whose sum is about this span
@@ -302,15 +304,23 @@ def _integrate(
         pending = parts
         while pending := [part for part in pending if not part.settle(
                 s * h, h, nodes, roundoff, tol, root_tol, budget)]:
-            # the midpoints between the widest ends; each order takes its own
-            lo = min(part.ends[1] for part in pending)
-            hi = max(part.ends[0] for part in pending)
-            new = [(g(v := v0 + s * a), v, d)
-                   for a, d in _midpoints(h, lo, round((hi - lo) / h))]
+            if lone:  # its own midpoints, each term formed as it is evaluated
+                hi, lo = lone.ends
+                n, mids = lone.n, _midpoints(h, lo, round((hi - lo) / h))
+                new = ([g(v := v0 + s * a) * v**n * d for a, d in mids] if n
+                       else [g(v0 + s * a) * d for a, d in mids])  # v^0 = 1 exactly
+                lone.extend(new)
+            else:  # the midpoints between the widest ends; each order takes its own
+                lo = min(part.ends[1] for part in pending)
+                hi = max(part.ends[0] for part in pending)
+                new = [(g(v := v0 + s * a), v, d)
+                       for a, d in _midpoints(h, lo, round((hi - lo) / h))]
+                for part in pending:
+                    n, first = part.n, round((part.ends[1] - lo) / h)
+                    mine = new[first:first + round((part.ends[0] - part.ends[1]) / h)]
+                    part.extend([w * v**n * d for w, v, d in mine] if n
+                                else [w * d for w, v, d in mine])
             nodes += len(new)
-            for part in pending:
-                first = round((part.ends[1] - lo) / h)
-                part.extend(new[first:first + round((part.ends[0] - part.ends[1]) / h)])
             h *= 0.5
     except OverflowError as exc:
         raise ComputationOverflowError("integral overflows double precision") from exc

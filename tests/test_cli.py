@@ -883,6 +883,98 @@ class TestParserReuse:
         assert [code for code, _, _ in reused] == [1, 1, 0, 1, 2]
 
 
+class TestSharedCrosscheckBase:
+    """`crosscheck` starts every call from one base grid, built once per
+    process: a call replaces its axes in a copy and never changes the base."""
+
+    ARGV = ["crosscheck", "--x", "0.137,0.07", "--k", "0.83", "--p-param", "2.7",
+            "--m", "1,2"]
+
+    def test_a_second_call_prints_the_same_bytes(self, capsys):
+        first = run(self.ARGV, capsys)
+        # a call with other orders in between reads its own copy
+        assert run(self.ARGV + ["--n", "1,3"], capsys)[0] == 0
+        assert run(self.ARGV, capsys) == first
+        assert first[0] == 0 and len(first[1].splitlines()) == 7
+
+    @pytest.mark.parametrize("orders", [["--n", "9"], ["--m", "0"], ["--m", "13"]])
+    def test_refused_orders_leave_the_base_unchanged(self, capsys, orders):
+        base = cli._CROSSCHECK_BASE
+        first = run(self.ARGV, capsys)
+        code, out, err = run(["crosscheck", "--x", "1", "--k", "1"] + orders, capsys)
+        assert (code, out) == (2, "") and err.startswith("usage error: ")
+        assert cli._CROSSCHECK_BASE is base
+        assert base == harness.GridSpec(ns=(0, 1, 2, 3, 4))
+        assert run(self.ARGV, capsys) == first
+
+
+class TestGridCap:
+    """A grid whose point count, the product of the lengths of the axes the
+    command takes, passes `MAX_GRID_POINTS` is a usage error, raised before
+    any point is evaluated."""
+
+    # every grid CI runs, the benchmark-shaped ones, and the 40 x 20 grid
+    ACCEPTED = (
+        ["verify", "--default-grid"],
+        ["verify", "--theorems", "T1,T2,T3,T4K,T4PK,T5,T6,T7", "--x", "0.5:10:40",
+         "--k", "0.01:3:20"],
+        ["verify", "--theorems", "T1,T2,T3,T4K,T4PK,T5,T6,T7",
+         "--x", "0.6,1.7,2.9,4.4,7.1,9.8", "--k", "0.7,1.1,1.9,2.5"],
+        ["verify", "--theorems", "T5,T6", "--x", "169.07650971061716", "--k", "1",
+         "--p-param", "1", "--n", "4", "--l", "4"],
+        ["crosscheck", "--x", "0.1,1,5", "--k", "0.5,1,2"],
+        ["crosscheck", "--x", "0.137,0.07", "--k", "0.83", "--p-param", "2.7",
+         "--m", "1,2"],
+        ["crosscheck", "--x", "0.001,0.01", "--k", "0.5,1", "--p-param", "1",
+         "--m", "1", "--n", "0,1,2,3,4,5,6,7,8"],
+        ["crosscheck", "--x", "2,170", "--k", "1", "--n", "8", "--m", "1"],
+    )
+
+    @staticmethod
+    def grid(argv):
+        args = cli._build_parser().parse_args(argv)
+        base = cli._CROSSCHECK_BASE if args.command == "crosscheck" else harness.GridSpec()
+        return cli._grid_from_args(args, base)
+
+    def test_documented_grids_are_accepted(self):
+        for argv in self.ACCEPTED:
+            self.grid(argv)
+        # the 40 x 20 grid's 800 (x, k) points times the default p, m, n, l
+        # and Hölder axes
+        assert math.prod(map(len, dataclasses.astuple(self.grid(self.ACCEPTED[1])))) == (
+            307_200)
+
+    def test_a_grid_past_the_cap_is_refused(self, capsys, monkeypatch):
+        # 10^12 (x, k) points: once accepted, and a run that never ended
+        argv = ["verify", "--theorems", "T7", "--x", "1:2:1000000",
+                "--k", "1:2:1000000", "--n", "2"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: the grid has {96 * 10**12} points; a grid "
+                       f"takes at most {cli.MAX_GRID_POINTS}\n")
+        # crosscheck counts its own axes, which have no l or Hölder exponent
+        code, out, err = run(["crosscheck", "--x", "1:2:1000", "--k", "1:2:1000"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: the grid has {80 * 10**6} points;")
+
+        # the cap itself is accepted, one more point is not
+        def evaluated(*args):
+            raise AssertionError("a refused grid evaluated a point")
+
+        # x 2, k 1, p 4, m 4, n 1, l 2, Hölder 3
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 2 * 4 * 4 * 2 * 3)
+        assert run(["verify", "--theorems", "T7", "--x", "1,2", "--k", "1",
+                    "--n", "2"], capsys)[0] == 0
+        monkeypatch.setattr(harness, "scan_grid", evaluated)
+        monkeypatch.setattr(cli, "crosscheck_families", evaluated)
+        code, out, err = run(["verify", "--theorems", "T7", "--x", "1,2,3", "--k", "1",
+                              "--n", "2"], capsys)
+        assert (code, out) == (2, "") and "a grid takes at most 192" in err
+        code, _, err = run(["crosscheck", "--x", "1,2", "--k", "1:2:3"], capsys)
+        assert code == 2 and err.startswith("usage error: the grid has 480 points;")
+
+
 class TestVerifyOverflow:
     def test_overflowed_turan_products_are_not_a_fail(self, capsys):
         # every point failed to evaluate: exit 3, not a FAIL and not success

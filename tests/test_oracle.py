@@ -639,6 +639,61 @@ class TestSharedNodeSet:
             b.subdivisions_used for b in singles)
 
 
+class TestNodeCount:
+    """`subdivisions_used` is the number of times the integrand was
+    evaluated: for each lone order, and in a shared call for the order that
+    stops last."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # each _integrate call as (evaluations of g, its results)
+        calls, integrate = [], oracle._integrate
+
+        def counting(g, *args):
+            count = 0
+
+            def g_counted(v):
+                nonlocal count
+                count += 1
+                return g(v)
+
+            results = integrate(g_counted, *args)
+            calls.append((count, results))
+            return results
+
+        monkeypatch.setattr(oracle, "_integrate", counting)
+        return calls
+
+    # small x, where the walk runs longest, the benchmark's small-x point,
+    # and wide and narrow peaks
+    POINTS = [(0.001, 1.0, 1.0), (0.07, 0.83, 2.7), (0.5, 0.7, 2.0), (1.0, 1.0, 0.5),
+              (5.0, 2.0, 1e-3), (9.0, 1.5, 3.0)]
+
+    @pytest.mark.parametrize("x, k, p", POINTS)
+    def test_a_lone_order_counts_its_evaluations(self, counted, x, k, p):
+        oracle.integrate_k_gamma(EvalPoint(x, k))
+        oracle.integrate_pk_gamma(EvalPoint(x, k, p))
+        for m in (1, 2, 12):
+            oracle.integrate_k_polygamma(m, EvalPoint(x, k))
+        for m in (1.5, 3.0):  # integrable at 0 for every k here
+            for c in (k, p):
+                oracle.integrate_bose(m, k, c)
+        for n in range(9):
+            oracle.integrate_k_gamma_deriv(n, EvalPoint(x, k, p))
+        oracle.integrate_k_gamma_deriv(4, EvalPoint(x, k, p), AccuracyPolicy(1e-14, 60))
+        assert len(counted) == 2 + 3 + 4 + 9 + 1
+        for count, (res,) in counted:
+            assert res.subdivisions_used == count > 0
+
+    @pytest.mark.parametrize("x, k, p", POINTS)
+    def test_the_last_order_of_a_shared_call_counts_every_evaluation(
+            self, counted, x, k, p):
+        for orders in (range(9), (0, 1, 2, 3, 4), (0, 7)):
+            oracle.integrate_k_gamma_derivs(orders, EvalPoint(x, k, p))
+        for count, results in counted:
+            assert max(res.subdivisions_used for res in results) == count
+
+
 class TestCrosscheckDomain:
     """The integrals of a `crosscheck` point against 50-digit references,
     over the domain of the benchmark's `crosscheck` points: each converges
