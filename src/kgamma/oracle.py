@@ -27,8 +27,10 @@ double-exponentially in v, and exponential as tau -> -inf, which makes
 the tail e^(sigma v) decay double-exponentially in tau as well.  The nodes
 walk out from tau = 0 at step 1/2 until two consecutive terms on each side
 are below 1e-20 of the largest; a side not met by |tau| = 16 leaves the
-result unconverged.  The step is then halved, reusing every node, until
-a level's change certifies it (below).
+result unconverged.  A side ends at the first of its two negligible nodes:
+the second only confirms it, and is summed but never refined around.  The
+step is then halved, reusing every node, until a level's change certifies
+it (below); each level adds only the midpoints between the two ends.
 
 The nodes depend on tau alone, not on the integrand, so each offset
 tau + 1 - e^-tau and weight 1 + e^-tau is computed once per process and
@@ -46,8 +48,9 @@ e^(x v - e^(k v) / c), and with it the centre and the width, so one rule
 integrates g(v) v^n for several orders n on one node set: each node's g is
 evaluated once, and an order costs one product per node.  The walk goes on
 until every order has met its tails, the widest order's (v^n moves mass
-outwards), and each order sums only the nodes between its own ends and is
-judged on its own: its level changes, edge terms and integral of |g v^n|.
+outwards).  Each order sums only its own walk's nodes and the midpoints
+between its own ends, and is judged on its own: its level changes, edge
+terms and integral of |g v^n|.
 Each keeps the result of the first level at which it stops, the result a
 rule for that order alone returns, except that `subdivisions_used` counts
 the shared nodes.  A lone order keeps no shared nodes: it forms each term
@@ -162,9 +165,11 @@ def _midpoints(h: float, lo: float, count: int) -> list[tuple[float, float]]:
 class _Order:
     """One order n of a shared rule: its own terms, ends and level changes.
 
-    `ends` holds the last tau of its walk to the right, then to the left;
-    `sizes` the |term| of each term at odd n, where the integral of |g v^n|
-    is summed apart; `before` and `last` the last two level changes.
+    `ends` holds the tau where its walk ended to the right, then to the
+    left: the first of the two negligible nodes of a met tail, the last
+    node of an unmet one; `sizes` the |term| of each term at odd n, where
+    the integral of |g v^n| is summed apart; `before` and `last` the last
+    two level changes.
     """
 
     __slots__ = ("n", "terms", "sizes", "largest", "ends", "edge", "tails_met",
@@ -181,9 +186,12 @@ class _Order:
              v0: float, s: float) -> int:
         """Walk out from tau = 0 at `step` until two consecutive terms are
         negligible, or to |tau| = 16, over the table `_SIDES[step]`, and
-        return the number of nodes evaluated.  A lone order evaluates each
-        node itself and keeps none; the orders of a shared rule read the
-        nodes (g, v, 1 + e^-tau) of `side`, appending those not yet there."""
+        return the number of nodes evaluated.  The side ends at the first of
+        the two negligible nodes, or at the last node of an unmet tail: the
+        levels refine up to it, and the node that confirms it is summed but
+        never refined around.  A lone order evaluates each node itself and
+        keeps none; the orders of a shared rule read the nodes
+        (g, v, 1 + e^-tau) of `side`, appending those not yet there."""
         n, append, sizes, largest = self.n, self.terms.append, self.sizes, self.largest
         table = _SIDES[step]
         floor = _NEGLIGIBLE * largest
@@ -209,7 +217,8 @@ class _Order:
             quiet = quiet + 1 if last <= floor else 0
         self.largest = largest
         self.tails_met = self.tails_met and quiet == 2
-        self.ends.append(step * i)
+        # the second negligible node only confirms the first, the end
+        self.ends.append(step * (i - 1) if quiet == 2 else step * i)
         self.edge += last
         return max(i - known, 0)
 
@@ -269,15 +278,17 @@ def _integrate(
     The trapezoid rule in tau, v = v0 + s (tau + 1 - e^-tau), on one node
     set: a node's term for order n is g(v) v^n (1 + e^-tau), and a level's
     value is s h times the sum of an order's terms.  Each order walks out
-    to its own tails, over nodes the widest order's walk evaluates once,
-    and sums only the nodes between its own ends.  Its result is the one a
-    call for that order alone returns, except `subdivisions_used`: the
-    shared nodes evaluated when the order stopped.  A lone order keeps no
-    shared nodes and forms each term as its node is evaluated.  `size`
-    bounds the terms that g's exponent sums near v0: each is rounded, so
-    g's values carry about `size` ulps of their own, which the roundoff
-    charge adds to the sum's 50.  `policy.max_subdivisions` bounds every
-    level of an order after the walk.
+    to its own tails, over nodes the widest order's walk evaluates once.
+    Its ends are the first negligible node of each side: it sums its own
+    walk's nodes, the one beyond each end that confirmed it included, and
+    the midpoints between its ends.  Its result is the one a call for that
+    order alone returns, except `subdivisions_used`: the shared nodes
+    evaluated when the order stopped.  A lone order keeps no shared nodes
+    and forms each term as its node is evaluated.  `size` bounds the terms
+    that g's exponent sums near v0: each is rounded, so g's values carry
+    about `size` ulps of their own, which the roundoff charge adds to the
+    sum's 50.  `policy.max_subdivisions` bounds every level of an order
+    after the walk.
     """
     h = _H0
     tol, budget = policy.rel_tol, policy.max_subdivisions

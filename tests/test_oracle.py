@@ -472,29 +472,47 @@ class TestLogVariable:
                 scale * base.value, scale * base.error_estimate,
                 base.subdivisions_used, True) for base in bases]
 
-    @pytest.mark.parametrize("gap, certified", [
-        (1e-5, True), (4e-5, False), (0.5, False)])
-    def test_a_vanished_change_needs_the_one_before_it(self, gap, certified):
-        # node terms by tau: a at 0, b / 4 at the 4 midpoints of step 1/2 and
-        # (a + b) / 8 at the 8 of step 1/4, 0 elsewhere.  The levels of steps
-        # 1/2, 1/4 and 1/8 are a / 2, (a + b) / 4 and (a + b) / 4 again: the
-        # last change vanishes, and the one before it, (b - a) / 4, is about
-        # gap / 2 of the mass.  The level is certified only if that is within
-        # sqrt(rel_tol) = 1e-5; a budget of 32 nodes ends the rule there.
+    @staticmethod
+    def vanished_change(gap, stray=False):
+        # node terms by tau: a at 0, b / 2 at the 2 midpoints of step 1/2 and
+        # (a + b) / 4 at the 4 of step 1/4, 0 elsewhere.  The walk's first
+        # negligible nodes are tau = +-1/2, confirmed by +-1, so the levels
+        # refine over (-1/2, 1/2) alone.  The levels of steps 1/2, 1/4 and
+        # 1/8 are a / 2, (a + b) / 4 and (a + b) / 4 again: the last change
+        # vanishes, and the one before it, (b - a) / 4, is about gap / 2 of
+        # the mass.  A budget of 18 nodes ends the rule there, at 11 nodes,
+        # as the next level would bring 8 more.  A stray bump puts 1 at each
+        # midpoint of steps 1/2 and 1/4 between the two negligible walk nodes
         a, b = 1.0, 1.0 + gap
-        terms = {0.0: a, **{tau: b / 4 for tau in (-0.75, -0.25, 0.25, 0.75)},
-                 **{(j + 0.5) / 4: (a + b) / 8 for j in range(-4, 4)}}
+        terms = {0.0: a, **{tau: b / 2 for tau in (-0.25, 0.25)},
+                 **{(j + 0.5) / 4: (a + b) / 4 for j in range(-2, 2)}}
+        if stray:
+            terms.update(dict.fromkeys((-0.875, -0.75, -0.625, 0.625, 0.75, 0.875), 1.0))
         # the node of tau is v = tau + 1 - e^-tau, with the weight 1 + e^-tau
         g_at = {tau + 1.0 - math.exp(-tau): term / (1.0 + math.exp(-tau))
                 for tau, term in terms.items()}
-        policy = AccuracyPolicy(rel_tol=1e-10, max_subdivisions=32)
+        policy = AccuracyPolicy(rel_tol=1e-10, max_subdivisions=18)
         res, = oracle._integrate(lambda v: g_at.get(v, 0.0), 0.0, 1.0, 0.0, policy)
-        assert res.subdivisions_used == 17 and res.converged is certified
+        assert res.subdivisions_used == 11
         assert res.value == pytest.approx((a + b) / 4, rel=1e-15)
+        return res
+
+    @pytest.mark.parametrize("gap, certified", [
+        (1e-5, True), (4e-5, False), (0.5, False)])
+    def test_a_vanished_change_needs_the_one_before_it(self, gap, certified):
+        # the level is certified only if the change before the vanished one
+        # is within sqrt(rel_tol) = 1e-5 of the mass
+        res = self.vanished_change(gap)
+        assert res.converged is certified
         if certified:
             assert res.error_estimate <= 1e-10 * res.value
         else:
-            assert res.error_estimate >= (b - a) / 4
+            assert res.error_estimate >= ((1.0 + gap) - 1.0) / 4  # (b - a) / 4
+
+    def test_a_bump_between_the_negligible_walk_nodes_is_not_summed(self):
+        # the levels refine only up to the first negligible walk node: a bump
+        # between it and the node that confirms it is never evaluated
+        assert self.vanished_change(1e-5, stray=True) == self.vanished_change(1e-5)
 
     @pytest.mark.parametrize("x", [2.5e-5, 0.001, 0.01])
     @pytest.mark.parametrize("with_p", [False, True])
@@ -531,6 +549,18 @@ class TestLogVariable:
         assert res.value == pytest.approx(1e-6, rel=1e-10)
         assert_honest(res, mp_deriv(0, 1.0, 1.0, 1e-6))
 
+    def test_integrand_cut_at_its_peak_is_not_certified(self):
+        # at x = 1e-150, k = 1e160 the k-polygamma integrand peaks near
+        # v = -log x = 345, where u = k t is about e^714: past e^709 it is cut
+        # to 0.0, where its mass is, while psi_k^(1) is 1e300.  The cut never
+        # certifies the 0 it leaves
+        pt = EvalPoint(1e-150, 1e160)
+        assert fn.k_polygamma(1, pt) == pytest.approx(1e300)
+        res = oracle.integrate_k_polygamma(1, pt)
+        assert not res.converged
+        assert cli.main(["eval", "oracle_k_polygamma", "--m", "1", "--x", "1e-150",
+                         "--k", "1e160"]) == cli.EXIT_FAIL
+
     def test_value_below_the_absolute_floor_is_not_certified(self):
         # pGamma_k(1) = p.  At p = 1e-320 the node values are subnormal, with
         # a few significant bits, and the sum holds 1e-320 to about 1e-3:
@@ -547,7 +577,7 @@ class TestLogVariable:
     def test_subnormal_mass_stops_refining(self):
         # at p = 1e-320, rel_tol of the mass is below the subnormal charge
         # of the nodes from the first level on, and more nodes only raise
-        # the charge: the rule stops once its estimate is finite, at 41
+        # the charge: the rule stops once its estimate is finite, at 35
         # nodes
         res = oracle.integrate_pk_gamma(EvalPoint(1.0, 1.0, 1e-320))
         assert not res.converged and res.subdivisions_used <= 41
@@ -559,7 +589,7 @@ class TestLogVariable:
 
     def test_panel_count_at_small_x(self):
         # the power-law endpoint t^(x-1) costs a longer walk, and no finer
-        # step: 113 nodes, against 65 at x = 1
+        # step: 107 nodes, against 59 at x = 1
         res = oracle.integrate_k_gamma(EvalPoint(0.05, 1.0))
         assert res.converged and res.subdivisions_used <= 113
 
@@ -637,6 +667,60 @@ class TestSharedNodeSet:
                    for a, b in zip(shared, singles))
         assert max(a.subdivisions_used for a in shared) < sum(
             b.subdivisions_used for b in singles)
+
+
+class TestTailEnds:
+    """Each side of the walk ends at the first of its two negligible nodes:
+    no level refines beyond it, and the second, which only confirms it, is
+    evaluated once."""
+
+    @staticmethod
+    def first_negligible(g, n):
+        """The walk's rule written out at v0 = 0, s = 1: the tau of the first
+        of two consecutive terms g(v) v^n (1 + e^-tau) within 1e-20 of the
+        largest so far, to the right and then to the left of tau = 0."""
+        def size(tau):
+            e = math.exp(-tau)
+            v = tau + 1.0 - e
+            return abs(g(v) * v**n * (1.0 + e))
+
+        largest, firsts = size(0.0), []
+        for step in (0.5, -0.5):
+            quiet = j = 0
+            while quiet < 2:
+                j += 1
+                term = size(step * j)
+                largest = max(largest, term)
+                quiet = quiet + 1 if term <= 1e-20 * largest else 0
+            assert j < 32  # both tails met
+            firsts.append(step * (j - 1))
+        return firsts
+
+    @pytest.mark.parametrize("orders", [(0,), (2,), (0, 1, 2)])
+    def test_levels_stop_at_the_first_negligible_node(self, orders):
+        def g(v):
+            return math.exp(-v * v)
+
+        evaluated = []
+
+        def recorded(v):
+            evaluated.append(v)
+            return g(v)
+
+        results = oracle._integrate(recorded, 0.0, 1.0, 0.0, ORACLE_POLICY, orders)
+        assert all(res.converged for res in results)
+        # a shared walk goes on to the widest order's tails
+        ends = [self.first_negligible(g, n) for n in orders]
+        hi, lo = max(end[0] for end in ends), min(end[1] for end in ends)
+
+        def v_at(tau):
+            return tau + 1.0 - math.exp(-tau)
+
+        confirming = [v_at(hi + 0.5), v_at(lo - 0.5)]
+        assert [evaluated.count(v) for v in confirming] == [1, 1]
+        assert all(v_at(lo) <= v <= v_at(hi) for v in evaluated if v not in confirming)
+        # the levels did refine: more nodes than the walk's
+        assert len(evaluated) > 1 + 2 * (hi - lo) + 2
 
 
 class TestNodeCount:
@@ -794,14 +878,13 @@ def kinked(v):
 
 class TestBitIdentity:
     def test_golden_digest(self):
-        # the digest of the oracle before its nodes were tabled: a change of
-        # any bit of any field of any call changes it.  Taken with glibc's
-        # libm, whose exp and expm1 the integrands call
+        # a change of any bit of any field of any call changes the digest.
+        # Taken with glibc's libm, whose exp and expm1 the integrands call
         lines = "\n".join(
             repr((res.value, res.error_estimate, res.subdivisions_used, res.converged))
             for res in golden_calls())
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "9e51d6ee37bfe96b3dd623af74fbfeb3ff04eeccb344d937d2905cff0e95f1c4")
+            "e7a057de64bf85fa0629bcb9078eef02a21d11fcff7a048cc791051effd72bcc")
 
     def test_golden_overflow(self):
         with pytest.raises(ComputationOverflowError,
