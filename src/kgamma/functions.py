@@ -8,6 +8,10 @@ kernels (never by direct integration):
     psi_k^(m)(x)  = (-1)^(m+1) m! k^-(m+1) zeta_H(m+1, x/k)
     zeta_k(x)     = zeta(x/k)
 
+One reader, `_magnitude`, gives |psi_k^(s)(x)| = Gamma(s+1) k^-(s+1)
+zeta_H(s+1, x/k) at every real order s >= 1, and psi_k^(m) is its value at
+s = m with the sign (-1)^(m+1).
+
 The derivatives of G = Gamma_k and G = pGamma_k share one form.  With
 y = x/k and c = k for Gamma_k, c = p for pGamma_k, the x-derivatives of
 ln G are k^-j kappa_j, where kappa_1 = ln c + psi(y) and
@@ -24,9 +28,9 @@ The quadrature oracle module evaluates the defining integrals independently
 and is the cross-check for every reduction here.
 
 One range rule serves every closed form.  A factor that is a normal double
-(e^(ln G), the magnitude's e^(ln scale), k^-n) is used as it stands, so
-every value in range keeps its bits; only a factor that is not one is split
-into a head in [1/2, 1) times 2^c (`_split_exp`, `math.frexp`).  The heads
+(e^(ln G), Gamma(s+1), zeta_H, k^-n) is used as it stands, so every value
+in range keeps its bits; only a factor that is not one is split into a
+head in [1/2, 1) times 2^c (`_split_exp`, `math.frexp`).  The heads
 are multiplied, and the one power of two is applied last by `math.ldexp`
 (`_ldexp`): a value past the double range raises
 `ComputationOverflowError`, and one below it is 0.0 or subnormal, however
@@ -47,10 +51,10 @@ smaller one, which double precision cannot deliver, raises `DomainError`.
 The private readers below take no policy.
 
 A `verify` sweep reads every value its rows share as one `kernels.memo`
-entry: `_zeta_at`, `_gamma_at` (Gamma_k alone), `_psi_k_at`,
-`_magnitude_at`, and each point's derivatives D_0..8
-(`_derivative_table`), so inside a `kernels.memoised()` block each is
-computed once.  The public functions keep no table.  Outside a block a
+entry: `_zeta_at`, `_gamma_at` (Gamma_k alone), `_magnitude_at` (read
+at an int order m for psi_k^(m), whose sign the caller applies), and each
+point's derivatives D_0..8 (`_derivative_table`), so inside a
+`kernels.memoised()` block each is computed once.  The public functions keep no table.  Outside a block a
 point evaluation does only the work its value needs: D is formed for the
 orders read alone, and every value in range is returned from
 `math.ldexp` inline, with `_ldexp` called only to raise the overflow.
@@ -244,44 +248,82 @@ def k_polygamma(
     return _psi_k(m, pt.x, pt.k)
 
 
+def _psi_k(m: int, x: float, k: float) -> float:
+    kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "k_polygamma")
+    value = _magnitude(m, x, k)
+    return value if m % 2 else -value
+
+
+def k_polygamma_magnitude_fractional(
+    s: float, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
+) -> float:
+    """|psi_k^(s)(x)| for real order s >= 1, via the integral definition.
+
+    The defining integral int_0^inf t^s e^(-xt) / (1 - e^(-kt)) dt does not
+    require s to be an integer; it equals Gamma(s+1) k^-(s+1) zeta_H(s+1, x/k).
+    For integer s this is |k_polygamma(s, pt)|, bit for bit.
+    """
+    _check_policy(policy)
+    return _magnitude(s, pt.x, pt.k)
+
+
 #: From this y = x/k on, zeta_H(s+1, y) is y^-s / s: the next
-#: Euler-Maclaurin term is s / (2 y) of it, at most 12 / 2^65 at every
-#: polygamma order, and below the rounding of the magnitude's log at any s.
+#: Euler-Maclaurin term is s / (2 y) of it, below 2^-57 up to s = 171, and
+#: beyond that below the rounding of lgamma(s) in the log the value is read
+#: from.
 _PSI_K_LEADING_Y = 2.0**64
 
 
-def _psi_k(m: int, x: float, k: float) -> float:
-    kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "k_polygamma")
-    # m! k^-(m+1) zeta_H(m+1, y) with k = f 2^e and zeta_H = z 2^c, f and z
-    # in [1/2, 1): the head m! f^-(m+1) z is below 2^42 and the one power of
-    # two is applied last, exactly, so the value is right however far
-    # k^-(m+1) lies outside the double range.  The regimes are those of
-    # `_magnitude`, with x = g 2^d: from y = 2^64 on (m-1)! x^-m / k, and
-    # m! x^-(m+1) where zeta_H(m+1, y) overflows or y underflowed to 0.
-    f, e = math.frexp(k)
-    g, d = math.frexp(x)
+def _magnitude(s: float, x: float, k: float) -> float:
+    # |psi_k^(s)(x)| = Gamma(o) k^-o zeta_H(o, y), o = s + 1, in one of three
+    # regimes, each Gamma(t) b^-t (`_gamma_power`) times a head, with the one
+    # power of two applied last: Gamma(o) k^-o zeta_H(o, y) itself; from
+    # y = 2^64 on, Gamma(s) x^-s / k; and where zeta_H(o, y) overflows or y
+    # underflowed to 0, Gamma(o) x^-o.  An int s is a polygamma order m, so
+    # the value is |psi_k^(m)(x)| and an overflow names psi_k^(m) as
+    # `k_polygamma` does
+    if not (math.isfinite(s) and s >= 1.0):
+        raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
+    order = float(s)
     y = x / k
     if y >= _PSI_K_LEADING_Y:
-        head = math.factorial(m - 1) * g ** (-float(m)) / f
-        exponent = -m * d - e
+        head, exponent = _gamma_power(order, x)
+        f, e = math.frexp(k)
+        head /= f
+        exponent -= e
     else:
-        zeta = _hurwitz_or_none(m + 1.0, y)
+        zeta = _hurwitz_or_none(order + 1.0, y)
         if zeta is None:
-            head = math.factorial(m) * g ** (-(m + 1.0))
-            exponent = -(m + 1) * d
+            head, exponent = _gamma_power(order + 1.0, x)
         else:
+            head, exponent = _gamma_power(order + 1.0, k)
             z, c = math.frexp(zeta)
-            head = math.factorial(m) * f ** (-(m + 1.0)) * z
-            exponent = c - (m + 1) * e
-    if m % 2 == 0:
-        head = -head
+            head *= z
+            exponent += c
     # every head is finite: ldexp returns the value, 0.0 or subnormal below
     # the double range, or raises OverflowError above it
     try:
         return math.ldexp(head, exponent)
     except OverflowError:
         pass
-    return _ldexp(head, exponent, "psi_k^({})({}; k={})", m, x, k)
+    what = "psi_k^({})({}; k={})" if type(s) is int else "|psi_k^({})({}; k={})|"
+    return _ldexp(head, exponent, what, s, x, k)
+
+
+def _gamma_power(t: float, b: float) -> tuple[float, int]:
+    # Gamma(t) b^-t as (h, c), h 2^c.  Up to t = 171, with Gamma(t) = g 2^c,
+    # b = f 2^e and t e = n + r / den exactly (n an integer, 0 <= r < den,
+    # from t's integer ratio), it is g f^-t 2^(-r/den) 2^(c - n): a head
+    # below 2^172, which at t = m + 1 <= 13 or t = m is the head of m! f^-t
+    # or (m-1)! f^-t, bit for bit.  Past t = 171 Gamma(t) leaves the double range, and the value is
+    # split from one log, in which Gamma(t) and b^-t cancel before rounding
+    if t > 171.0:
+        return _split_exp(kernels.log_gamma(t) - t * math.log(b))
+    f, e = math.frexp(b)
+    num, den = t.as_integer_ratio()
+    n, r = divmod(num * e, den)
+    g, c = math.frexp(math.gamma(t))
+    return g * f ** -t * 2.0 ** (-r / den), c - n
 
 
 def _hurwitz_or_none(s: float, y: float) -> float | None:
@@ -297,60 +339,8 @@ def _hurwitz_or_none(s: float, y: float) -> float | None:
         return None
 
 
-def k_polygamma_magnitude_fractional(
-    s: float, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
-) -> float:
-    """|psi_k^(s)(x)| for real order s >= 1, via the integral definition.
-
-    The defining integral int_0^inf t^s e^(-xt) / (1 - e^(-kt)) dt does not
-    require s to be an integer; it equals Gamma(s+1) k^-(s+1) zeta_H(s+1, x/k).
-    For integer s this agrees with |k_polygamma(s, pt)|.
-    """
-    _check_policy(policy)
-    return _magnitude(s, pt.x, pt.k)
-
-
-def _magnitude(s: float, x: float, k: float) -> float:
-    # Gamma(s+1) k^-(s+1) zeta_H(s+1, y): the scale and zeta_H are split and
-    # their one power of two is applied last.  From y = 2^64 on zeta_H is
-    # y^-s / s, whose next term is s / (2 y) <= s 2^-65 of it; where that
-    # is past the double range, the value Gamma(s) x^-s / k is read from one
-    # log.  Where zeta_H overflows, or y underflowed to 0, it is y^-(s+1):
-    # the value is Gamma(s+1) x^-(s+1).  Each log that may lie past every
-    # double is one log, so two of them never cancel after `_split_exp`.
-    if not (math.isfinite(s) and s >= 1.0):
-        raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
-    y = x / k
-    if y >= _PSI_K_LEADING_Y:
-        # at the order s + 1.0 - 1.0 that the scale's s + 1.0 is rounded to
-        order = s + 1.0 - 1.0
-        zeta = y ** -order / order
-    else:
-        zeta = _hurwitz_or_none(s + 1.0, y)
-    if zeta is None:
-        head, exponent = _split_exp(kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(x))
-    elif y >= _PSI_K_LEADING_Y and not zeta >= _TINY:
-        head, exponent = _split_exp(kernels.log_gamma(s) - s * math.log(x))
-        f, e = math.frexp(k)
-        head /= f
-        exponent -= e
-    else:
-        head, exponent = _split_exp(kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k))
-        z, c = math.frexp(zeta)
-        head *= z
-        exponent += c
-    # every head is finite: ldexp returns the value, 0.0 or subnormal below
-    # the double range, or raises OverflowError above it
-    try:
-        return math.ldexp(head, exponent)
-    except OverflowError:
-        pass
-    return _ldexp(head, exponent, "|psi_k^({})({}; k={})|", s, x, k)
-
-
-#: psi_k^(m)(x) and |psi_k^(s)(x)| for a sweep row, which the T1 and T7 rows
-#: of a point share
-_psi_k_at = kernels.memo(_psi_k)
+#: |psi_k^(s)(x)| for a sweep row, which the T1 and T7 rows of a point share:
+#: T7 applies the sign of psi_k^(m) to the entry of its int order m
 _magnitude_at = kernels.memo(_magnitude)
 
 

@@ -153,13 +153,13 @@ def check_holder_polygamma(
     undefined over the reals for even orders, and the underlying Hölder
     argument is about the positive integrals.
     """
-    check_order(m, 1, None, "Hölder")
-    check_order(n, 1, None, "Hölder")
+    check_order(m, 1, POLYGAMMA_MAX_ORDER, "Hölder")
+    check_order(n, 1, POLYGAMMA_MAX_ORDER, "Hölder")
     # s >= 1 exactly for m, n >= 1; the sum can round below it (to
     # 0.9999999999999999 at p = 1.843), outside the fractional order's domain
     s = max(1.0, m / hp.p + n / hp.q)
-    a = abs(fn._psi_k_at(m, pt.x, pt.k))
-    b = abs(fn._psi_k_at(n, pt.x, pt.k))
+    a = fn._magnitude_at(m, pt.x, pt.k)
+    b = fn._magnitude_at(n, pt.x, pt.k)
     lhs = a ** (1.0 / hp.p) * b ** (1.0 / hp.q)
     rhs = fn._magnitude_at(s, pt.x, pt.k)
     # d(a^(1/p))/a = (1/p) a^(1/p - 1): relative errors divide by p, q
@@ -284,8 +284,9 @@ def check_midpoint_polygamma(
     """
     check_order(n, 2, POLYGAMMA_MAX_ORDER - 1, "polygamma midpoint")  # reads n + 1
     x, k = pt.x, pt.k
-    lhs = fn._psi_k_at(n, x, k)
-    rhs = 0.5 * (fn._psi_k_at(n + 1, x, k) + fn._psi_k_at(n - 1, x, k))
+    sign = 1.0 if n % 2 else -1.0  # the sign of psi_k^(n), -(that of n +- 1)
+    lhs = sign * fn._magnitude_at(n, x, k)
+    rhs = -0.5 * sign * (fn._magnitude_at(n + 1, x, k) + fn._magnitude_at(n - 1, x, k))
     d = lhs - rhs
     margin = (abs(lhs) + abs(rhs)) * _FUNC_REL
     return _record("T7", lhs, rhs, margin, slack_tol, d if n % 2 == 1 else -d,

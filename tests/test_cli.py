@@ -192,11 +192,11 @@ class TestEvalFlags:
 
 
 #: SHA-256 of the `verify --default-grid` CSV body (all but the timestamp line)
-DEFAULT_GRID_SHA256 = "38035513bf191b70283e9a60b8a66266c8bec53af1f810e01d21d888365b8a8c"
+DEFAULT_GRID_SHA256 = "300234144d8b1f5996db7199c68946e7bf60e619d26103a21f8d212a814465f0"
 #: SHA-256 of the `verify --default-grid --format json` report without its
 #: timestamp line
 DEFAULT_GRID_JSON_SHA256 = (
-    "160ae3f19754f9b7700845cc32ac89b651871557ff769ef0b75523fa9fc6fe1c"
+    "911192c48824065cbed0423c4bf524953904191bdb4cf7d3cd572c4eacb81456"
 )
 
 #: A 40 x 20 sweep of every theorem down to k = 0.01, where Gamma_k and the
@@ -204,9 +204,9 @@ DEFAULT_GRID_JSON_SHA256 = (
 #: stderr, eight summary lines and 1,300 evaluation errors
 GRID_40X20 = ["verify", "--x", "0.5:10:40", "--k", "0.01:3:20",
               "--theorems", "T1,T2,T3,T4K,T4PK,T5,T6,T7"]
-GRID_40X20_SHA256 = "c2475c5f09e559b7f9098710527c40a3cf790fa86ff957e2cfd8ad74bce80429"
+GRID_40X20_SHA256 = "4c6b1d474bdd1c3bb3540683abc83558bb652436b55638a7791e88b491d40cdc"
 GRID_40X20_STDERR_SHA256 = (
-    "4f5586fe08d956d49733591a989e4b5b0e2b515802a096567d4e8f20ce277341"
+    "160ea3bc3a6c62489c5dec135834ce0d93ea17994f990ffb57bd63b83b31c15f"
 )
 
 #: SHA-256 of the stdout of `crosscheck --x 0.1,1,5 --k 0.5,1,2`: seven

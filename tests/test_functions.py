@@ -4,6 +4,7 @@ import contextlib
 import math
 import re
 import sys
+from fractions import Fraction
 from functools import partial
 
 import mpmath as mp
@@ -210,7 +211,7 @@ class TestKPolygamma:
         assert fn.k_polygamma(1, EvalPoint(1e145, 1e300)) == 1e-290
         assert fn.k_polygamma(1, EvalPoint(1e-30, 1e300)) == 9.999999999999998e+59
         with kernels.memoised():
-            assert fn._psi_k_at(1, 1e-30, 1e300) == 9.999999999999998e+59
+            assert fn._magnitude_at(1, 1e-30, 1e300) == 9.999999999999998e+59
 
     @pytest.mark.parametrize("m, x, k", [
         (12, 6e-23, 1e-23),  # -4.3e297
@@ -264,14 +265,62 @@ class TestKPolygamma:
                     f"k_polygamma order must be an integer >= 1, got {m}")
 
 
+def magnitude_bound(s):
+    """The relative error `k_polygamma_magnitude_fractional` may have at
+    order s from its arithmetic: `k_polygamma`'s at order s, plus 20 units
+    of 2^-53 for the 10 ulps of `math.gamma` (CPython's bound) and 4 for
+    2^-phi and its product.  The rounding of s + 1 is an input error."""
+    return psi_k_bound(s) + 24 * 2.0**-53
+
+
 class TestFractionalMagnitude:
-    def test_integer_order_agreement(self):
-        for s in (1, 2, 3, 4):
-            for x, k in ((1.0, 1.0), (2.0, 2.0), (0.5, 3.0)):
-                pt = EvalPoint(x, k)
-                assert fn.k_polygamma_magnitude_fractional(
-                    float(s), pt
-                ) == pytest.approx(abs(fn.k_polygamma(s, pt)), rel=1e-12)
+    @given(
+        m=st.integers(min_value=1, max_value=kernels.POLYGAMMA_MAX_ORDER),
+        log_k=st.floats(min_value=-300.0, max_value=300.0),
+        log_y=st.none() | st.floats(min_value=-340.0, max_value=40.0),
+        log_x=st.floats(min_value=-300.0, max_value=300.0),
+    )
+    @example(m=3, log_k=-120.0, log_y=None, log_x=0.0)
+    @example(m=12, log_k=-20.0, log_y=None, log_x=10.0)
+    @example(m=12, log_k=25.0, log_y=None, log_x=0.0)
+    @example(m=1, log_k=300.0, log_y=None, log_x=-30.0)
+    @example(m=11, log_k=-23.0, log_y=-3.0, log_x=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_order_agreement(self, m, log_k, log_y, log_x):
+        # one reader: at s = m the magnitude is |psi_k^(m)|, the same float
+        # in every regime, or the same error type.  x = k 10^log_y where
+        # log_y is drawn, else x = 10^log_x
+        k = 10.0**log_k
+        x = 10.0**log_x if log_y is None else k * 10.0**log_y
+        assume(0.0 < x < math.inf)
+        pt = EvalPoint(x, k)
+        got = _outcome(lambda: fn.k_polygamma_magnitude_fractional(float(m), pt))
+        want = _outcome(lambda: abs(fn.k_polygamma(m, pt)))
+        if isinstance(want, tuple):
+            assert got[0] is want[0]
+        else:
+            assert got == want
+
+    @given(
+        s=st.floats(min_value=1.0, max_value=12.0),
+        x=st.floats(min_value=1e-3, max_value=1e3),
+        k=st.floats(min_value=0.01, max_value=10.0),
+    )
+    @example(s=2.5, x=1.0, k=1.0)
+    @example(s=7.3164, x=0.001256, k=0.1416)
+    @settings(max_examples=150, deadline=None)
+    def test_fractional_order_matches_mpmath(self, s, x, k):
+        # against 90 digits at y = x/k <= 1e3 (50 digits are right there):
+        # within the arithmetic's error model, plus the input error of the
+        # order, o = s + 1 rounded, times d ln|psi_k^(s)| / do
+        assume(x / k <= 1e3)
+        got = fn.k_polygamma_magnitude_fractional(s, EvalPoint(x, k))
+        with mp.workdps(90):
+            o, x, k = mp.mpf(s) + 1, mp.mpf(x), mp.mpf(k)
+            want = mp.gamma(o) * k**-o * mp.zeta(o, x / k)
+            slope = mp.digamma(o) - mp.log(k) + mp.zeta(o, x / k, 1) / mp.zeta(o, x / k)
+            bound = magnitude_bound(s) + abs(slope) * abs(mp.mpf(s + 1.0) - o)
+            assert abs(got - want) <= bound * want
 
     def test_classical_values(self):
         pt = EvalPoint(1.0, 1.0)
@@ -670,39 +719,36 @@ class TestDerivativeTables:
         assert not isinstance(outcome[(2, 5, 2), EvalPoint(170.0, 1.0)], tuple)
 
     def test_polygamma_tables_are_bit_identical_and_store_no_error(self):
-        # psi_k^(m) per (m, x, k) and |psi_k^(s)| per (s, x, k): the bits
-        # or the error of the public function, outside a block and inside
-        # one, where every error is raised again, never stored
+        # one table, |psi_k^(s)| per (s, x, k), read at an int order m with
+        # the sign of psi_k^(m) applied, as T7 reads it, and at a real s:
+        # the bits or the error of the public function, outside a block and
+        # inside one, where every error is raised again, never stored
         points = [EvalPoint(2.5, 0.7), EvalPoint(2.5, 0.7, 3.0), EvalPoint(0.05, 3.0),
                   EvalPoint(1e-26, 1e-23), EvalPoint(5e-24, 1e-23)]
-        polygamma_calls = [(m, pt) for m in (0, 1, 2, 5, 11, 12, 13) for pt in points]
+        polygamma_calls = [(m, pt) for m in (1, 2, 5, 11, 12) for pt in points]
         magnitude_calls = [(s, pt) for s in (0.5, 1.0, 2.3, 11.0, 11.5, math.nan)
                            for pt in points]
         direct = ([_outcome(lambda: fn.k_polygamma(m, pt)) for m, pt in polygamma_calls]
                   + [_outcome(lambda: fn.k_polygamma_magnitude_fractional(s, pt))
                      for s, pt in magnitude_calls])
-        calls = ([lambda m=m, pt=pt: fn._psi_k_at(m, pt.x, pt.k)
+        calls = ([lambda m=m, pt=pt: (-1.0) ** (m + 1) * fn._magnitude_at(m, pt.x, pt.k)
                   for m, pt in polygamma_calls]
                  + [lambda s=s, pt=pt: fn._magnitude_at(s, pt.x, pt.k)
                     for s, pt in magnitude_calls])
         assert [_outcome(call) for call in calls] == direct
         with kernels.memoised() as tables:
-            for _ in range(2):  # the second pass reads the tables
+            for _ in range(2):  # the second pass reads the table
                 assert [_outcome(call) for call in calls] == direct
         outcomes = {o[0] if isinstance(o, tuple) else float for o in direct}
-        assert outcomes == {float, ComputationOverflowError, DomainError,
-                            UnsupportedOrderError}
-        # p is no argument of psi_k: a point with p shares the entry without
-        values = direct[:len(polygamma_calls)]
-        assert set(tables[fn._psi_k_at]) == {
-            (m, pt.x, pt.k) for (m, pt), value in zip(polygamma_calls, values)
-            if not isinstance(value, tuple)}
-        values = direct[len(polygamma_calls):]
+        assert outcomes == {float, ComputationOverflowError, DomainError}
+        # p is no argument of psi_k: a point with p shares the entry without,
+        # and an int order m the entry of the real order m
+        assert set(tables) == {fn._magnitude_at, kernels.hurwitz_zeta}
         assert set(tables[fn._magnitude_at]) == {
-            (s, pt.x, pt.k) for (s, pt), value in zip(magnitude_calls, values)
+            (s, pt.x, pt.k) for (s, pt), value in zip(polygamma_calls + magnitude_calls,
+                                                      direct)
             if not isinstance(value, tuple)}
-        for table in (tables[fn._psi_k_at], tables[fn._magnitude_at]):
-            assert all(isinstance(v, float) for v in table.values())
+        assert all(isinstance(v, float) for v in tables[fn._magnitude_at].values())
 
 
 #: every public closed form, as a call on a policy
@@ -878,6 +924,10 @@ class TestOneRangeRule:
         with pytest.raises(ComputationOverflowError,
                            match=re.escape("|psi_k^(2.5)(1e-300; k=1.0)| overflows")):
             fn.k_polygamma_magnitude_fractional(2.5, EvalPoint(1e-300, 1.0))
+        # an int order is a polygamma order, named as `k_polygamma` names it
+        with pytest.raises(ComputationOverflowError,
+                           match="^" + re.escape("psi_k^(3)(1e-300; k=1.0) overflows")):
+            fn.k_polygamma_magnitude_fractional(3, EvalPoint(1e-300, 1.0))
 
     @pytest.mark.parametrize("log_value, want", [
         (1.5e28, None), (-1.5e28, 0.0), (math.inf, None), (-math.inf, 0.0),
@@ -989,19 +1039,29 @@ class TestInRangeBitsAreKept:
     )
     @settings(max_examples=300, deadline=None)
     def test_magnitude(self, s, log_x, log_y):
-        # Gamma(s+1) k^-(s+1) zeta_H(s+1, y) at y < 2^64, with the scale and
-        # the product normal doubles
+        # Gamma(o) k^-o zeta_H(o, y) at y < 2^64, o = s + 1, with k = f 2^e
+        # and o e = n + phi (n an integer, phi in [0, 1)): the product
+        # Gamma(o) f^-o 2^-phi zeta_H, of the mantissas of Gamma(o) and
+        # zeta_H, times 2^-n and their powers of two, as `k_polygamma` forms
+        # it at an integer order
         x = 10.0**log_x
         k = x / 10.0**log_y
         assume(0.0 < k < math.inf and x / k < 2.0**64)
-        log_scale = kernels.log_gamma(s + 1.0) - (s + 1.0) * math.log(k)
-        assume(log_scale <= kernels.LOG_MAX)
-        scale = math.exp(log_scale)
+        o = s + 1.0
         try:
-            want = scale * kernels.hurwitz_zeta(s + 1.0, x / k)
+            zeta = kernels.hurwitz_zeta(o, x / k)
         except ComputationOverflowError:
             return
-        assume(_normal(scale) and _normal(want))
+        f, e = math.frexp(k)
+        n = math.floor(Fraction(o) * e)
+        phi = float(Fraction(o) * e - n)
+        gamma, c = math.frexp(math.gamma(o))
+        z, d = math.frexp(zeta)
+        try:
+            want = math.ldexp(gamma * f**-o * 2.0**-phi * z, c + d - n)
+        except OverflowError:
+            return
+        assume(_normal(want))
         assert fn.k_polygamma_magnitude_fractional(s, EvalPoint(x, k)) == want
 
 

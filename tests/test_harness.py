@@ -12,7 +12,7 @@ from kgamma import cli, harness, kernels, oracle
 from kgamma import functions as fn
 from kgamma.functions import EvalPoint
 from kgamma.harness import GridSpec, HolderPair
-from kgamma.policy import ComputationOverflowError, DomainError
+from kgamma.policy import ComputationOverflowError, DomainError, UnsupportedOrderError
 
 EULER_GAMMA = 0.5772156649015329
 ZETA3 = 1.2020569031595943
@@ -80,6 +80,17 @@ class TestHolderPolygamma:
                            match="^Hölder order must be an integer >= 1, got 0$"):
             harness.check_holder_polygamma(m, n, HolderPair(2.0, 2.0),
                                            EvalPoint(1.0, 1.0))
+
+    @pytest.mark.parametrize("m, n", [(13, 1), (1, 13)])
+    def test_order_past_the_polygamma_cap(self, m, n):
+        # the magnitude reads any real order s >= 1; T1's integer orders stop
+        # at the cap of psi_k^(m), inside a sweep block or not
+        for block in (contextlib.nullcontext, kernels.memoised):
+            with block(), pytest.raises(
+                    UnsupportedOrderError,
+                    match="^Hölder order 13 exceeds supported cap 12$"):
+                harness.check_holder_polygamma(m, n, HolderPair(2.0, 2.0),
+                                               EvalPoint(1.0, 1.0))
 
     def test_exponent_degeneracy_limit(self):
         # p -> 1+: lhs -> |psi^(m)|, s -> m, slack -> 0

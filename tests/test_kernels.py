@@ -595,8 +595,9 @@ class TestKernelCache:
             # each point's D_0..8, shared by every order read at the point
             (lambda: (fn.k_gamma_deriv(3, pt), fn._gamma_derivatives((1, 2), ppt)),
              {fn._derivative_table, psis, zetas}),
-            (lambda: fn._psi_k_at(3, 2.5, 0.7), {fn._psi_k_at, zetas}),
-            (lambda: fn._magnitude_at(2.5, 2.5, 0.7), {fn._magnitude_at, zetas}),
+            # |psi_k^(s)| at a real s and at T7's int orders alike
+            (lambda: (fn._magnitude_at(2.5, 2.5, 0.7), fn._magnitude_at(3, 2.5, 0.7)),
+             {fn._magnitude_at, zetas}),
             # a T2 row and its T3 twin share one entry of both sides
             (lambda: [harness.check_holder_zeta(1, 3, harness.HolderPair(2.0, 2.0),
                                                 0.7, p) for p in (None, 1.9)],
@@ -612,7 +613,7 @@ class TestKernelCache:
         memo_code = kernels.memo(abs).__code__
         memos = {f for module in (kernels, fn, harness) for f in vars(module).values()
                  if getattr(f, "__code__", None) is memo_code}
-        assert memos == {fn._zeta_at, fn._gamma_at, fn._psi_k_at, fn._magnitude_at,
+        assert memos == {fn._zeta_at, fn._gamma_at, fn._magnitude_at,
                          fn._derivative_table, psis, harness._holder_zeta_sides}
         assert set().union(*(filled for _, filled in readers)) == memos | {zetas}
         for read, filled in readers:
