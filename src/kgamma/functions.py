@@ -36,6 +36,10 @@ are multiplied, and the one power of two is applied last by `math.ldexp`
 `ComputationOverflowError`, and one below it is 0.0 or subnormal, however
 far the factors lie outside the range.  A log beyond +-2^20, which no
 factor brings back, is decided by its sign, and a NaN log is an overflow.
+Gamma(t) b^-t is split as its two factors' heads (`_gamma_power`); at an
+integer t <= 171, every polygamma order, Gamma(t)'s split is read from a
+table formed at import (`_GAMMA_SPLITS`), bit for bit the split formed
+on the call at a fractional t.
 
 The point picks the family: below the public functions one path serves
 both, reading G = Gamma_k at a point without p and G = pGamma_k at a point
@@ -126,6 +130,9 @@ _STIRLING_Y = 100.0
 
 #: The least normal double: a value at or above it keeps all 53 bits.
 _TINY = sys.float_info.min
+
+#: The largest double: a real above it, as an int can be, is no float.
+_FLOAT_MAX = sys.float_info.max
 
 #: Past this |log|, e^log is beyond the double range by more than any
 #: other factor of a closed form (at most about 2^10000 for D^(8)) can
@@ -282,8 +289,9 @@ def _magnitude(s: float, x: float, k: float) -> float:
     # underflowed to 0, Gamma(o) x^-o.  An int s is a polygamma order m, so
     # the value is |psi_k^(m)(x)| and an overflow names psi_k^(m) as
     # `k_polygamma` does
-    if not (math.isfinite(s) and s >= 1.0):
-        raise DomainError(f"fractional order must satisfy s >= 1, got {s!r}")
+    if not 1.0 <= s <= _FLOAT_MAX:
+        raise kernels.domain_error(
+            "s", s, f"fractional order must satisfy s >= 1, got {s!r}")
     order = float(s)
     y = x / k
     if y >= _PSI_K_LEADING_Y:
@@ -292,7 +300,16 @@ def _magnitude(s: float, x: float, k: float) -> float:
         head /= f
         exponent -= e
     else:
-        zeta = _hurwitz_or_none(order + 1.0, y)
+        # where zeta_H(o, y) overflows, or y underflowed to 0, y^-o is beyond
+        # the double range and is the whole of
+        # zeta_H(o, y) = y^-o + zeta_H(o, y + 1), whose second term is at
+        # most zeta(2)
+        zeta = None
+        if y:
+            try:
+                zeta = kernels.hurwitz_zeta(order + 1.0, y)
+            except ComputationOverflowError:
+                pass
         if zeta is None:
             head, exponent = _gamma_power(order + 1.0, x)
         else:
@@ -315,28 +332,27 @@ def _gamma_power(t: float, b: float) -> tuple[float, int]:
     # b = f 2^e and t e = n + r / den exactly (n an integer, 0 <= r < den,
     # from t's integer ratio), it is g f^-t 2^(-r/den) 2^(c - n): a head
     # below 2^172, which at t = m + 1 <= 13 or t = m is the head of m! f^-t
-    # or (m-1)! f^-t, bit for bit.  Past t = 171 Gamma(t) leaves the double range, and the value is
-    # split from one log, in which Gamma(t) and b^-t cancel before rounding
+    # or (m-1)! f^-t, bit for bit.  An integer t reads (g, c, t) from
+    # `_GAMMA_SPLITS`: there r = 0, and 2^(-0/1) = 1 moves no bit.  Past
+    # t = 171 Gamma(t) leaves the double range, and the value is split from
+    # one log, in which Gamma(t) and b^-t cancel before rounding
+    f, e = math.frexp(b)
+    split = _GAMMA_SPLITS.get(t)
+    if split is not None:
+        g, c, n = split
+        return g * f ** -t, c - n * e
     if t > 171.0:
         return _split_exp(kernels.log_gamma(t) - t * math.log(b))
-    f, e = math.frexp(b)
     num, den = t.as_integer_ratio()
     n, r = divmod(num * e, den)
     g, c = math.frexp(math.gamma(t))
     return g * f ** -t * 2.0 ** (-r / den), c - n
 
 
-def _hurwitz_or_none(s: float, y: float) -> float | None:
-    # zeta_H(s, y), or None where it overflows or y underflowed to 0.  There
-    # y^-s is beyond the double range and is the whole of
-    # zeta_H(s, y) = y^-s + zeta_H(s, y + 1), whose second term is at most
-    # zeta(2)
-    if not y:
-        return None
-    try:
-        return kernels.hurwitz_zeta(s, y)
-    except ComputationOverflowError:
-        return None
+#: (g, c, t) for each integer t from 1 to 171, keyed by float(t):
+#: Gamma(t) = g 2^c, split by the `math.frexp(math.gamma(t))` that
+#: `_gamma_power` forms at a fractional t
+_GAMMA_SPLITS = {float(t): (*math.frexp(math.gamma(t)), t) for t in range(1, 172)}
 
 
 #: |psi_k^(s)(x)| for a sweep row, which the T1 and T7 rows of a point share:
@@ -352,8 +368,9 @@ def k_zeta(x: float, k: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float
 
 def _zeta(x: float, k: float) -> float:
     k = kernels.require_positive("k", k)
-    if not (math.isfinite(x) and x / k > 1.0):
-        raise DomainError(f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
+    if not (0.0 < x <= _FLOAT_MAX and x / k > 1.0):
+        raise kernels.domain_error(
+            "x", x, f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
     s = x / k
     # zeta(s) rounds to 1.0 from s = 54 on, as does an s beyond the double range
     return 1.0 if s == math.inf else kernels.riemann_zeta(s)

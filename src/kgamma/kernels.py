@@ -11,6 +11,9 @@ psi^(1..12); for any other order they are formed on each call.  Its seven
 correction steps are written out, not looped: the Hurwitz sum is about
 half of the time of a point evaluation, and the loop's per-step overhead
 was about 3% of a call at an integer order and 10% at a fractional one.
+For the same reason its direct sum runs over a table of float counts
+(`_COUNTS`), not over `range`: n + a with n an exact small float is the
+sum an int n gives, bit for bit, without converting n on every term.
 
 Derivatives come in Bell form.  If ln f has derivatives kappa_1, kappa_2, ...
 (its cumulants), then f^(n) = f B_n(kappa_1, ..., kappa_n), where the complete
@@ -47,6 +50,7 @@ __all__ = [
     "check_order",
     "check_deriv_order",
     "require_positive",
+    "domain_error",
     "memo",
     "memoised",
     "active_cache",
@@ -207,6 +211,19 @@ def require_positive(name: str, value: float) -> float:
     raise DomainError(f"{name} must be a finite positive real, got {value!r}")
 
 
+def domain_error(name: str, value: float, refusal: str) -> DomainError:
+    """The `DomainError` that refuses `value`, the argument `name` of an
+    operation, with the operation's own text `refusal`.
+
+    A real past the largest double, as an int can be, is named as one
+    instead, whatever the operation's domain: no float holds it, and
+    converting it raises a bare `OverflowError`.
+    """
+    if _FLOAT_MAX < abs(value) < math.inf:
+        return DomainError(f"{name} must be within the double range, got {value!r}")
+    return DomainError(refusal)
+
+
 def log_gamma(y: float) -> float:
     """ln Gamma(y) for y > 0.
 
@@ -258,17 +275,22 @@ def polygamma(m: int, y: float) -> float:
     return _polygamma(m, require_positive("y", y))
 
 
+# (-1)^(m+1) m! for m = 0..12, exact as floats
+_SIGNED_FACTORIALS = tuple(
+    float((-1) ** (m + 1) * math.factorial(m)) for m in range(POLYGAMMA_MAX_ORDER + 1)
+)
+
+
 def _polygamma(m: int, y: float) -> float:
     if m == 0:
         return _digamma(y)
-    sign = 1.0 if m % 2 == 1 else -1.0
-    return sign * math.factorial(m) * hurwitz_zeta(m + 1, y)
+    return _SIGNED_FACTORIALS[m] * hurwitz_zeta(m + 1, y)
 
 
 def riemann_zeta(s: float) -> float:
     """zeta(s) = zeta_H(s, 1) for s > 1; no analytic continuation below."""
-    if not (math.isfinite(s) and s > 1.0):
-        raise DomainError(f"riemann_zeta requires s > 1, got {s!r}")
+    if not 1.0 < s <= _FLOAT_MAX:
+        raise domain_error("s", s, f"riemann_zeta requires s > 1, got {s!r}")
     return hurwitz_zeta(s, 1.0)
 
 
@@ -281,9 +303,12 @@ def hurwitz_zeta(s: float, a: float) -> float:
     K(s) M^(-s-15), K(s) = |B_16|/16! Gamma(s+15)/Gamma(s).  N is the
     smallest count with that bound at most 2^-56 a^-s (`_direct_terms`);
     since zeta_H(s, a) >= a^-s, the remainder is at most `HURWITZ_REL_TOL`
-    of the value.  N is 1 to 11 for s in (1, 40] and a in [1e-3, 1e3]
-    (Johansson, Rigorous high-precision computation of the Hurwitz zeta
-    function and its derivatives, Numer. Algorithms 2015).  The bound is
+    of the value.  N is 1 to 11 at every s and a of the double range
+    (`_direct_terms`; Johansson, Rigorous high-precision computation of the
+    Hurwitz zeta function and its derivatives, Numer. Algorithms 2015), so
+    the direct sum reads its counts n from the row of `_COUNTS` for N:
+    floats, exact, so each n + a rounds as with an int n, which would be
+    converted to a float on every term.  The bound is
     checked once; a value it does not certify, or one that overflows,
     raises `ComputationOverflowError`.  The Euler-Maclaurin coefficients
     are read from `_EM_ROWS` at the integer s of psi^(1..12) and formed on
@@ -300,17 +325,18 @@ def hurwitz_zeta(s: float, a: float) -> float:
         value = None if zetas is None else zetas.get((s, a))
         if value is not None:
             return value
-    if not (math.isfinite(s) and s > 1.0):
-        raise DomainError(f"hurwitz_zeta requires s > 1, got {s!r}")
+    if not 1.0 < s <= _FLOAT_MAX:
+        raise domain_error("s", s, f"hurwitz_zeta requires s > 1, got {s!r}")
     if not (type(a) is float and 0.0 < a <= _FLOAT_MAX):
         # raises unless a is a real number in range
         a = require_positive("a", a)
 
     try:
         n_terms = _direct_terms(s, a)
+        minus_s = -s
         head = 0.0
-        for n in range(n_terms - 1, -1, -1):  # small terms first
-            head += (n + a) ** (-s)
+        for n in _COUNTS[n_terms]:  # small terms first
+            head += (n + a) ** minus_s
     except OverflowError:
         # a^-s beyond the double range (a < 1)
         raise ComputationOverflowError(
@@ -318,8 +344,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
         ) from None
 
     big_m = n_terms + a
-    tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
-    m_power = big_m ** (-s - 1.0)
+    tail = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** minus_s
+    m_power = big_m ** (minus_s - 1.0)
     correction = bound = 0.0
     if m_power:
         # else every correction and the bound are 0, while K(s) may be inf
@@ -400,12 +426,25 @@ def _direct_terms(s: float, a: float) -> int:
     That is ln(1 + N/a) >= d = (ln K(s) + 56 ln 2 - 15 ln a)/(s + 15), so
     N = a (e^d - 1), formed with expm1: the s ln a on both sides cancels
     before it is rounded, and d stays finite at every s.
+
+    N is at most 11 at every s > 1 and a > 0.  With C = 2^56 K(s),
+    a (e^d - 1) = C^(1/(s+15)) a^(s/(s+15)) - a peaks at
+    a* = (C^(1/(s+15)) s/(s+15))^((s+15)/15), where it is 15 a*/s.  That
+    peak rises with s from 9.82 at s = 1 towards
+    15 e^((ln(|B_16|/16!) + 56 ln 2)/15 - 1) = 10.82, so its ceiling is
+    at most 11.  `_COUNTS` holds rows up to N = 12, one past that.
     """
     log_k = _LOG_K.get(s)
     if log_k is None:
         log_k = _log_k(s)
     d = (log_k + _LOG_INV_REL_TOL - 15.0 * math.log(a)) / (s + 15.0)
-    return max(1, math.ceil(a * math.expm1(d)))
+    n_terms = math.ceil(a * math.expm1(d))
+    return n_terms if n_terms > 1 else 1
+
+
+#: The counts of `hurwitz_zeta`'s direct sum of N terms, small terms first:
+#: row N is (N - 1.0, ..., 1.0, 0.0), for every N `_direct_terms` returns
+_COUNTS = tuple(tuple(map(float, range(n - 1, -1, -1))) for n in range(13))
 
 
 # The integer exponents of psi^(1..12): their rows and ln K(s), formed once

@@ -416,11 +416,13 @@ def integrate_bose(
     as e^-u * u / (1 - e^-u), which stays finite for every u.  It peaks
     about where the gamma integrand of x = s - k + 1 does.
     """
-    if not (math.isfinite(s) and s >= 1.0):
-        raise DomainError(f"bose integral requires s >= 1, got {s!r}")
-    if not (0 < k < math.inf and 0 < c < math.inf):
-        raise DomainError(
-            f"bose integral requires k > 0 and c > 0, both finite; got {k!r}, {c!r}")
+    if not 1.0 <= s <= sys.float_info.max:
+        raise kernels.domain_error("s", s, f"bose integral requires s >= 1, got {s!r}")
+    for name, value in (("k", k), ("c", c)):
+        if not 0 < value <= sys.float_info.max:
+            raise kernels.domain_error(
+                name, value,
+                f"bose integral requires k > 0 and c > 0, both finite; got {k!r}, {c!r}")
     if s - k <= -1.0:
         raise DomainError(
             f"bose integrand is non-integrable at 0 for s - k <= -1 (s={s}, k={k})"

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -341,6 +342,35 @@ class TestFractionalMagnitude:
         with pytest.raises(DomainError):
             fn.k_polygamma_magnitude_fractional(0.5, EvalPoint(1.0, 1.0))
 
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_int_past_the_double_range_is_refused_by_name(self, big):
+        # no float holds the order: a DomainError naming s, not a bare
+        # OverflowError; an in-range order keeps its own text
+        with pytest.raises(DomainError, match="^s must be within the double range, got"):
+            fn.k_polygamma_magnitude_fractional(big, EvalPoint(1, 1))
+        with pytest.raises(DomainError,
+                           match=r"^fractional order must satisfy s >= 1, got -1e\+300$"):
+            fn.k_polygamma_magnitude_fractional(-1e300, EvalPoint(1, 1))
+
+    def test_integer_order_reads_the_general_gamma_split(self):
+        # at every integer t up to 171 the split read from the table is the
+        # general split, as written out here, bit for bit, at b across the
+        # double range, subnormal b included
+        def general(t, b):
+            f, e = math.frexp(b)
+            num, den = t.as_integer_ratio()
+            n, r = divmod(num * e, den)
+            g, c = math.frexp(math.gamma(t))
+            return (g * f ** -t * 2.0 ** (-r / den)).hex(), c - n
+
+        rng = random.Random(171)
+        bs = [10.0 ** rng.uniform(-323.0, 308.0) for _ in range(44)]
+        bs += [5e-324, 1e-310, sys.float_info.min, 1.0, 3.0, sys.float_info.max]
+        for t in map(float, range(1, 172)):
+            for b in bs:
+                head, exponent = fn._gamma_power(t, b)
+                assert (head.hex(), exponent) == general(t, b)
+
     def test_large_order_at_a_large_argument(self):
         # s = 1e17 at x/k = e * 1e23: the scale Gamma(s+1) k^-(s+1) is
         # finite, zeta_H(s+1, x/k) is 0.0 after one term, and so is the value
@@ -368,6 +398,21 @@ class TestZetas:
                 fn.k_zeta(2.0, k)
         with pytest.raises(DomainError, match="p must be a finite positive"):
             fn.pk_zeta(2.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_k_zeta_int_past_the_double_range_is_refused_by_name(self, big):
+        # no float holds x: a DomainError naming x, not a bare
+        # OverflowError; an in-range x keeps its own text
+        with pytest.raises(DomainError, match="^x must be within the double range, got"):
+            fn.k_zeta(big, 1.0)
+        with pytest.raises(DomainError,
+                           match=r"^k_zeta requires x/k > 1, got x=-1e\+300, k=1.0$"):
+            fn.k_zeta(-1e300, 1.0)
+
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_pk_zeta_int_past_the_double_range_is_refused_by_name(self, big):
+        with pytest.raises(DomainError, match="^x must be within the double range, got"):
+            fn.pk_zeta(big, 1.0, 1.0)
 
     def test_pk_zeta_p_independent(self):
         values = [fn.pk_zeta(4.0, 2.0, p) for p in STANDARD_PS]

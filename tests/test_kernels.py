@@ -101,6 +101,32 @@ def hurwitz_arguments(draw):
     return s, a
 
 
+def _peak_argument(s):
+    # a* = (C^(1/(s+15)) s/(s+15))^((s+15)/15), C = 2^56 K(s), where
+    # a (e^d - 1), the direct-term count before rounding up, peaks (see
+    # `_direct_terms`), formed in logs
+    log_c = kernels._log_k(s) + kernels._LOG_INV_REL_TOL
+    return math.exp(log_c / 15.0 + (s + 15.0) / 15.0 * math.log1p(-15.0 / (s + 15.0)))
+
+
+@st.composite
+def direct_term_arguments(draw):
+    """(s, a) over the whole double range: s from 1 + 1e-15 to the largest
+    double, a from the least subnormal to the largest double, or within a
+    factor of 8 of the peak a*(s), where the count is largest."""
+    s = draw(st.one_of(
+        st.floats(min_value=1.0, max_value=sys.float_info.max, exclude_min=True),
+        st.floats(min_value=-15.0, max_value=308.0).map(lambda e: 1.0 + 10.0**e),
+    ))
+    if draw(st.booleans()):
+        return s, draw(st.one_of(
+            st.floats(min_value=5e-324, max_value=sys.float_info.max),
+            st.floats(min_value=-323.0, max_value=308.0).map(lambda e: 10.0**e),
+        ))
+    factor = 2.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    return s, min(_peak_argument(s) * factor, sys.float_info.max)
+
+
 def _bits_or_error(call):
     try:
         return call().hex()
@@ -222,6 +248,12 @@ class TestRiemannZeta:
         with pytest.raises(DomainError):
             kernels.riemann_zeta(bad)
 
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_int_past_the_double_range_is_refused_by_name(self, big):
+        # no float holds it: a DomainError naming s, not a bare OverflowError
+        with pytest.raises(DomainError, match="^s must be within the double range, got"):
+            kernels.riemann_zeta(big)
+
 
 class TestHurwitzZeta:
     def test_reduces_to_riemann(self):
@@ -340,15 +372,28 @@ class TestHurwitzZeta:
             assert abs(kernels._log_k(s) - ref) <= 1e-13 * abs(ref)
 
     def test_overflowing_power_is_typed(self):
-        # 0.5^-2000 = 2^2000 is beyond the double range
+        # 0.5^-2000 = 2^2000 is beyond the double range, and so is
+        # (1e-200)^-2 with an int s, raised as the float power of a count
         with pytest.raises(ComputationOverflowError, match=r"hurwitz_zeta\(2000, 0.5\)"):
             kernels.hurwitz_zeta(2000, 0.5)
+        with pytest.raises(ComputationOverflowError,
+                           match=r"^hurwitz_zeta\(2, 1e-200\) overflows double precision$"):
+            kernels.hurwitz_zeta(2, 1e-200)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             kernels.hurwitz_zeta(1.0, 1.0)
         with pytest.raises(DomainError):
             kernels.hurwitz_zeta(2.0, 0.0)
+
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_int_past_the_double_range_is_refused_by_name(self, big):
+        # an s no float holds: a DomainError naming s, not a bare
+        # OverflowError; an in-range s <= 1 keeps its own text
+        with pytest.raises(DomainError, match="^s must be within the double range, got"):
+            kernels.hurwitz_zeta(big, 1.0)
+        with pytest.raises(DomainError, match=r"^hurwitz_zeta requires s > 1, got -1e\+300$"):
+            kernels.hurwitz_zeta(-1e300, 1.0)
 
 
 class TestDirectTerms:
@@ -412,6 +457,27 @@ class TestDirectTerms:
         ss = [1.0 + 39.0 * i / 200 for i in range(1, 201)] + [1.0 + 1e-9, 1.001]
         aas = [10.0 ** (-3.0 + 6.0 * j / 300) for j in range(301)]
         assert max(kernels._direct_terms(s, a) for s in ss for a in aas) <= 12
+
+    @given(direct_term_arguments())
+    @settings(max_examples=1000, deadline=None)
+    def test_at_most_eleven_terms_over_the_double_range(self, args):
+        assert 1 <= kernels._direct_terms(*args) <= 11
+
+    @pytest.mark.parametrize("s", [1.0 + 1e-15, 1.001, 1.5, 2.0, 4.0, 7.5, 13.0, 14.0,
+                                   40.0, 1e6, 1e300])
+    def test_eleven_terms_at_the_peak(self, s):
+        # a dense scan about a*(s): N never passes 11, and from s = 2 on it
+        # reaches it, so the table's largest row read is row 11
+        peak = _peak_argument(s)
+        counts = [kernels._direct_terms(s, peak * 2.0 ** (j / 500)) for j in range(-1000, 1001)]
+        assert max(counts) == (10 if s < 2.0 else 11)
+
+    def test_count_rows_are_the_int_counts(self):
+        # row N is the floats of range(N - 1, -1, -1), for every N up to 12
+        assert len(kernels._COUNTS) == 13
+        for n, row in enumerate(kernels._COUNTS):
+            assert row == tuple(map(float, range(n - 1, -1, -1)))
+            assert all(type(count) is float for count in row)
 
 
 class TestGammaDerivSequence:

@@ -120,6 +120,16 @@ class TestBoseIntegral:
             with pytest.raises(DomainError, match="requires k > 0 and c > 0"):
                 oracle.integrate_bose(1.0, k, c)
 
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_int_past_the_double_range_is_refused_by_name(self, big):
+        # no float holds it: a DomainError naming the argument, not a bare
+        # OverflowError or an overflow of the integral
+        for name, args in (("s", (big, 1.0, 1.0)), ("k", (2.0, big, 1.0)),
+                           ("c", (2.0, 1.0, big))):
+            with pytest.raises(DomainError,
+                               match=f"^{name} must be within the double range, got"):
+                oracle.integrate_bose(*args)
+
     def test_underflowed_kernel_near_zero(self):
         # t^k / c underflows to 0 in the panels far below v = 0, where the
         # integrand is c t^(s - k + 1) in v = log t to leading order
