@@ -252,19 +252,15 @@ def k_polygamma(
     verified inequalities needs it.
     """
     _check_policy(policy)
-    return _psi_k(m, pt.x, pt.k)
-
-
-def _psi_k(m: int, x: float, k: float) -> float:
     kernels.check_order(m, 1, kernels.POLYGAMMA_MAX_ORDER, "k_polygamma")
-    value = _magnitude(m, x, k)
+    value = _magnitude(m, pt.x, pt.k)
     return value if m % 2 else -value
 
 
 def k_polygamma_magnitude_fractional(
     s: float, pt: EvalPoint, policy: AccuracyPolicy = DEFAULT_POLICY
 ) -> float:
-    """|psi_k^(s)(x)| for real order s >= 1, via the integral definition.
+    """|psi_k^(s)(x)| for real order s >= 1, from its closed form.
 
     The defining integral int_0^inf t^s e^(-xt) / (1 - e^(-kt)) dt does not
     require s to be an integer; it equals Gamma(s+1) k^-(s+1) zeta_H(s+1, x/k).
@@ -291,7 +287,7 @@ def _magnitude(s: float, x: float, k: float) -> float:
     # `k_polygamma` does
     if not 1.0 <= s <= _FLOAT_MAX:
         raise kernels.domain_error(
-            "s", s, f"fractional order must satisfy s >= 1, got {s!r}")
+            "s", s, f"fractional order must satisfy s >= 1, got {kernels.shown(s)}")
     order = float(s)
     y = x / k
     if y >= _PSI_K_LEADING_Y:
@@ -370,7 +366,7 @@ def _zeta(x: float, k: float) -> float:
     k = kernels.require_positive("k", k)
     if not (0.0 < x <= _FLOAT_MAX and x / k > 1.0):
         raise kernels.domain_error(
-            "x", x, f"k_zeta requires x/k > 1, got x={x!r}, k={k!r}")
+            "x", x, f"k_zeta requires x/k > 1, got x={kernels.shown(x)}, k={k!r}")
     s = x / k
     # zeta(s) rounds to 1.0 from s = 54 on, as does an s beyond the double range
     return 1.0 if s == math.inf else kernels.riemann_zeta(s)
@@ -396,11 +392,14 @@ def pk_zeta(
     return _zeta(x, k)
 
 
-def _derivatives(orders: tuple[int, ...] | range, x: float, k: float,
-                 p: float | None) -> list[tuple | None]:
+def _derivatives(
+    x: float, k: float, p: float | None,
+    orders: tuple[int, ...] | range = range(kernels.GAMMA_DERIV_MAX_ORDER + 1),
+) -> list[tuple | None]:
     # D_n of G as a pair (h, c), D_n = h 2^c, at index n of the list for each
-    # n of `orders`, None at every other index up to the largest: D_n =
-    # G k^-n B_n, with B_n the Bell polynomials at c = k, or c = p with p.
+    # n of `orders` (by default every order, 0..8), None at every other
+    # index up to the largest: D_n = G k^-n B_n, with B_n the Bell
+    # polynomials at c = k, or c = p with p.
     # G and B_n are split by frexp, and k^-n is pow's where it is certainly
     # a normal double, else f^-n 2^(-ne) with k = f 2^e.  Every head is then
     # a product of normal doubles, rounded as G k^-n B_n is wherever that is
@@ -424,11 +423,9 @@ def _derivatives(orders: tuple[int, ...] | range, x: float, k: float,
     return derivs
 
 
-@kernels.memo
-def _derivative_table(x: float, k: float, p: float | None) -> list[tuple]:
-    # the point's D_0..8 in a sweep block.  B_j depends on kappa_1..kappa_j
-    # alone, so each entry has the bits of a shorter table's
-    return _derivatives(range(kernels.GAMMA_DERIV_MAX_ORDER + 1), x, k, p)
+#: the point's D_0..8 in a sweep block.  B_j depends on kappa_1..kappa_j
+#: alone, so each entry has the bits of a shorter table's
+_derivative_table = kernels.memo(_derivatives)
 
 
 def k_gamma_deriv(
@@ -464,7 +461,7 @@ def _gamma_derivatives(orders: tuple[int, ...], pt: EvalPoint) -> list[float]:
     polynomials up to the largest of them.
     """
     if kernels.active_cache() is None:
-        derivs = _derivatives(orders, pt.x, pt.k, pt.p)
+        derivs = _derivatives(pt.x, pt.k, pt.p, orders)
     else:
         derivs = _derivative_table(pt.x, pt.k, pt.p)
     values = []

@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 from . import functions as fn
 from .kernels import (GAMMA_DERIV_MAX_ORDER, POLYGAMMA_MAX_ORDER, check_deriv_order,
-                      check_order, memo, memoised, require_positive)
+                      check_order, memo, memoised, require_positive, shown)
 from .policy import ComputationOverflowError, DomainError
 
 __all__ = [
@@ -84,9 +84,14 @@ class HolderPair:
     def __post_init__(self) -> None:
         if not (self.p > 1.0 and self.q > 1.0):
             raise DomainError(
-                f"Hölder exponents must both exceed 1, got p={self.p!r}, q={self.q!r}"
+                f"Hölder exponents must both exceed 1, "
+                f"got p={shown(self.p)}, q={shown(self.q)}"
             )
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
+        try:
+            gap = abs(1.0 / self.p + 1.0 / self.q - 1.0)
+        except OverflowError:  # an int past the largest double, refused below by name
+            gap = 0.0
+        if gap > 1e-12:
             raise DomainError(f"exponents are not conjugate: {self.p}, {self.q}")
         # kept as floats, so an exponent prints alike in every row
         for name in ("p", "q"):

@@ -51,6 +51,7 @@ __all__ = [
     "check_deriv_order",
     "require_positive",
     "domain_error",
+    "shown",
     "memo",
     "memoised",
     "active_cache",
@@ -183,9 +184,10 @@ def check_order(order: int, least: int, cap: int | None, what: str) -> None:
     """
     if type(order) is not int or order < least:
         bound = "a non-negative integer" if least == 0 else f"an integer >= {least}"
-        raise DomainError(f"{what} order must be {bound}, got {order!r}")
+        raise DomainError(f"{what} order must be {bound}, got {shown(order)}")
     if cap is not None and order > cap:
-        raise UnsupportedOrderError(f"{what} order {order} exceeds supported cap {cap}")
+        raise UnsupportedOrderError(
+            f"{what} order {shown(order)} exceeds supported cap {cap}")
 
 
 def require_positive(name: str, value: float) -> float:
@@ -208,7 +210,7 @@ def require_positive(name: str, value: float) -> float:
         real = math.nan
     if 0.0 < real <= _FLOAT_MAX:
         return real
-    raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+    raise DomainError(f"{name} must be a finite positive real, got {shown(value)}")
 
 
 def domain_error(name: str, value: float, refusal: str) -> DomainError:
@@ -220,8 +222,18 @@ def domain_error(name: str, value: float, refusal: str) -> DomainError:
     converting it raises a bare `OverflowError`.
     """
     if _FLOAT_MAX < abs(value) < math.inf:
-        return DomainError(f"{name} must be within the double range, got {value!r}")
+        return DomainError(f"{name} must be within the double range, got {shown(value)}")
     return DomainError(refusal)
+
+
+def shown(value) -> str:
+    """`repr(value)` for a refusal's text, or, for an int too long to
+    convert to a decimal string (more than 4,300 digits by default from
+    Python 3.11 on, a bare `ValueError`), its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 def log_gamma(y: float) -> float:
@@ -290,7 +302,7 @@ def _polygamma(m: int, y: float) -> float:
 def riemann_zeta(s: float) -> float:
     """zeta(s) = zeta_H(s, 1) for s > 1; no analytic continuation below."""
     if not 1.0 < s <= _FLOAT_MAX:
-        raise domain_error("s", s, f"riemann_zeta requires s > 1, got {s!r}")
+        raise domain_error("s", s, f"riemann_zeta requires s > 1, got {shown(s)}")
     return hurwitz_zeta(s, 1.0)
 
 
@@ -326,7 +338,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
         if value is not None:
             return value
     if not 1.0 < s <= _FLOAT_MAX:
-        raise domain_error("s", s, f"hurwitz_zeta requires s > 1, got {s!r}")
+        raise domain_error("s", s, f"hurwitz_zeta requires s > 1, got {shown(s)}")
     if not (type(a) is float and 0.0 < a <= _FLOAT_MAX):
         # raises unless a is a real number in range
         a = require_positive("a", a)

@@ -5,9 +5,10 @@ definitions with a double-exponential trapezoid rule, so the closed-form
 reductions in `functions` can be cross-validated against a route that
 shares none of their arithmetic.  This module deliberately evaluates none
 of the scalar kernels, since independence is the whole point; it shares
-only their order rule, `kernels.check_order`, and, through `EvalPoint`,
-their positive-real rule, `kernels.require_positive`: both evaluate
-nothing.
+only their order rule, `kernels.check_order`, through `EvalPoint` their
+positive-real rule, `kernels.require_positive`, and the texts of their
+refusals, `kernels.domain_error` and `kernels.shown`: none evaluates
+anything.
 
 Log-variable scheme: an integral of f over t in (0, inf) is taken as the
 integral of g(v) = t f(t), t = e^v, over the whole line.  Each integrand
@@ -72,7 +73,10 @@ sign, |value| can be far below the integrand's scale and the integral of
 |g v^n| is summed apart.  Refinement also stops, unconverged, once the
 tolerance times that integral is below the subnormal charge of the nodes
 summed, which more nodes only raise.  An integral beyond double range
-raises `ComputationOverflowError`.
+raises `ComputationOverflowError` where a node value shows it.  Where the
+terms of g's exponent near its peak leave the double range, its values
+bound nothing, and every order stops at the first level, unconverged,
+with an infinite estimate.
 """
 
 from __future__ import annotations
@@ -167,18 +171,17 @@ class _Order:
 
     `ends` holds the tau where its walk ended to the right, then to the
     left: the first of the two negligible nodes of a met tail, the last
-    node of an unmet one; `sizes` the |term| of each term at odd n, where
-    the integral of |g v^n| is summed apart; `before` and `last` the last
-    two level changes.
+    node of an unmet one; `before` and `last` the last two level changes.
+    Everything else a level is judged on, the integral of |g v^n| at odd n
+    and the subnormal span of the weights, is formed from these.
     """
 
-    __slots__ = ("n", "terms", "sizes", "largest", "ends", "edge", "tails_met",
-                 "span", "previous", "before", "last", "result")
+    __slots__ = ("n", "terms", "largest", "ends", "edge", "tails_met",
+                 "previous", "before", "last", "result")
 
     def __init__(self, n: int, w: float, v: float, d: float) -> None:
         self.n, self.terms = n, [w * v**n * d]
         self.largest, self.tails_met = abs(self.terms[0]), True
-        self.sizes = [self.largest] if n % 2 else None
         self.ends, self.edge = [], 0.0
         self.previous, self.before, self.last, self.result = None, math.inf, math.inf, None
 
@@ -192,7 +195,7 @@ class _Order:
         never refined around.  A lone order evaluates each node itself and
         keeps none; the orders of a shared rule read the nodes
         (g, v, 1 + e^-tau) of `side`, appending those not yet there."""
-        n, append, sizes, largest = self.n, self.terms.append, self.sizes, self.largest
+        n, append, largest = self.n, self.terms.append, self.largest
         table = _SIDES[step]
         floor = _NEGLIGIBLE * largest
         quiet = i = 0
@@ -209,8 +212,6 @@ class _Order:
             term = w * v**n * d if n else w * d  # v^0 = 1 exactly
             append(term)
             last = abs(term)
-            if sizes is not None:
-                sizes.append(last)
             if last > largest:
                 largest = last
                 floor = _NEGLIGIBLE * largest
@@ -222,41 +223,45 @@ class _Order:
         self.edge += last
         return max(i - known, 0)
 
-    def extend(self, terms: list[float]) -> None:
-        """Add the terms of this order's midpoints of the next level."""
-        if self.sizes is not None:
-            self.sizes += map(abs, terms)
-        self.terms += terms
-
-    def settle(self, sh: float, h: float, nodes: int, roundoff: float,
+    def settle(self, s: float, h: float, nodes: int, roundoff: float,
                tol: float, root_tol: float, budget: int) -> bool:
-        """Judge the level of step h, whose node weight is sh = s h; keep its
+        """Judge the level of step h, whose node weight is s h; keep its
         result and return True if this order stops there.  `tol` is the
         policy's rel_tol, `root_tol` its square root, and `budget` its
-        max_subdivisions."""
+        max_subdivisions.  At odd n, where v^n changes sign, the integral
+        of |g v^n| is summed apart, from the |terms|; at even n g >= 0, so
+        every term is, and that integral is |value|."""
+        sh = s * h
         value = sh * math.fsum(self.terms)
-        if self.sizes is not None:  # v^n changes sign: the integral of |g v^n| apart
-            mass = sh * math.fsum(self.sizes)
-        else:  # g >= 0, so every term is, and that integral is |value|
-            mass = abs(value)
+        mass = sh * math.fsum(map(abs, self.terms)) if self.n % 2 else abs(value)
         if not math.isfinite(mass):
             raise OverflowError  # a term or the sum of |terms| overflowed
         if self.previous is not None:
             self.before, self.last = self.last, abs(value - self.previous)
+        elif not roundoff < math.inf:
+            # g's exponent sums terms beyond the double range near its peak,
+            # so its values carry no bounded error and no level can certify
+            # one: the integral lies beyond the double range, above or below
+            self.result = QuadratureResult(value, math.inf, nodes, False)
+            return True
         # a halving about squares the error of a converging rule: once the
         # change before this level's is within sqrt(rel_tol) of the mass, this
         # level's change is about the error of the level before, and bounds
         # its own.  Two changes are still required, as one can vanish by
         # accident.  Relative to the mass alone, and with the subnormal
         # charge: a mass too small to hold rel_tol of itself certifies
-        # nothing, nor does a zero mass (every term underflowed)
+        # nothing, nor does a zero mass (every term underflowed).  Each term
+        # is rounded twice, in g and in the product, and each rounding can
+        # lose half the smallest subnormal; the first is scaled by the node's
+        # weight s h (1 + e^-tau), whose sum is about s times this span
         before, last = self.before, self.last
-        charge = math.ldexp(len(self.terms) + self.span, -1075)
+        hi, lo = self.ends
+        span = s * (hi - lo + math.exp(-lo) - math.exp(-hi))
+        charge = math.ldexp(len(self.terms) + span, -1075)
         charges = roundoff * mass + sh * self.edge + charge
         converged = (self.tails_met and last + charges <= tol * mass
                      and before <= root_tol * mass)
         estimate = (last if converged else max(before, last)) + charges
-        hi, lo = self.ends
         # unmet tails, or a charge above rel_tol of the mass, which more nodes
         # only raise, end the refinement once the estimate is finite
         hopeless = not self.tails_met or tol * mass < charge
@@ -281,13 +286,17 @@ def _integrate(
     to its own tails, over nodes the widest order's walk evaluates once.
     Its ends are the first negligible node of each side: it sums its own
     walk's nodes, the one beyond each end that confirmed it included, and
-    the midpoints between its ends.  Its result is the one a call for that
-    order alone returns, except `subdivisions_used`: the shared nodes
-    evaluated when the order stopped.  A lone order keeps no shared nodes
-    and forms each term as its node is evaluated.  `size` bounds the terms
-    that g's exponent sums near v0: each is rounded, so g's values carry
-    about `size` ulps of their own, which the roundoff charge adds to the
-    sum's 50.  `policy.max_subdivisions` bounds every level of an order
+    the midpoints between its ends.  It keeps only those terms: each level
+    (`_Order.settle`) forms its value, its integral of |g v^n| and its
+    subnormal charge from them and from the ends.  Its result is the one a
+    call for that order alone returns, except `subdivisions_used`: the
+    shared nodes evaluated when the order stopped.  A lone order keeps no
+    shared nodes and forms each term as its node is evaluated.  `size`
+    bounds the terms that g's exponent sums near v0: each is rounded, so
+    g's values carry about `size` ulps of their own, which the roundoff
+    charge adds to the sum's 50; a size beyond the double range stops
+    every order at its first level, unconverged, with an infinite
+    estimate.  `policy.max_subdivisions` bounds every level of an order
     after the walk.
     """
     h = _H0
@@ -305,22 +314,16 @@ def _integrate(
             side = None if lone else []
             for part in parts:
                 nodes += part.walk(side, step, g, v0, s)
-        # each term is rounded twice, in g and in the product, and each
-        # rounding can lose half the smallest subnormal; the first is scaled
-        # by the node's weight s h (1 + e^-tau), whose sum is about this span
-        for part in parts:
-            hi, lo = part.ends
-            part.span = s * (hi - lo + math.exp(-lo) - math.exp(-hi))
         roundoff = (_SUM_ULPS + size) * sys.float_info.epsilon
         pending = parts
         while pending := [part for part in pending if not part.settle(
-                s * h, h, nodes, roundoff, tol, root_tol, budget)]:
+                s, h, nodes, roundoff, tol, root_tol, budget)]:
             if lone:  # its own midpoints, each term formed as it is evaluated
                 hi, lo = lone.ends
                 n, mids = lone.n, _midpoints(h, lo, round((hi - lo) / h))
                 new = ([g(v := v0 + s * a) * v**n * d for a, d in mids] if n
                        else [g(v0 + s * a) * d for a, d in mids])  # v^0 = 1 exactly
-                lone.extend(new)
+                lone.terms += new
             else:  # the midpoints between the widest ends; each order takes its own
                 lo = min(part.ends[1] for part in pending)
                 hi = max(part.ends[0] for part in pending)
@@ -329,8 +332,8 @@ def _integrate(
                 for part in pending:
                     n, first = part.n, round((part.ends[1] - lo) / h)
                     mine = new[first:first + round((part.ends[0] - part.ends[1]) / h)]
-                    part.extend([w * v**n * d for w, v, d in mine] if n
-                                else [w * d for w, v, d in mine])
+                    part.terms += ([w * v**n * d for w, v, d in mine] if n
+                                   else [w * d for w, v, d in mine])
             nodes += len(new)
             h *= 0.5
     except OverflowError as exc:
@@ -417,12 +420,13 @@ def integrate_bose(
     about where the gamma integrand of x = s - k + 1 does.
     """
     if not 1.0 <= s <= sys.float_info.max:
-        raise kernels.domain_error("s", s, f"bose integral requires s >= 1, got {s!r}")
+        raise kernels.domain_error(
+            "s", s, f"bose integral requires s >= 1, got {kernels.shown(s)}")
     for name, value in (("k", k), ("c", c)):
         if not 0 < value <= sys.float_info.max:
             raise kernels.domain_error(
-                name, value,
-                f"bose integral requires k > 0 and c > 0, both finite; got {k!r}, {c!r}")
+                name, value, "bose integral requires k > 0 and c > 0, both finite; "
+                f"got {kernels.shown(k)}, {kernels.shown(c)}")
     if s - k <= -1.0:
         raise DomainError(
             f"bose integrand is non-integrable at 0 for s - k <= -1 (s={s}, k={k})"

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgamma import functions as fn
-from kgamma import harness, kernels
+from kgamma import harness, kernels, oracle
 from kgamma.functions import EvalPoint
 from kgamma.policy import (
     AccuracyPolicy,
@@ -1143,3 +1143,60 @@ class TestPositiveRealRule:
         assert fn.pk_zeta(3.0, 0.5, np.float32(2.0)) == fn.k_zeta(3.0, 0.5)
         assert kernels.hurwitz_zeta(2.0, np.float32(0.5)) == kernels.hurwitz_zeta(2.0, 0.5)
         assert kernels.log_gamma(np.int64(3)) == math.lgamma(3.0)
+
+
+#: An int of 5,001 digits: more than the 4,300 that Python converts to a
+#: decimal string from 3.11 on, so `repr` raises a bare ValueError there
+_UNPRINTABLE = 10**5000
+
+
+class TestUnprintableInt:
+    """An int too long to print is refused with the `DomainError` of its
+    argument, as a printable one is, shown by its size where its digits
+    cannot be printed."""
+
+    @pytest.mark.parametrize("name,call", [
+        ("s", lambda big: kernels.hurwitz_zeta(big, 1.0)),
+        ("a", lambda big: kernels.hurwitz_zeta(2.0, big)),
+        ("s", lambda big: kernels.riemann_zeta(big)),
+        ("y", lambda big: kernels.log_gamma(big)),
+        ("x", lambda big: EvalPoint(big, 1.0)),
+        ("p", lambda big: EvalPoint(1.0, 1.0, big)),
+        ("x", lambda big: fn.k_zeta(big, 1.0)),
+        ("k", lambda big: fn.k_zeta(2.0, big)),
+        ("p", lambda big: fn.pk_zeta(2.0, 1.0, big)),
+        ("s", lambda big: fn.k_polygamma_magnitude_fractional(big, EvalPoint(1.5, 1.0))),
+        ("s", lambda big: oracle.integrate_bose(big, 1.0, 1.0)),
+        ("k", lambda big: oracle.integrate_bose(2.0, big, 1.0)),
+        ("c", lambda big: oracle.integrate_bose(2.0, 1.0, big)),
+        ("k", lambda big: harness.check_holder_zeta(1, 1, harness.HolderPair(2.0, 2.0), big)),
+        ("p", lambda big: harness.HolderPair(big, 2.0)),
+        ("q", lambda big: harness.HolderPair(0.5, big)),
+    ])
+    @pytest.mark.parametrize("big", [_UNPRINTABLE, -_UNPRINTABLE], ids=["plus", "minus"])
+    def test_refused_by_name(self, name, call, big):
+        with pytest.raises(DomainError) as refused:
+            call(big)
+        message = str(refused.value)
+        assert kernels.shown(big) in message
+        assert message.startswith(f"{name} ") or f"{name}={kernels.shown(big)}" in message
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python before 3.11 prints an int of any length")
+    def test_shown_by_its_size(self):
+        assert kernels.shown(_UNPRINTABLE) == "an int of 16610 bits"
+        assert kernels.shown(-_UNPRINTABLE) == "a negative int of 16610 bits"
+        with pytest.raises(DomainError) as refused:
+            EvalPoint(_UNPRINTABLE, 1.0)
+        assert str(refused.value) == "x must be a finite positive real, got an int of 16610 bits"
+
+    def test_printable_values_keep_their_text(self):
+        big = 10**400
+        assert kernels.shown(big) == repr(big)
+        with pytest.raises(DomainError) as refused:
+            harness.HolderPair(big, 2.0)  # once a bare OverflowError from 1.0 / p
+        assert str(refused.value) == f"p must be a finite positive real, got {big!r}"
+        with pytest.raises(DomainError) as refused:
+            harness.HolderPair(0.5, big)
+        assert str(refused.value) == (
+            f"Hölder exponents must both exceed 1, got p=0.5, q={big!r}")

@@ -386,6 +386,16 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             kernels.hurwitz_zeta(2.0, 0.0)
 
+    def test_uncertified_remainder_is_refused(self, monkeypatch):
+        # `_direct_terms` certifies every (s, a) of the double range, but
+        # the bound is still checked: after one term at a = 1e-3 the B_16
+        # bound K(2) M^-17, about 7, is far above 2^-56 of the value
+        monkeypatch.setattr(kernels, "_direct_terms", lambda s, a: 1)
+        with pytest.raises(ComputationOverflowError,
+                           match=r"^hurwitz_zeta\(2\.0, 0\.001\): the remainder bound "
+                                 r"after 1 terms exceeds 2\^-56 of the value 1000002\.59"):
+            kernels.hurwitz_zeta(2.0, 1e-3)
+
     @pytest.mark.parametrize("big", [10**400, -10**400])
     def test_int_past_the_double_range_is_refused_by_name(self, big):
         # an s no float holds: a DomainError naming s, not a bare
@@ -531,6 +541,13 @@ class TestGammaDerivSequence:
     def test_overflow_fails_loudly(self):
         with pytest.raises(OverflowError):
             kernels.gamma_deriv_sequence(1, 200.0)
+
+    def test_overflowing_derivative_is_typed(self):
+        # Gamma(171) = 7.3e306 and Gamma'(171) = 3.7e307 are finite, while
+        # Gamma''(171) = Gamma (psi^2 + psi'), about 26 Gamma, is not
+        with pytest.raises(ComputationOverflowError,
+                           match=r"^Gamma\^\(2\)\(171\.0\) overflows double precision$"):
+            kernels.gamma_deriv_sequence(2, 171.0)
 
     def test_largest_finite_gamma(self):
         # ln Gamma(171.624) = 709.7808 is below ln(max double) = 709.7827:

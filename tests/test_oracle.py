@@ -834,6 +834,30 @@ class TestOverflow:
         assert code == cli.EXIT_DOMAIN
         assert "overflows double precision" in err
 
+    @pytest.mark.parametrize("call", [
+        lambda: oracle.integrate_k_gamma(EvalPoint(1e308, 1.0)),
+        lambda: oracle.integrate_bose(1.7e308, 1.0, 1.0),
+        # here the integral underflows (pGamma_k is 0.0), not overflows, and
+        # every node value is 0.0 alike
+        lambda: oracle.integrate_pk_gamma(EvalPoint(1e306, 1.0, 5e-324)),
+    ])
+    def test_exponent_beyond_double_range_stops_at_once(self, call):
+        # the size of g's exponent near its peak overflows, and every node
+        # value is 0.0: cut at the kernel's exp(-e^w), w >= 709, or
+        # underflowed.  inf roundoff times a zero mass was once a NaN
+        # estimate, which no stop passed, so the rule refined to its budget
+        assert call() == oracle.QuadratureResult(0.0, math.inf, 5, False)
+
+    def test_shared_orders_beyond_double_range_stop_at_once(self):
+        # the five nodes of the walk: the centre and two negligible ones a side
+        assert oracle.integrate_k_gamma_derivs((0, 1, 3), EvalPoint(1e308, 1.0)) == (
+            [oracle.QuadratureResult(0.0, math.inf, 5, False)] * 3)
+
+    def test_cli_reports_an_exponent_beyond_double_range_unconverged(self, capsys):
+        code = cli.main(["eval", "oracle_bose", "--s", "1.7e308", "--k", "1", "--c", "1"])
+        assert capsys.readouterr().out == "0.0 error_estimate=inf converged=False\n"
+        assert code == cli.EXIT_FAIL
+
     def test_large_finite_integral(self):
         # Gamma_k(20) at k = 0.07 is 9e247: panel errors far above 1e205,
         # where (200 delta)^1.5 would overflow, are still estimates
